@@ -194,13 +194,13 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic of a plain array (no tape)."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-safe logistic of a plain array (no tape).
+
+    exp only sees -|x|: the result is 1 / (1 + exp(-x)) where x >= 0 and
+    exp(x) / (1 + exp(x)) elsewhere, without masked indexing.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -337,6 +337,92 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return Tensor._result(x.data[:, start:stop].copy(), (x,), backward)
 
 
+# -- recurrent -----------------------------------------------------------
+
+
+def lstm_sequence(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """Every step's hidden state of an LSTM run over (batch, steps, input_dim).
+
+    ``weights`` is the fused (input_dim + hidden, 4 * hidden) matrix (input
+    rows first, then recurrent rows) and ``bias`` its (4 * hidden,) bias;
+    the gate order is input, forget, output, candidate. Each sequence
+    starts from a zero state. Returns (batch, steps, hidden).
+
+    The input projection of all steps is one matmul outside the time
+    loop, so each step costs one recurrent matmul plus the gate math. The
+    backward pass runs backpropagation through time in numpy and ends with
+    one matmul each for the input weights, the recurrent weights and x.
+    Trailing padded steps whose upstream gradient is zero contribute
+    exactly 0 to every gradient.
+    """
+    if x.data.ndim != 3:
+        raise ValueError(f"lstm_sequence expects (batch, steps, input_dim), got {x.data.shape}")
+    batch, steps, in_dim = x.data.shape
+    hidden = weights.data.shape[1] // 4 if weights.data.ndim == 2 else 0
+    if (hidden < 1 or weights.data.shape != (in_dim + hidden, 4 * hidden)
+            or bias.data.shape != (4 * hidden,)):
+        raise ValueError(f"lstm_sequence: weights {weights.data.shape} and bias "
+                         f"{bias.data.shape} do not fit input dimension {in_dim}")
+    if steps == 0:
+        raise ValueError("lstm_sequence: empty input sequence")
+    h3 = 3 * hidden
+    w_x, w_h = weights.data[:in_dim], weights.data[in_dim:]
+    x_steps = x.data.transpose(1, 0, 2).reshape(steps * batch, in_dim)  # step-major rows
+    # gates[t] holds step t's activated gates; it starts as the input projection
+    gates = (x_steps @ w_x + bias.data).reshape(steps, batch, 4 * hidden)
+    cells = np.empty((steps, batch, hidden), dtype=gates.dtype)
+    tanh_cells = np.empty_like(cells)
+    states = np.empty_like(cells)
+    for t in range(steps):
+        z = gates[t]
+        if t:
+            z += states[t - 1] @ w_h
+        z[:, :h3] = sigmoid_values(z[:, :h3])
+        np.tanh(z[:, h3:], out=z[:, h3:])
+        np.multiply(z[:, :hidden], z[:, h3:], out=cells[t])
+        if t:
+            cells[t] += z[:, hidden:2 * hidden] * cells[t - 1]
+        np.tanh(cells[t], out=tanh_cells[t])
+        np.multiply(z[:, 2 * hidden:h3], tanh_cells[t], out=states[t])
+
+    def backward(g):
+        g = g.transpose(1, 0, 2)
+        d_gates = np.empty_like(gates)
+        dh = np.zeros((batch, hidden), dtype=gates.dtype)
+        dc = np.zeros_like(dh)
+        for t in range(steps - 1, -1, -1):
+            z, dz, tanh_c = gates[t], d_gates[t], tanh_cells[t]
+            dh += g[t]
+            dc += dh * z[:, 2 * hidden:h3] * (1.0 - tanh_c * tanh_c)
+            # the three sigmoid gates: upstream gradient times s * (1 - s)
+            np.multiply(dc, z[:, h3:], out=dz[:, :hidden])
+            if t:
+                np.multiply(dc, cells[t - 1], out=dz[:, hidden:2 * hidden])
+            else:
+                dz[:, hidden:2 * hidden] = 0.0
+            np.multiply(dh, tanh_c, out=dz[:, 2 * hidden:h3])
+            dz[:, :h3] *= z[:, :h3] * (1.0 - z[:, :h3])
+            np.multiply(dc * z[:, :hidden], 1.0 - z[:, h3:] * z[:, h3:], out=dz[:, h3:])
+            if t:
+                dh = dz @ w_h.T
+                dc *= z[:, hidden:2 * hidden]
+        d_flat = d_gates.reshape(steps * batch, 4 * hidden)
+        if weights.requires_grad:
+            dw = np.zeros_like(weights.data)
+            dw[:in_dim] = x_steps.T @ d_flat
+            if steps > 1:
+                dw[in_dim:] = (states[:-1].reshape(-1, hidden).T
+                               @ d_gates[1:].reshape(-1, 4 * hidden))
+            weights._accumulate(dw)
+        if bias.requires_grad:
+            bias._accumulate(d_flat.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate((d_flat @ w_x.T).reshape(steps, batch, in_dim).transpose(1, 0, 2))
+
+    out = np.ascontiguousarray(states.transpose(1, 0, 2))
+    return Tensor._result(out, (x, weights, bias), backward)
+
+
 # -- optimization --------------------------------------------------------
 
 
@@ -367,6 +453,15 @@ class SgdOptimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+def finite_loss(loss: Tensor, where: str) -> float:
+    """The value of a scalar loss; a NaN or infinite one raises FloatingPointError
+    naming ``where``, so training stops before it corrupts the weights."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise FloatingPointError(f"{where}: non-finite loss {value}")
+    return value
 
 
 # -- numerical oracle ----------------------------------------------------

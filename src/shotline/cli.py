@@ -425,25 +425,16 @@ def cmd_eval_temporal(args, config):
             store.dim, config["hidden_dim"], _widths(config["scorer_widths"]),
             seed=derive_rng(config["seed"], "nextshot.init").integers(2**32),
             input_scale=temporal._unit_rms_scale(store))
+    probs = temporal.predict_probabilities(model, questions, store)
+    chosen = [int(np.argmax(p)) for p in probs]
     metrics = {}
-    _, by_setting = temporal.evaluate_accuracy(model, questions, store)
+    _, by_setting = temporal.accuracy_by_setting(questions, chosen)
     for setting, acc in sorted(by_setting.items()):
         metrics[f"lstm.{setting}.accuracy"] = acc
     _, baseline = temporal.evaluate_accuracy(temporal.baseline_average_cosine, questions, store)
     for setting, acc in sorted(baseline.items()):
         metrics[f"average.{setting}.accuracy"] = acc
-    rows = []
-    by_shape: dict[tuple[int, int], list] = {}
-    for q in questions:
-        by_shape.setdefault((len(q.context), len(q.candidates)), []).append(q)
-    for group in by_shape.values():
-        for start in range(0, len(group), 256):
-            batch = group[start:start + 256]
-            contexts, candidates, _ = temporal._question_arrays(batch, store)
-            probs = model.probabilities_batch(contexts, candidates).data
-            for q, p in zip(batch, probs):
-                chosen = int(np.argmax(p))
-                rows.append((q.qid, chosen, float(p[chosen])))
+    rows = [(q.qid, c, float(p[c])) for q, c, p in zip(questions, chosen, probs)]
     rows.sort(key=lambda r: r[0])
     temporal.write_results(args.results, rows)
     tags.write_metrics(args.metrics, metrics)

@@ -20,6 +20,10 @@ class LstmCell:
     Gate order in the fused matrices is input, forget, output, candidate.
     The forget-gate bias starts at forget_bias so early training does not
     wash out the cell state.
+
+    ``fold`` runs whole sequences through the fused ``lstm_sequence`` op;
+    every model uses it. ``step`` builds one update from primitive ops and
+    is kept only as the reference the op is tested against.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
@@ -54,23 +58,19 @@ class LstmCell:
         h_next = ad.hadamard(gate_out, ad.tanh(c_next))
         return h_next, c_next
 
-    def fold(self, inputs: Tensor, collect_steps: bool = False):
-        """Run over the rows of a (steps, input_dim) tensor from a zero state.
+    def fold(self, inputs: Tensor, pooling: np.ndarray | None = None) -> Tensor:
+        """Run over (batch, steps, input_dim) inputs, each from a zero state.
 
-        Returns the final hidden state (1, hidden_dim), or every step's
-        hidden state when collect_steps is set.
+        Returns every step's hidden state, (batch, steps, hidden), or with a
+        constant (rows, batch * steps) pooling matrix (see pooling_matrix)
+        the pooled (rows, hidden) states, as one matmul.
         """
-        steps = inputs.data.shape[0]
-        if steps == 0:
-            raise ValueError("fold: empty input sequence")
-        h, c = self.initial_state(1)
-        collected = []
-        for t in range(steps):
-            x = ad.slice_rows(inputs, t, t + 1)
-            h, c = self.step(x, h, c)
-            if collect_steps:
-                collected.append(h)
-        return collected if collect_steps else h
+        states = ad.lstm_sequence(inputs, self.weights, self.bias)
+        if pooling is None:
+            return states
+        batch, steps, _ = states.data.shape
+        flat = ad.reshape(states, (batch * steps, self.hidden_dim))
+        return ad.matmul(Tensor(pooling), flat)
 
     def parameters(self) -> dict:
         return {"lstm.weights": self.weights, "lstm.bias": self.bias}
@@ -78,6 +78,29 @@ class LstmCell:
     def load_state(self, state: dict, prefix: str = "lstm.") -> None:
         self.weights.data[...] = state[prefix + "weights"]
         self.bias.data[...] = state[prefix + "bias"]
+
+
+def pooling_matrix(lengths, steps: int, mode: str) -> np.ndarray:
+    """(batch, batch * steps) weights that pool each zero-padded sequence.
+
+    Row b reads only the first lengths[b] steps of sequence b: their last
+    one ("final") or their mean ("mean"). Padded steps get weight 0, so
+    they receive no gradient.
+    """
+    if mode not in ("final", "mean"):
+        raise ValueError(f"unknown pooling {mode!r}")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.max() > steps:
+        raise ValueError(f"sequence lengths must lie in 1..{steps}")
+    batch = lengths.size
+    blocks = np.zeros((batch, batch, steps), dtype=np.float32)
+    rows = np.arange(batch)
+    if mode == "final":
+        blocks[rows, rows, lengths - 1] = 1.0
+    else:
+        real = np.arange(steps) < lengths[:, None]
+        blocks[rows, rows] = real / lengths[:, None].astype(np.float32)
+    return blocks.reshape(batch, batch * steps)
 
 
 class RowMlp:

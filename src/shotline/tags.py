@@ -18,7 +18,7 @@ from .autodiff import SgdOptimizer, Tensor
 from .corpus import TagVocabulary, VideoManifestEntry
 from .encoder import sample_shots
 from .features import FeatureStore
-from .nn import LstmCell, uniform_init
+from .nn import LstmCell, pooling_matrix, uniform_init
 from .rng import derive_rng
 
 
@@ -195,10 +195,11 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
             kw_logits = model.keyword_logits(ad.stack_rows(kw_feats)) if kw_feats else None
             loss = multitask_loss(genre_logits, genre_truth, kw_logits, kw_truth,
                                   config.genre_weight)
+            value = ad.finite_loss(loss, f"train_tags: epoch {epoch}, batch start {start}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            epoch_loss += loss.item() * len(batch)
+            epoch_loss += value * len(batch)
         history["loss"].append(epoch_loss / len(entries))
     return model, history
 
@@ -223,8 +224,9 @@ class TagLstm:
 
     def step_outputs(self, feats: Tensor) -> Tensor:
         """Hidden state per step for a (steps, feat_dim) sequence."""
-        states = self.cell.fold(feats, collect_steps=True)
-        return ad.stack_rows([ad.reshape(h, (self.cell.hidden_dim,)) for h in states])
+        steps, feat_dim = feats.data.shape
+        states = self.cell.fold(ad.reshape(feats, (1, steps, feat_dim)))
+        return ad.reshape(states, (steps, self.cell.hidden_dim))
 
     def parameters(self) -> dict:
         params = {f"taglstm.{k}": v for k, v in self.cell.parameters().items()}
@@ -255,7 +257,8 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
     """Fit the recurrent scorer on frozen projected features.
 
     The per-video loss is the multitask BCE applied to the mean of the
-    per-step logits.
+    per-step logits. Each minibatch runs as one zero-padded batch; the
+    mean pools only a video's own steps, so padding adds exactly nothing.
     """
     if not entries:
         raise ValueError("train_tag_lstm: empty corpus")
@@ -268,21 +271,25 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
         order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
         for start in range(0, len(order), config.batch_size):
             batch = [entries[i] for i in order[start:start + config.batch_size]]
-            mean_feats, kw_feats, genre_truth, kw_truth = [], [], [], []
-            for entry in batch:
-                hidden = lstm.step_outputs(Tensor(inputs[entry.video_id]))
-                pooled = ad.mean_rows(hidden)
-                mean_feats.append(pooled)
-                g_idx, k_idx = _truth_indices(entry, vocabulary)
-                genre_truth.append(g_idx)
-                if entry.keywords:
-                    kw_feats.append(pooled)
-                    kw_truth.append(k_idx)
-            genre_logits = ad.add(ad.matmul(ad.stack_rows(mean_feats), lstm.genre_w), lstm.genre_b)
-            kw_logits = (ad.add(ad.matmul(ad.stack_rows(kw_feats), lstm.keyword_w), lstm.keyword_b)
-                         if kw_feats else None)
-            loss = multitask_loss(genre_logits, genre_truth, kw_logits, kw_truth,
-                                  config.genre_weight)
+            lengths = np.array([inputs[e.video_id].shape[0] for e in batch])
+            padded = np.zeros((len(batch), lengths.max(), feat_dim), dtype=np.float32)
+            for row, entry in enumerate(batch):
+                padded[row, :lengths[row]] = inputs[entry.video_id]
+            # one pooling matmul gives every video's mean, then again the
+            # rows of the videos that have keyword labels
+            pooling = pooling_matrix(lengths, padded.shape[1], "mean")
+            kw_rows = [row for row, entry in enumerate(batch) if entry.keywords]
+            pooled = lstm.cell.fold(Tensor(padded), np.concatenate([pooling, pooling[kw_rows]]))
+            truth = [_truth_indices(entry, vocabulary) for entry in batch]
+            genre_feats = ad.slice_rows(pooled, 0, len(batch))
+            genre_logits = ad.add(ad.matmul(genre_feats, lstm.genre_w), lstm.genre_b)
+            kw_logits = None
+            if kw_rows:
+                kw_feats = ad.slice_rows(pooled, len(batch), len(batch) + len(kw_rows))
+                kw_logits = ad.add(ad.matmul(kw_feats, lstm.keyword_w), lstm.keyword_b)
+            loss = multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
+                                  [truth[row][1] for row in kw_rows], config.genre_weight)
+            ad.finite_loss(loss, f"train_tag_lstm: epoch {epoch}, batch start {start}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

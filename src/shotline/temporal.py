@@ -15,13 +15,16 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .features import FeatureStore
-from .nn import LstmCell, RowMlp
+from .nn import LstmCell, RowMlp, pooling_matrix
 from .rng import derive_rng
 
 IN_MOVIE = "in_movie"
 CROSS_MOVIE = "cross_movie"
 
 ShotId = tuple[str, int]
+
+# Checkpoint code of each context pooling, stored as nextshot.context_pooling.
+CONTEXT_POOLINGS = ("final", "mean")
 
 
 @dataclass
@@ -158,7 +161,7 @@ class NextShotModel:
                  scorer_widths: tuple[int, ...] = (256, 64),
                  seed: int = 0, context_pooling: str = "final",
                  input_scale: float = 1.0):
-        if context_pooling not in ("final", "mean"):
+        if context_pooling not in CONTEXT_POOLINGS:
             raise ValueError(f"unknown context_pooling {context_pooling!r}")
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
@@ -172,15 +175,8 @@ class NextShotModel:
         """Encode (batch, steps, feature_dim) contexts into (batch, hidden)."""
         batch, steps, _ = contexts.shape
         scaled = np.asarray(contexts, dtype=np.float32) * np.float32(self.input_scale)
-        h, c = self.cell.initial_state(batch)
-        acc = None
-        for t in range(steps):
-            h, c = self.cell.step(Tensor(np.ascontiguousarray(scaled[:, t, :])), h, c)
-            if self.context_pooling == "mean":
-                acc = h if acc is None else ad.add(acc, h)
-        if self.context_pooling == "mean":
-            return ad.scale(acc, 1.0 / steps)
-        return h
+        pooling = pooling_matrix(np.full(batch, steps), steps, self.context_pooling)
+        return self.cell.fold(Tensor(scaled), pooling)
 
     def _candidate_rows(self, u: Tensor, candidates: np.ndarray, n: int) -> Tensor:
         scaled = (np.asarray(candidates, dtype=np.float32).reshape(-1, self.feature_dim)
@@ -206,6 +202,8 @@ class NextShotModel:
     def state(self) -> dict:
         blob = dict(self.parameters())
         blob["nextshot.input_scale"] = Tensor(np.float32(self.input_scale))
+        blob["nextshot.context_pooling"] = Tensor(
+            np.float32(CONTEXT_POOLINGS.index(self.context_pooling)))
         return blob
 
     def load_state(self, state: dict) -> None:
@@ -213,6 +211,11 @@ class NextShotModel:
             tensor.data[...] = state[name]
         if "nextshot.input_scale" in state:
             self.input_scale = float(np.asarray(state["nextshot.input_scale"]))
+        # checkpoints written before the pooling was stored were all "final"
+        code = float(np.asarray(state.get("nextshot.context_pooling", 0.0)))
+        if code not in range(len(CONTEXT_POOLINGS)):
+            raise ValueError(f"unknown nextshot.context_pooling code {code}")
+        self.context_pooling = CONTEXT_POOLINGS[int(code)]
 
 
 def encode_context(features: np.ndarray, model: NextShotModel) -> np.ndarray:
@@ -307,10 +310,11 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
             contexts, candidates, targets = _question_arrays(batch, store)
             probs = model.probabilities_batch(contexts, candidates)
             loss = ad.nll_loss(probs, targets)
+            value = ad.finite_loss(loss, f"train_next_shot: epoch {epoch}, batch start {start}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            epoch_loss += loss.item() * len(batch)
+            epoch_loss += value * len(batch)
         history["loss"].append(epoch_loss / len(questions))
         if val_questions:
             acc = evaluate_accuracy(model, val_questions, store)[0]
@@ -337,6 +341,40 @@ def baseline_average_cosine(question: PredictionQuestion, store: FeatureStore) -
     return int(np.argmax(sims))
 
 
+def predict_probabilities(model: NextShotModel, questions: list[PredictionQuestion],
+                          store: FeatureStore, batch_size: int = 256) -> list[np.ndarray]:
+    """Candidate distribution of every question, in question order.
+
+    Questions are batched by (context length, candidate count).
+    """
+    out: list[np.ndarray] = [None] * len(questions)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, q in enumerate(questions):
+        by_shape.setdefault((len(q.context), len(q.candidates)), []).append(i)
+    for group in by_shape.values():
+        for start in range(0, len(group), batch_size):
+            part = group[start:start + batch_size]
+            contexts, candidates, _ = _question_arrays([questions[i] for i in part], store)
+            probs = model.probabilities_batch(contexts, candidates).data
+            for i, p in zip(part, probs):
+                out[i] = p
+    return out
+
+
+def accuracy_by_setting(questions: list[PredictionQuestion],
+                        chosen: list[int]) -> tuple[float, dict]:
+    """Fraction of chosen indices that are correct, plus a per-setting breakdown."""
+    if not questions:
+        raise ValueError("no questions to score")
+    correct: dict[str, int] = {}
+    seen: dict[str, int] = {}
+    for q, c in zip(questions, chosen, strict=True):
+        seen[q.setting] = seen.get(q.setting, 0) + 1
+        correct[q.setting] = correct.get(q.setting, 0) + int(c == q.correct_index)
+    breakdown = {s: correct[s] / seen[s] for s in seen}
+    return sum(correct.values()) / len(questions), breakdown
+
+
 def evaluate_accuracy(scorer, questions: list[PredictionQuestion], store: FeatureStore,
                       batch_size: int = 256) -> tuple[float, dict]:
     """Fraction answered correctly, plus a per-setting breakdown.
@@ -346,27 +384,9 @@ def evaluate_accuracy(scorer, questions: list[PredictionQuestion], store: Featur
     """
     if not questions:
         raise ValueError("evaluate_accuracy: empty question set")
-    correct: dict[str, int] = {}
-    seen: dict[str, int] = {}
     if isinstance(scorer, NextShotModel):
-        by_shape: dict[tuple[int, int], list[PredictionQuestion]] = {}
-        for q in questions:
-            by_shape.setdefault((len(q.context), len(q.candidates)), []).append(q)
-        for group in by_shape.values():
-            for start in range(0, len(group), batch_size):
-                batch = group[start:start + batch_size]
-                contexts, candidates, targets = _question_arrays(batch, store)
-                probs = scorer.probabilities_batch(contexts, candidates).data
-                chosen = np.argmax(probs, axis=1)
-                for q, c, t in zip(batch, chosen, targets):
-                    seen[q.setting] = seen.get(q.setting, 0) + 1
-                    correct[q.setting] = correct.get(q.setting, 0) + int(c == t)
+        chosen = [int(np.argmax(p))
+                  for p in predict_probabilities(scorer, questions, store, batch_size)]
     else:
-        for q in questions:
-            chosen = scorer(q, store)
-            seen[q.setting] = seen.get(q.setting, 0) + 1
-            correct[q.setting] = correct.get(q.setting, 0) + int(chosen == q.correct_index)
-    total_correct = sum(correct.values())
-    total = sum(seen.values())
-    breakdown = {s: correct[s] / seen[s] for s in seen}
-    return total_correct / total, breakdown
+        chosen = [scorer(q, store) for q in questions]
+    return accuracy_by_setting(questions, chosen)

@@ -68,6 +68,10 @@ def _op_cases(rng):
     w64 = Tensor(rng.normal(0, 1, (6, 4)))
     w24 = Tensor(rng.normal(0, 1, (2, 4)))
     wv = Tensor(rng.normal(0, 1, (4,)))
+    seq = Tensor(rng.normal(0, 1, (2, 3, 3)), requires_grad=True)
+    lstm_w = Tensor(rng.normal(0, 0.5, (5, 8)), requires_grad=True)
+    lstm_b = Tensor(rng.normal(0, 0.5, (8,)), requires_grad=True)
+    w232 = Tensor(rng.normal(0, 1, (2, 3, 2)))
     return [
         ("matmul", lambda: ad.sum_all(ad.hadamard(ad.matmul(a, b), w32)), [a, b]),
         ("mean_rows", lambda: ad.sum_all(ad.hadamard(ad.mean_rows(x), wv)), [x]),
@@ -87,6 +91,8 @@ def _op_cases(rng):
         ("stack_rows", lambda: ad.sum_all(ad.hadamard(ad.stack_rows(vecs), w34)), vecs),
         ("slice_rows", lambda: ad.sum_all(ad.hadamard(ad.slice_rows(x, 1, 3), w24)), [x]),
         ("slice_cols", lambda: ad.sum_all(ad.hadamard(ad.slice_cols(x, 1, 3), w32)), [x]),
+        ("lstm_sequence", lambda: ad.sum_all(ad.hadamard(ad.lstm_sequence(seq, lstm_w, lstm_b),
+                                                          w232)), [seq, lstm_w, lstm_b]),
     ]
 
 

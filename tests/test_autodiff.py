@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shotline import autodiff as ad
 from shotline.autodiff import SgdOptimizer, Tensor, finite_difference_gradient
+from shotline.nn import pooling_matrix
 
 from _util import check_gradients, rel_err
 
@@ -224,6 +225,87 @@ def test_bce_gradient_is_sigmoid_minus_target(seed):
     expected = (1.0 / (1.0 + np.exp(-logits.data)) - targets) / 6
     assert rel_err(logits.grad, expected) < 1e-9
     check_gradients(lambda: ad.bce_with_logits(logits, targets), [logits])
+
+
+# -- lstm sequence -----------------------------------------------------------------
+
+def ragged_batch(rng, lengths, steps, dim):
+    """(batch, steps, dim) float64 inputs, zero past each sequence's length."""
+    x = rng.normal(0, 1, (len(lengths), steps, dim))
+    for b, n in enumerate(lengths):
+        x[b, n:] = 0.0
+    return Tensor(x, requires_grad=True)
+
+
+@pytest.mark.parametrize("mode", ["final", "mean"])
+def test_lstm_sequence_gradients_on_ragged_padded_batch(mode):
+    rng = np.random.default_rng(40 if mode == "final" else 41)
+    lengths, steps, dim, hidden = [5, 3, 1], 5, 3, 4
+    x = ragged_batch(rng, lengths, steps, dim)
+    weights = rand64(rng, (dim + hidden, 4 * hidden), 0.5)
+    bias = rand64(rng, (4 * hidden,), 0.3)
+    pooling = Tensor(pooling_matrix(lengths, steps, mode).astype(np.float64))
+    coef = Tensor(rng.normal(0, 1, (3, hidden)))
+
+    def loss():
+        states = ad.lstm_sequence(x, weights, bias)
+        pooled = ad.matmul(pooling, ad.reshape(states, (3 * steps, hidden)))
+        return ad.sum_all(ad.hadamard(pooled, coef))
+
+    check_gradients(loss, [x, weights, bias], h=1e-5, tol=1e-6)
+    for b, n in enumerate(lengths):
+        assert not x.grad[b, n:].any()
+
+
+def test_lstm_sequence_gradients_from_every_step():
+    rng = np.random.default_rng(42)
+    x = ragged_batch(rng, [4, 2], 4, 3)
+    weights = rand64(rng, (3 + 2, 8), 0.5)
+    bias = rand64(rng, (8,), 0.3)
+    coef = Tensor(rng.normal(0, 1, (2, 4, 2)))
+    check_gradients(lambda: ad.sum_all(ad.hadamard(ad.lstm_sequence(x, weights, bias), coef)),
+                    [x, weights, bias], h=1e-5, tol=1e-6)
+
+
+def test_lstm_sequence_padding_leaves_real_steps_unchanged():
+    rng = np.random.default_rng(43)
+    weights = Tensor(rng.normal(0, 0.5, (5, 8)).astype(np.float32))
+    bias = Tensor(rng.normal(0, 0.3, 8).astype(np.float32))
+    seq = rng.normal(0, 1, (1, 3, 3)).astype(np.float32)
+    padded = np.concatenate([seq, rng.normal(0, 1, (1, 4, 3)).astype(np.float32)], axis=1)
+    short = ad.lstm_sequence(Tensor(seq), weights, bias).data
+    long = ad.lstm_sequence(Tensor(padded), weights, bias).data
+    assert long.shape == (1, 7, 2)
+    assert np.allclose(long[:, :3], short, rtol=0, atol=1e-6)
+
+
+def test_lstm_sequence_validates_shapes():
+    weights = Tensor(np.zeros((5, 8), dtype=np.float32))
+    bias = Tensor(np.zeros(8, dtype=np.float32))
+    with pytest.raises(ValueError, match="batch, steps"):
+        ad.lstm_sequence(Tensor(np.zeros((3, 3), dtype=np.float32)), weights, bias)
+    with pytest.raises(ValueError, match="do not fit"):
+        ad.lstm_sequence(Tensor(np.zeros((1, 2, 4), dtype=np.float32)), weights, bias)
+    with pytest.raises(ValueError, match="empty"):
+        ad.lstm_sequence(Tensor(np.zeros((1, 0, 3), dtype=np.float32)), weights, bias)
+
+
+def test_pooling_matrix_rows():
+    final = pooling_matrix([3, 1], 3, "final")
+    mean = pooling_matrix([3, 1], 3, "mean")
+    assert final.shape == mean.shape == (2, 6)
+    assert np.array_equal(final, [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
+    assert np.allclose(mean, [[1 / 3, 1 / 3, 1 / 3, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="lengths"):
+        pooling_matrix([4], 3, "mean")
+    with pytest.raises(ValueError, match="pooling"):
+        pooling_matrix([2], 3, "max")
+
+
+def test_finite_loss_names_the_batch():
+    assert ad.finite_loss(Tensor(np.float32(0.5)), "here") == 0.5
+    with pytest.raises(FloatingPointError, match="epoch 2, batch start 64: non-finite loss nan"):
+        ad.finite_loss(Tensor(np.float32(np.nan)), "train: epoch 2, batch start 64")
 
 
 # -- finite differences ----------------------------------------------------------

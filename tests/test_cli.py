@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shotline import qa
+from shotline import qa, temporal
+from shotline.checkpoint import load_checkpoint
 from shotline.cli import load_config, main
 from shotline.features import FeatureStore, read_shtf, write_shtf
 from shotline.frames import FrameSequence, write_fseq
@@ -196,6 +197,58 @@ def test_eval_temporal_random_init_near_chance(tmp_path):
     acc = float(metrics["lstm.in_movie.accuracy"])
     # tiny config uses 8 candidates: chance 0.125 over ~250 questions
     assert abs(acc - 0.125) < 0.07
+
+
+@pytest.mark.parametrize("pooling", ["final", "mean"])
+def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling):
+    world = synth_and_split(tmp_path, seed=7)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 7]
+    for subset in ("train", "test"):
+        assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                       "--split", world / "split.json", "--subset", subset,
+                       "--output", world / f"{subset}_q.tsv") == 0
+    assert run_cli(*base, "--set", f"context_pooling={pooling}", "--set", "temporal_epochs=2",
+                   "train-temporal", "--features", world / "features.shtf",
+                   "--questions", world / "train_q.tsv", "--output", world / "t.stln") == 0
+    # evaluated under the default config: the pooling comes from the checkpoint
+    assert run_cli(*base, "eval-temporal", "--features", world / "features.shtf",
+                   "--questions", world / "test_q.tsv", "--model", world / "t.stln",
+                   "--results", world / "r.tsv", "--metrics", world / "m.tsv") == 0
+    state = load_checkpoint(world / "t.stln")
+    store = read_shtf(world / "features.shtf")
+    model = temporal.NextShotModel(store.dim, 32, (64, 16))
+    model.load_state(state)
+    assert model.context_pooling == pooling
+    model.context_pooling = pooling
+    questions = temporal.read_questions(world / "test_q.tsv")
+    contexts, candidates, targets = temporal._question_arrays(questions, store)
+    probs = model.probabilities_batch(contexts, candidates).data
+    chosen = probs.argmax(axis=1)
+    expected = sorted(f"{q.qid}\t{c}\t{p[c]:.6f}" for q, c, p in zip(questions, chosen, probs))
+    assert (world / "r.tsv").read_text().splitlines() == expected
+    metrics = dict(l.split("\t") for l in (world / "m.tsv").read_text().splitlines())
+    for setting in (temporal.IN_MOVIE, temporal.CROSS_MOVIE):
+        hits = [c == t for q, c, t in zip(questions, chosen, targets) if q.setting == setting]
+        assert metrics[f"lstm.{setting}.accuracy"] == f"{np.mean(hits):.6f}"
+
+
+def test_non_finite_training_loss_fails_the_command(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=8)
+    clean = read_shtf(world / "features.shtf")
+    store = FeatureStore(clean.dim)
+    for i, (key, values) in enumerate(clean.items()):
+        store.add(*key, np.full_like(values, np.nan) if i == 5 else values)
+    write_shtf(world / "features.shtf", store)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 8]
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    capsys.readouterr()
+    assert run_cli(*base, "train-temporal", "--features", world / "features.shtf",
+                   "--questions", world / "q.tsv", "--output", world / "t.stln") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert any(l.startswith("error\tFloatingPointError\ttrain_next_shot: epoch 0, batch start ")
+               and l.endswith("non-finite loss nan") for l in err)
+    assert not (world / "t.stln").exists()
 
 
 def test_eval_temporal_requires_model_choice(tmp_path, capsys):

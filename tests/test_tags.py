@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shotline import autodiff as ad
-from shotline.autodiff import Tensor
+from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.corpus import SyntheticWorldConfig, TagVocabulary, VideoManifestEntry, generate_world
 from shotline.features import FeatureStore
 from shotline.tags import (TagLstm, TagModel, TagTrainConfig, forward_video,
@@ -10,6 +10,8 @@ from shotline.tags import (TagLstm, TagModel, TagTrainConfig, forward_video,
                            shot_tag_response, top_shots, train_tag_lstm, train_tags,
                            write_metrics, write_predictions)
 from shotline.checkpoint import load_checkpoint, save_checkpoint
+from shotline.nn import pooling_matrix
+from shotline.rng import derive_rng
 
 from _util import check_gradients
 
@@ -274,6 +276,123 @@ def test_feature_lstm_order_sensitive():
     fwd = infer_feature_lstm(model, lstm, "v0", seq)
     rev = infer_feature_lstm(model, lstm, "v0", seq[::-1].copy())
     assert not np.allclose(fwd.genre_scores, rev.genre_scores, atol=1e-7)
+
+
+def step_loop_states(cell, seq):
+    """Per-step reference: (steps, hidden) states of a LstmCell.step loop."""
+    h, c = cell.initial_state(1)
+    states = []
+    for t in range(seq.shape[0]):
+        h, c = cell.step(Tensor(seq[t:t + 1]), h, c)
+        states.append(ad.reshape(h, (cell.hidden_dim,)))
+    return ad.stack_rows(states)
+
+
+def padded_batch(seqs):
+    lengths = np.array([len(s) for s in seqs])
+    out = np.zeros((len(seqs), lengths.max(), seqs[0].shape[1]), dtype=np.float32)
+    for b, seq in enumerate(seqs):
+        out[b, :len(seq)] = seq
+    return out, lengths
+
+
+def test_padded_batch_matches_per_video_step_loops():
+    rng = np.random.default_rng(30)
+    lstm = TagLstm(VOCAB, 4, 6, rng)
+    seqs = [rng.normal(0, 1, (n, 4)).astype(np.float32) for n in (7, 3, 5, 1)]
+    padded, lengths = padded_batch(seqs)
+    coef = Tensor(rng.normal(0, 1, (4, 6)).astype(np.float32))
+    states = lstm.cell.fold(Tensor(padded)).data
+    pooled = lstm.cell.fold(Tensor(padded), pooling_matrix(lengths, 7, "mean"))
+    ad.sum_all(ad.hadamard(pooled, coef)).backward()
+    fused_grads = [lstm.cell.weights.grad, lstm.cell.bias.grad]
+    lstm.cell.weights.grad = lstm.cell.bias.grad = None
+    reference = None
+    for b, seq in enumerate(seqs):
+        ref_states = step_loop_states(lstm.cell, seq)
+        assert np.abs(states[b, :len(seq)] - ref_states.data).max() <= 1e-5
+        assert np.abs(pooled.data[b] - ref_states.data.mean(axis=0)).max() <= 1e-5
+        term = ad.sum_all(ad.hadamard(ad.mean_rows(ref_states), Tensor(coef.data[b])))
+        reference = term if reference is None else ad.add(reference, term)
+    reference.backward()
+    for got, want in zip(fused_grads, [lstm.cell.weights.grad, lstm.cell.bias.grad]):
+        assert np.abs(got - want).max() <= 1e-5
+
+
+@pytest.mark.parametrize("mode", ["final", "mean"])
+def test_pooled_video_independent_of_batch_mates(mode):
+    rng = np.random.default_rng(31)
+    lstm = TagLstm(VOCAB, 4, 6, rng)
+    video = rng.normal(0, 1, (4, 4)).astype(np.float32)
+    others = [rng.normal(0, 1, (n, 4)).astype(np.float32) for n in (9, 2, 6)]
+    pooled = []
+    for seqs, row in (([video], 0), ([video, others[0]], 0), ([others[1], others[2], video], 2)):
+        padded, lengths = padded_batch(seqs)
+        out = lstm.cell.fold(Tensor(padded), pooling_matrix(lengths, lengths.max(), mode))
+        pooled.append(out.data[row])
+    assert np.allclose(pooled[1], pooled[0], rtol=0, atol=1e-6)
+    assert np.allclose(pooled[2], pooled[0], rtol=0, atol=1e-6)
+
+
+def ragged_tag_corpus(dim=4, nan_video=None):
+    """Seven trailers of 1-9 shots; some carry keywords, v6 carries none."""
+    rng = np.random.default_rng(32)
+    store = FeatureStore(dim)
+    entries = []
+    for i, n in enumerate((5, 1, 9, 3, 7, 2, 4)):
+        for o in range(n):
+            values = rng.normal(0, 1, dim).astype(np.float32)
+            if i == nan_video:
+                values[0] = np.nan
+            store.add(f"v{i}", o, values)
+        keywords = [["k0"], [], ["k1", "k0"], ["k1"], [], ["k0"], []][i]
+        entries.append(VideoManifestEntry(f"v{i}", "trailer", "", [f"g{i % 3}"], keywords))
+    return entries, store
+
+
+def per_video_tag_lstm(entries, store, config, seed):
+    """The trainer train_tag_lstm batches, run video by video with LstmCell.step."""
+    lstm = TagLstm(VOCAB, store.dim, config.lstm_hidden, derive_rng(seed, "taglstm.init"))
+    optimizer = SgdOptimizer(lstm.parameters(), config.lstm_learning_rate, config.momentum)
+    for epoch in range(config.lstm_epochs):
+        order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
+        for start in range(0, len(order), config.batch_size):
+            batch = [entries[i] for i in order[start:start + config.batch_size]]
+            feats = [ad.mean_rows(step_loop_states(lstm.cell, store.sequence(e.video_id)))
+                     for e in batch]
+            kw = [(f, e) for f, e in zip(feats, batch) if e.keywords]
+            genre_logits = ad.add(ad.matmul(ad.stack_rows(feats), lstm.genre_w), lstm.genre_b)
+            kw_logits = (ad.add(ad.matmul(ad.stack_rows([f for f, _ in kw]), lstm.keyword_w),
+                                lstm.keyword_b) if kw else None)
+            loss = multitask_loss(
+                genre_logits, [{VOCAB.genre_index[g] for g in e.genres} for e in batch],
+                kw_logits, [{VOCAB.keyword_index[k] for k in e.keywords} for _, e in kw],
+                config.genre_weight)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+    return lstm
+
+
+def test_batched_tag_lstm_training_matches_per_video_trainer():
+    entries, store = ragged_tag_corpus()
+    config = TagTrainConfig(batch_size=3, lstm_epochs=3, lstm_hidden=5, lstm_learning_rate=0.2)
+    trained = train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=4)
+    reference = per_video_tag_lstm(entries, store, config, seed=4)
+    start = TagLstm(VOCAB, 4, 5, derive_rng(4, "taglstm.init"))
+    for name, tensor in trained.parameters().items():
+        want = reference.parameters()[name].data
+        assert not np.array_equal(want, start.parameters()[name].data), name
+        assert np.abs(tensor.data - want).max() <= 1e-5, name
+
+
+def test_tag_training_stops_on_non_finite_loss():
+    entries, store = ragged_tag_corpus(nan_video=1)
+    config = TagTrainConfig(epochs=1, batch_size=3, lstm_epochs=1, lstm_hidden=5)
+    with pytest.raises(FloatingPointError, match=r"train_tags: epoch 0, batch start \d+"):
+        train_tags(entries, store, VOCAB, config, seed=0)
+    with pytest.raises(FloatingPointError, match=r"train_tag_lstm: epoch 0, batch start \d+"):
+        train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=0)
 
 
 # -- retrieval --------------------------------------------------------------------

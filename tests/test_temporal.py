@@ -99,7 +99,8 @@ def test_encode_context_matches_unrolled_oracle():
     h, c = model.cell.initial_state(1)
     for t in range(3):
         h, c = model.cell.step(Tensor(features[t:t + 1] * np.float32(model.input_scale)), h, c)
-    assert np.array_equal(u, h.data[0])
+    # the fused op projects all steps in one matmul: equal up to float32 rounding
+    assert np.allclose(u, h.data[0], rtol=0, atol=1e-6)
 
 
 def test_encode_context_empty_rejected():
@@ -130,7 +131,43 @@ def test_encode_context_mean_pooling_variant():
         h, c = final.cell.step(Tensor(features[t:t + 1] * np.float32(final.input_scale)), h, c)
         steps.append(h.data[0])
     assert np.allclose(encode_context(features, mean), np.stack(steps).mean(axis=0), atol=1e-6)
-    assert np.array_equal(encode_context(features, final), steps[-1])
+    assert np.allclose(encode_context(features, final), steps[-1], rtol=0, atol=1e-6)
+
+
+def step_loop_contexts(model, contexts):
+    """Per-step reference: every hidden state of a LstmCell.step loop."""
+    scaled = contexts * np.float32(model.input_scale)
+    h, c = model.cell.initial_state(contexts.shape[0])
+    states = []
+    for t in range(contexts.shape[1]):
+        h, c = model.cell.step(Tensor(np.ascontiguousarray(scaled[:, t])), h, c)
+        states.append(h)
+    return states
+
+
+@pytest.mark.parametrize("pooling", ["final", "mean"])
+def test_encode_context_batch_matches_step_loop(pooling):
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(8,), seed=21,
+                          context_pooling=pooling, input_scale=1.7)
+    rng = np.random.default_rng(22)
+    contexts = rng.normal(0, 1, (5, 7, 6)).astype(np.float32)
+    coef = Tensor(rng.normal(0, 1, (5, 8)).astype(np.float32))
+    u = model.encode_context_batch(contexts)
+    ad.sum_all(ad.hadamard(u, coef)).backward()
+    fused = {"u": u.data, "weights": model.cell.weights.grad, "bias": model.cell.bias.grad}
+    model.cell.weights.grad = model.cell.bias.grad = None
+    states = step_loop_contexts(model, contexts)
+    ref = states[-1]
+    if pooling == "mean":
+        for h in states[:-1]:
+            ref = ad.add(ref, h)
+        ref = ad.scale(ref, 1.0 / len(states))
+    ad.sum_all(ad.hadamard(ref, coef)).backward()
+    reference = {"u": ref.data, "weights": model.cell.weights.grad,
+                 "bias": model.cell.bias.grad}
+    for name in fused:
+        assert fused[name].dtype == np.float32
+        assert np.abs(fused[name] - reference[name]).max() <= 1e-5, name
 
 
 # -- candidate scoring --------------------------------------------------------------
@@ -352,6 +389,45 @@ def test_model_state_round_trip(tmp_path):
     assert restored.input_scale == 2.5
     q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
     assert np.array_equal(encode_context(q_feats, model), encode_context(q_feats, restored))
+
+
+def test_model_state_round_trip_keeps_context_pooling(tmp_path):
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12,
+                          context_pooling="mean")
+    save_checkpoint(tmp_path / "m.stln", model.state())
+    restored = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=99)
+    restored.load_state(load_checkpoint(tmp_path / "m.stln"))
+    assert restored.context_pooling == "mean"
+    q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
+    assert np.array_equal(encode_context(q_feats, model), encode_context(q_feats, restored))
+
+
+def test_checkpoint_without_pooling_loads_as_final():
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
+    state = {k: v.data for k, v in model.state().items() if k != "nextshot.context_pooling"}
+    restored = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=99,
+                             context_pooling="mean")
+    restored.load_state(state)
+    assert restored.context_pooling == "final"
+    state["nextshot.context_pooling"] = np.float32(7)
+    with pytest.raises(ValueError, match="context_pooling code"):
+        restored.load_state(state)
+
+
+def test_training_stops_on_non_finite_loss():
+    store = FeatureStore(4)
+    rng = np.random.default_rng(5)
+    for o in range(20):
+        values = rng.normal(0, 1, 4).astype(np.float32)
+        if o == 6:
+            values[1] = np.nan
+        store.add("m0", o, values)
+    questions, _ = generate_questions(store, ["m0"], IN_MOVIE, mctx=4, n_candidates=4,
+                                      stride=1, seed=2)
+    config = TemporalTrainConfig(epochs=1, batch_size=4, hidden_dim=4, scorer_widths=(4,))
+    with pytest.raises(FloatingPointError,
+                       match=r"train_next_shot: epoch 0, batch start \d+: non-finite loss"):
+        train_next_shot(questions, store, config, seed=0)
 
 
 # -- baseline ---------------------------------------------------------------------------
