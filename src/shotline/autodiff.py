@@ -73,35 +73,11 @@ class Tensor:
 
     # -- conveniences -------------------------------------------------
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return hadamard(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-
-def as_tensor(values, dtype=None) -> Tensor:
-    return values if isinstance(values, Tensor) else Tensor(values, dtype=dtype)
 
 
 # -- core operations ----------------------------------------------------

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +56,3 @@ def load_checkpoint(path) -> dict:
         if trailing:
             raise FormatError(f"trailing bytes at byte {fh.tell() - 1}")
     return params
-
-
-def checkpoint_equal(path_a, path_b) -> bool:
-    return Path(path_a).read_bytes() == Path(path_b).read_bytes()

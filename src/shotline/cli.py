@@ -201,36 +201,6 @@ def _tag_config(config: dict) -> tags.TagTrainConfig:
         max_lstm_steps=config["max_lstm_steps"])
 
 
-def _load_tag_models(path, vocabulary, store_dim, config):
-    state = load_checkpoint(path)
-    proj_dim = state["projection"].shape[1] if "projection" in state else None
-    model = tags.TagModel(vocabulary, store_dim, proj_dim, derive_rng(0, "load"),
-                          scoring=config["scoring"])
-    model.load_state(state)
-    lstm = None
-    if "taglstm.lstm.weights" in state:
-        hidden = state["taglstm.lstm.weights"].shape[1] // 4
-        feat_dim = state["taglstm.lstm.weights"].shape[0] - hidden
-        lstm = tags.TagLstm(vocabulary, feat_dim, hidden, derive_rng(0, "load"))
-        lstm.load_state(state)
-    return model, lstm
-
-
-def _load_temporal_model(path) -> temporal.NextShotModel:
-    state = load_checkpoint(path)
-    weights = state["nextshot.lstm.weights"]
-    hidden = weights.shape[1] // 4
-    feature_dim = weights.shape[0] - hidden
-    widths = []
-    i = 0
-    while f"nextshot.mlp.{i}.weights" in state:
-        widths.append(state[f"nextshot.mlp.{i}.weights"].shape[1])
-        i += 1
-    model = temporal.NextShotModel(feature_dim, hidden, tuple(widths[:-1]), seed=0)
-    model.load_state(state)
-    return model
-
-
 def _provider(args, config):
     if args.embeddings:
         return qa.TableEmbeddingProvider(qa.read_embedding_table(args.embeddings),
@@ -252,8 +222,7 @@ def cmd_segment(args, config):
 def cmd_extract(args, config):
     seq = read_fseq(args.input)
     shots = segment.read_shot_list(args.shots)
-    extractor = HistogramEdgeExtractor(projection_dim=None)
-    store = extract_features(seq, shots, extractor, m=config["frames_per_shot"])
+    store = extract_features(seq, shots, HistogramEdgeExtractor(), m=config["frames_per_shot"])
     write_shtf(args.output, store)
     print(f"extract\t{len(store)} shot features\tdim {store.dim}", file=sys.stderr)
     return [args.input, args.shots], [args.output]
@@ -309,9 +278,7 @@ def cmd_train_tags(args, config):
                                      config["seed"], proj_dim=proj_dim)
     lstm = tags.train_tag_lstm(model, train_entries, store, vocabulary, tag_config,
                                config["seed"])
-    state = dict(model.parameters())
-    state.update(lstm.parameters())
-    save_checkpoint(args.output, state)
+    save_checkpoint(args.output, {**model.state(), **lstm.state()})
     print(f"train-tags\t{len(train_entries)} videos\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.manifest, args.vocab, args.features] + ([args.split] if args.split else [])
@@ -322,7 +289,9 @@ def cmd_eval_tags(args, config):
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
     store = read_shtf(args.features)
-    model, lstm = _load_tag_models(args.model, vocabulary, store.dim, config)
+    state = load_checkpoint(args.model)
+    model = tags.TagModel.from_state(state, vocabulary)
+    lstm = tags.TagLstm.from_state(state, vocabulary)
     by_id = {e.video_id: e for e in entries}
     if args.split:
         split = corpus.CorpusSplit.load(args.split)
@@ -419,7 +388,7 @@ def cmd_eval_temporal(args, config):
     store = read_shtf(args.features)
     questions = temporal.read_questions(args.questions)
     if args.model:
-        model = _load_temporal_model(args.model)
+        model = temporal.NextShotModel.from_state(load_checkpoint(args.model))
     else:
         model = temporal.NextShotModel(
             store.dim, config["hidden_dim"], _widths(config["scorer_widths"]),
@@ -455,8 +424,7 @@ def cmd_train_qa(args, config):
         scorer_widths=_widths(config["scorer_widths"]), patience=config["qa_patience"])
     model, history = qa.train_qa(items, provider, store, qa_config, config["seed"],
                                  val_items=val_items)
-    state = dict(model.parameters())
-    save_checkpoint(args.output, state)
+    save_checkpoint(args.output, model.state())
     print(f"train-qa\t{len(items)} items\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.features, args.items] + ([args.val_items] if args.val_items else []) + (
@@ -468,15 +436,7 @@ def cmd_eval_qa(args, config):
     store = read_shtf(args.features)
     items = qa.read_qa_items(args.items)
     provider = _provider(args, config)
-    state = load_checkpoint(args.model)
-    widths = []
-    i = 0
-    while f"qa.mlp.{i}.weights" in state:
-        widths.append(state[f"qa.mlp.{i}.weights"].shape[1])
-        i += 1
-    input_dim = state["qa.mlp.0.weights"].shape[0]
-    model = qa.QaModel(store.dim, (input_dim - store.dim) // 2, tuple(widths[:-1]), seed=0)
-    model.load_state(state)
+    model = qa.QaModel.from_state(load_checkpoint(args.model))
     accuracy = qa.evaluate_qa(model, items, provider, store)
     tags.write_metrics(args.metrics, {"qa.accuracy": accuracy})
     print(f"metric\tqa.accuracy\t{accuracy:.6f}", file=sys.stderr)
@@ -488,7 +448,7 @@ def cmd_eval_qa(args, config):
 def cmd_retrieve(args, config):
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     store = read_shtf(args.features)
-    model, _ = _load_tag_models(args.model, vocabulary, store.dim, config)
+    model = tags.TagModel.from_state(load_checkpoint(args.model), vocabulary)
     series = tags.shot_tag_response(model, args.video_id, store.sequence(args.video_id),
                                     args.tag)
     with open(args.output, "w", encoding="utf-8") as fh:

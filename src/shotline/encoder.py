@@ -1,16 +1,12 @@
-"""Shot and video encoding: sparse frame sampling plus average pooling.
+"""Shot encoding: sparse frame sampling plus average pooling.
 
-A shot feature is the mean of a few sampled frame features; a video
-feature is the mean of a few sampled shot features. Both pooling levels
-are differentiable, so a learnable projection inside the frame extractor
-trains end to end with whatever head sits on top.
+A shot feature is the mean of the descriptors of a few sampled frames;
+the tag model pools a video from a few sampled shots (sample_shots).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .features import FeatureStore
 from .frames import FrameSequence
 from .segment import SegmenterParams, Shot, frame_histogram
@@ -59,38 +55,22 @@ def sample_shots(shot_count: int, n: int, rng: np.random.Generator | None = None
 
 
 class HistogramEdgeExtractor:
-    """Hand-crafted frame descriptor with an optional learnable projection.
+    """Hand-crafted frame descriptor.
 
-    The raw descriptor concatenates a 128-bin HSV histogram, an 8-bin
-    gradient orientation histogram, and the intensity mean and standard
-    deviation (138 values). When projection_dim is set, a trainable
-    linear map takes the descriptor to that dimension.
+    It concatenates a 128-bin HSV histogram, an 8-bin gradient
+    orientation histogram, and the intensity mean and standard deviation
+    (138 values).
     """
 
-    RAW_DIM = 138
+    dim = 138
 
-    def __init__(self, projection_dim: int | None = 64,
-                 rng: np.random.Generator | None = None,
-                 params: SegmenterParams | None = None):
+    def __init__(self, params: SegmenterParams | None = None):
         self.params = params or SegmenterParams()
         if self.params.total_bins != 128:
             raise ValueError("descriptor layout assumes 128 HSV bins")
-        self.projection_dim = projection_dim
-        if projection_dim is not None:
-            if rng is None:
-                raise ValueError("a projection needs an rng for initialization")
-            bound = 1.0 / np.sqrt(self.RAW_DIM)
-            weights = rng.uniform(-bound, bound, size=(self.RAW_DIM, projection_dim))
-            self.projection = Tensor(weights.astype(np.float32), requires_grad=True)
-        else:
-            self.projection = None
-
-    @property
-    def dim(self) -> int:
-        return self.projection_dim if self.projection_dim is not None else self.RAW_DIM
 
     def describe(self, frame: np.ndarray) -> np.ndarray:
-        """Raw 138-value descriptor of one RGB frame."""
+        """The 138-value descriptor of one RGB frame."""
         hsv = frame_histogram(frame, self.params)
         gray = np.asarray(frame, dtype=np.float64).mean(axis=2)
         gy, gx = np.gradient(gray)
@@ -106,46 +86,19 @@ class HistogramEdgeExtractor:
         moments = np.array([gray.mean() / 255.0, gray.std() / 255.0])
         return np.concatenate([hsv, orient, moments]).astype(np.float32)
 
-    def project(self, rows: Tensor) -> Tensor:
-        if self.projection is None:
-            return rows
-        return ad.matmul(rows, self.projection)
-
-    def parameters(self) -> dict:
-        return {} if self.projection is None else {"projection": self.projection}
-
-
-def encode_shot(shot: Shot, seq: FrameSequence, extractor, m: int = 3,
-                rng: np.random.Generator | None = None) -> Tensor:
-    """Mean of m sampled frame features; differentiable through the extractor."""
-    if shot.start < 0 or shot.end > seq.frame_count:
-        raise ValueError(f"shot [{shot.start}, {shot.end}) outside sequence of {seq.frame_count} frames")
-    picks = sample_frames(shot, m, rng)
-    raw = np.stack([extractor.describe(seq.frame(i)) for i in picks])
-    return ad.mean_rows(extractor.project(Tensor(raw)))
-
-
-def encode_video(shots: list[Shot], seq: FrameSequence, extractor, n: int = 8, m: int = 3,
-                 rng: np.random.Generator | None = None) -> Tensor:
-    """Mean of n sampled shot features (second pooling level)."""
-    if not shots:
-        raise ValueError("encode_video: video has no shots")
-    picks = sample_shots(len(shots), n, rng)
-    pooled = [encode_shot(shots[i], seq, extractor, m, rng) for i in picks]
-    return ad.mean_rows(ad.stack_rows(pooled))
-
 
 def extract_features(seq: FrameSequence, shots: list[Shot], extractor, m: int = 3,
                      store: FeatureStore | None = None) -> FeatureStore:
     """Deterministic (center-frame) shot descriptors for the cache.
 
-    Raw descriptors are cached, not projected ones, so a projection can
-    keep training against cached features.
+    Every shot must lie inside the clip; one that does not raises.
     """
-    dim = extractor.RAW_DIM if hasattr(extractor, "RAW_DIM") else extractor.dim
     if store is None:
-        store = FeatureStore(dim)
+        store = FeatureStore(extractor.dim)
     for shot in shots:
+        if shot.start < 0 or shot.end > seq.frame_count:
+            raise ValueError(f"shot {shot.video_id}#{shot.ordinal} [{shot.start}, {shot.end}) "
+                             f"lies outside the clip of {seq.frame_count} frames")
         picks = sample_frames(shot, m, rng=None)
         raw = np.stack([extractor.describe(seq.frame(i)) for i in picks])
         store.add(shot.video_id, shot.ordinal, raw.mean(axis=0))

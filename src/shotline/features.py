@@ -41,9 +41,6 @@ class FeatureStore:
             raise KeyError(f"no feature for shot {video_id}#{ordinal}")
         return self._data[key]
 
-    def has(self, video_id: str, ordinal: int) -> bool:
-        return (video_id, ordinal) in self._data
-
     def shot_count(self, video_id: str) -> int:
         return sum(1 for vid, _ in self._order if vid == video_id)
 

@@ -75,10 +75,6 @@ class LstmCell:
     def parameters(self) -> dict:
         return {"lstm.weights": self.weights, "lstm.bias": self.bias}
 
-    def load_state(self, state: dict, prefix: str = "lstm.") -> None:
-        self.weights.data[...] = state[prefix + "weights"]
-        self.bias.data[...] = state[prefix + "bias"]
-
 
 def pooling_matrix(lengths, steps: int, mode: str) -> np.ndarray:
     """(batch, batch * steps) weights that pool each zero-padded sequence.
@@ -136,7 +132,51 @@ class RowMlp:
             params[f"mlp.{i}.bias"] = b
         return params
 
-    def load_state(self, state: dict, prefix: str = "mlp.") -> None:
-        for i, (w, b) in enumerate(self.layers):
-            w.data[...] = state[f"{prefix}{i}.weights"]
-            b.data[...] = state[f"{prefix}{i}.bias"]
+
+# -- model states ------------------------------------------------------------
+#
+# A model's state() is a name -> float32 array snapshot of its weights plus
+# its other hyperparameters as 0-d entries; its from_state classmethod
+# rebuilds the model from those shapes and scalars with the helpers below.
+
+
+def assign_parameters(params: dict, state: dict) -> None:
+    """Copy every named parameter's value out of a state dict, checking shapes."""
+    for name, tensor in params.items():
+        if name not in state:
+            raise KeyError(f"model state has no {name!r}")
+        value = np.asarray(state[name], dtype=np.float32)
+        if value.shape != tensor.data.shape:
+            raise ValueError(f"{name!r} has shape {value.shape}, "
+                             f"the model expects {tensor.data.shape}")
+        tensor.data[...] = value
+
+
+def read_choice(state: dict, key: str, choices: tuple[str, ...]) -> str:
+    """Decode a setting stored as its index in choices.
+
+    A missing entry reads as choices[0]: checkpoints written before the
+    setting was stored all used that one. An unknown code raises.
+    """
+    code = float(np.asarray(state.get(key, 0.0)))
+    if code not in range(len(choices)):
+        raise ValueError(f"unknown {key} code {code}")
+    return choices[int(code)]
+
+
+def lstm_dims(state: dict, name: str) -> tuple[int, int]:
+    """(input_dim, hidden_dim) of the fused LSTM weights stored under name."""
+    if name not in state:
+        raise KeyError(f"model state has no {name!r}")
+    rows, cols = state[name].shape
+    return rows - cols // 4, cols // 4
+
+
+def mlp_dims(state: dict, prefix: str) -> tuple[int, tuple[int, ...]]:
+    """Input width and hidden widths of the RowMlp stored under prefix."""
+    shapes = []
+    while f"{prefix}mlp.{len(shapes)}.weights" in state:
+        shapes.append(state[f"{prefix}mlp.{len(shapes)}.weights"].shape)
+    if not shapes:
+        raise KeyError(f"model state has no {prefix}mlp.0.weights")
+    return shapes[0][0], tuple(cols for _, cols in shapes[:-1])

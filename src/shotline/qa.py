@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .features import FeatureStore
-from .nn import RowMlp
+from .nn import RowMlp, assign_parameters, mlp_dims
 from .rng import derive_rng
 from .temporal import ShotId, format_shot_id, parse_shot_id
 
@@ -144,12 +144,14 @@ def encode_clip(shot_ids: list[ShotId], store: FeatureStore) -> np.ndarray:
 
 
 class QaModel:
-    """Weight-shared scorer over [clip | question | answer] rows."""
+    """Weight-shared scorer over [clip | question | answer] rows.
+
+    Only the row width matters to the scorer, so the state needs no
+    hyperparameter entries: from_state reads the width off the weights.
+    """
 
     def __init__(self, clip_dim: int, embed_dim: int,
                  scorer_widths: tuple[int, ...] = (256, 64), seed: int = 0):
-        self.clip_dim = clip_dim
-        self.embed_dim = embed_dim
         self.scorer = RowMlp(clip_dim + 2 * embed_dim, scorer_widths, derive_rng(seed, "qa.scorer"))
 
     def probabilities_batch(self, clips: np.ndarray, question_vecs: np.ndarray,
@@ -165,9 +167,15 @@ class QaModel:
     def parameters(self) -> dict:
         return {f"qa.{k}": v for k, v in self.scorer.parameters().items()}
 
-    def load_state(self, state: dict) -> None:
-        for name, tensor in self.parameters().items():
-            tensor.data[...] = state[name]
+    def state(self) -> dict:
+        return {k: v.data.copy() for k, v in self.parameters().items()}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "QaModel":
+        width, widths = mlp_dims(state, "qa.")
+        model = cls(width, 0, widths)
+        assign_parameters(model.parameters(), state)
+        return model
 
 
 def qa_forward(item: QaItem, provider, store: FeatureStore, model: QaModel) -> np.ndarray:
@@ -226,24 +234,25 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
             idx = order[start:start + config.batch_size]
             probs = model.probabilities_batch(clips[idx], questions[idx], answers[idx])
             loss = ad.nll_loss(probs, targets[idx])
+            value = ad.finite_loss(loss, f"train_qa: epoch {epoch}, batch start {start}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            epoch_loss += loss.item() * idx.size
+            epoch_loss += value * idx.size
         history["loss"].append(epoch_loss / len(train_items))
         if val_items is not None:
             acc = evaluate_qa(model, val_items, provider, store)
             history["val_accuracy"].append(acc)
             if acc > best_val:
                 best_val = acc
-                best_state = {k: v.data.copy() for k, v in model.parameters().items()}
+                best_state = model.state()
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.patience:
                     break
     if best_state is not None:
-        model.load_state(best_state)
+        model = QaModel.from_state(best_state)
     return model, history
 
 

@@ -18,8 +18,12 @@ from .autodiff import SgdOptimizer, Tensor
 from .corpus import TagVocabulary, VideoManifestEntry
 from .encoder import sample_shots
 from .features import FeatureStore
-from .nn import LstmCell, pooling_matrix, uniform_init
+from .nn import (LstmCell, assign_parameters, lstm_dims, pooling_matrix, read_choice,
+                 uniform_init)
 from .rng import derive_rng
+
+# Checkpoint code of each scoring mode, stored as tags.scoring.
+SCORINGS = ("sigmoid", "softmax")
 
 
 @dataclass
@@ -49,7 +53,7 @@ class TagModel:
 
     def __init__(self, vocabulary: TagVocabulary, input_dim: int,
                  proj_dim: int | None, rng: np.random.Generator, scoring: str = "sigmoid"):
-        if scoring not in ("sigmoid", "softmax"):
+        if scoring not in SCORINGS:
             raise ValueError(f"unknown scoring mode {scoring!r}")
         self.vocabulary = vocabulary
         self.input_dim = input_dim
@@ -109,9 +113,24 @@ class TagModel:
         })
         return params
 
-    def load_state(self, state: dict) -> None:
-        for name, tensor in self.parameters().items():
-            tensor.data[...] = state[name]
+    def state(self) -> dict:
+        """Weight copies plus tags.scoring (the index into SCORINGS)."""
+        state = {k: v.data.copy() for k, v in self.parameters().items()}
+        state["tags.scoring"] = np.float32(SCORINGS.index(self.scoring))
+        return state
+
+    @classmethod
+    def from_state(cls, state: dict, vocabulary: TagVocabulary) -> "TagModel":
+        """Rebuild a model from state(); older states lack tags.scoring and
+        load as "sigmoid"."""
+        if "projection" in state:
+            input_dim, proj_dim = state["projection"].shape
+        else:
+            input_dim, proj_dim = state["head.genre.weights"].shape[0], None
+        model = cls(vocabulary, input_dim, proj_dim, derive_rng(0, "tags.init"),
+                    scoring=read_choice(state, "tags.scoring", SCORINGS))
+        assign_parameters(model.parameters(), state)
+        return model
 
 
 def forward_video(model: TagModel, video_id: str, video_feature: np.ndarray) -> TagPrediction:
@@ -237,9 +256,15 @@ class TagLstm:
         })
         return params
 
-    def load_state(self, state: dict) -> None:
-        for name, tensor in self.parameters().items():
-            tensor.data[...] = state[name]
+    def state(self) -> dict:
+        return {k: v.data.copy() for k, v in self.parameters().items()}
+
+    @classmethod
+    def from_state(cls, state: dict, vocabulary: TagVocabulary) -> "TagLstm":
+        feat_dim, hidden_dim = lstm_dims(state, "taglstm.lstm.weights")
+        lstm = cls(vocabulary, feat_dim, hidden_dim, derive_rng(0, "taglstm.init"))
+        assign_parameters(lstm.parameters(), state)
+        return lstm
 
 
 def _lstm_inputs(model: TagModel, seq: np.ndarray, max_steps: int) -> np.ndarray:

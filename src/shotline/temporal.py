@@ -15,7 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .features import FeatureStore
-from .nn import LstmCell, RowMlp, pooling_matrix
+from .nn import (LstmCell, RowMlp, assign_parameters, lstm_dims, mlp_dims,
+                 pooling_matrix, read_choice)
 from .rng import derive_rng
 
 IN_MOVIE = "in_movie"
@@ -200,22 +201,26 @@ class NextShotModel:
         return params
 
     def state(self) -> dict:
-        blob = dict(self.parameters())
-        blob["nextshot.input_scale"] = Tensor(np.float32(self.input_scale))
-        blob["nextshot.context_pooling"] = Tensor(
-            np.float32(CONTEXT_POOLINGS.index(self.context_pooling)))
-        return blob
+        """Weight copies plus nextshot.input_scale and nextshot.context_pooling
+        (the index into CONTEXT_POOLINGS)."""
+        state = {k: v.data.copy() for k, v in self.parameters().items()}
+        state["nextshot.input_scale"] = np.float32(self.input_scale)
+        state["nextshot.context_pooling"] = np.float32(
+            CONTEXT_POOLINGS.index(self.context_pooling))
+        return state
 
-    def load_state(self, state: dict) -> None:
-        for name, tensor in self.parameters().items():
-            tensor.data[...] = state[name]
-        if "nextshot.input_scale" in state:
-            self.input_scale = float(np.asarray(state["nextshot.input_scale"]))
-        # checkpoints written before the pooling was stored were all "final"
-        code = float(np.asarray(state.get("nextshot.context_pooling", 0.0)))
-        if code not in range(len(CONTEXT_POOLINGS)):
-            raise ValueError(f"unknown nextshot.context_pooling code {code}")
-        self.context_pooling = CONTEXT_POOLINGS[int(code)]
+    @classmethod
+    def from_state(cls, state: dict) -> "NextShotModel":
+        """Rebuild a model from state(); older states lack the scalars and
+        load with input_scale 1 and "final" pooling."""
+        feature_dim, hidden_dim = lstm_dims(state, "nextshot.lstm.weights")
+        _, widths = mlp_dims(state, "nextshot.")
+        model = cls(feature_dim, hidden_dim, widths,
+                    context_pooling=read_choice(state, "nextshot.context_pooling",
+                                                CONTEXT_POOLINGS),
+                    input_scale=float(np.asarray(state.get("nextshot.input_scale", 1.0))))
+        assign_parameters(model.parameters(), state)
+        return model
 
 
 def encode_context(features: np.ndarray, model: NextShotModel) -> np.ndarray:
@@ -289,8 +294,8 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
                     ) -> tuple[NextShotModel, dict]:
     """SGD on the negative log-probability of the correct candidate.
 
-    With a validation set, the parameters from the best validation epoch
-    are restored at the end.
+    With a validation set, the model from the best validation epoch is
+    restored at the end.
     """
     if not questions:
         raise ValueError("train_next_shot: empty question set")
@@ -321,9 +326,9 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
             history["val_accuracy"].append(acc)
             if acc > best_val:
                 best_val = acc
-                best_state = {k: v.data.copy() for k, v in model.parameters().items()}
+                best_state = model.state()
     if best_state is not None:
-        model.load_state(best_state)
+        model = NextShotModel.from_state(best_state)
     return model, history
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shotline import qa, temporal
+from shotline import corpus, qa, tags, temporal
 from shotline.checkpoint import load_checkpoint
 from shotline.cli import load_config, main
 from shotline.features import FeatureStore, read_shtf, write_shtf
@@ -199,27 +199,37 @@ def test_eval_temporal_random_init_near_chance(tmp_path):
     assert abs(acc - 0.125) < 0.07
 
 
-@pytest.mark.parametrize("pooling", ["final", "mean"])
-def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling):
+def _copy_weights(model, path):
+    """Fill a model built by hand with a checkpoint's weights."""
+    state = load_checkpoint(path)
+    for name, tensor in model.parameters().items():
+        tensor.data[...] = state[name]
+    return model
+
+
+@pytest.mark.parametrize("pooling, val", [
+    pytest.param("final", False, id="final"), pytest.param("mean", False, id="mean"),
+    pytest.param("final", True, id="final-val"), pytest.param("mean", True, id="mean-val")])
+def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling, val):
     world = synth_and_split(tmp_path, seed=7)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 7]
-    for subset in ("train", "test"):
+    for subset in ("train", "val", "test"):
         assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
                        "--split", world / "split.json", "--subset", subset,
                        "--output", world / f"{subset}_q.tsv") == 0
+    val_args = ["--val-questions", world / "val_q.tsv"] if val else []
     assert run_cli(*base, "--set", f"context_pooling={pooling}", "--set", "temporal_epochs=2",
                    "train-temporal", "--features", world / "features.shtf",
-                   "--questions", world / "train_q.tsv", "--output", world / "t.stln") == 0
+                   "--questions", world / "train_q.tsv", *val_args,
+                   "--output", world / "t.stln") == 0
     # evaluated under the default config: the pooling comes from the checkpoint
     assert run_cli(*base, "eval-temporal", "--features", world / "features.shtf",
                    "--questions", world / "test_q.tsv", "--model", world / "t.stln",
                    "--results", world / "r.tsv", "--metrics", world / "m.tsv") == 0
-    state = load_checkpoint(world / "t.stln")
     store = read_shtf(world / "features.shtf")
-    model = temporal.NextShotModel(store.dim, 32, (64, 16))
-    model.load_state(state)
-    assert model.context_pooling == pooling
-    model.context_pooling = pooling
+    model = _copy_weights(temporal.NextShotModel(store.dim, 32, (64, 16), context_pooling=pooling,
+                                                 input_scale=temporal._unit_rms_scale(store)),
+                          world / "t.stln")
     questions = temporal.read_questions(world / "test_q.tsv")
     contexts, candidates, targets = temporal._question_arrays(questions, store)
     probs = model.probabilities_batch(contexts, candidates).data
@@ -230,6 +240,38 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling):
     for setting in (temporal.IN_MOVIE, temporal.CROSS_MOVIE):
         hits = [c == t for q, c, t in zip(questions, chosen, targets) if q.setting == setting]
         assert metrics[f"lstm.{setting}.accuracy"] == f"{np.mean(hits):.6f}"
+
+
+@pytest.mark.parametrize("scoring", ["sigmoid", "softmax"])
+@pytest.mark.parametrize("proj_dim", [0, 16])
+def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
+    world = synth_and_split(tmp_path, seed=9)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 9]
+    tagged = ["--vocab", world / "vocab.json", "--features", world / "features.shtf"]
+    assert run_cli(*base, "--set", f"scoring={scoring}", "--set", f"proj_dim={proj_dim}",
+                   "train-tags", "--manifest", world / "manifest.jsonl", *tagged,
+                   "--split", world / "split.json", "--output", world / "tags.stln") == 0
+    # evaluated under the default config: the scoring comes from the checkpoint
+    assert run_cli(*base, "eval-tags", "--manifest", world / "manifest.jsonl", *tagged,
+                   "--model", world / "tags.stln", "--split", world / "split.json",
+                   "--out-dir", world / "eval") == 0
+    split = json.loads((world / "split.json").read_text())
+    movie = split["test_movies"][0]
+    vocabulary = corpus.TagVocabulary.load(world / "vocab.json")
+    genre = vocabulary.genres[0]
+    assert run_cli(*base, "retrieve", *tagged, "--model", world / "tags.stln",
+                   "--video-id", movie, "--tag", genre, "--output", world / "series.tsv",
+                   "--ranked-output", world / "ranked.tsv") == 0
+    store = read_shtf(world / "features.shtf")
+    model = _copy_weights(tags.TagModel(vocabulary, store.dim, proj_dim or None,
+                                        np.random.default_rng(0), scoring=scoring),
+                          world / "tags.stln")
+    predictions = [tags.infer_score_average(model, vid, store.sequence(vid))
+                   for vid in split["test_movies"]]
+    tags.write_predictions(world / "expected.tsv", predictions, vocabulary)
+    assert (world / "eval/predictions.tsv").read_text() == (world / "expected.tsv").read_text()
+    series = tags.shot_tag_response(model, movie, store.sequence(movie), genre)
+    assert (world / "series.tsv").read_text() == "".join(f"{o}\t{v:.6f}\n" for o, v in series)
 
 
 def test_non_finite_training_loss_fails_the_command(tmp_path, capsys):
@@ -249,6 +291,36 @@ def test_non_finite_training_loss_fails_the_command(tmp_path, capsys):
     assert any(l.startswith("error\tFloatingPointError\ttrain_next_shot: epoch 0, batch start ")
                and l.endswith("non-finite loss nan") for l in err)
     assert not (world / "t.stln").exists()
+
+
+def test_non_finite_qa_loss_fails_the_command(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=8)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=8)
+    table = qa.read_embedding_table(world / "embeddings.txt")
+    table["q003"][0] = np.nan
+    qa.write_embedding_table(world / "embeddings.txt", table)
+    capsys.readouterr()
+    assert run_cli("--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 8,
+                   "train-qa", "--features", world / "features.shtf",
+                   "--items", world / "qa_items.tsv", "--embeddings", world / "embeddings.txt",
+                   "--output", world / "qa.stln") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert any(l.startswith("error\tFloatingPointError\ttrain_qa: epoch 0, batch start ")
+               and l.endswith("non-finite loss nan") for l in err)
+    assert not (world / "qa.stln").exists()
+
+
+def test_extract_rejects_a_shot_outside_the_clip(tmp_path, capsys):
+    frames = np.full((20, 8, 8, 3), 120, dtype=np.uint8)
+    write_fseq(tmp_path / "clip.fseq", FrameSequence(frames))
+    (tmp_path / "shots.tsv").write_text("v\t0\t-6\t3\n")
+    capsys.readouterr()
+    assert run_cli("--run-log", tmp_path / "log.jsonl",
+                   "extract", "--input", tmp_path / "clip.fseq",
+                   "--shots", tmp_path / "shots.tsv", "--output", tmp_path / "clip.shtf") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "error\tValueError\tshot v#0 [-6, 3) lies outside the clip of 20 frames" in err
+    assert not (tmp_path / "clip.shtf").exists()
 
 
 def test_eval_temporal_requires_model_choice(tmp_path, capsys):
@@ -345,9 +417,13 @@ def test_qa_hashing_fallback(tmp_path):
             "--set", "qa_epochs=2"]
     # no --embeddings: answers hash into buckets instead of table lookups
     assert run_cli(*base, "train-qa", "--features", world / "features.shtf",
-                   "--items", world / "qa_items.tsv", "--output", world / "qa.stln") == 0
+                   "--items", world / "qa_items.tsv", "--val-items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
     assert run_cli(*base, "eval-qa", "--features", world / "features.shtf",
                    "--items", world / "qa_items.tsv", "--model", world / "qa.stln",
                    "--metrics", world / "qa_metrics.tsv") == 0
     metrics = dict(l.split("\t") for l in (world / "qa_metrics.tsv").read_text().splitlines())
-    assert 0.0 <= float(metrics["qa.accuracy"]) <= 1.0
+    model = _copy_weights(qa.QaModel(store.dim, 16, (64, 16)), world / "qa.stln")
+    items = qa.read_qa_items(world / "qa_items.tsv")
+    accuracy = qa.evaluate_qa(model, items, qa.HashingEmbeddingProvider(16), store)
+    assert metrics["qa.accuracy"] == f"{accuracy:.6f}"

@@ -3,8 +3,8 @@ import pytest
 
 from shotline import autodiff as ad
 from shotline.autodiff import Tensor
-from shotline.encoder import (HistogramEdgeExtractor, encode_shot, encode_video,
-                              extract_features, sample_frames, sample_shots)
+from shotline.encoder import (HistogramEdgeExtractor, extract_features, sample_frames,
+                              sample_shots)
 from shotline.frames import FrameSequence
 from shotline.segment import Shot
 
@@ -73,7 +73,7 @@ def test_sample_shots_empty_error():
 # -- descriptor ------------------------------------------------------------------
 
 def test_descriptor_shape_and_blocks():
-    ext = HistogramEdgeExtractor(projection_dim=None)
+    ext = HistogramEdgeExtractor()
     desc = ext.describe(np.full((8, 8, 3), (10, 200, 30), dtype=np.uint8))
     assert desc.shape == (138,)
     assert np.isfinite(desc).all()
@@ -84,66 +84,36 @@ def test_descriptor_shape_and_blocks():
 def test_descriptor_deterministic():
     rng = np.random.default_rng(0)
     frame = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
-    ext = HistogramEdgeExtractor(projection_dim=None)
+    ext = HistogramEdgeExtractor()
     assert np.array_equal(ext.describe(frame), ext.describe(frame))
 
 
 # -- pooling ---------------------------------------------------------------------
 
-def test_encode_shot_identical_frames():
-    ext = HistogramEdgeExtractor(projection_dim=None)
+def test_extract_features_identical_frames():
+    ext = HistogramEdgeExtractor()
     seq = make_seq([(200, 10, 10)] * 9)
-    feat = encode_shot(Shot("v", 0, 0, 9), seq, ext, m=3)
-    assert np.allclose(feat.data, ext.describe(seq.frame(0)), atol=1e-7)
+    store = extract_features(seq, [Shot("v", 0, 0, 9)], ext, m=3)
+    assert np.allclose(store.get("v", 0), ext.describe(seq.frame(0)), atol=1e-7)
 
 
-def test_encode_shot_two_frame_average():
-    ext = HistogramEdgeExtractor(projection_dim=None)
+def test_extract_features_two_frame_average():
+    ext = HistogramEdgeExtractor()
     seq = make_seq([(255, 0, 0), (0, 0, 255)])
-    feat = encode_shot(Shot("v", 0, 0, 2), seq, ext, m=2)
+    store = extract_features(seq, [Shot("v", 0, 0, 2)], ext, m=2)
     u = ext.describe(seq.frame(0))
     v = ext.describe(seq.frame(1))
-    assert np.array_equal(feat.data, np.stack([u, v]).mean(axis=0))
+    assert np.array_equal(store.get("v", 0), np.stack([u, v]).mean(axis=0))
 
 
-def test_encode_shot_matches_loop_oracle():
-    rng = np.random.default_rng(8)
-    frames = rng.integers(0, 256, (12, 8, 8, 3)).astype(np.uint8)
-    seq = FrameSequence(frames)
-    ext = HistogramEdgeExtractor(projection_dim=16, rng=np.random.default_rng(1))
-    shot = Shot("v", 0, 2, 11)
-    feat = encode_shot(shot, seq, ext, m=3)
-    picks = sample_frames(shot, 3)
-    projected = np.stack([ext.describe(seq.frame(i)) for i in picks]) @ ext.projection.data
-    assert np.array_equal(feat.data, projected.mean(axis=0))
-
-
-def test_encode_shot_out_of_bounds():
-    ext = HistogramEdgeExtractor(projection_dim=None)
+def test_extract_features_rejects_shot_outside_clip():
     seq = make_seq([(1, 2, 3)] * 4)
-    with pytest.raises(ValueError, match="outside"):
-        encode_shot(Shot("v", 0, 0, 9), seq, ext, m=3)
-
-
-def test_encode_video_identical_shots():
-    ext = HistogramEdgeExtractor(projection_dim=None)
-    seq = make_seq([(10, 20, 200)] * 12)
-    shots = [Shot("v", i, i * 4, (i + 1) * 4) for i in range(3)]
-    video = encode_video(shots, seq, ext, n=3, m=2)
-    shot0 = encode_shot(shots[0], seq, ext, m=2)
-    assert np.allclose(video.data, shot0.data, atol=1e-7)
-
-
-def test_encode_video_matches_loop_oracle():
-    rng = np.random.default_rng(4)
-    frames = rng.integers(0, 256, (20, 8, 8, 3)).astype(np.uint8)
-    seq = FrameSequence(frames)
-    ext = HistogramEdgeExtractor(projection_dim=None)
-    shots = [Shot("v", i, i * 5, (i + 1) * 5) for i in range(4)]
-    video = encode_video(shots, seq, ext, n=2, m=3)
-    picks = sample_shots(4, 2)
-    pooled = np.stack([encode_shot(shots[i], seq, ext, m=3).data for i in picks])
-    assert np.array_equal(video.data, pooled.mean(axis=0))
+    # past the end, and before the start (a negative index would wrap)
+    for start, end in ((0, 9), (-6, 3)):
+        shots = [Shot("v", 0, 0, 2), Shot("v", 1, start, end)]
+        with pytest.raises(ValueError, match=rf"shot v#1 \[{start}, {end}\) lies outside "
+                                             r"the clip of 4 frames"):
+            extract_features(seq, shots, HistogramEdgeExtractor(), m=3)
 
 
 def test_pooling_permutation_invariance():
@@ -162,7 +132,7 @@ def test_pooling_linearity():
 
 
 def test_gradient_through_both_pooling_levels():
-    # projection -> per-shot mean -> stack -> video mean, as encode_video builds it
+    # projection -> per-shot mean -> stack -> video mean, both pooling levels
     rng = np.random.default_rng(12)
     proj = Tensor(rng.normal(0, 0.5, (9, 4)), requires_grad=True)
     shots_raw = [Tensor(rng.normal(0, 1, (3, 9))) for _ in range(4)]
@@ -180,7 +150,7 @@ def test_extract_features_center_sampling(tmp_path):
     rng = np.random.default_rng(3)
     frames = rng.integers(0, 256, (10, 8, 8, 3)).astype(np.uint8)
     seq = FrameSequence(frames)
-    ext = HistogramEdgeExtractor(projection_dim=None)
+    ext = HistogramEdgeExtractor()
     shots = [Shot("vid", 0, 0, 5), Shot("vid", 1, 5, 10)]
     store = extract_features(seq, shots, ext, m=3)
     assert store.dim == 138

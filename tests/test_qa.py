@@ -3,6 +3,7 @@ import pytest
 
 from shotline import autodiff as ad
 from shotline.autodiff import Tensor
+from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import RowMlp
 from shotline.qa import (HashingEmbeddingProvider, QaItem, QaModel, QaTrainConfig,
@@ -189,6 +190,32 @@ def test_qa_training_deterministic():
     model_b, _ = train_qa(items, provider, store, config, seed=2)
     for name, p in model_a.parameters().items():
         assert np.array_equal(p.data, model_b.parameters()[name].data)
+
+
+def test_qa_model_state_round_trip(tmp_path):
+    items, store, provider = small_fixture(n=4)
+    model = QaModel(4, 3, (8, 5), seed=3)
+    save_checkpoint(tmp_path / "qa.stln", model.state())
+    restored = QaModel.from_state(load_checkpoint(tmp_path / "qa.stln"))
+    assert [w.data.shape for w, _ in restored.scorer.layers] == [(10, 8), (8, 5), (5, 1)]
+    for item in items:
+        assert np.array_equal(qa_forward(item, provider, store, model),
+                              qa_forward(item, provider, store, restored))
+
+
+def test_train_qa_restores_best_validation_model():
+    items, store, provider = small_fixture(n=6)
+    config = QaTrainConfig(epochs=6, batch_size=2, learning_rate=0.05, patience=10)
+    model, history = train_qa(items[:4], provider, store, config, seed=4, val_items=items[4:])
+    assert evaluate_qa(model, items[4:], provider, store) == max(history["val_accuracy"])
+
+
+def test_train_qa_stops_on_non_finite_loss():
+    items, store, provider = small_fixture(n=4)
+    provider.table["q1"][0] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match=r"train_qa: epoch 0, batch start \d+: non-finite loss nan"):
+        train_qa(items, provider, store, QaTrainConfig(epochs=2, batch_size=2), seed=0)
 
 
 def test_qa_item_validation():

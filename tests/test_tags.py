@@ -164,19 +164,47 @@ def test_train_tags_deterministic_checkpoints(tmp_path):
     config = TagTrainConfig(epochs=3, batch_size=1, learning_rate=0.05)
     model_a, _ = train_tags(entries, store, VOCAB, config, seed=9, proj_dim=3)
     model_b, _ = train_tags(entries, store, VOCAB, config, seed=9, proj_dim=3)
-    save_checkpoint(tmp_path / "a.stln", model_a.parameters())
-    save_checkpoint(tmp_path / "b.stln", model_b.parameters())
+    save_checkpoint(tmp_path / "a.stln", model_a.state())
+    save_checkpoint(tmp_path / "b.stln", model_b.state())
     assert (tmp_path / "a.stln").read_bytes() == (tmp_path / "b.stln").read_bytes()
 
 
 def test_model_state_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    model = TagModel(VOCAB, 4, 3, rng)
-    save_checkpoint(tmp_path / "m.stln", model.parameters())
-    restored = TagModel(VOCAB, 4, 3, np.random.default_rng(99))
-    restored.load_state(load_checkpoint(tmp_path / "m.stln"))
-    for name, tensor in model.parameters().items():
-        assert np.array_equal(tensor.data, restored.parameters()[name].data)
+    for proj_dim, scoring in ((3, "sigmoid"), (None, "softmax")):
+        model = TagModel(VOCAB, 4, proj_dim, rng, scoring=scoring)
+        lstm = TagLstm(VOCAB, proj_dim or 4, 5, rng)
+        save_checkpoint(tmp_path / "m.stln", {**model.state(), **lstm.state()})
+        state = load_checkpoint(tmp_path / "m.stln")
+        restored = TagModel.from_state(state, VOCAB)
+        restored_lstm = TagLstm.from_state(state, VOCAB)
+        assert (restored.input_dim, restored.proj_dim, restored.scoring) == (4, proj_dim, scoring)
+        assert restored_lstm.cell.hidden_dim == 5
+        for old, new in ((model, restored), (lstm, restored_lstm)):
+            for name, tensor in old.parameters().items():
+                assert np.array_equal(tensor.data, new.parameters()[name].data)
+        seq = rng.normal(0, 1, (6, 4)).astype(np.float32)
+        want = infer_feature_lstm(model, lstm, "v", seq)
+        got = infer_feature_lstm(restored, restored_lstm, "v", seq)
+        assert np.array_equal(want.genre_scores, got.genre_scores)
+        assert np.array_equal(want.keyword_scores, got.keyword_scores)
+
+
+def test_state_without_scoring_loads_as_sigmoid():
+    # the layout written before the scalar was stored: weights only
+    model = TagModel(VOCAB, 4, None, np.random.default_rng(5), scoring="softmax")
+    state = {k: v.data for k, v in model.parameters().items()}
+    assert TagModel.from_state(state, VOCAB).scoring == "sigmoid"
+    state["tags.scoring"] = np.float32(2)
+    with pytest.raises(ValueError, match="tags.scoring code"):
+        TagModel.from_state(state, VOCAB)
+
+
+def test_from_state_rejects_a_different_vocabulary():
+    model = TagModel(VOCAB, 4, None, np.random.default_rng(5))
+    other = TagVocabulary(["g0", "g1"], ["k0", "k1"])
+    with pytest.raises(ValueError, match="head.genre.weights"):
+        TagModel.from_state(model.state(), other)
 
 
 # -- inference modes ------------------------------------------------------------------

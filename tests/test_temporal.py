@@ -381,12 +381,12 @@ def test_training_is_deterministic(tmp_path):
 
 
 def test_model_state_round_trip(tmp_path):
-    store = filled_store()
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5)
     save_checkpoint(tmp_path / "m.stln", model.state())
-    restored = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=99)
-    restored.load_state(load_checkpoint(tmp_path / "m.stln"))
+    restored = NextShotModel.from_state(load_checkpoint(tmp_path / "m.stln"))
     assert restored.input_scale == 2.5
+    assert (restored.feature_dim, restored.hidden_dim) == (6, 8)
+    assert [w.data.shape for w, _ in restored.scorer.layers] == [(14, 16), (16, 8), (8, 1)]
     q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
     assert np.array_equal(encode_context(q_feats, model), encode_context(q_feats, restored))
 
@@ -395,23 +395,43 @@ def test_model_state_round_trip_keeps_context_pooling(tmp_path):
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12,
                           context_pooling="mean")
     save_checkpoint(tmp_path / "m.stln", model.state())
-    restored = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=99)
-    restored.load_state(load_checkpoint(tmp_path / "m.stln"))
+    restored = NextShotModel.from_state(load_checkpoint(tmp_path / "m.stln"))
     assert restored.context_pooling == "mean"
     q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
     assert np.array_equal(encode_context(q_feats, model), encode_context(q_feats, restored))
 
 
-def test_checkpoint_without_pooling_loads_as_final():
+def test_state_is_a_snapshot():
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
-    state = {k: v.data for k, v in model.state().items() if k != "nextshot.context_pooling"}
-    restored = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=99,
-                             context_pooling="mean")
-    restored.load_state(state)
+    state = model.state()
+    model.cell.weights.data += 1.0
+    assert not np.array_equal(state["nextshot.lstm.weights"], model.cell.weights.data)
+
+
+def test_checkpoint_without_pooling_loads_as_final():
+    # the layout written before the scalars were stored: weights only
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5,
+                          context_pooling="mean")
+    state = {k: v.data for k, v in model.parameters().items()}
+    restored = NextShotModel.from_state(state)
     assert restored.context_pooling == "final"
+    assert restored.input_scale == 1.0
     state["nextshot.context_pooling"] = np.float32(7)
     with pytest.raises(ValueError, match="context_pooling code"):
-        restored.load_state(state)
+        NextShotModel.from_state(state)
+
+
+def test_best_validation_model_keeps_context_pooling():
+    store = filled_store(n_movies=2, shots=40)
+    questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
+                                      n_candidates=8, seed=7)
+    config = TemporalTrainConfig(epochs=2, batch_size=8, learning_rate=0.1,
+                                 hidden_dim=8, scorer_widths=(16, 8), context_pooling="mean")
+    model, history = train_next_shot(questions, store, config, seed=3,
+                                     val_questions=questions[:10])
+    assert len(history["val_accuracy"]) == 2
+    assert model.context_pooling == "mean"
+    assert np.float32(model.input_scale) != 1.0
 
 
 def test_training_stops_on_non_finite_loss():
