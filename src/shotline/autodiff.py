@@ -6,6 +6,7 @@ run at higher precision in tests.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -13,6 +14,25 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# False inside no_grad(): op results then record no parents or backward rule.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without building a tape, for inference.
+
+    Results carry no parents and no backward rule, so nothing is held for
+    a backward pass; leaf tensors keep their requires_grad. Nests, and the
+    previous mode is restored on exit, also on an exception.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -40,7 +60,7 @@ class Tensor:
     @classmethod
     def _result(cls, data, parents, backward) -> "Tensor":
         out = cls(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -52,7 +72,14 @@ class Tensor:
         self.grad += piece
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with requires_grad."""
+        """Populate ``grad`` on every reachable tensor with requires_grad.
+
+        Raises if this tensor recorded no operation (a leaf, a result of
+        constants, or one computed under no_grad): there is nothing to replay.
+        """
+        if self._backward is None:
+            raise RuntimeError("backward() on a tensor that recorded no operation "
+                               "(a leaf, constants only, or computed under no_grad)")
         order: list[Tensor] = []
         seen = {id(self)}
         stack: list[tuple[Tensor, bool]] = [(self, False)]

@@ -1,8 +1,8 @@
-"""Shared helpers for the fixed binary container formats."""
+"""Shared helpers for the fixed binary container formats and the text tables."""
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 
 class FormatError(ValueError):
@@ -31,3 +31,24 @@ def expect_version(fh: BinaryIO, version: int) -> None:
     (got,) = read_struct(fh, "<I", "format version")
     if got != version:
         raise FormatError(f"unsupported format version {got} (expected {version})")
+
+
+def read_tsv(path, fields: int, parse: Callable[[list[str]], object]) -> list:
+    """parse() of every non-blank tab-separated line, which must have ``fields``
+    fields. A wrong field count, or a ValueError or KeyError from parse,
+    raises ValueError naming the file and line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != fields:
+                raise ValueError(f"{path}: line {line_no}: expected {fields} fields, "
+                                 f"got {len(parts)}")
+            try:
+                rows.append(parse(parts))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    return rows

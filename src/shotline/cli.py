@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,6 @@ from .rng import derive_rng
 
 DEFAULTS = {
     "seed": 0,
-    "threads": 0,
     # sampling and dimensions
     "frames_per_shot": 3,
     "shots_per_video": 8,
@@ -150,15 +147,6 @@ def _record_run(run_log: str, command: str, config: dict, inputs: list, outputs:
     }
     with open(run_log, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _parallel_map(fn, items, threads: int):
-    """Map with a worker cap; results always come back in input order."""
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _widths(text: str) -> tuple[int, ...]:
@@ -309,19 +297,14 @@ def cmd_eval_tags(args, config):
     axis = config["map_axis"]
     metrics: dict[str, float] = {}
     truths = {"genres": [], "keywords": []}
+    predictions = {"score_average": [], "feature_lstm": []}
     for entry in eval_entries:
         truths["genres"].append({vocabulary.genre_index[g] for g in entry.genres})
         truths["keywords"].append({vocabulary.keyword_index[kw] for kw in entry.keywords})
-
-    def infer_both(entry):
         seq = store.sequence(entry.video_id)
-        return (tags.infer_score_average(model, entry.video_id, seq),
-                tags.infer_feature_lstm(model, lstm, entry.video_id, seq,
-                                        max_steps=config["max_lstm_steps"]))
-
-    pairs = _parallel_map(infer_both, eval_entries, config["threads"])
-    predictions = {"score_average": [p[0] for p in pairs],
-                   "feature_lstm": [p[1] for p in pairs]}
+        predictions["score_average"].append(tags.infer_score_average(model, entry.video_id, seq))
+        predictions["feature_lstm"].append(tags.infer_feature_lstm(
+            model, lstm, entry.video_id, seq, max_steps=config["max_lstm_steps"]))
     for mode, preds in predictions.items():
         for branch, getter in (("genres", lambda p: p.genre_scores),
                                ("keywords", lambda p: p.keyword_scores)):
@@ -474,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config value (repeatable)")
     parser.add_argument("--seed", type=int, help="root random seed")
-    parser.add_argument("--threads", type=int, help="worker thread cap")
     parser.add_argument("--run-log", default="run_manifest.jsonl",
                         help="run manifest path (JSON lines, appended)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -583,8 +565,6 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, args.set)
         if args.seed is not None:
             config["seed"] = args.seed
-        if args.threads is not None:
-            config["threads"] = args.threads
         if getattr(args, "model", None) and getattr(args, "random_init", False):
             raise ValueError("pass either --model or --random-init, not both")
         if args.command == "eval-temporal" and not args.model and not args.random_init:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
+from .binio import read_tsv
 from .features import FeatureStore
 from .nn import RowMlp, assign_parameters, mlp_dims
 from .rng import derive_rng
@@ -88,7 +89,10 @@ def read_embedding_table(path) -> dict:
                 continue
             if len(parts) < 2:
                 raise ValueError(f"{path}: line {line_no}: token without values")
-            table[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+            try:
+                table[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return table
 
 
@@ -119,21 +123,9 @@ def write_qa_items(path, items: list[QaItem]) -> None:
 
 
 def read_qa_items(path) -> list[QaItem]:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}: line {line_no}: expected 5 fields, got {len(parts)}")
-            items.append(QaItem(
-                qid=parts[0], question=parts[1], answers=parts[2].split("|"),
-                clip_shots=[parse_shot_id(s) for s in parts[3].split(",")],
-                correct_index=int(parts[4]),
-            ))
-    return items
+    return read_tsv(path, 5, lambda p: QaItem(
+        qid=p[0], question=p[1], answers=p[2].split("|"),
+        clip_shots=[parse_shot_id(s) for s in p[3].split(",")], correct_index=int(p[4])))
 
 
 def encode_clip(shot_ids: list[ShotId], store: FeatureStore) -> np.ndarray:
@@ -176,19 +168,6 @@ class QaModel:
         model = cls(width, 0, widths)
         assign_parameters(model.parameters(), state)
         return model
-
-
-def qa_forward(item: QaItem, provider, store: FeatureStore, model: QaModel) -> np.ndarray:
-    """Answer distribution for one item."""
-    clip = encode_clip(item.clip_shots, store)
-    q_vec = provider.embed(item.question)
-    a_vecs = np.stack([provider.embed(a) for a in item.answers])
-    probs = model.probabilities_batch(clip[None, :], q_vec[None, :], a_vecs[None, :, :])
-    return probs.data[0]
-
-
-def qa_answer(item: QaItem, provider, store: FeatureStore, model: QaModel) -> int:
-    return int(np.argmax(qa_forward(item, provider, store, model)))
 
 
 def _item_arrays(items: list[QaItem], provider, store: FeatureStore):
@@ -256,10 +235,16 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
     return model, history
 
 
+@ad.no_grad()
 def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureStore,
                 batch_size: int = 256) -> float:
     if not items:
         raise ValueError("evaluate_qa: empty item set")
+    width = model.scorer.layers[0][0].data.shape[0]
+    if store.dim + 2 * provider.dim != width:
+        raise ValueError(f"evaluate_qa: the model scores rows of width {width}, but "
+                         f"{store.dim}-dim clip features and embed_dim {provider.dim} "
+                         f"give {store.dim + 2 * provider.dim}")
     by_n: dict[int, list[QaItem]] = {}
     for item in items:
         by_n.setdefault(len(item.answers), []).append(item)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import read_tsv
 from .frames import FrameSequence
 
 CHI_SQUARE_EPS = 1e-10
@@ -89,12 +90,12 @@ def frame_histogram(frame: np.ndarray, params: SegmenterParams | None = None) ->
 
 
 def sequence_histograms(seq: FrameSequence, params: SegmenterParams) -> np.ndarray:
-    """Per-frame histograms, shape (frame_count, total_bins)."""
-    idx = _hsv_bin_indices(seq.frames, params).reshape(seq.frame_count, -1)
-    pixels = idx.shape[1]
-    offsets = np.arange(seq.frame_count, dtype=np.int64)[:, None] * params.total_bins
-    flat = np.bincount((idx + offsets).reshape(-1), minlength=seq.frame_count * params.total_bins)
-    return flat.reshape(seq.frame_count, params.total_bins) / pixels
+    """Per-frame histograms, shape (frame_count, total_bins).
+
+    One frame at a time, so the float HSV conversion never holds more than
+    a frame; this is the same histogram the descriptor uses.
+    """
+    return np.stack([frame_histogram(frame, params) for frame in seq.frames])
 
 
 def boundary_score(h1: np.ndarray, h2: np.ndarray) -> float:
@@ -161,14 +162,4 @@ def write_shot_list(path, shots: list[Shot]) -> None:
 
 
 def read_shot_list(path) -> list[Shot]:
-    shots = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 fields, got {len(parts)}")
-            shots.append(Shot(parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
-    return shots
+    return read_tsv(path, 4, lambda p: Shot(p[0], int(p[1]), int(p[2]), int(p[3])))

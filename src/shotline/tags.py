@@ -48,28 +48,43 @@ class TagTrainConfig:
     max_lstm_steps: int = 0      # 0 means use every step
 
 
-class TagModel:
+class _TagHeads:
+    """Genre and keyword affine heads, shared by the tag model and its TagLstm."""
+
+    def _init_heads(self, vocabulary: TagVocabulary, width: int, rng: np.random.Generator):
+        self.vocabulary = vocabulary
+        genres, keywords = len(vocabulary.genres), max(1, len(vocabulary.keywords))
+        self.genre_w = Tensor(uniform_init(rng, (width, genres)), requires_grad=True)
+        self.genre_b = Tensor(np.zeros(genres, dtype=np.float32), requires_grad=True)
+        self.keyword_w = Tensor(uniform_init(rng, (width, keywords)), requires_grad=True)
+        self.keyword_b = Tensor(np.zeros(keywords, dtype=np.float32), requires_grad=True)
+
+    def genre_logits(self, feats: Tensor) -> Tensor:
+        return ad.add(ad.matmul(feats, self.genre_w), self.genre_b)
+
+    def keyword_logits(self, feats: Tensor) -> Tensor:
+        return ad.add(ad.matmul(feats, self.keyword_w), self.keyword_b)
+
+    def _head_parameters(self, prefix: str) -> dict:
+        return {f"{prefix}head.genre.weights": self.genre_w,
+                f"{prefix}head.genre.bias": self.genre_b,
+                f"{prefix}head.keyword.weights": self.keyword_w,
+                f"{prefix}head.keyword.bias": self.keyword_b}
+
+
+class TagModel(_TagHeads):
     """Projection plus per-branch affine heads over pooled video features."""
 
     def __init__(self, vocabulary: TagVocabulary, input_dim: int,
                  proj_dim: int | None, rng: np.random.Generator, scoring: str = "sigmoid"):
         if scoring not in SCORINGS:
             raise ValueError(f"unknown scoring mode {scoring!r}")
-        self.vocabulary = vocabulary
         self.input_dim = input_dim
         self.proj_dim = proj_dim
         self.scoring = scoring
-        feat_dim = proj_dim if proj_dim else input_dim
         self.projection = (Tensor(uniform_init(rng, (input_dim, proj_dim)), requires_grad=True)
                            if proj_dim else None)
-        self.genre_w = Tensor(uniform_init(rng, (feat_dim, len(vocabulary.genres))), requires_grad=True)
-        self.genre_b = Tensor(np.zeros(len(vocabulary.genres), dtype=np.float32), requires_grad=True)
-        self.keyword_w = Tensor(uniform_init(rng, (feat_dim, max(1, len(vocabulary.keywords)))),
-                                requires_grad=True)
-        self.keyword_b = Tensor(np.zeros(max(1, len(vocabulary.keywords)), dtype=np.float32),
-                                requires_grad=True)
-
-    # -- differentiable paths -------------------------------------------
+        self._init_heads(vocabulary, proj_dim if proj_dim else input_dim, rng)
 
     def project(self, rows: Tensor) -> Tensor:
         return ad.matmul(rows, self.projection) if self.projection is not None else rows
@@ -78,40 +93,24 @@ class TagModel:
         """Pool sampled shot descriptors into one trainable video feature."""
         return ad.mean_rows(self.project(Tensor(shot_rows)))
 
-    def genre_logits(self, feats: Tensor) -> Tensor:
-        return ad.add(ad.matmul(feats, self.genre_w), self.genre_b)
-
-    def keyword_logits(self, feats: Tensor) -> Tensor:
-        return ad.add(ad.matmul(feats, self.keyword_w), self.keyword_b)
-
-    # -- plain numpy inference -------------------------------------------
-
-    def _project_np(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float32)
-        return rows @ self.projection.data if self.projection is not None else rows
-
     def _scores_np(self, logits: np.ndarray) -> np.ndarray:
+        """The inference-time activation of the scoring mode (training uses logits)."""
         if self.scoring == "softmax":
             shifted = logits - logits.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
             return e / e.sum(axis=-1, keepdims=True)
         return ad.sigmoid_values(logits)
 
+    @ad.no_grad()
     def shot_scores(self, shot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-shot tag scores for every row of a (shots, input_dim) array."""
-        feats = self._project_np(shot_rows)
-        return (self._scores_np(feats @ self.genre_w.data + self.genre_b.data),
-                self._scores_np(feats @ self.keyword_w.data + self.keyword_b.data))
+        feats = self.project(Tensor(shot_rows, dtype=np.float32))
+        return (self._scores_np(self.genre_logits(feats).data),
+                self._scores_np(self.keyword_logits(feats).data))
 
     def parameters(self) -> dict:
-        params = {}
-        if self.projection is not None:
-            params["projection"] = self.projection
-        params.update({
-            "head.genre.weights": self.genre_w, "head.genre.bias": self.genre_b,
-            "head.keyword.weights": self.keyword_w, "head.keyword.bias": self.keyword_b,
-        })
-        return params
+        params = {"projection": self.projection} if self.projection is not None else {}
+        return {**params, **self._head_parameters("")}
 
     def state(self) -> dict:
         """Weight copies plus tags.scoring (the index into SCORINGS)."""
@@ -226,20 +225,13 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
 # -- sequence-model inference mode ----------------------------------------
 
 
-class TagLstm:
+class TagLstm(_TagHeads):
     """Recurrent tag scorer: per-step hidden states feed their own heads."""
 
     def __init__(self, vocabulary: TagVocabulary, feat_dim: int, hidden_dim: int,
                  rng: np.random.Generator):
-        self.vocabulary = vocabulary
         self.cell = LstmCell(feat_dim, hidden_dim, rng)
-        self.genre_w = Tensor(uniform_init(rng, (hidden_dim, len(vocabulary.genres))),
-                              requires_grad=True)
-        self.genre_b = Tensor(np.zeros(len(vocabulary.genres), dtype=np.float32), requires_grad=True)
-        self.keyword_w = Tensor(uniform_init(rng, (hidden_dim, max(1, len(vocabulary.keywords)))),
-                                requires_grad=True)
-        self.keyword_b = Tensor(np.zeros(max(1, len(vocabulary.keywords)), dtype=np.float32),
-                                requires_grad=True)
+        self._init_heads(vocabulary, hidden_dim, rng)
 
     def step_outputs(self, feats: Tensor) -> Tensor:
         """Hidden state per step for a (steps, feat_dim) sequence."""
@@ -249,12 +241,7 @@ class TagLstm:
 
     def parameters(self) -> dict:
         params = {f"taglstm.{k}": v for k, v in self.cell.parameters().items()}
-        params.update({
-            "taglstm.head.genre.weights": self.genre_w, "taglstm.head.genre.bias": self.genre_b,
-            "taglstm.head.keyword.weights": self.keyword_w,
-            "taglstm.head.keyword.bias": self.keyword_b,
-        })
-        return params
+        return {**params, **self._head_parameters("taglstm.")}
 
     def state(self) -> dict:
         return {k: v.data.copy() for k, v in self.parameters().items()}
@@ -267,10 +254,11 @@ class TagLstm:
         return lstm
 
 
+@ad.no_grad()
 def _lstm_inputs(model: TagModel, seq: np.ndarray, max_steps: int) -> np.ndarray:
     """Projected per-shot inputs; long sequences are subsampled only when
     a positive cap is configured."""
-    rows = model._project_np(seq)
+    rows = model.project(Tensor(seq, dtype=np.float32)).data
     if max_steps > 0 and rows.shape[0] > max_steps:
         picks = sample_shots(rows.shape[0], max_steps, rng=None)
         rows = rows[picks]
@@ -306,12 +294,11 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
             kw_rows = [row for row, entry in enumerate(batch) if entry.keywords]
             pooled = lstm.cell.fold(Tensor(padded), np.concatenate([pooling, pooling[kw_rows]]))
             truth = [_truth_indices(entry, vocabulary) for entry in batch]
-            genre_feats = ad.slice_rows(pooled, 0, len(batch))
-            genre_logits = ad.add(ad.matmul(genre_feats, lstm.genre_w), lstm.genre_b)
+            genre_logits = lstm.genre_logits(ad.slice_rows(pooled, 0, len(batch)))
             kw_logits = None
             if kw_rows:
-                kw_feats = ad.slice_rows(pooled, len(batch), len(batch) + len(kw_rows))
-                kw_logits = ad.add(ad.matmul(kw_feats, lstm.keyword_w), lstm.keyword_b)
+                kw_logits = lstm.keyword_logits(
+                    ad.slice_rows(pooled, len(batch), len(batch) + len(kw_rows)))
             loss = multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
                                   [truth[row][1] for row in kw_rows], config.genre_weight)
             ad.finite_loss(loss, f"train_tag_lstm: epoch {epoch}, batch start {start}")
@@ -329,15 +316,15 @@ def infer_score_average(model: TagModel, video_id: str, seq: np.ndarray) -> TagP
     return TagPrediction(video_id, genre.mean(axis=0), keyword.mean(axis=0))
 
 
+@ad.no_grad()
 def infer_feature_lstm(model: TagModel, lstm: TagLstm | None, video_id: str,
                        seq: np.ndarray, max_steps: int = 0) -> TagPrediction:
     """Average the per-step tag scores of the recurrent scorer."""
     if lstm is None:
         raise ValueError("feature+lstm inference requires a trained tag sequence model")
-    rows = _lstm_inputs(model, seq, max_steps)
-    hidden = lstm.step_outputs(Tensor(rows)).data
-    genre = model._scores_np(hidden @ lstm.genre_w.data + lstm.genre_b.data)
-    keyword = model._scores_np(hidden @ lstm.keyword_w.data + lstm.keyword_b.data)
+    hidden = lstm.step_outputs(Tensor(_lstm_inputs(model, seq, max_steps)))
+    genre = model._scores_np(lstm.genre_logits(hidden).data)
+    keyword = model._scores_np(lstm.keyword_logits(hidden).data)
     return TagPrediction(video_id, genre.mean(axis=0), keyword.mean(axis=0))
 
 

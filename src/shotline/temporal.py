@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
+from .binio import read_tsv
 from .features import FeatureStore
 from .nn import (LstmCell, RowMlp, assign_parameters, lstm_dims, mlp_dims,
                  pooling_matrix, read_choice)
@@ -62,22 +63,11 @@ def write_questions(path, questions: list[PredictionQuestion]) -> None:
 
 
 def read_questions(path) -> list[PredictionQuestion]:
-    questions = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ValueError(f"{path}: line {line_no}: expected 6 fields, got {len(parts)}")
-            questions.append(PredictionQuestion(
-                qid=parts[0], movie_id=parts[1], setting=parts[2],
-                context=[parse_shot_id(s) for s in parts[3].split(",")],
-                candidates=[parse_shot_id(s) for s in parts[4].split(",")],
-                correct_index=int(parts[5]),
-            ))
-    return questions
+    return read_tsv(path, 6, lambda p: PredictionQuestion(
+        qid=p[0], movie_id=p[1], setting=p[2],
+        context=[parse_shot_id(s) for s in p[3].split(",")],
+        candidates=[parse_shot_id(s) for s in p[4].split(",")],
+        correct_index=int(p[5])))
 
 
 def write_results(path, rows: list[tuple[str, int, float]]) -> None:
@@ -179,11 +169,6 @@ class NextShotModel:
         pooling = pooling_matrix(np.full(batch, steps), steps, self.context_pooling)
         return self.cell.fold(Tensor(scaled), pooling)
 
-    def _candidate_rows(self, u: Tensor, candidates: np.ndarray, n: int) -> Tensor:
-        scaled = (np.asarray(candidates, dtype=np.float32).reshape(-1, self.feature_dim)
-                  * np.float32(self.input_scale))
-        return ad.concat_cols(ad.repeat_rows(u, n), Tensor(scaled))
-
     def probabilities_batch(self, contexts: np.ndarray, candidates: np.ndarray) -> Tensor:
         """Candidate distributions for a batch: (batch, n) softmax rows.
 
@@ -192,7 +177,9 @@ class NextShotModel:
         """
         batch, n, _ = candidates.shape
         u = self.encode_context_batch(contexts)
-        scores = self.scorer.scores(self._candidate_rows(u, candidates, n))
+        scaled = (np.asarray(candidates, dtype=np.float32).reshape(-1, self.feature_dim)
+                  * np.float32(self.input_scale))
+        scores = self.scorer.scores(ad.concat_cols(ad.repeat_rows(u, n), Tensor(scaled)))
         return ad.softmax_rows(ad.reshape(scores, (batch, n)))
 
     def parameters(self) -> dict:
@@ -223,28 +210,6 @@ class NextShotModel:
         return model
 
 
-def encode_context(features: np.ndarray, model: NextShotModel) -> np.ndarray:
-    """Context vector for one (steps, feature_dim) shot sequence."""
-    features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("encode_context: need a non-empty (steps, feature_dim) sequence")
-    u = model.encode_context_batch(features[None, :, :])
-    return u.data[0]
-
-
-def score_candidates(u: np.ndarray, candidates: np.ndarray, model: NextShotModel) -> np.ndarray:
-    """Softmax distribution over candidate rows given a context vector."""
-    u = np.asarray(u, dtype=np.float32)
-    candidates = np.asarray(candidates, dtype=np.float32)
-    if candidates.ndim != 2 or candidates.shape[0] < 1:
-        raise ValueError("score_candidates: need at least one candidate row")
-    if u.shape != (model.hidden_dim,) or candidates.shape[1] != model.feature_dim:
-        raise ValueError(f"dimension mismatch: u {u.shape}, candidates {candidates.shape}")
-    n = candidates.shape[0]
-    scores = model.scorer.scores(model._candidate_rows(Tensor(u[None, :]), candidates, n))
-    return ad.softmax_rows(ad.reshape(scores, (1, n))).data[0]
-
-
 def _question_arrays(questions: list[PredictionQuestion],
                      store: FeatureStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mctx = len(questions[0].context)
@@ -256,13 +221,6 @@ def _question_arrays(questions: list[PredictionQuestion],
     candidates = np.stack([store.rows(q.candidates) for q in questions])
     targets = np.array([q.correct_index for q in questions], dtype=np.int64)
     return contexts, candidates, targets
-
-
-def answer(question: PredictionQuestion, store: FeatureStore, model: NextShotModel) -> int:
-    """Index of the candidate with the highest score; ties pick the lowest."""
-    probs = score_candidates(encode_context(store.rows(question.context), model),
-                             store.rows(question.candidates), model)
-    return int(np.argmax(probs))
 
 
 def _unit_rms_scale(store: FeatureStore) -> float:
@@ -346,6 +304,7 @@ def baseline_average_cosine(question: PredictionQuestion, store: FeatureStore) -
     return int(np.argmax(sims))
 
 
+@ad.no_grad()
 def predict_probabilities(model: NextShotModel, questions: list[PredictionQuestion],
                           store: FeatureStore, batch_size: int = 256) -> list[np.ndarray]:
     """Candidate distribution of every question, in question order.

@@ -308,6 +308,62 @@ def test_finite_loss_names_the_batch():
         ad.finite_loss(Tensor(np.float32(np.nan)), "train: epoch 2, batch start 64")
 
 
+# -- no_grad ---------------------------------------------------------------------
+
+def test_no_grad_results_record_no_tape():
+    rng = np.random.default_rng(40)
+    w = rand64(rng, (3, 2))
+    x = rand64(rng, (4, 3))
+    with ad.no_grad():
+        out = ad.sum_all(ad.tanh(ad.matmul(x, w)))
+        seq = ad.lstm_sequence(rand64(rng, (2, 3, 2)), rand64(rng, (4, 8)), rand64(rng, (8,)))
+    for result in (out, seq):
+        assert result._backward is None and result._parents == ()
+        assert not result.requires_grad
+    # the values are the taped ones
+    assert out.data == ad.sum_all(ad.tanh(ad.matmul(x, w))).data
+
+
+def test_no_grad_leaves_leaf_tensors_untouched():
+    w = t64([[1.0, 2.0]])
+    with ad.no_grad():
+        ad.matmul(t64([[3.0]], requires_grad=False), w)
+        assert w.requires_grad and w.grad is None
+    assert w.requires_grad and w.grad is None
+
+
+def test_no_grad_nests_and_restores_the_outer_mode():
+    w = t64([2.0])
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.scale(w, 3.0)._backward is None
+        assert ad.scale(w, 3.0)._backward is None
+    loss = ad.sum_all(ad.scale(w, 3.0))
+    loss.backward()
+    assert np.array_equal(w.grad, [3.0])
+
+
+def test_no_grad_restores_the_mode_after_an_exception():
+    w = t64([2.0])
+    with pytest.raises(ValueError, match="add shape mismatch"):
+        with ad.no_grad():
+            ad.add(w, t64([1.0, 2.0]))
+    assert ad.scale(w, 3.0)._backward is not None
+
+
+def test_backward_without_a_recorded_operation_raises():
+    w = t64([2.0])
+    with ad.no_grad():
+        loss = ad.sum_all(ad.scale(w, 3.0))
+    with pytest.raises(RuntimeError, match="recorded no operation"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="recorded no operation"):
+        ad.sum_all(t64([1.0], requires_grad=False)).backward()
+    with pytest.raises(RuntimeError, match="recorded no operation"):
+        w.backward()
+    assert w.grad is None
+
+
 # -- finite differences ----------------------------------------------------------
 
 def test_fd_quadratic():

@@ -1,0 +1,42 @@
+import pytest
+
+from shotline.qa import read_embedding_table, read_qa_items
+from shotline.segment import read_shot_list
+from shotline.temporal import read_questions
+
+GOOD_QUESTION = "q0\tm0\tin_movie\tm0#0,m0#1\tm0#2,m0#3\t1"
+GOOD_ITEM = "i0\twho?\ta|b\tm0#0,m0#1\t0"
+GOOD_SHOT = "v\t0\t0\t8"
+
+
+# Line 3 is the bad one: line 2 is blank (skipped, but still counted).
+@pytest.mark.parametrize("reader, good, bad, message", [
+    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#0\tm0#2,m0#3\tx",
+                 "invalid literal for int() with base 10: 'x'", id="question-index"),
+    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#x\tm0#2,m0#3\t0",
+                 "invalid literal for int() with base 10: 'x'", id="question-shot-id"),
+    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tsideways\tm0#0\tm0#2,m0#3\t0",
+                 "unknown setting 'sideways'", id="question-setting"),
+    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#0",
+                 "expected 6 fields, got 4", id="question-fields"),
+    pytest.param(read_qa_items, GOOD_ITEM, "i1\twho?\ta|b\tm0#0\tx",
+                 "invalid literal for int() with base 10: 'x'", id="qa-index"),
+    pytest.param(read_qa_items, GOOD_ITEM, "i1\twho?\ta\tm0#0\t0",
+                 "item i1: need at least 2 answers", id="qa-answers"),
+    pytest.param(read_shot_list, GOOD_SHOT, "v\t1\t8\tz",
+                 "invalid literal for int() with base 10: 'z'", id="shot-end"),
+    pytest.param(read_shot_list, GOOD_SHOT, "v\t1\t8\t8",
+                 "empty shot range [8, 8)", id="shot-empty"),
+    pytest.param(read_shot_list, GOOD_SHOT, "v\t1\t8",
+                 "expected 4 fields, got 3", id="shot-fields"),
+    pytest.param(read_embedding_table, "alpha 0.5 1.0", "beta 0.5 one",
+                 "could not convert string to float: 'one'", id="embedding-value"),
+])
+def test_text_readers_name_the_file_and_line(tmp_path, reader, good, bad, message):
+    path = tmp_path / "table.txt"
+    path.write_text(f"{good}\n\n{bad}\n")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: line 3: {message}"
+    path.write_text(f"{good}\n\n")
+    assert len(reader(path)) == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shotline import corpus, qa, tags, temporal
+from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint
 from shotline.cli import load_config, main
 from shotline.features import FeatureStore, read_shtf, write_shtf
@@ -321,6 +322,71 @@ def test_extract_rejects_a_shot_outside_the_clip(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert "error\tValueError\tshot v#0 [-6, 3) lies outside the clip of 20 frames" in err
     assert not (tmp_path / "clip.shtf").exists()
+
+
+def test_eval_qa_rejects_a_mismatched_embed_dim(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=6)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=6)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 6]
+    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa",
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    capsys.readouterr()
+    # trained with embed_dim=16: rows of 16 + 2 * 16 = 48; embed_dim=8 gives 32
+    assert run_cli(*base, "--set", "embed_dim=8", "eval-qa",
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--model", world / "qa.stln", "--metrics", world / "m.tsv") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert ("error\tValueError\tevaluate_qa: the model scores rows of width 48, "
+            "but 16-dim clip features and embed_dim 8 give 32") in err
+    assert not (world / "m.tsv").exists()
+
+
+def test_evaluation_builds_no_tape(tmp_path, monkeypatch):
+    """eval-tags, retrieve, eval-temporal and eval-qa record no backward rule."""
+    world = synth_and_split(tmp_path, seed=4)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=4)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 4,
+            "--set", "temporal_epochs=1", "--set", "qa_epochs=1"]
+    features = world / "features.shtf"
+    tag_args = ["--vocab", world / "vocab.json", "--features", features]
+    assert run_cli(*base, "train-tags", "--manifest", world / "manifest.jsonl", *tag_args,
+                   "--split", world / "split.json", "--output", world / "tags.stln") == 0
+    assert run_cli(*base, "gen-questions", "--features", features,
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    assert run_cli(*base, "train-temporal", "--features", features,
+                   "--questions", world / "q.tsv", "--output", world / "t.stln") == 0
+    taped = []
+    original = Tensor._result
+
+    def counting_result(data, parents, backward):
+        out = original(data, parents, backward)
+        if out._backward is not None:
+            taped.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counting_result))
+    # the count sees training: it records a tape
+    assert run_cli(*base, "train-qa", "--features", features,
+                   "--items", world / "qa_items.tsv", "--val-items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    assert taped
+    taped.clear()
+    movie = json.loads((world / "split.json").read_text())["test_movies"][0]
+    genre = json.loads((world / "vocab.json").read_text())["genres"][0]
+    assert run_cli(*base, "eval-tags", "--manifest", world / "manifest.jsonl", *tag_args,
+                   "--model", world / "tags.stln", "--split", world / "split.json",
+                   "--out-dir", world / "tag_eval") == 0
+    assert run_cli(*base, "retrieve", *tag_args, "--model", world / "tags.stln",
+                   "--video-id", movie, "--tag", genre, "--output", world / "s.tsv",
+                   "--ranked-output", world / "r.tsv") == 0
+    assert run_cli(*base, "eval-temporal", "--features", features,
+                   "--questions", world / "q.tsv", "--model", world / "t.stln",
+                   "--results", world / "tr.tsv", "--metrics", world / "tm.tsv") == 0
+    assert run_cli(*base, "eval-qa", "--features", features,
+                   "--items", world / "qa_items.tsv", "--model", world / "qa.stln",
+                   "--metrics", world / "qm.tsv") == 0
+    assert len(taped) == 0
 
 
 def test_eval_temporal_requires_model_choice(tmp_path, capsys):

@@ -7,9 +7,9 @@ from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import RowMlp
 from shotline.qa import (HashingEmbeddingProvider, QaItem, QaModel, QaTrainConfig,
-                         TableEmbeddingProvider, encode_clip, evaluate_qa,
-                         qa_answer, qa_forward, read_embedding_table, read_qa_items,
-                         tokenize, train_qa, write_embedding_table, write_qa_items)
+                         TableEmbeddingProvider, _item_arrays, encode_clip, evaluate_qa,
+                         read_embedding_table, read_qa_items, tokenize, train_qa,
+                         write_embedding_table, write_qa_items)
 
 from _util import check_gradients
 
@@ -99,22 +99,27 @@ def test_encode_clip_missing_lookup():
         encode_clip([("nope", 0)], store)
 
 
+# One item's answer distribution is the model's batch forward on a batch of one.
+
 def test_qa_forward_identical_answers_uniform():
     items, store, provider = small_fixture()
     item = QaItem("t", "q0", ["ans00", "ans00", "ans00", "ans00"], [("c0", 0)], 0)
     model = QaModel(4, 3, (8, 4), seed=1)
-    probs = qa_forward(item, provider, store, model)
+    clips, questions, answers, _ = _item_arrays([item], provider, store)
+    probs = model.probabilities_batch(clips, questions, answers).data
     assert np.allclose(probs, 0.25, atol=1e-6)
 
 
 def test_qa_forward_distribution_and_permutation():
     items, store, provider = small_fixture()
     model = QaModel(4, 3, (8, 4), seed=2)
-    probs = qa_forward(items[0], provider, store, model)
-    assert abs(probs.sum() - 1.0) < 1e-6
     flipped = QaItem("t", items[0].question, items[0].answers[::-1],
                      items[0].clip_shots, 0)
-    assert np.allclose(qa_forward(flipped, provider, store, model), probs[::-1], atol=1e-7)
+    clips, questions, answers, _ = _item_arrays([items[0], flipped], provider, store)
+    probs = model.probabilities_batch(clips[:1], questions[:1], answers[:1]).data[0]
+    assert abs(probs.sum() - 1.0) < 1e-6
+    flipped_probs = model.probabilities_batch(clips[1:], questions[1:], answers[1:]).data[0]
+    assert np.allclose(flipped_probs, probs[::-1], atol=1e-7)
 
 
 def test_qa_end_to_end_gradient_tiny_instance():
@@ -198,9 +203,9 @@ def test_qa_model_state_round_trip(tmp_path):
     save_checkpoint(tmp_path / "qa.stln", model.state())
     restored = QaModel.from_state(load_checkpoint(tmp_path / "qa.stln"))
     assert [w.data.shape for w, _ in restored.scorer.layers] == [(10, 8), (8, 5), (5, 1)]
-    for item in items:
-        assert np.array_equal(qa_forward(item, provider, store, model),
-                              qa_forward(item, provider, store, restored))
+    clips, questions, answers, _ = _item_arrays(items, provider, store)
+    assert np.array_equal(model.probabilities_batch(clips, questions, answers).data,
+                          restored.probabilities_batch(clips, questions, answers).data)
 
 
 def test_train_qa_restores_best_validation_model():

@@ -7,11 +7,11 @@ from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import LstmCell
 from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel,
-                               PredictionQuestion, TemporalTrainConfig, answer,
-                               baseline_average_cosine, encode_context,
-                               evaluate_accuracy, generate_questions,
-                               read_questions, score_candidates, train_next_shot,
-                               write_questions, write_results)
+                               PredictionQuestion, TemporalTrainConfig,
+                               baseline_average_cosine, evaluate_accuracy,
+                               generate_questions, predict_probabilities,
+                               read_questions, train_next_shot, write_questions,
+                               write_results)
 
 from _util import check_gradients
 
@@ -73,11 +73,12 @@ def test_lstm_step_gradients(seed):
 
 
 # -- context encoding -------------------------------------------------------------
+# A single (steps, feature_dim) context is encoded as a batch of one.
 
 def test_encode_context_single_step_equals_one_lstm_step():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=3)
     features = np.random.default_rng(0).normal(0, 1, (1, 4)).astype(np.float32)
-    u = encode_context(features, model)
+    u = model.encode_context_batch(features[None]).data[0]
     h, c = model.cell.initial_state(1)
     h2, _ = model.cell.step(Tensor(features * np.float32(model.input_scale)), h, c)
     assert np.array_equal(u, h2.data[0])
@@ -87,15 +88,16 @@ def test_encode_context_order_sensitive():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=4)
     rng = np.random.default_rng(1)
     features = rng.normal(0, 1, (6, 4)).astype(np.float32)
-    assert not np.allclose(encode_context(features, model),
-                           encode_context(features[::-1].copy(), model), atol=1e-7)
+    forward = model.encode_context_batch(features[None]).data[0]
+    backward = model.encode_context_batch(features[None, ::-1].copy()).data[0]
+    assert not np.allclose(forward, backward, atol=1e-7)
 
 
 def test_encode_context_matches_unrolled_oracle():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=5)
     rng = np.random.default_rng(2)
     features = rng.normal(0, 1, (3, 4)).astype(np.float32)
-    u = encode_context(features, model)
+    u = model.encode_context_batch(features[None]).data[0]
     h, c = model.cell.initial_state(1)
     for t in range(3):
         h, c = model.cell.step(Tensor(features[t:t + 1] * np.float32(model.input_scale)), h, c)
@@ -105,8 +107,8 @@ def test_encode_context_matches_unrolled_oracle():
 
 def test_encode_context_empty_rejected():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=6)
-    with pytest.raises(ValueError, match="non-empty"):
-        encode_context(np.zeros((0, 4), dtype=np.float32), model)
+    with pytest.raises(ValueError, match="lengths must lie in 1..0"):
+        model.encode_context_batch(np.zeros((1, 0, 4), dtype=np.float32))
 
 
 def test_encode_context_is_gate_bounded():
@@ -114,8 +116,8 @@ def test_encode_context_is_gate_bounded():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=13, input_scale=4.0)
     rng = np.random.default_rng(14)
     for _ in range(5):
-        u = encode_context(rng.normal(0, 3, (10, 4)).astype(np.float32), model)
-        assert np.abs(u).max() <= 1.0
+        u = model.encode_context_batch(rng.normal(0, 3, (1, 10, 4)).astype(np.float32))
+        assert np.abs(u.data).max() <= 1.0
 
 
 def test_encode_context_mean_pooling_variant():
@@ -130,8 +132,10 @@ def test_encode_context_mean_pooling_variant():
     for t in range(3):
         h, c = final.cell.step(Tensor(features[t:t + 1] * np.float32(final.input_scale)), h, c)
         steps.append(h.data[0])
-    assert np.allclose(encode_context(features, mean), np.stack(steps).mean(axis=0), atol=1e-6)
-    assert np.allclose(encode_context(features, final), steps[-1], rtol=0, atol=1e-6)
+    assert np.allclose(mean.encode_context_batch(features[None]).data[0],
+                       np.stack(steps).mean(axis=0), atol=1e-6)
+    assert np.allclose(final.encode_context_batch(features[None]).data[0], steps[-1],
+                       rtol=0, atol=1e-6)
 
 
 def step_loop_contexts(model, contexts):
@@ -171,33 +175,35 @@ def test_encode_context_batch_matches_step_loop(pooling):
 
 
 # -- candidate scoring --------------------------------------------------------------
+# One question's candidates are scored as a batch of one.
 
 def test_score_candidates_singleton_is_one():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=7)
-    probs = score_candidates(np.zeros(5, dtype=np.float32),
-                             np.ones((1, 4), dtype=np.float32), model)
-    assert np.array_equal(probs, np.array([1.0], dtype=np.float32))
+    context = np.random.default_rng(2).normal(0, 1, (1, 3, 4)).astype(np.float32)
+    probs = model.probabilities_batch(context, np.ones((1, 1, 4), dtype=np.float32))
+    assert np.array_equal(probs.data, np.array([[1.0]], dtype=np.float32))
 
 
 def test_score_candidates_duplicates_get_equal_probability():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=8)
     rng = np.random.default_rng(3)
-    u = rng.normal(0, 1, 5).astype(np.float32)
+    context = rng.normal(0, 1, (1, 3, 4)).astype(np.float32)
     row = rng.normal(0, 1, 4).astype(np.float32)
     cands = np.stack([row, rng.normal(0, 1, 4).astype(np.float32), row])
-    probs = score_candidates(u, cands, model)
+    probs = model.probabilities_batch(context, cands[None]).data[0]
     assert probs[0] == probs[2]
 
 
 def test_score_candidates_distribution_and_permutation_equivariance():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8, 4), seed=9)
     rng = np.random.default_rng(4)
-    u = rng.normal(0, 1, 5).astype(np.float32)
+    context = rng.normal(0, 1, (1, 3, 4)).astype(np.float32)
     cands = rng.normal(0, 1, (6, 4)).astype(np.float32)
-    probs = score_candidates(u, cands, model)
+    probs = model.probabilities_batch(context, cands[None]).data[0]
     assert abs(probs.sum() - 1.0) < 1e-6
     perm = rng.permutation(6)
-    assert np.allclose(score_candidates(u, cands[perm], model), probs[perm], atol=1e-7)
+    permuted = model.probabilities_batch(context, cands[perm][None]).data[0]
+    assert np.allclose(permuted, probs[perm], atol=1e-7)
 
 
 def test_answer_matches_argmax_and_tie_breaks_low():
@@ -206,9 +212,11 @@ def test_answer_matches_argmax_and_tie_breaks_low():
     q = PredictionQuestion("q", "m0", IN_MOVIE,
                            [("m0", i) for i in range(4)],
                            [("m0", 9), ("m0", 20), ("m0", 4), ("m0", 30)], 2)
-    probs = score_candidates(encode_context(store.rows(q.context), model),
-                             store.rows(q.candidates), model)
-    assert answer(q, store, model) == int(np.argmax(probs))
+    probs = model.probabilities_batch(store.rows(q.context)[None],
+                                      store.rows(q.candidates)[None]).data[0]
+    assert np.array_equal(predict_probabilities(model, [q], store)[0], probs)
+    chosen = int(np.argmax(probs))
+    assert evaluate_accuracy(model, [q], store)[0] == float(chosen == q.correct_index)
     assert np.argmax(np.array([0.3, 0.3, 0.2, 0.2], dtype=np.float32)) == 0
 
 
@@ -388,7 +396,8 @@ def test_model_state_round_trip(tmp_path):
     assert (restored.feature_dim, restored.hidden_dim) == (6, 8)
     assert [w.data.shape for w, _ in restored.scorer.layers] == [(14, 16), (16, 8), (8, 1)]
     q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
-    assert np.array_equal(encode_context(q_feats, model), encode_context(q_feats, restored))
+    assert np.array_equal(model.encode_context_batch(q_feats[None]).data,
+                          restored.encode_context_batch(q_feats[None]).data)
 
 
 def test_model_state_round_trip_keeps_context_pooling(tmp_path):
@@ -398,7 +407,8 @@ def test_model_state_round_trip_keeps_context_pooling(tmp_path):
     restored = NextShotModel.from_state(load_checkpoint(tmp_path / "m.stln"))
     assert restored.context_pooling == "mean"
     q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
-    assert np.array_equal(encode_context(q_feats, model), encode_context(q_feats, restored))
+    assert np.array_equal(model.encode_context_batch(q_feats[None]).data,
+                          restored.encode_context_batch(q_feats[None]).data)
 
 
 def test_state_is_a_snapshot():
