@@ -136,7 +136,8 @@ def _sha256(path) -> str:
 
 
 def _record_run(run_log: str, command: str, config: dict, inputs: list, outputs: list,
-                started: float) -> None:
+                started: float, report: dict | None = None) -> None:
+    """Append one manifest row; ``report`` holds extra per-command entries."""
     row = {
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
@@ -144,6 +145,7 @@ def _record_run(run_log: str, command: str, config: dict, inputs: list, outputs:
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "output_digests": {str(p): _sha256(p) for p in outputs},
         "wall_time_ms": int((time.time() - started) * 1000),
+        **(report or {}),
     }
     with open(run_log, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -189,11 +191,24 @@ def _tag_config(config: dict) -> tags.TagTrainConfig:
         max_lstm_steps=config["max_lstm_steps"])
 
 
+def _curves(history: dict, validated: bool) -> dict:
+    """Manifest entries for a training history: each epoch's loss, plus its
+    validation accuracy when a validation set was given."""
+    curves = {"epoch_loss": history["loss"]}
+    if validated:
+        curves["epoch_val_accuracy"] = history["val_accuracy"]
+    return curves
+
+
 def _provider(args, config):
-    if args.embeddings:
-        return qa.TableEmbeddingProvider(qa.read_embedding_table(args.embeddings),
-                                         dim=config["embed_dim"])
-    return qa.HashingEmbeddingProvider(dim=config["embed_dim"])
+    if not args.embeddings:
+        return qa.HashingEmbeddingProvider(dim=config["embed_dim"])
+    table = qa.read_embedding_table(args.embeddings)
+    try:
+        return qa.TableEmbeddingProvider(table, dim=config["embed_dim"])
+    except ValueError as exc:
+        raise ValueError(f"{args.embeddings}: {exc}; the table's vectors must have "
+                         f"embed_dim={config['embed_dim']} values") from None
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -270,7 +285,7 @@ def cmd_train_tags(args, config):
     print(f"train-tags\t{len(train_entries)} videos\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.manifest, args.vocab, args.features] + ([args.split] if args.split else [])
-    return inputs, [args.output]
+    return inputs, [args.output], {"epoch_loss": history["loss"]}
 
 
 def cmd_eval_tags(args, config):
@@ -364,7 +379,7 @@ def cmd_train_temporal(args, config):
           file=sys.stderr)
     inputs = [args.features, args.questions] + (
         [args.val_questions] if args.val_questions else [])
-    return inputs, [args.output]
+    return inputs, [args.output], _curves(history, bool(args.val_questions))
 
 
 def cmd_eval_temporal(args, config):
@@ -412,7 +427,7 @@ def cmd_train_qa(args, config):
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.features, args.items] + ([args.val_items] if args.val_items else []) + (
         [args.embeddings] if args.embeddings else [])
-    return inputs, [args.output]
+    return inputs, [args.output], _curves(history, bool(args.val_items))
 
 
 def cmd_eval_qa(args, config):
@@ -571,8 +586,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("eval-temporal needs --model or --random-init")
         _echo_config(config)
         started = time.time()
-        inputs, outputs = args.handler(args, config)
-        _record_run(args.run_log, args.command, config, inputs, outputs, started)
+        # a handler returns (inputs, outputs) and optionally a report for the manifest row
+        inputs, outputs, *report = args.handler(args, config)
+        _record_run(args.run_log, args.command, config, inputs, outputs, started, *report)
     except Exception as exc:  # surfaced as a machine-readable line, nonzero exit
         print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)
         return 1

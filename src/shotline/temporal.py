@@ -15,15 +15,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .binio import read_tsv
-from .features import FeatureStore
+from .features import FeatureStore, ShotId
 from .nn import (LstmCell, RowMlp, assign_parameters, lstm_dims, mlp_dims,
                  pooling_matrix, read_choice)
 from .rng import derive_rng
 
 IN_MOVIE = "in_movie"
 CROSS_MOVIE = "cross_movie"
-
-ShotId = tuple[str, int]
 
 # Checkpoint code of each context pooling, stored as nextshot.context_pooling.
 CONTEXT_POOLINGS = ("final", "mean")
@@ -79,6 +77,16 @@ def write_results(path, rows: list[tuple[str, int, float]]) -> None:
 # -- question generation ----------------------------------------------------
 
 
+def _shot_total(store: FeatureStore, movie_id: str) -> int:
+    """Shot count of a movie whose ordinals must be exactly 0..n-1."""
+    total = store.shot_count(movie_id)
+    for ordinal in range(total):
+        if (movie_id, ordinal) not in store:
+            raise ValueError(f"movie {movie_id!r}: shot ordinals are not 0..{total - 1}; "
+                             f"first missing ordinal {ordinal}")
+    return total
+
+
 def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
                        mctx: int = 8, n_candidates: int = 32, stride: int | None = None,
                        seed: int = 0, exclusion_radius: int = 0,
@@ -90,48 +98,56 @@ def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
     outside exclusion_radius around the answer); cross-movie distractors
     come from the whole corpus (pool_movie_ids, defaulting to the movies
     being questioned). Movies without enough material are skipped and
-    counted.
+    counted. Every movie read must have shot ordinals 0..n-1.
+
+    A pool is a run of shots minus one contiguous excluded window (the
+    context, the answer and the radius around it). Distractors are drawn
+    as indices into the pool without the window, and an index at or past
+    the window moves up by its width, so no pool is ever materialized.
     """
     if setting not in (IN_MOVIE, CROSS_MOVIE):
         raise ValueError(f"unknown setting {setting!r}")
     if mctx < 1 or n_candidates < 2:
         raise ValueError("need mctx >= 1 and n_candidates >= 2")
     stride = stride or mctx
-    all_shots: list[ShotId] = []
+    radius = max(exclusion_radius, 0)
+    pool_ids = pool_movie_ids if pool_movie_ids is not None else movie_ids
+    read_ids = [*movie_ids, *pool_ids] if setting == CROSS_MOVIE else movie_ids
+    totals = {m: _shot_total(store, m) for m in dict.fromkeys(read_ids)}
     if setting == CROSS_MOVIE:
-        for movie_id in (pool_movie_ids if pool_movie_ids is not None else movie_ids):
-            all_shots.extend((movie_id, o) for o in range(store.shot_count(movie_id)))
+        if len(set(pool_ids)) != len(pool_ids):
+            raise ValueError("the cross-movie pool lists a movie more than once")
+        pool_shots = [(m, o) for m in pool_ids for o in range(totals[m])]
+        pool_start = dict(zip(pool_ids, np.cumsum([0] + [totals[m] for m in pool_ids]).tolist()))
     questions: list[PredictionQuestion] = []
     skipped = 0
     for movie_id in movie_ids:
-        total = store.shot_count(movie_id)
+        total = totals[movie_id]
         if total <= mctx:
             skipped += 1
             continue
+        if setting == IN_MOVIE:
+            shots, base = [(movie_id, o) for o in range(total)], 0
+        else:
+            shots, base = pool_shots, pool_start.get(movie_id)  # None: movie not in pool
         rng = derive_rng(seed, f"questions.{setting}.{movie_id}")
         for start in range(0, total - mctx, stride):
             answer_ord = start + mctx
-            context = [(movie_id, o) for o in range(start, answer_ord)]
-            answer = (movie_id, answer_ord)
-            excluded = set(context) | {answer}
-            if exclusion_radius > 0:
-                for o in range(answer_ord - exclusion_radius, answer_ord + exclusion_radius + 1):
-                    if 0 <= o < total:
-                        excluded.add((movie_id, o))
-            if setting == IN_MOVIE:
-                pool = [(movie_id, o) for o in range(total) if (movie_id, o) not in excluded]
-            else:
-                pool = [s for s in all_shots if s not in excluded]
-            if len(pool) < n_candidates - 1:
+            lo = max(0, min(start, answer_ord - radius))
+            width = min(total - 1, answer_ord + radius) - lo + 1 if base is not None else 0
+            if len(shots) - width < n_candidates - 1:
                 skipped += 1
                 continue
-            picks = rng.choice(len(pool), size=n_candidates - 1, replace=False)
-            candidates = [pool[i] for i in picks]
+            picks = rng.choice(len(shots) - width, size=n_candidates - 1, replace=False)
+            if width:
+                picks += (picks >= base + lo) * width
+            candidates = [shots[i] for i in picks]
             position = int(rng.integers(n_candidates))
-            candidates.insert(position, answer)
+            candidates.insert(position, (movie_id, answer_ord))
             questions.append(PredictionQuestion(
                 qid=f"{setting}-{movie_id}-{start:06d}", movie_id=movie_id, setting=setting,
-                context=context, candidates=candidates, correct_index=position,
+                context=[(movie_id, o) for o in range(start, answer_ord)],
+                candidates=candidates, correct_index=position,
             ))
     return questions, skipped
 
@@ -210,29 +226,32 @@ class NextShotModel:
         return model
 
 
-def _question_arrays(questions: list[PredictionQuestion],
-                     store: FeatureStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _question_rows(questions: list[PredictionQuestion],
+                   store: FeatureStore) -> tuple[np.ndarray, np.ndarray]:
+    """Store rows of every question's context, (Q, mctx), and candidates, (Q, n)."""
     mctx = len(questions[0].context)
     n = len(questions[0].candidates)
     for q in questions:
         if len(q.context) != mctx or len(q.candidates) != n:
-            raise ValueError("questions in one batch must share context and candidate sizes")
-    contexts = np.stack([store.rows(q.context) for q in questions])
-    candidates = np.stack([store.rows(q.candidates) for q in questions])
-    targets = np.array([q.correct_index for q in questions], dtype=np.int64)
-    return contexts, candidates, targets
+            raise ValueError("questions resolved together must share context and "
+                             "candidate sizes")
+    contexts = store.row_indices([s for q in questions for s in q.context])
+    candidates = store.row_indices([s for q in questions for s in q.candidates])
+    return contexts.reshape(len(questions), mctx), candidates.reshape(len(questions), n)
 
 
 def _unit_rms_scale(store: FeatureStore) -> float:
-    """Scale that brings the store's features to unit per-dimension rms."""
-    total = 0.0
-    count = 0
-    for _, values in store.items():
-        total += float((values.astype(np.float64) ** 2).sum())
-        count += values.size
-    if count == 0 or total == 0.0:
+    """Scale that brings the store's features to unit per-dimension rms.
+
+    Each record's float64 sum of squares is added in record order.
+    """
+    matrix = store.matrix
+    if matrix.size == 0:
         return 1.0
-    return float(1.0 / np.sqrt(total / count))
+    total = float(np.cumsum(np.square(matrix, dtype=np.float64).sum(axis=1))[-1])
+    if total == 0.0:
+        return 1.0
+    return float(1.0 / np.sqrt(total / matrix.size))
 
 
 @dataclass
@@ -262,6 +281,9 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
                           context_pooling=config.context_pooling,
                           input_scale=_unit_rms_scale(store))
     optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
+    context_rows, candidate_rows = _question_rows(questions, store)
+    targets = np.array([q.correct_index for q in questions], dtype=np.int64)
+    matrix = store.matrix
     history = {"loss": [], "val_accuracy": []}
     best_val = -1.0
     best_state = None
@@ -269,10 +291,10 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
         order = derive_rng(seed, "nextshot.epoch", epoch).permutation(len(questions))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [questions[i] for i in order[start:start + config.batch_size]]
-            contexts, candidates, targets = _question_arrays(batch, store)
-            probs = model.probabilities_batch(contexts, candidates)
-            loss = ad.nll_loss(probs, targets)
+            batch = order[start:start + config.batch_size]
+            probs = model.probabilities_batch(matrix[context_rows[batch]],
+                                              matrix[candidate_rows[batch]])
+            loss = ad.nll_loss(probs, targets[batch])
             value = ad.finite_loss(loss, f"train_next_shot: epoch {epoch}, batch start {start}")
             optimizer.zero_grad()
             loss.backward()
@@ -315,12 +337,14 @@ def predict_probabilities(model: NextShotModel, questions: list[PredictionQuesti
     by_shape: dict[tuple[int, int], list[int]] = {}
     for i, q in enumerate(questions):
         by_shape.setdefault((len(q.context), len(q.candidates)), []).append(i)
+    matrix = store.matrix
     for group in by_shape.values():
+        context_rows, candidate_rows = _question_rows([questions[i] for i in group], store)
         for start in range(0, len(group), batch_size):
-            part = group[start:start + batch_size]
-            contexts, candidates, _ = _question_arrays([questions[i] for i in part], store)
-            probs = model.probabilities_batch(contexts, candidates).data
-            for i, p in zip(part, probs):
+            part = slice(start, start + batch_size)
+            probs = model.probabilities_batch(matrix[context_rows[part]],
+                                              matrix[candidate_rows[part]]).data
+            for i, p in zip(group[part], probs):
                 out[i] = p
     return out
 

@@ -223,6 +223,14 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling, val)
                    "train-temporal", "--features", world / "features.shtf",
                    "--questions", world / "train_q.tsv", *val_args,
                    "--output", world / "t.stln") == 0
+    row = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()][-1]
+    assert row["command"] == "train-temporal" and len(row["epoch_loss"]) == 2
+    assert all(np.isfinite(row["epoch_loss"]))
+    if val:
+        assert len(row["epoch_val_accuracy"]) == 2
+        assert all(0.0 <= a <= 1.0 for a in row["epoch_val_accuracy"])
+    else:
+        assert "epoch_val_accuracy" not in row
     # evaluated under the default config: the pooling comes from the checkpoint
     assert run_cli(*base, "eval-temporal", "--features", world / "features.shtf",
                    "--questions", world / "test_q.tsv", "--model", world / "t.stln",
@@ -232,8 +240,10 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling, val)
                                                  input_scale=temporal._unit_rms_scale(store)),
                           world / "t.stln")
     questions = temporal.read_questions(world / "test_q.tsv")
-    contexts, candidates, targets = temporal._question_arrays(questions, store)
-    probs = model.probabilities_batch(contexts, candidates).data
+    context_rows, candidate_rows = temporal._question_rows(questions, store)
+    targets = [q.correct_index for q in questions]
+    probs = model.probabilities_batch(store.matrix[context_rows],
+                                      store.matrix[candidate_rows]).data
     chosen = probs.argmax(axis=1)
     expected = sorted(f"{q.qid}\t{c}\t{p[c]:.6f}" for q, c, p in zip(questions, chosen, probs))
     assert (world / "r.tsv").read_text().splitlines() == expected
@@ -340,6 +350,47 @@ def test_eval_qa_rejects_a_mismatched_embed_dim(tmp_path, capsys):
     assert ("error\tValueError\tevaluate_qa: the model scores rows of width 48, "
             "but 16-dim clip features and embed_dim 8 give 32") in err
     assert not (world / "m.tsv").exists()
+
+
+def test_eval_qa_names_the_table_when_embed_dim_does_not_fit_it(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=6)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=6)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 6]
+    table = world / "embeddings.txt"
+    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa", "--embeddings", table,
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    capsys.readouterr()
+    assert run_cli(*base, "--set", "embed_dim=8", "eval-qa", "--embeddings", table,
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--model", world / "qa.stln", "--metrics", world / "m.tsv") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert (f"error\tValueError\t{table}: vector for 'ans000' has shape (16,), expected (8,); "
+            "the table's vectors must have embed_dim=8 values") in err
+    assert not (world / "m.tsv").exists()
+
+
+def test_gen_questions_rejects_a_movie_with_an_ordinal_gap(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=2)
+    clean = read_shtf(world / "features.shtf")
+    split = json.loads((world / "split.json").read_text())
+    gapped = split["train_movies"][0]
+    store = FeatureStore(clean.dim)
+    for (vid, ordinal), values in clean.items():
+        if (vid, ordinal) != (gapped, 10):
+            store.add(vid, ordinal, values)
+    write_shtf(world / "features.shtf", store)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 2]
+    capsys.readouterr()
+    # a test-subset question pool still reads the gapped training movie
+    for subset in ("train", "test"):
+        assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                       "--split", world / "split.json", "--subset", subset,
+                       "--output", world / "q.tsv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert any(l.startswith(f"error\tValueError\tmovie '{gapped}': shot ordinals are not ")
+                   and l.endswith("first missing ordinal 10") for l in err)
+    assert not (world / "q.tsv").exists()
 
 
 def test_evaluation_builds_no_tape(tmp_path, monkeypatch):

@@ -100,3 +100,105 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 20)
     with pytest.raises(FormatError, match="magic"):
         read_shtf(path)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 40)),
+                min_size=1, max_size=40, unique=True),
+       st.integers(1, 5), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rows_and_sequence_match_per_key_values(keys, dim, seed):
+    rng = np.random.default_rng(seed)
+    store = FeatureStore(dim)
+    values = {}
+    for vid, ordinal in keys:  # ragged, gapped and out of ordinal order
+        values[(f"v{vid}", ordinal)] = rng.normal(0, 1, dim).astype(np.float32)
+        store.add(f"v{vid}", ordinal, values[(f"v{vid}", ordinal)])
+    picks = [list(values)[i] for i in rng.integers(0, len(values), 2 * len(values))]
+    assert store.rows(picks).tobytes() == np.stack([values[k] for k in picks]).tobytes()
+    assert store.matrix.tobytes() == np.stack(list(values.values())).tobytes()
+    for vid in store.video_ids():
+        ordinals = sorted(o for v, o in values if v == vid)
+        assert store.shot_count(vid) == len(ordinals)
+        assert store.sequence(vid).tobytes() == np.stack(
+            [values[(vid, o)] for o in ordinals]).tobytes()
+
+
+def test_matrix_is_a_read_only_view():
+    store = FeatureStore(2)
+    store.add("a", 0, np.ones(2))
+    with pytest.raises(ValueError):
+        store.matrix[0, 0] = 5.0
+
+
+def test_missing_shot_is_named():
+    store = FeatureStore(2)
+    store.add("a", 0, np.ones(2))
+    with pytest.raises(KeyError, match="no feature for shot a#7"):
+        store.rows([("a", 0), ("a", 7)])
+    with pytest.raises(KeyError, match="no features for video 'b'"):
+        store.sequence("b")
+
+
+def test_gapped_store_round_trips_bitwise(tmp_path):
+    rng = np.random.default_rng(3)
+    store = FeatureStore(5)
+    for vid, ordinal in [("movie x", 3), ("movie x", 0), ("b", 9), ("movie x", 7), ("b", 2)]:
+        store.add(vid, ordinal, rng.normal(0, 1e6, 5).astype(np.float32))
+    path = tmp_path / "f.shtf"
+    write_shtf(path, store)
+    loaded = read_shtf(path)
+    assert [k for k, _ in loaded.items()] == [k for k, _ in store.items()]
+    assert loaded.matrix.tobytes() == store.matrix.tobytes()
+    assert loaded.sequence("movie x").tobytes() == store.sequence("movie x").tobytes()
+    write_shtf(tmp_path / "g.shtf", loaded)
+    assert path.read_bytes() == (tmp_path / "g.shtf").read_bytes()
+
+
+def _two_record_file(tmp_path, dim=3):
+    store = FeatureStore(dim)
+    store.add("ab", 0, np.ones(dim))
+    store.add("ab", 1, np.zeros(dim))
+    path = tmp_path / "f.shtf"
+    write_shtf(path, store)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("keep, message", [
+    (9, "truncated file reading feature dimension at byte 8"),
+    (19, "truncated file reading record count at byte 12"),
+    (20, "truncated file reading video id length at byte 20"),
+    (22, "truncated file reading video id at byte 22"),
+    (25, "truncated file reading shot ordinal at byte 24"),
+    (29, "truncated file reading features of ab#0 at byte 28"),
+    (59, "truncated file reading features of ab#1 at byte 48"),
+])
+def test_truncation_names_the_field_and_byte(tmp_path, keep, message):
+    # layout: magic 0-3, version 4-7, dim 8-11, count 12-19, then each record is
+    # id length (2), id (2), ordinal (4) and 3 floats (12): bytes 20-39 and 40-59
+    path, data = _two_record_file(tmp_path)
+    assert len(data) == 60
+    path.write_bytes(data[:keep])
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_shtf(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path, data = _two_record_file(tmp_path)
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(FormatError, match="trailing bytes at byte 60"):
+        read_shtf(path)
+
+
+def test_huge_record_count_fails_as_truncation(tmp_path):
+    path, data = _two_record_file(tmp_path)
+    path.write_bytes(data[:12] + (2**62).to_bytes(8, "little") + data[20:])
+    with pytest.raises(FormatError, match="truncated file reading video id length at byte 60"):
+        read_shtf(path)
+
+
+def test_duplicate_record_rejected_on_read(tmp_path):
+    path, data = _two_record_file(tmp_path)
+    first = data[20:40]
+    path.write_bytes(data[:20] + first + first)
+    with pytest.raises(ValueError, match=r"duplicate feature record \('ab', 0\)"):
+        read_shtf(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shotline import autodiff as ad
 from shotline.autodiff import Tensor
@@ -12,6 +14,7 @@ from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel,
                                generate_questions, predict_probabilities,
                                read_questions, train_next_shot, write_questions,
                                write_results)
+from shotline.rng import derive_rng
 
 from _util import check_gradients
 
@@ -312,6 +315,102 @@ def test_generate_questions_deterministic_files(tmp_path):
     write_questions(tmp_path / "b.tsv", b)
     assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
     assert read_questions(tmp_path / "a.tsv") == a
+
+
+def pool_generator(store, movie_ids, setting, mctx=8, n_candidates=32, stride=None, seed=0,
+                   exclusion_radius=0, pool_movie_ids=None):
+    """Reference generator: copies every question's distractor pool into a list.
+
+    Quadratic in corpus size, but plainly correct: the oracle that
+    generate_questions must match byte for byte.
+    """
+    stride = stride or mctx
+    all_shots = []
+    if setting == CROSS_MOVIE:
+        for movie_id in (pool_movie_ids if pool_movie_ids is not None else movie_ids):
+            all_shots.extend((movie_id, o) for o in range(store.shot_count(movie_id)))
+    questions = []
+    skipped = 0
+    for movie_id in movie_ids:
+        total = store.shot_count(movie_id)
+        if total <= mctx:
+            skipped += 1
+            continue
+        rng = derive_rng(seed, f"questions.{setting}.{movie_id}")
+        for start in range(0, total - mctx, stride):
+            answer_ord = start + mctx
+            context = [(movie_id, o) for o in range(start, answer_ord)]
+            answer = (movie_id, answer_ord)
+            excluded = set(context) | {answer}
+            if exclusion_radius > 0:
+                for o in range(answer_ord - exclusion_radius, answer_ord + exclusion_radius + 1):
+                    if 0 <= o < total:
+                        excluded.add((movie_id, o))
+            if setting == IN_MOVIE:
+                pool = [(movie_id, o) for o in range(total) if (movie_id, o) not in excluded]
+            else:
+                pool = [s for s in all_shots if s not in excluded]
+            if len(pool) < n_candidates - 1:
+                skipped += 1
+                continue
+            picks = rng.choice(len(pool), size=n_candidates - 1, replace=False)
+            candidates = [pool[i] for i in picks]
+            position = int(rng.integers(n_candidates))
+            candidates.insert(position, answer)
+            questions.append(PredictionQuestion(
+                qid=f"{setting}-{movie_id}-{start:06d}", movie_id=movie_id, setting=setting,
+                context=context, candidates=candidates, correct_index=position))
+    return questions, skipped
+
+
+@given(lengths=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+       setting=st.sampled_from([IN_MOVIE, CROSS_MOVIE]),
+       mctx=st.integers(1, 6), n_candidates=st.integers(2, 12),
+       stride=st.one_of(st.none(), st.integers(1, 8)),
+       radius=st.integers(-1, 14), seed=st.integers(0, 2**31 - 1),
+       pool=st.sampled_from(["default", "all", "omit-first", "absent-movie"]))
+@settings(max_examples=150, deadline=None)
+def test_generate_questions_matches_pool_oracle(tmp_path_factory, lengths, setting, mctx,
+                                                n_candidates, stride, radius, seed, pool):
+    store = FeatureStore(2)
+    for m, length in enumerate(lengths):
+        for o in range(length):
+            store.add(f"m{m}", o, np.full(2, o, dtype=np.float32))
+    movies = [f"m{m}" for m in range(len(lengths))]
+    questioned, pool_ids = {
+        "default": (movies, None),
+        "all": (movies[::-1], movies),
+        "omit-first": (movies, movies[1:]),
+        # a questioned movie with no shots in the store, and a pool without it
+        "absent-movie": (["ghost", *movies], movies)}[pool]
+    kwargs = dict(mctx=mctx, n_candidates=n_candidates, stride=stride, seed=seed,
+                  exclusion_radius=radius, pool_movie_ids=pool_ids)
+    got, got_skipped = generate_questions(store, questioned, setting, **kwargs)
+    want, want_skipped = pool_generator(store, questioned, setting, **kwargs)
+    out = tmp_path_factory.mktemp("questions")
+    write_questions(out / "got.tsv", got)
+    write_questions(out / "want.tsv", want)
+    assert (out / "got.tsv").read_bytes() == (out / "want.tsv").read_bytes()
+    assert got_skipped == want_skipped
+
+
+@pytest.mark.parametrize("where", ["questioned", "pool"])
+def test_generate_questions_rejects_an_ordinal_gap(where):
+    store = filled_store(n_movies=2, shots=12)
+    for o in [*range(10), *range(11, 21)]:
+        store.add("gap", o, np.zeros(6, dtype=np.float32))
+    questioned, pool = (["gap"], None) if where == "questioned" else (["m0"], ["m0", "m1", "gap"])
+    setting = IN_MOVIE if where == "questioned" else CROSS_MOVIE
+    with pytest.raises(ValueError, match="movie 'gap': .*first missing ordinal 10"):
+        generate_questions(store, questioned, setting, mctx=4, n_candidates=4,
+                           pool_movie_ids=pool)
+
+
+def test_generate_questions_rejects_a_repeated_pool_movie():
+    store = filled_store(n_movies=2, shots=12)
+    with pytest.raises(ValueError, match="more than once"):
+        generate_questions(store, ["m0"], CROSS_MOVIE, mctx=4, n_candidates=4,
+                           pool_movie_ids=["m0", "m1", "m0"])
 
 
 def test_exclusion_radius_blocks_neighbors():
