@@ -219,7 +219,7 @@ def cmd_segment(args, config):
     shots = segment.detect_shots(seq, _segmenter_params(config), video_id=args.video_id)
     segment.write_shot_list(args.output, shots)
     print(f"segment\t{args.video_id}\t{len(shots)} shots", file=sys.stderr)
-    return [args.input], [args.output]
+    return [args.input], [args.output], {"frames": seq.frame_count, "shots": len(shots)}
 
 
 def cmd_extract(args, config):
@@ -228,7 +228,7 @@ def cmd_extract(args, config):
     store = extract_features(seq, shots, HistogramEdgeExtractor(), m=config["frames_per_shot"])
     write_shtf(args.output, store)
     print(f"extract\t{len(store)} shot features\tdim {store.dim}", file=sys.stderr)
-    return [args.input, args.shots], [args.output]
+    return [args.input, args.shots], [args.output], {"shots": len(shots)}
 
 
 def cmd_synth(args, config):

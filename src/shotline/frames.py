@@ -1,11 +1,12 @@
 """Raw RGB frame sequences and their on-disk container (FSEQ)."""
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .binio import expect_magic, expect_version, read_exact, read_struct, FormatError
+from .binio import expect_magic, expect_version, read_struct, FormatError
 
 MAGIC = b"FSEQ"
 VERSION = 1
@@ -54,18 +55,34 @@ def write_fseq(path, seq: FrameSequence) -> None:
 
 
 def read_fseq(path) -> FrameSequence:
-    with open(path, "rb") as fh:
-        expect_magic(fh, MAGIC)
-        expect_version(fh, VERSION)
-        (width,) = read_struct(fh, "<I", "width")
-        (height,) = read_struct(fh, "<I", "height")
-        (channels,) = read_struct(fh, "<B", "channel count")
-        if channels != CHANNELS:
-            raise FormatError(f"expected {CHANNELS} channels, got {channels}")
-        (count,) = read_struct(fh, "<I", "frame count")
-        payload = read_exact(fh, count * height * width * CHANNELS, "frame data")
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"trailing bytes at byte {fh.tell() - 1}")
-    frames = np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width, CHANNELS)
-    return FrameSequence(frames.copy())
+    """Load an FSEQ clip. A malformed file raises FormatError naming it.
+
+    The declared frame count is checked against the bytes the file holds
+    before the frame array is allocated, and the payload is read straight
+    into that array.
+    """
+    try:
+        with open(path, "rb") as fh:
+            expect_magic(fh, MAGIC)
+            expect_version(fh, VERSION)
+            (width,) = read_struct(fh, "<I", "width")
+            (height,) = read_struct(fh, "<I", "height")
+            (channels,) = read_struct(fh, "<B", "channel count")
+            if channels != CHANNELS:
+                raise FormatError(f"expected {CHANNELS} channels, got {channels}")
+            (count,) = read_struct(fh, "<I", "frame count")
+            offset = fh.tell()
+            size = count * height * width * CHANNELS
+            left = os.fstat(fh.fileno()).st_size - offset
+            if left < size:
+                raise FormatError(f"truncated file reading frame data at byte {offset}: "
+                                  f"{count} frames of {width}x{height} need {size} bytes, "
+                                  f"{left} left")
+            if left > size:
+                raise FormatError(f"trailing bytes at byte {offset + size}")
+            frames = np.empty((count, height, width, CHANNELS), dtype=np.uint8)
+            if fh.readinto(frames) != size:
+                raise FormatError(f"truncated file reading frame data at byte {offset}")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return FrameSequence(frames)

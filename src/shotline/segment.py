@@ -7,6 +7,7 @@ are only found if their per-frame score clears the same bar.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,45 +58,117 @@ class Shot:
         return self.end - self.start
 
 
-def _hsv_bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
-    """Joint HSV bin index per pixel, for frames shaped (..., h, w, 3)."""
-    rgb = frames.astype(np.float64) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    mx = rgb.max(axis=-1)
-    mn = rgb.min(axis=-1)
-    delta = mx - mn
+# Frames binned per pass of the histogram kernel: enough pixels to keep
+# numpy's per-call overhead small, few enough that the temporaries stay
+# at a few MB whatever the clip length.
+HISTOGRAM_CHUNK = 16
+
+# Hue offset of each branch code: red with g >= b, red with g < b (this is
+# the wrap of ``% 6.0``), green, blue.
+_HUE_OFFSETS = np.array([0.0, 6.0, 2.0, 4.0])
+
+
+@functools.lru_cache(maxsize=8)
+def _bin_tables(params: SegmenterParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of the HSV kernel, built once per parameter set.
+
+    ``unit[x]`` is ``x / 255.0``. Indexed by ``max << 8 | min`` of a
+    pixel's uint8 channels, ``safe`` is the hue divisor (the chroma, or 1
+    where it is 0) and ``sat_val`` the saturation-and-value part of the
+    joint bin. Each comes from the same float64 operations as the
+    per-pixel HSV formulas, so a lookup returns the value they would give.
+    """
+    unit = np.arange(256) / 255.0
+    mx = unit[:, None]
+    delta = mx - unit[None, :]
     safe = np.where(delta == 0, 1.0, delta)
-    hue = np.zeros_like(mx)
-    is_r = (mx == r) & (delta > 0)
-    is_g = (mx == g) & (delta > 0) & ~is_r
-    is_b = (delta > 0) & ~is_r & ~is_g
-    hue = np.where(is_r, ((g - b) / safe) % 6.0, hue)
-    hue = np.where(is_g, (b - r) / safe + 2.0, hue)
-    hue = np.where(is_b, (r - g) / safe + 4.0, hue)
-    hue *= 60.0
     sat = np.where(mx > 0, delta / np.where(mx == 0, 1.0, mx), 0.0)
-    val = mx
-    hb = np.minimum((hue / 360.0 * params.hue_bins).astype(np.int64), params.hue_bins - 1)
-    sb = np.minimum((sat * params.sat_bins).astype(np.int64), params.sat_bins - 1)
-    vb = np.minimum((val * params.val_bins).astype(np.int64), params.val_bins - 1)
-    return (hb * params.sat_bins + sb) * params.val_bins + vb
+    sb = np.minimum((sat * params.sat_bins).astype(np.intp), params.sat_bins - 1)
+    vb = np.minimum((mx * params.val_bins).astype(np.intp), params.val_bins - 1)
+    tables = (unit, safe.reshape(-1), (sb * params.val_bins + vb).reshape(-1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
+    """Joint HSV bin index of every pixel of uint8 frames, flattened.
+
+    Max, min and the hue branch are taken on the uint8 channels: ``x/255``
+    is strictly increasing, so they agree with the same tests on floats.
+    The hue is then one float64 subtraction and division of table values
+    plus the branch offset, and is scaled and truncated as in the float
+    formulation ``hue = 60 * (branch numerator / chroma + offset)``.
+    """
+    unit, safe, sat_val = _bin_tables(params)
+    r, g, b = np.moveaxis(frames.reshape(-1, 3), -1, 0).copy()
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
+    is_r = mx == r
+    not_r = ~is_r
+    is_g = (mx == g) & not_r
+    is_b = not_r & ~is_g
+    # Masks of 0xFF select each pixel's numerator pair (np.where is several
+    # times slower on random masks). A grey pixel takes the red branch: its
+    # numerator is 0, and so its hue.
+    m_r, m_g, m_b = (-mask.view(np.uint8) for mask in (is_r, is_g, is_b))
+    num_a = (g & m_r) | (b & m_g) | (r & m_b)
+    num_b = (b & m_r) | (r & m_g) | (g & m_b)
+    branch = ((g < b) & is_r).view(np.uint8) | (not_r.view(np.uint8) << 1) | is_b.view(np.uint8)
+    key = mx.astype(np.intp)
+    key <<= 8
+    key |= mn
+    hue = unit.take(num_a)
+    hue -= unit.take(num_b)
+    hue /= safe.take(key)
+    hue += _HUE_OFFSETS.take(branch)
+    hue *= 60.0
+    hue /= 360.0
+    hue *= params.hue_bins
+    idx = hue.astype(np.intp)
+    np.minimum(idx, params.hue_bins - 1, out=idx)
+    idx *= params.sat_bins * params.val_bins
+    idx += sat_val.take(key)
+    return idx
+
+
+def _check_frames(frames: np.ndarray, ndim: int, layout: str) -> None:
+    if frames.dtype != np.uint8:
+        raise ValueError(f"expected uint8 pixels, got {frames.dtype}")
+    if frames.ndim != ndim or frames.shape[-1] != 3 or 0 in frames.shape[-3:-1]:
+        raise ValueError(f"expected frames shaped {layout} with at least one pixel, "
+                         f"got {frames.shape}")
+
+
+def _histograms(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
+    """Histograms of a (count, h, w, 3) uint8 stack, HISTOGRAM_CHUNK frames
+    per pass, each counted with one offset bincount."""
+    count, height, width, _ = frames.shape
+    pixels = height * width
+    bins = params.total_bins
+    out = np.empty((count, bins))
+    for start in range(0, count, HISTOGRAM_CHUNK):
+        chunk = frames[start:start + HISTOGRAM_CHUNK]
+        n = chunk.shape[0]
+        idx = _bin_indices(chunk, params).reshape(n, pixels)
+        idx += np.arange(0, n * bins, bins)[:, None]
+        counts = np.bincount(idx.reshape(-1), minlength=n * bins).reshape(n, bins)
+        np.divide(counts, pixels, out=out[start:start + n])
+    return out
 
 
 def frame_histogram(frame: np.ndarray, params: SegmenterParams | None = None) -> np.ndarray:
-    """L1-normalized joint HSV histogram of one RGB frame."""
-    params = params or SegmenterParams()
-    idx = _hsv_bin_indices(np.asarray(frame), params)
-    counts = np.bincount(idx.reshape(-1), minlength=params.total_bins)
-    return counts / idx.size
+    """L1-normalized joint HSV histogram of one uint8 RGB frame (h, w, 3)."""
+    frame = np.asarray(frame)
+    _check_frames(frame, 3, "(height, width, 3)")
+    return _histograms(frame[None], params or SegmenterParams())[0]
 
 
 def sequence_histograms(seq: FrameSequence, params: SegmenterParams) -> np.ndarray:
-    """Per-frame histograms, shape (frame_count, total_bins).
-
-    One frame at a time, so the float HSV conversion never holds more than
-    a frame; this is the same histogram the descriptor uses.
-    """
-    return np.stack([frame_histogram(frame, params) for frame in seq.frames])
+    """Per-frame histograms, shape (frame_count, total_bins); row t is
+    frame_histogram of frame t."""
+    _check_frames(seq.frames, 4, "(count, height, width, 3)")
+    return _histograms(seq.frames, params)
 
 
 def boundary_score(h1: np.ndarray, h2: np.ndarray) -> float:

@@ -69,6 +69,8 @@ def test_segment_and_extract_flow(tmp_path):
     log_rows = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
     assert [r["command"] for r in log_rows] == ["segment", "extract"]
     assert all("wall_time_ms" in r and r["input_digests"] for r in log_rows)
+    assert (log_rows[0]["frames"], log_rows[0]["shots"]) == (60, 2)
+    assert log_rows[1]["shots"] == 2
 
 
 def synth_and_split(root, seed=0):

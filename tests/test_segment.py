@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shotline import segment
 from shotline.binio import FormatError
 from shotline.frames import FrameSequence, read_fseq, write_fseq
 from shotline.segment import (SegmenterParams, Shot, boundary_score, detect_shots,
@@ -24,6 +27,126 @@ def color_sequence(segments, h=16, w=16, noise_sigma=0.0, seed=0):
                 frame = frame + rng.normal(0, noise_sigma, frame.shape)
             frames.append(np.clip(frame, 0, 255).astype(np.uint8))
     return FrameSequence(np.stack(frames))
+
+
+# -- the float64 oracle -----------------------------------------------------------
+
+
+def oracle_bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
+    """Joint HSV bin index per pixel by the float64 formulas, one pass per
+    step: the reference the table-driven kernel must match exactly."""
+    rgb = frames.astype(np.float64) / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    mx = rgb.max(axis=-1)
+    mn = rgb.min(axis=-1)
+    delta = mx - mn
+    safe = np.where(delta == 0, 1.0, delta)
+    hue = np.zeros_like(mx)
+    is_r = (mx == r) & (delta > 0)
+    is_g = (mx == g) & (delta > 0) & ~is_r
+    is_b = (delta > 0) & ~is_r & ~is_g
+    hue = np.where(is_r, ((g - b) / safe) % 6.0, hue)
+    hue = np.where(is_g, (b - r) / safe + 2.0, hue)
+    hue = np.where(is_b, (r - g) / safe + 4.0, hue)
+    hue *= 60.0
+    sat = np.where(mx > 0, delta / np.where(mx == 0, 1.0, mx), 0.0)
+    val = mx
+    hb = np.minimum((hue / 360.0 * params.hue_bins).astype(np.int64), params.hue_bins - 1)
+    sb = np.minimum((sat * params.sat_bins).astype(np.int64), params.sat_bins - 1)
+    vb = np.minimum((val * params.val_bins).astype(np.int64), params.val_bins - 1)
+    return (hb * params.sat_bins + sb) * params.val_bins + vb
+
+
+def oracle_histogram(frame: np.ndarray, params: SegmenterParams) -> np.ndarray:
+    idx = oracle_bin_indices(frame, params)
+    return np.bincount(idx.reshape(-1), minlength=params.total_bins) / idx.size
+
+
+def rgb_triples(start: int, stop: int, step: int = 1) -> np.ndarray:
+    """The RGB triples whose 24-bit codes are range(start, stop, step), shape (n, 3)."""
+    codes = np.arange(start, stop, step, dtype=np.uint32)
+    return np.stack([codes >> 16, (codes >> 8) & 255, codes & 255], axis=-1).astype(np.uint8)
+
+
+def assert_kernel_matches_oracle(params, step):
+    block = 1 << 21
+    for start in range(0, 1 << 24, block):
+        pixels = rgb_triples(start, start + block, step)
+        got = segment._bin_indices(pixels, params)
+        want = oracle_bin_indices(pixels, params)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, (f"{bad.size} triples differ, first {pixels[bad[0]].tolist()}: "
+                               f"bin {got[bad[0]]} vs {want[bad[0]]}")
+
+
+def test_kernel_bins_every_rgb_triple_like_the_oracle():
+    assert_kernel_matches_oracle(SegmenterParams(), step=1)
+
+
+@pytest.mark.parametrize("bins", [(6, 3, 5), (16, 8, 8), (1, 1, 1), (7, 2, 3), (12, 5, 9)])
+def test_kernel_matches_the_oracle_for_other_bin_counts(bins):
+    # a stride coprime to 256 walks every value of every channel
+    hue, sat, val = bins
+    assert_kernel_matches_oracle(SegmenterParams(hue_bins=hue, sat_bins=sat, val_bins=val),
+                                 step=97)
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+def test_sequence_histograms_match_the_oracle_across_chunk_edges(count):
+    assert segment.HISTOGRAM_CHUNK == 16
+    rng = np.random.default_rng(count)
+    frames = rng.integers(0, 256, (count, 7, 9, 3), dtype=np.uint8)
+    frames[count // 2] = frames[0]  # repeated frames must not share counts across rows
+    params = SegmenterParams()
+    hists = segment.sequence_histograms(FrameSequence(frames), params)
+    want = np.stack([oracle_histogram(frame, params) for frame in frames])
+    assert hists.shape == (count, params.total_bins)
+    assert np.array_equal(hists, want)
+    for t in (0, count - 1):
+        assert np.array_equal(frame_histogram(frames[t], params), want[t])
+
+
+def oracle_detect_shots(seq, params, video_id):
+    """detect_shots with the oracle's per-frame histograms swapped in."""
+    original = segment.sequence_histograms
+    segment.sequence_histograms = lambda s, p: np.stack([oracle_histogram(f, p) for f in s.frames])
+    try:
+        return detect_shots(seq, params, video_id=video_id)
+    finally:
+        segment.sequence_histograms = original
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
+                          st.integers(1, 30)), min_size=1, max_size=5),
+       st.floats(0.0, 40.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_detect_shots_matches_an_oracle_histogram_detector(segments, noise_sigma, seed):
+    seq = color_sequence(segments, h=6, w=8, noise_sigma=noise_sigma, seed=seed)
+    params = SegmenterParams()
+    assert detect_shots(seq, params, "v") == oracle_detect_shots(seq, params, "v")
+
+
+@pytest.mark.parametrize("frame, message", [
+    (np.zeros((4, 4, 3), dtype=np.float64), "uint8 pixels, got float64"),
+    (np.zeros((4, 4, 3), dtype=np.int64), "uint8 pixels, got int64"),
+    (np.zeros((4, 4), dtype=np.uint8), r"\(height, width, 3\) .*, got \(4, 4\)"),
+    (np.zeros((4, 4, 4), dtype=np.uint8), r"got \(4, 4, 4\)"),
+    (np.zeros((2, 4, 4, 3), dtype=np.uint8), r"got \(2, 4, 4, 3\)"),
+    (np.zeros((0, 4, 3), dtype=np.uint8), r"at least one pixel, got \(0, 4, 3\)"),
+])
+def test_frame_histogram_rejects_frames_the_tables_cannot_index(frame, message):
+    with pytest.raises(ValueError, match=message):
+        frame_histogram(frame)
+
+
+def test_sequence_histograms_rejects_frames_the_tables_cannot_index():
+    seq = FrameSequence(np.zeros((2, 4, 4, 3), dtype=np.uint8))
+    seq.frames = seq.frames.astype(np.float32)
+    with pytest.raises(ValueError, match="uint8 pixels, got float32"):
+        segment.sequence_histograms(seq, SegmenterParams())
+    with pytest.raises(ValueError, match=r"at least one pixel, got \(2, 4, 0, 3\)"):
+        segment.sequence_histograms(FrameSequence(np.zeros((2, 4, 0, 3), np.uint8)),
+                                    SegmenterParams())
 
 
 # -- histograms ---------------------------------------------------------------
@@ -196,5 +319,48 @@ def test_fseq_truncation_reports_offset(tmp_path):
     path = tmp_path / "clip.fseq"
     write_fseq(path, seq)
     path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(FormatError, match="byte"):
+    with pytest.raises(FormatError, match=r"clip\.fseq: truncated file reading frame data "
+                                          r"at byte 21: 3 frames of 4x4 need 144 bytes, 139 left"):
         read_fseq(path)
+
+
+def fseq_header(width, height, count, channels=3):
+    return b"FSEQ" + struct.pack("<IIIBI", 1, width, height, channels, count)
+
+
+def test_fseq_huge_declared_size_fails_before_allocating(tmp_path):
+    path = tmp_path / "huge.fseq"
+    path.write_bytes(fseq_header(60000, 60000, 100000) + bytes(12))
+    with pytest.raises(FormatError, match=r"huge\.fseq: truncated file reading frame data "
+                                          r"at byte 21: 100000 frames of 60000x60000"):
+        read_fseq(path)
+
+
+def test_fseq_header_errors_name_the_file(tmp_path):
+    path = tmp_path / "clip.fseq"
+    path.write_bytes(fseq_header(2, 1, 1, channels=4) + bytes(8))
+    with pytest.raises(FormatError, match=r"clip\.fseq: expected 3 channels, got 4"):
+        read_fseq(path)
+    path.write_bytes(b"FSEX" + bytes(20))
+    with pytest.raises(FormatError, match=r"clip\.fseq: bad magic"):
+        read_fseq(path)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_fseq_truncated_or_padded_anywhere_fails_naming_the_file(tmp_path_factory, count,
+                                                                 height, width, data):
+    rng = np.random.default_rng(count * 25 + height * 5 + width)
+    seq = FrameSequence(rng.integers(0, 256, (count, height, width, 3), dtype=np.uint8))
+    path = tmp_path_factory.mktemp("fseq") / "clip.fseq"
+    write_fseq(path, seq)
+    blob = path.read_bytes()
+    keep = data.draw(st.integers(0, len(blob) - 1), label="keep")
+    path.write_bytes(blob[:keep])
+    with pytest.raises(FormatError, match=r"clip\.fseq: truncated file reading .* at byte \d+"):
+        read_fseq(path)
+    path.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=9), label="extra"))
+    with pytest.raises(FormatError, match=rf"clip\.fseq: trailing bytes at byte {len(blob)}$"):
+        read_fseq(path)
+    path.write_bytes(blob)
+    assert np.array_equal(read_fseq(path).frames, seq.frames)
