@@ -68,14 +68,20 @@ class Tensor:
 
     def _accumulate(self, piece: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += piece
+            # one pass into a buffer the tensor owns, with the values of
+            # zeros + piece: a -0 becomes +0 and the piece is cast to our dtype
+            self.grad = np.add(piece, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += piece
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with requires_grad.
+        """Populate ``grad`` on every reachable leaf tensor with requires_grad.
 
-        Raises if this tensor recorded no operation (a leaf, a result of
-        constants, or one computed under no_grad): there is nothing to replay.
+        The gradient of each intermediate tensor is dropped as soon as its
+        rule has run, so ``grad`` is None on every non-leaf afterwards
+        (PyTorch's retain_graph=False). Raises if this tensor recorded no
+        operation (a leaf, a result of constants, or one computed under
+        no_grad): there is nothing to replay.
         """
         if self._backward is None:
             raise RuntimeError("backward() on a tensor that recorded no operation "
@@ -97,6 +103,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- conveniences -------------------------------------------------
 

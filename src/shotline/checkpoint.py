@@ -1,6 +1,8 @@
 """Bit-exact persistence for named model parameters (STLN container)."""
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -35,24 +37,40 @@ def save_checkpoint(path, params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as name -> float32 ndarray, preserving order."""
+    """Read a checkpoint back as name -> float32 ndarray, preserving order.
+
+    A malformed file raises FormatError naming it. Each parameter's
+    declared size is checked, in exact integers, against the bytes left in
+    the file before its values are read.
+    """
     params: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        expect_magic(fh, MAGIC)
-        expect_version(fh, VERSION)
-        (count,) = read_struct(fh, "<I", "parameter count")
-        for _ in range(count):
-            (name_len,) = read_struct(fh, "<H", "name length")
-            name = read_exact(fh, name_len, "parameter name").decode("utf-8")
-            (rank,) = read_struct(fh, "<B", "rank")
-            shape = tuple(read_struct(fh, "<I", "dimension")[0] for _ in range(rank))
-            n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = read_exact(fh, n * 4, f"values of {name!r}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-            if name in params:
-                raise FormatError(f"duplicate parameter name {name!r}")
-            params[name] = arr.astype(np.float32)
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"trailing bytes at byte {fh.tell() - 1}")
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            expect_magic(fh, MAGIC)
+            expect_version(fh, VERSION)
+            (count,) = read_struct(fh, "<I", "parameter count")
+            for _ in range(count):
+                (name_len,) = read_struct(fh, "<H", "name length")
+                offset = fh.tell()
+                try:
+                    name = read_exact(fh, name_len, "parameter name").decode("utf-8")
+                except UnicodeDecodeError:
+                    raise FormatError(f"parameter name at byte {offset} is not UTF-8") from None
+                (rank,) = read_struct(fh, "<B", "rank")
+                shape = tuple(read_struct(fh, "<I", "dimension")[0] for _ in range(rank))
+                offset, nbytes = fh.tell(), 4 * math.prod(shape)
+                if nbytes > size - offset:
+                    raise FormatError(f"truncated file reading values of {name!r} at byte "
+                                      f"{offset}: shape {shape} needs {nbytes} bytes, "
+                                      f"{size - offset} left")
+                payload = read_exact(fh, nbytes, f"values of {name!r}")
+                if name in params:
+                    raise FormatError(f"duplicate parameter name {name!r}")
+                values = np.frombuffer(payload, dtype="<f4").reshape(shape)
+                params[name] = values.astype(np.float32)
+            if fh.read(1):
+                raise FormatError(f"trailing bytes at byte {fh.tell() - 1}")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return params

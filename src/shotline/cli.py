@@ -192,12 +192,25 @@ def _tag_config(config: dict) -> tags.TagTrainConfig:
 
 
 def _curves(history: dict, validated: bool) -> dict:
-    """Manifest entries for a training history: each epoch's loss, plus its
-    validation accuracy when a validation set was given."""
-    curves = {"epoch_loss": history["loss"]}
+    """Manifest entries for a training history: each epoch's loss, seconds
+    and training examples per second, plus its validation accuracy when a
+    validation set was given."""
+    curves = {"epoch_loss": history["loss"], "epoch_s": history["epoch_s"],
+              "examples_per_s": history["examples_per_s"]}
     if validated:
         curves["epoch_val_accuracy"] = history["val_accuracy"]
     return curves
+
+
+def _from_checkpoint(path, build):
+    """build(state) for the checkpoint at path. A state the model rejects (a
+    missing entry, a wrong shape, a non-finite weight) raises ValueError
+    naming the file; the reader already names it for a malformed file."""
+    state = load_checkpoint(path)
+    try:
+        return build(state)
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: {exc.args[0] if exc.args else exc}") from None
 
 
 def _provider(args, config):
@@ -292,9 +305,8 @@ def cmd_eval_tags(args, config):
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
     store = read_shtf(args.features)
-    state = load_checkpoint(args.model)
-    model = tags.TagModel.from_state(state, vocabulary)
-    lstm = tags.TagLstm.from_state(state, vocabulary)
+    model, lstm = _from_checkpoint(args.model, lambda state: (
+        tags.TagModel.from_state(state, vocabulary), tags.TagLstm.from_state(state, vocabulary)))
     by_id = {e.video_id: e for e in entries}
     if args.split:
         split = corpus.CorpusSplit.load(args.split)
@@ -386,7 +398,7 @@ def cmd_eval_temporal(args, config):
     store = read_shtf(args.features)
     questions = temporal.read_questions(args.questions)
     if args.model:
-        model = temporal.NextShotModel.from_state(load_checkpoint(args.model))
+        model = _from_checkpoint(args.model, temporal.NextShotModel.from_state)
     else:
         model = temporal.NextShotModel(
             store.dim, config["hidden_dim"], _widths(config["scorer_widths"]),
@@ -434,7 +446,7 @@ def cmd_eval_qa(args, config):
     store = read_shtf(args.features)
     items = qa.read_qa_items(args.items)
     provider = _provider(args, config)
-    model = qa.QaModel.from_state(load_checkpoint(args.model))
+    model = _from_checkpoint(args.model, qa.QaModel.from_state)
     accuracy = qa.evaluate_qa(model, items, provider, store)
     tags.write_metrics(args.metrics, {"qa.accuracy": accuracy})
     print(f"metric\tqa.accuracy\t{accuracy:.6f}", file=sys.stderr)
@@ -446,7 +458,7 @@ def cmd_eval_qa(args, config):
 def cmd_retrieve(args, config):
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     store = read_shtf(args.features)
-    model = tags.TagModel.from_state(load_checkpoint(args.model), vocabulary)
+    model = _from_checkpoint(args.model, lambda state: tags.TagModel.from_state(state, vocabulary))
     series = tags.shot_tag_response(model, args.video_id, store.sequence(args.video_id),
                                     args.tag)
     with open(args.output, "w", encoding="utf-8") as fh:

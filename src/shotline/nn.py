@@ -100,7 +100,7 @@ def pooling_matrix(lengths, steps: int, mode: str) -> np.ndarray:
 
 
 class RowMlp:
-    """Weight-shared per-row scorer: each input row maps to one scalar.
+    """Weight-shared pair scorer: each [context | candidate] row maps to one scalar.
 
     Hidden layers use tanh; the final layer is linear. Applying the same
     weights to every row is what makes candidate scoring order-equivariant.
@@ -115,14 +115,30 @@ class RowMlp:
             b = Tensor(np.zeros(widths[i + 1], dtype=np.float32), requires_grad=True)
             self.layers.append((w, b))
 
-    def scores(self, rows: Tensor) -> Tensor:
-        """Map (r, input_dim) rows to (r, 1) scores."""
-        out = rows
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            out = ad.add(ad.matmul(out, w), b)
-            if i != last:
-                out = ad.tanh(out)
+    def scores(self, context: Tensor, candidates: Tensor) -> Tensor:
+        """Score (q * n, d) candidate rows, n per context row in order, against
+        their (q, c) context rows; c + d is input_dim. Returns (q * n, 1).
+
+        The first layer is applied in factored form,
+        repeat_rows(context @ W[:c], n) + candidates @ W[c:] + b, so each
+        context row is multiplied once rather than once per candidate.
+        """
+        w, b = self.layers[0]
+        if context.data.ndim != 2 or candidates.data.ndim != 2:
+            raise ValueError(f"scores expects matrices, got {context.data.shape} "
+                             f"and {candidates.data.shape}")
+        (q, c), (rows, d) = context.data.shape, candidates.data.shape
+        if c + d != w.data.shape[0]:
+            raise ValueError(f"context width {c} plus candidate width {d} is not the "
+                             f"scorer's input width {w.data.shape[0]}")
+        if q == 0 or rows % q:
+            raise ValueError(f"{rows} candidate rows do not split evenly over "
+                             f"{q} context rows")
+        per_context = ad.repeat_rows(ad.matmul(context, ad.slice_rows(w, 0, c)), rows // q)
+        per_candidate = ad.matmul(candidates, ad.slice_rows(w, c, c + d))
+        out = ad.add(ad.add(per_context, per_candidate), b)
+        for w, b in self.layers[1:]:
+            out = ad.add(ad.matmul(ad.tanh(out), w), b)
         return out
 
     def parameters(self) -> dict:
@@ -141,7 +157,11 @@ class RowMlp:
 
 
 def assign_parameters(params: dict, state: dict) -> None:
-    """Copy every named parameter's value out of a state dict, checking shapes."""
+    """Copy every named parameter's value out of a state dict, checking shapes.
+
+    A NaN or infinite value raises ValueError naming the entry, so a
+    corrupt state cannot load and score silently.
+    """
     for name, tensor in params.items():
         if name not in state:
             raise KeyError(f"model state has no {name!r}")
@@ -149,6 +169,11 @@ def assign_parameters(params: dict, state: dict) -> None:
         if value.shape != tensor.data.shape:
             raise ValueError(f"{name!r} has shape {value.shape}, "
                              f"the model expects {tensor.data.shape}")
+        bad = ~np.isfinite(value)
+        if bad.any():
+            first = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"{name!r} holds {int(bad.sum())} non-finite value(s), "
+                             f"the first at index {first}")
         tensor.data[...] = value
 
 

@@ -7,6 +7,7 @@ a softmax over the choices gives the answer distribution.
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -151,9 +152,8 @@ class QaModel:
         """(batch, n) answer distributions from stacked per-item arrays."""
         batch, n, _ = answer_vecs.shape
         base = np.concatenate([clips, question_vecs], axis=1).astype(np.float32)
-        rows = ad.concat_cols(ad.repeat_rows(Tensor(base), n),
-                              Tensor(answer_vecs.reshape(batch * n, -1).astype(np.float32)))
-        scores = self.scorer.scores(rows)
+        scores = self.scorer.scores(
+            Tensor(base), Tensor(answer_vecs.reshape(batch * n, -1).astype(np.float32)))
         return ad.softmax_rows(ad.reshape(scores, (batch, n)))
 
     def parameters(self) -> dict:
@@ -195,18 +195,24 @@ class QaTrainConfig:
 def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
              config: QaTrainConfig, seed: int,
              val_items: list[QaItem] | None = None) -> tuple[QaModel, dict]:
-    """SGD on the answer NLL with early stopping on validation accuracy."""
+    """SGD on the answer NLL with early stopping on validation accuracy.
+
+    The history holds each epoch's mean loss, its seconds (validation
+    included) and the training examples per second of its SGD pass, plus
+    each validation accuracy.
+    """
     if not train_items:
         raise ValueError("train_qa: empty training set")
     model = QaModel(store.dim, provider.dim, config.scorer_widths,
                     seed=derive_rng(seed, "qa.init").integers(2**32))
     optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
     clips, questions, answers, targets = _item_arrays(train_items, provider, store)
-    history = {"loss": [], "val_accuracy": []}
+    history = {"loss": [], "epoch_s": [], "examples_per_s": [], "val_accuracy": []}
     best_val = -1.0
     best_state = None
     stale = 0
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         order = derive_rng(seed, "qa.epoch", epoch).permutation(len(train_items))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
@@ -219,6 +225,7 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
             optimizer.step()
             epoch_loss += value * idx.size
         history["loss"].append(epoch_loss / len(train_items))
+        history["examples_per_s"].append(len(train_items) / (time.perf_counter() - started))
         if val_items is not None:
             acc = evaluate_qa(model, val_items, provider, store)
             history["val_accuracy"].append(acc)
@@ -228,8 +235,9 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
                 stale = 0
             else:
                 stale += 1
-                if stale >= config.patience:
-                    break
+        history["epoch_s"].append(time.perf_counter() - started)
+        if val_items is not None and stale >= config.patience:
+            break
     if best_state is not None:
         model = QaModel.from_state(best_state)
     return model, history

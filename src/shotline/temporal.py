@@ -8,6 +8,7 @@ no annotation beyond the shot order itself is needed.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +196,7 @@ class NextShotModel:
         u = self.encode_context_batch(contexts)
         scaled = (np.asarray(candidates, dtype=np.float32).reshape(-1, self.feature_dim)
                   * np.float32(self.input_scale))
-        scores = self.scorer.scores(ad.concat_cols(ad.repeat_rows(u, n), Tensor(scaled)))
+        scores = self.scorer.scores(u, Tensor(scaled))
         return ad.softmax_rows(ad.reshape(scores, (batch, n)))
 
     def parameters(self) -> dict:
@@ -218,10 +219,13 @@ class NextShotModel:
         load with input_scale 1 and "final" pooling."""
         feature_dim, hidden_dim = lstm_dims(state, "nextshot.lstm.weights")
         _, widths = mlp_dims(state, "nextshot.")
+        input_scale = float(np.asarray(state.get("nextshot.input_scale", 1.0)))
+        if not np.isfinite(input_scale):
+            raise ValueError(f"'nextshot.input_scale' is {input_scale}")
         model = cls(feature_dim, hidden_dim, widths,
                     context_pooling=read_choice(state, "nextshot.context_pooling",
                                                 CONTEXT_POOLINGS),
-                    input_scale=float(np.asarray(state.get("nextshot.input_scale", 1.0))))
+                    input_scale=input_scale)
         assign_parameters(model.parameters(), state)
         return model
 
@@ -272,7 +276,9 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
     """SGD on the negative log-probability of the correct candidate.
 
     With a validation set, the model from the best validation epoch is
-    restored at the end.
+    restored at the end. The history holds each epoch's mean loss, its
+    seconds (validation included) and the training examples per second of
+    its SGD pass, plus each validation accuracy.
     """
     if not questions:
         raise ValueError("train_next_shot: empty question set")
@@ -284,10 +290,11 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
     context_rows, candidate_rows = _question_rows(questions, store)
     targets = np.array([q.correct_index for q in questions], dtype=np.int64)
     matrix = store.matrix
-    history = {"loss": [], "val_accuracy": []}
+    history = {"loss": [], "epoch_s": [], "examples_per_s": [], "val_accuracy": []}
     best_val = -1.0
     best_state = None
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         order = derive_rng(seed, "nextshot.epoch", epoch).permutation(len(questions))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
@@ -301,12 +308,14 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
             optimizer.step()
             epoch_loss += value * len(batch)
         history["loss"].append(epoch_loss / len(questions))
+        history["examples_per_s"].append(len(questions) / (time.perf_counter() - started))
         if val_questions:
             acc = evaluate_accuracy(model, val_questions, store)[0]
             history["val_accuracy"].append(acc)
             if acc > best_val:
                 best_val = acc
                 best_state = model.state()
+        history["epoch_s"].append(time.perf_counter() - started)
     if best_state is not None:
         model = NextShotModel.from_state(best_state)
     return model, history

@@ -115,8 +115,7 @@ def _next_shot_case(rng):
         h, c = Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6)))
         for x in ctx:
             h, c = cell.step(x, h, c)
-        rows = ad.concat_cols(ad.repeat_rows(h, 3), cands)
-        return ad.nll_loss(ad.softmax_rows(ad.reshape(mlp.scores(rows), (1, 3))), [target])
+        return ad.nll_loss(ad.softmax_rows(ad.reshape(mlp.scores(h, cands), (1, 3))), [target])
 
     return build, params
 
@@ -134,8 +133,8 @@ def _qa_case(rng):
     target = int(rng.integers(3))
 
     def build():
-        rows = ad.concat_cols(ad.repeat_rows(base, 3), answers)
-        return ad.nll_loss(ad.softmax_rows(ad.reshape(mlp.scores(rows), (1, 3))), [target])
+        return ad.nll_loss(ad.softmax_rows(ad.reshape(mlp.scores(base, answers), (1, 3))),
+                           [target])
 
     return build, params
 

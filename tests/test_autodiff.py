@@ -9,7 +9,7 @@ from shotline import autodiff as ad
 from shotline.autodiff import SgdOptimizer, Tensor, finite_difference_gradient
 from shotline.nn import pooling_matrix
 
-from _util import check_gradients, rel_err
+from _util import check_gradients, rel_err, use_reference_engine
 
 
 def t64(values, requires_grad=True):
@@ -459,3 +459,56 @@ def test_backward_is_bitwise_deterministic():
     gx1, gw1 = run()
     gx2, gw2 = run()
     assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+
+# -- gradient buffers ---------------------------------------------------------------
+
+@pytest.mark.parametrize("data, piece", [
+    pytest.param(np.ones(4, dtype=np.float32),
+                 np.array([-0.0, 0.0, -1.5, 2.0], dtype=np.float32), id="negative-zero"),
+    pytest.param(np.ones((3, 4), dtype=np.float32),
+                 np.broadcast_to(np.array([-0.0, 0.25, -3.0, 7.5], dtype=np.float32), (3, 4)),
+                 id="broadcast"),
+    pytest.param(np.ones((2, 3), dtype=np.float32),
+                 np.array([[0.1, -0.0, 1e-46], [1 / 3, -1e38, 5e-324]], dtype=np.float64),
+                 id="float64-into-float32"),
+    pytest.param(np.ones((2, 2), dtype=np.float64),
+                 np.array([[0.1, -0.0], [1e-45, -3.4e38]], dtype=np.float32),
+                 id="float32-into-float64"),
+])
+def test_first_accumulate_equals_zeros_plus_piece(data, piece):
+    expected = np.zeros_like(data)
+    expected += piece
+    t = Tensor(data)
+    t._accumulate(piece)
+    assert t.grad.dtype == data.dtype and t.grad.shape == data.shape
+    assert t.grad.tobytes() == expected.tobytes()
+    assert not np.shares_memory(t.grad, piece)
+    t._accumulate(piece)
+    expected += piece
+    assert t.grad.tobytes() == expected.tobytes()
+
+
+def _mlp_loss(rng):
+    x = Tensor(rng.normal(0, 1, (5, 4)).astype(np.float32), requires_grad=True)
+    w1 = Tensor(rng.normal(0, 1, (4, 6)).astype(np.float32), requires_grad=True)
+    b1 = Tensor(rng.normal(0, 1, 6).astype(np.float32), requires_grad=True)
+    w2 = Tensor(rng.normal(0, 1, (6, 3)).astype(np.float32), requires_grad=True)
+    hidden = ad.tanh(ad.add(ad.matmul(x, w1), b1))
+    # hidden feeds two branches, so its gradient is accumulated twice
+    logits = ad.add(ad.matmul(hidden, w2), ad.matmul(ad.scale(hidden, 0.5), w2))
+    loss = ad.nll_loss(ad.softmax_rows(logits), [0, 2, 1, 1, 0])
+    return loss, [x, w1, b1, w2], [hidden, logits, loss]
+
+
+def test_backward_frees_intermediate_gradients_and_keeps_leaf_ones(monkeypatch):
+    loss, leaves, inner = _mlp_loss(np.random.default_rng(5))
+    loss.backward()
+    assert all(t.grad is None for t in inner)
+    got = [p.grad.copy() for p in leaves]
+    use_reference_engine(monkeypatch)
+    loss, leaves, inner = _mlp_loss(np.random.default_rng(5))
+    loss.backward()
+    assert all(t.grad is not None for t in inner)
+    for g, p in zip(got, leaves):
+        assert g.tobytes() == p.grad.tobytes()

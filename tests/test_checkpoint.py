@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,3 +73,71 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(FormatError, match="trailing"):
         load_checkpoint(path)
+
+
+def stln_entry(name: bytes, dims, payload: bytes = b"") -> bytes:
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+            + b"".join(struct.pack("<I", d) for d in dims) + payload)
+
+
+def test_huge_declared_shape_fails_before_reading(tmp_path):
+    path = tmp_path / "huge.stln"
+    path.write_bytes(b"STLN" + struct.pack("<II", 1, 1)
+                     + stln_entry(b"w", (0xFFFFFFFF, 0xFFFFFFFF), bytes(16)))
+    with pytest.raises(FormatError, match=r"^.*huge\.stln: truncated file reading values of "
+                                          r"'w' at byte 24: shape \(4294967295, 4294967295\) "
+                                          r"needs 73786976260478468100 bytes, 16 left$"):
+        load_checkpoint(path)
+
+
+def test_truncation_names_the_file_field_and_byte(tmp_path):
+    # layout: magic 0-3, version 4-7, count 8-11, name length 12-13, name 14,
+    # rank 15, dims 16-23, values 24-47
+    path = tmp_path / "model.stln"
+    save_checkpoint(path, {"w": np.ones((2, 3), dtype=np.float32)})
+    blob = path.read_bytes()
+    assert len(blob) == 48
+    path.write_bytes(blob[:30])
+    with pytest.raises(FormatError, match=r"model\.stln: truncated file reading values of 'w' "
+                                          r"at byte 24: shape \(2, 3\) needs 24 bytes, 6 left$"):
+        load_checkpoint(path)
+    path.write_bytes(blob[:21])
+    with pytest.raises(FormatError, match=r"model\.stln: truncated file reading dimension "
+                                          r"at byte 20$"):
+        load_checkpoint(path)
+
+
+def test_header_errors_name_the_file(tmp_path):
+    path = tmp_path / "model.stln"
+    path.write_bytes(b"STLN" + struct.pack("<II", 2, 0))
+    with pytest.raises(FormatError, match=r"model\.stln: unsupported format version 2"):
+        load_checkpoint(path)
+    path.write_bytes(b"STLN" + struct.pack("<II", 1, 1) + stln_entry(b"\xff", ()) + bytes(4))
+    with pytest.raises(FormatError, match=r"model\.stln: parameter name at byte 14 is not UTF-8"):
+        load_checkpoint(path)
+    path.write_bytes(b"STLN" + struct.pack("<II", 1, 2)
+                     + 2 * stln_entry(b"w", (1,), bytes(4)))
+    with pytest.raises(FormatError, match=r"model\.stln: duplicate parameter name 'w'"):
+        load_checkpoint(path)
+
+
+@given(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_truncated_or_padded_anywhere_fails_naming_the_file(tmp_path_factory, shapes, data):
+    rng = np.random.default_rng(len(shapes))
+    params = {f"p{i}": rng.normal(0, 1, shape).astype(np.float32)
+              for i, shape in enumerate(shapes)}
+    path = tmp_path_factory.mktemp("stln") / "model.stln"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    keep = data.draw(st.integers(0, len(blob) - 1), label="keep")
+    path.write_bytes(blob[:keep])
+    with pytest.raises(FormatError, match=r"model\.stln: truncated file reading .* at byte \d+"):
+        load_checkpoint(path)
+    path.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=9), label="extra"))
+    with pytest.raises(FormatError, match=rf"model\.stln: trailing bytes at byte {len(blob)}$"):
+        load_checkpoint(path)
+    path.write_bytes(blob)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == list(params)
+    assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)

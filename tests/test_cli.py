@@ -7,7 +7,7 @@ import pytest
 
 from shotline import corpus, qa, tags, temporal
 from shotline.autodiff import Tensor
-from shotline.checkpoint import load_checkpoint
+from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.cli import load_config, main
 from shotline.features import FeatureStore, read_shtf, write_shtf
 from shotline.frames import FrameSequence, write_fseq
@@ -228,6 +228,8 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling, val)
     row = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()][-1]
     assert row["command"] == "train-temporal" and len(row["epoch_loss"]) == 2
     assert all(np.isfinite(row["epoch_loss"]))
+    assert len(row["epoch_s"]) == len(row["examples_per_s"]) == 2
+    assert all(s > 0 for s in row["epoch_s"]) and all(r > 0 for r in row["examples_per_s"])
     if val:
         assert len(row["epoch_val_accuracy"]) == 2
         assert all(0.0 <= a <= 1.0 for a in row["epoch_val_accuracy"])
@@ -321,6 +323,57 @@ def test_non_finite_qa_loss_fails_the_command(tmp_path, capsys):
     assert any(l.startswith("error\tFloatingPointError\ttrain_qa: epoch 0, batch start ")
                and l.endswith("non-finite loss nan") for l in err)
     assert not (world / "qa.stln").exists()
+
+
+def _poison(path, name):
+    """Rewrite the checkpoint at path with one NaN in its entry name."""
+    state = load_checkpoint(path)
+    state[name].flat[1] = np.nan
+    save_checkpoint(path, state)
+
+
+def test_a_non_finite_checkpoint_weight_fails_every_loader(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=9)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=9)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 9]
+    tag_inputs = ["--vocab", world / "vocab.json", "--features", world / "features.shtf"]
+    assert run_cli(*base, "--set", "epochs=1", "--set", "tag_lstm_epochs=1", "train-tags",
+                   "--manifest", world / "manifest.jsonl", *tag_inputs,
+                   "--output", world / "tags.stln") == 0
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    assert run_cli(*base, "--set", "temporal_epochs=1", "train-temporal",
+                   "--features", world / "features.shtf", "--questions", world / "q.tsv",
+                   "--output", world / "t.stln") == 0
+    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa",
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    _poison(world / "tags.stln", "head.genre.weights")
+    _poison(world / "t.stln", "nextshot.mlp.1.weights")
+    _poison(world / "qa.stln", "qa.mlp.0.bias")
+    movie = corpus.load_manifest(world / "manifest.jsonl")[0].video_id
+    runs = {
+        "eval-tags": (["--manifest", world / "manifest.jsonl", *tag_inputs,
+                       "--model", world / "tags.stln", "--out-dir", world / "tag_eval"],
+                      world / "tags.stln", "head.genre.weights", world / "tag_eval"),
+        "retrieve": ([*tag_inputs, "--model", world / "tags.stln", "--video-id", movie,
+                      "--tag", "x", "--output", world / "s.tsv",
+                      "--ranked-output", world / "r.tsv"],
+                     world / "tags.stln", "head.genre.weights", world / "s.tsv"),
+        "eval-temporal": (["--features", world / "features.shtf", "--questions", world / "q.tsv",
+                           "--model", world / "t.stln", "--results", world / "res.tsv",
+                           "--metrics", world / "m.tsv"],
+                          world / "t.stln", "nextshot.mlp.1.weights", world / "res.tsv"),
+        "eval-qa": (["--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                     "--model", world / "qa.stln", "--metrics", world / "qa_m.tsv"],
+                    world / "qa.stln", "qa.mlp.0.bias", world / "qa_m.tsv"),
+    }
+    for command, (args, checkpoint, entry, output) in runs.items():
+        capsys.readouterr()
+        assert run_cli(*base, command, *args) == 1, command
+        assert (f"error\tValueError\t{checkpoint}: '{entry}' holds 1 non-finite value(s), "
+                f"the first at index ") in capsys.readouterr().err, command
+        assert not output.exists(), command
 
 
 def test_extract_rejects_a_shot_outside_the_clip(tmp_path, capsys):
@@ -541,6 +594,11 @@ def test_qa_hashing_fallback(tmp_path):
     assert run_cli(*base, "eval-qa", "--features", world / "features.shtf",
                    "--items", world / "qa_items.tsv", "--model", world / "qa.stln",
                    "--metrics", world / "qa_metrics.tsv") == 0
+    row = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()][-2]
+    assert row["command"] == "train-qa"
+    epochs = len(row["epoch_loss"])
+    assert epochs == len(row["epoch_val_accuracy"]) == len(row["epoch_s"]) == 2
+    assert len(row["examples_per_s"]) == epochs and min(row["examples_per_s"]) > 0
     metrics = dict(l.split("\t") for l in (world / "qa_metrics.tsv").read_text().splitlines())
     model = _copy_weights(qa.QaModel(store.dim, 16, (64, 16)), world / "qa.stln")
     items = qa.read_qa_items(world / "qa_items.tsv")

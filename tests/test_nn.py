@@ -1,0 +1,97 @@
+import numpy as np
+import pytest
+
+from shotline import autodiff as ad
+from shotline.autodiff import Tensor
+from shotline.nn import RowMlp, assign_parameters
+
+from _util import check_gradients
+
+
+def float64_scorer(rng, input_dim, widths):
+    """A RowMlp whose weights and biases are random float64 leaves."""
+    mlp = RowMlp(input_dim, widths, rng)
+    for i, (w, b) in enumerate(mlp.layers):
+        mlp.layers[i] = (Tensor(rng.normal(0, 0.5, w.data.shape), requires_grad=True),
+                         Tensor(rng.normal(0, 0.2, b.data.shape), requires_grad=True))
+    return mlp
+
+
+def concat_scores(mlp, context, candidates):
+    """The unfactored scorer: every [context | candidate] row through every layer."""
+    n = candidates.data.shape[0] // context.data.shape[0]
+    out = ad.concat_cols(ad.repeat_rows(context, n), candidates)
+    for i, (w, b) in enumerate(mlp.layers):
+        out = ad.add(ad.matmul(out, w), b)
+        if i != len(mlp.layers) - 1:
+            out = ad.tanh(out)
+    return out
+
+
+@pytest.mark.parametrize("widths", [(8, 4), (5,), ()])
+def test_factored_scores_gradients(widths):
+    # covers the context, both row slices of the first weight and every bias
+    rng = np.random.default_rng(len(widths))
+    mlp = float64_scorer(rng, 3 + 4, widths)
+    context = Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
+    candidates = Tensor(rng.normal(0, 1, (2 * 5, 4)))
+    weights = rng.normal(0, 1, (10, 1))
+
+    def loss():
+        return ad.sum_all(ad.matmul(ad.reshape(mlp.scores(context, candidates), (1, 10)),
+                                    Tensor(weights)))
+
+    params = [context] + [p for layer in mlp.layers for p in layer]
+    check_gradients(loss, params)
+
+
+@pytest.mark.parametrize("widths", [(8, 4), (6,), ()])
+def test_factored_scores_match_the_concat_form(widths):
+    rng = np.random.default_rng(40 + len(widths))
+    mlp = float64_scorer(rng, 5 + 3, widths)
+    context = Tensor(rng.normal(0, 1, (4, 5)), requires_grad=True)
+    candidates = Tensor(rng.normal(0, 1, (4 * 6, 3)), requires_grad=True)
+    weights = Tensor(rng.normal(0, 1, (24, 1)))
+    params = [context, candidates] + [p for layer in mlp.layers for p in layer]
+
+    def run(score):
+        for p in params:
+            p.grad = None
+        out = score(mlp, context, candidates)
+        ad.sum_all(ad.hadamard(out, weights)).backward()
+        return out.data.copy(), [p.grad.copy() for p in params]
+
+    got, got_grads = run(RowMlp.scores)
+    want, want_grads = run(concat_scores)
+    assert got.shape == (24, 1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_scores_reject_inputs_that_do_not_fit():
+    mlp = RowMlp(6, (4,), np.random.default_rng(0))
+    context = Tensor(np.zeros((2, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match="5 candidate rows do not split evenly over 2"):
+        mlp.scores(context, Tensor(np.zeros((5, 2), dtype=np.float32)))
+    with pytest.raises(ValueError, match="context width 4 plus candidate width 3 is not "
+                                         "the scorer's input width 6"):
+        mlp.scores(context, Tensor(np.zeros((4, 3), dtype=np.float32)))
+    with pytest.raises(ValueError, match="do not split evenly over 0"):
+        mlp.scores(Tensor(np.zeros((0, 4), dtype=np.float32)),
+                   Tensor(np.zeros((4, 2), dtype=np.float32)))
+    with pytest.raises(ValueError, match="expects matrices"):
+        mlp.scores(context, Tensor(np.zeros(12, dtype=np.float32)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assign_parameters_rejects_a_non_finite_value(bad):
+    mlp = RowMlp(3, (2,), np.random.default_rng(0))
+    state = {k: v.data.copy() for k, v in mlp.parameters().items()}
+    state["mlp.1.weights"][1, 0] = bad
+    with pytest.raises(ValueError, match=r"^'mlp.1.weights' holds 1 non-finite value\(s\), "
+                                         r"the first at index \(1, 0\)$"):
+        assign_parameters(mlp.parameters(), state)
+    state["mlp.1.weights"][1, 0] = 0.5
+    assign_parameters(mlp.parameters(), state)
+    assert mlp.layers[1][0].data[1, 0] == np.float32(0.5)

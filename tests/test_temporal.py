@@ -16,7 +16,7 @@ from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel,
                                write_results)
 from shotline.rng import derive_rng
 
-from _util import check_gradients
+from _util import check_gradients, use_reference_engine
 
 
 def filled_store(n_movies=3, shots=50, dim=6, seed=0):
@@ -255,8 +255,7 @@ def test_end_to_end_gradient_tiny_instance():
         h, c = (Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))))
         h, c = cell.step(ctx, h, c)
         h, c = cell.step(ctx2, h, c)
-        rows = ad.concat_cols(ad.repeat_rows(h, 3), cands)
-        probs = ad.softmax_rows(ad.reshape(mlp.scores(rows), (1, 3)))
+        probs = ad.softmax_rows(ad.reshape(mlp.scores(h, cands), (1, 3)))
         return ad.nll_loss(probs, [1])
 
     check_gradients(loss, [cell.weights, cell.bias, *mlp_params])
@@ -487,6 +486,34 @@ def test_training_is_deterministic(tmp_path):
     assert (tmp_path / "a.stln").read_bytes() == (tmp_path / "b.stln").read_bytes()
 
 
+def test_gradient_buffer_ownership_leaves_the_checkpoint_bytes_unchanged(tmp_path,
+                                                                         monkeypatch):
+    store = filled_store(n_movies=2, shots=40)
+    questions, _ = generate_questions(store, ["m0", "m1"], CROSS_MOVIE, mctx=4,
+                                      n_candidates=8, seed=7)
+    config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
+                                 hidden_dim=8, scorer_widths=(16, 8))
+    model, _ = train_next_shot(questions, store, config, seed=3)
+    save_checkpoint(tmp_path / "owned.stln", model.state())
+    use_reference_engine(monkeypatch)
+    model, _ = train_next_shot(questions, store, config, seed=3)
+    save_checkpoint(tmp_path / "zero_filled.stln", model.state())
+    assert (tmp_path / "owned.stln").read_bytes() == (tmp_path / "zero_filled.stln").read_bytes()
+
+
+def test_training_history_times_every_epoch():
+    store = filled_store(n_movies=2, shots=40)
+    questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
+                                      n_candidates=8, seed=7)
+    config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
+                                 hidden_dim=8, scorer_widths=(16, 8))
+    _, history = train_next_shot(questions, store, config, seed=3, val_questions=questions)
+    assert len(history["epoch_s"]) == len(history["examples_per_s"]) == 3
+    for seconds, rate in zip(history["epoch_s"], history["examples_per_s"]):
+        # the rate covers the SGD pass only; the epoch also runs validation
+        assert seconds > 0 and rate * seconds > len(questions)
+
+
 def test_model_state_round_trip(tmp_path):
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5)
     save_checkpoint(tmp_path / "m.stln", model.state())
@@ -527,6 +554,14 @@ def test_checkpoint_without_pooling_loads_as_final():
     assert restored.input_scale == 1.0
     state["nextshot.context_pooling"] = np.float32(7)
     with pytest.raises(ValueError, match="context_pooling code"):
+        NextShotModel.from_state(state)
+
+
+def test_from_state_rejects_a_non_finite_input_scale():
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
+    state = model.state()
+    state["nextshot.input_scale"] = np.float32(np.nan)
+    with pytest.raises(ValueError, match="^'nextshot.input_scale' is nan$"):
         NextShotModel.from_state(state)
 
 
