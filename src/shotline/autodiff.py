@@ -131,20 +131,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(a.data @ b.data, (a, b), backward)
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Column-wise mean of a 2-d tensor; gradient spreads 1/r to every row."""
-    if x.data.ndim != 2:
-        raise ValueError(f"mean_rows expects a matrix, got shape {x.data.shape}")
-    rows = x.data.shape[0]
-    if rows == 0:
-        raise ValueError("mean_rows: empty input (0 rows)")
-
-    def backward(g):
-        x._accumulate(np.broadcast_to(g / rows, x.data.shape))
-
-    return Tensor._result(x.data.mean(axis=0), (x,), backward)
-
-
 def softmax_rows(x: Tensor) -> Tensor:
     """Numerically stable row softmax of a 2-d tensor."""
     if x.data.ndim != 2:
@@ -307,22 +293,6 @@ def repeat_rows(x: Tensor, times: int) -> Tensor:
     return Tensor._result(np.repeat(x.data, times, axis=0), (x,), backward)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-d tensors into a matrix, one per row."""
-    if not tensors:
-        raise ValueError("stack_rows: empty input")
-    for t in tensors:
-        if t.data.ndim != 1 or t.data.shape != tensors[0].data.shape:
-            raise ValueError("stack_rows: all inputs must be equal-length vectors")
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(g[i])
-
-    return Tensor._result(np.stack([t.data for t in tensors]), tuple(tensors), backward)
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError(f"slice_rows expects a matrix, got shape {x.data.shape}")
@@ -397,22 +367,26 @@ def lstm_sequence(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         g = g.transpose(1, 0, 2)
-        d_gates = np.empty_like(gates)
+        # all steps' activation derivatives before the loop multiplies in the
+        # upstream terms: s(1 - s) and 1 - cand^2 in d_gates, and 1 - tanh(c)^2
+        d_gates = np.subtract(1.0, gates)
+        d_gates[:, :, :h3] *= gates[:, :, :h3]
+        np.multiply(gates[:, :, h3:], gates[:, :, h3:], out=d_gates[:, :, h3:])
+        np.subtract(1.0, d_gates[:, :, h3:], out=d_gates[:, :, h3:])
+        d_tanh_c = 1.0 - tanh_cells * tanh_cells
         dh = np.zeros((batch, hidden), dtype=gates.dtype)
         dc = np.zeros_like(dh)
         for t in range(steps - 1, -1, -1):
-            z, dz, tanh_c = gates[t], d_gates[t], tanh_cells[t]
+            z, dz = gates[t], d_gates[t]
             dh += g[t]
-            dc += dh * z[:, 2 * hidden:h3] * (1.0 - tanh_c * tanh_c)
-            # the three sigmoid gates: upstream gradient times s * (1 - s)
-            np.multiply(dc, z[:, h3:], out=dz[:, :hidden])
+            dc += dh * z[:, 2 * hidden:h3] * d_tanh_c[t]
+            dz[:, :hidden] *= dc * z[:, h3:]
             if t:
-                np.multiply(dc, cells[t - 1], out=dz[:, hidden:2 * hidden])
+                dz[:, hidden:2 * hidden] *= dc * cells[t - 1]
             else:
                 dz[:, hidden:2 * hidden] = 0.0
-            np.multiply(dh, tanh_c, out=dz[:, 2 * hidden:h3])
-            dz[:, :h3] *= z[:, :h3] * (1.0 - z[:, :h3])
-            np.multiply(dc * z[:, :hidden], 1.0 - z[:, h3:] * z[:, h3:], out=dz[:, h3:])
+            dz[:, 2 * hidden:h3] *= dh * tanh_cells[t]
+            dz[:, h3:] *= dc * z[:, :hidden]
             if t:
                 dh = dz @ w_h.T
                 dc *= z[:, hidden:2 * hidden]

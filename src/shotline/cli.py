@@ -298,7 +298,7 @@ def cmd_train_tags(args, config):
     print(f"train-tags\t{len(train_entries)} videos\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.manifest, args.vocab, args.features] + ([args.split] if args.split else [])
-    return inputs, [args.output], {"epoch_loss": history["loss"]}
+    return inputs, [args.output], _curves(history, False)
 
 
 def cmd_eval_tags(args, config):

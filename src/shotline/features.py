@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import struct
-import sys
 
 import numpy as np
 
@@ -39,27 +38,22 @@ class FeatureStore:
         self._video_rows: dict[str, list[int]] = {}  # rows of each video, in add order
         self._ordered: dict[str, np.ndarray] = {}    # the same rows in ordinal order
 
-    def _index(self, video_id: str, ordinal: int) -> int:
-        """Claim the next row for a new key; the caller fills the row."""
-        key = (video_id, ordinal)
-        if key in self._row_of:
-            raise ValueError(f"duplicate feature record {key}")
-        row = len(self._keys)
-        self._keys.append(key)
-        self._row_of[key] = row
-        self._video_rows.setdefault(video_id, []).append(row)
-        self._ordered.pop(video_id, None)
-        return row
-
     def add(self, video_id: str, ordinal: int, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float32)
         if values.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
-        if len(self._keys) == len(self._buffer):
-            grown = np.empty((max(64, 2 * len(self._buffer)), self.dim), dtype=np.float32)
-            grown[:len(self._keys)] = self._buffer[:len(self._keys)]
+        key, row = (video_id, ordinal), len(self._keys)
+        if key in self._row_of:
+            raise ValueError(f"duplicate feature record {key}")
+        if row == len(self._buffer):
+            grown = np.empty((max(64, 2 * row), self.dim), dtype=np.float32)
+            grown[:row] = self._buffer[:row]
             self._buffer = grown
-        self._buffer[self._index(video_id, ordinal)] = values
+        self._buffer[row] = values
+        self._keys.append(key)
+        self._row_of[key] = row
+        self._video_rows.setdefault(video_id, []).append(row)
+        self._ordered.pop(video_id, None)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -85,8 +79,8 @@ class FeatureStore:
     def shot_count(self, video_id: str) -> int:
         return len(self._video_rows.get(video_id, ()))
 
-    def sequence(self, video_id: str) -> np.ndarray:
-        """All shot features of a video in ordinal order, shape (n, dim)."""
+    def sequence_rows(self, video_id: str) -> np.ndarray:
+        """Matrix rows of a video's shots in ordinal order, as an int64 array."""
         rows = self._ordered.get(video_id)
         if rows is None:
             added = self._video_rows.get(video_id)
@@ -94,7 +88,11 @@ class FeatureStore:
                 raise KeyError(f"no features for video {video_id!r}")
             rows = np.array(sorted(added, key=lambda r: self._keys[r][1]), dtype=np.int64)
             self._ordered[video_id] = rows
-        return self._buffer[rows]
+        return rows
+
+    def sequence(self, video_id: str) -> np.ndarray:
+        """All shot features of a video in ordinal order, shape (n, dim)."""
+        return self._buffer[self.sequence_rows(video_id)]
 
     def video_ids(self) -> list[str]:
         return list(self._video_rows)
@@ -125,48 +123,71 @@ def write_shtf(path, store: FeatureStore) -> None:
                      + payloads[row].tobytes())
 
 
-def _truncated(what: str, offset: int) -> FormatError:
-    return FormatError(f"truncated file reading {what} at byte {offset}")
+def _video_id(data: bytes, offset: int, size: int) -> str:
+    try:
+        return data[offset:offset + size].decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"video id at byte {offset} is not UTF-8") from None
 
 
 def read_shtf(path) -> FeatureStore:
-    """One read of the whole file; the record headers are walked in place and
-    each payload is copied into a preallocated matrix."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = io.BytesIO(data)
-    expect_magic(header, MAGIC)
-    expect_version(header, VERSION)
-    (dim,) = read_struct(header, "<I", "feature dimension")
-    (count,) = read_struct(header, "<Q", "record count")
-    pos, end = header.tell(), len(data)
-    payload_size = dim * 4
-    store = FeatureStore(dim)
-    # a corrupt count cannot allocate more rows than the remaining bytes could hold
-    store._buffer = np.empty((min(count, (end - pos) // (6 + payload_size)), dim),
-                             dtype=np.float32)
-    target = memoryview(store._buffer.view(np.uint8).reshape(-1))
-    source = memoryview(data)
-    for _ in range(count):
-        if pos + 2 > end:
-            raise _truncated("video id length", pos)
-        (id_len,) = _ID_LEN.unpack_from(data, pos)
-        pos += 2
-        if pos + id_len > end:
-            raise _truncated("video id", pos)
-        video_id = data[pos:pos + id_len].decode("utf-8")
-        pos += id_len
-        if pos + 4 > end:
-            raise _truncated("shot ordinal", pos)
-        (ordinal,) = _ORDINAL.unpack_from(data, pos)
-        pos += 4
-        if pos + payload_size > end:
-            raise _truncated(f"features of {video_id}#{ordinal}", pos)
-        start = store._index(video_id, ordinal) * payload_size
-        target[start:start + payload_size] = source[pos:pos + payload_size]
-        pos += payload_size
-    if pos < end:
-        raise FormatError(f"trailing bytes at byte {pos}")
-    if sys.byteorder == "big":
-        store._buffer.byteswap(inplace=True)
+    """Load an SHTF store; a malformed file raises FormatError naming it, with
+    the first error in file order. After field-by-field checks of one record
+    header, it and every following whole record with the same id length are
+    viewed in place as one structured array (a run)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        header = io.BytesIO(data)
+        expect_magic(header, MAGIC)
+        expect_version(header, VERSION)
+        (dim,) = read_struct(header, "<I", "feature dimension")
+        (count,) = read_struct(header, "<Q", "record count")
+        pos, end = header.tell(), len(data)
+        store = FeatureStore(dim)
+        # a corrupt count cannot allocate more rows than the remaining bytes could hold
+        matrix = np.empty((min(count, (end - pos) // (6 + 4 * dim)), dim), dtype=np.float32)
+        keys, video_rows = store._keys, store._video_rows
+        try:
+            while len(keys) < count:
+                if pos + 2 > end:
+                    raise FormatError(f"truncated file reading video id length at byte {pos}")
+                (id_len,) = _ID_LEN.unpack_from(data, pos)
+                if pos + 2 + id_len > end:
+                    raise FormatError(f"truncated file reading video id at byte {pos + 2}")
+                video_id, at = _video_id(data, pos + 2, id_len), pos + 2 + id_len
+                if at + 4 > end:
+                    raise FormatError(f"truncated file reading shot ordinal at byte {at}")
+                if at + 4 + 4 * dim > end:
+                    (ordinal,) = _ORDINAL.unpack_from(data, at)
+                    raise FormatError(f"truncated file reading features of {video_id}#{ordinal} "
+                                      f"at byte {at + 4}")
+                # every whole record up to the first with another id length; the id
+                # is raw bytes, since an "S" field would drop trailing NULs
+                record = np.dtype([("id_len", "<u2"), ("id", "u1", (id_len,)),
+                                   ("ordinal", "<u4"), ("features", "<f4", (dim,))])
+                run = np.frombuffer(data, record,
+                                    min(count - len(keys), (end - pos) // record.itemsize), pos)
+                run = run[:np.argmax(np.append(run["id_len"] != id_len, True))]
+                row = len(keys)
+                matrix[row:row + len(run)] = run["features"]
+                # the run's records fall into stretches of one video id each
+                starts = [0, *np.flatnonzero((run["id"][1:] != run["id"][:-1]).any(axis=1)) + 1]
+                for start, stop in zip(starts, starts[1:] + [len(run)]):
+                    if start:
+                        video_id = _video_id(data, pos + start * record.itemsize + 2, id_len)
+                    keys.extend((video_id, o) for o in run["ordinal"][start:stop].tolist())
+                    video_rows.setdefault(video_id, []).extend(range(row + start, row + stop))
+                pos += len(run) * record.itemsize
+            if pos < end:
+                raise FormatError(f"trailing bytes at byte {pos}")
+        finally:  # a duplicate record comes before any later error
+            store._row_of = dict(zip(keys, range(len(keys))))
+            if len(store._row_of) != len(keys):
+                seen = set()
+                raise ValueError(f"duplicate feature record "
+                                 f"{next(k for k in keys if k in seen or seen.add(k))}")
+    except ValueError as exc:  # a FormatError, a duplicate record or a zero dimension
+        raise FormatError(f"{path}: {exc}") from None
+    store._buffer = matrix
     return store

@@ -9,6 +9,7 @@ shots.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,12 @@ class _TagHeads:
     def keyword_logits(self, feats: Tensor) -> Tensor:
         return ad.add(ad.matmul(feats, self.keyword_w), self.keyword_b)
 
+    def head_logits(self, feats: Tensor, batch: int) -> tuple[Tensor, Tensor | None]:
+        """Genre logits of feats' first batch rows; keyword logits of the rest, if any."""
+        genre, rows = self.genre_logits(ad.slice_rows(feats, 0, batch)), feats.data.shape[0]
+        keyword = self.keyword_logits(ad.slice_rows(feats, batch, rows)) if rows > batch else None
+        return genre, keyword
+
     def _head_parameters(self, prefix: str) -> dict:
         return {f"{prefix}head.genre.weights": self.genre_w,
                 f"{prefix}head.genre.bias": self.genre_b,
@@ -89,9 +96,10 @@ class TagModel(_TagHeads):
     def project(self, rows: Tensor) -> Tensor:
         return ad.matmul(rows, self.projection) if self.projection is not None else rows
 
-    def video_feature(self, shot_rows: np.ndarray) -> Tensor:
-        """Pool sampled shot descriptors into one trainable video feature."""
-        return ad.mean_rows(self.project(Tensor(shot_rows)))
+    def batch_logits(self, pooled: np.ndarray, kw_rows: list[int]) -> tuple[Tensor, Tensor | None]:
+        """head_logits of pooled shot means and their kw_rows, projected after pooling."""
+        return self.head_logits(self.project(Tensor(np.concatenate([pooled, pooled[kw_rows]]))),
+                                pooled.shape[0])
 
     def _scores_np(self, logits: np.ndarray) -> np.ndarray:
         """The inference-time activation of the scoring mode (training uses logits)."""
@@ -190,35 +198,34 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
     model = TagModel(vocabulary, store.dim, proj_dim, derive_rng(seed, "tags.init"),
                      scoring=config.scoring)
     optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
-    sequences = {e.video_id: store.sequence(e.video_id) for e in entries}
-    history = {"loss": []}
+    sequence_rows = [store.sequence_rows(e.video_id) for e in entries]
+    truths = [_truth_indices(e, vocabulary) for e in entries]
+    matrix, shots = store.matrix, config.shots_per_video
+    history = {"loss": [], "epoch_s": [], "examples_per_s": []}
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         order = derive_rng(seed, "tags.epoch", epoch).permutation(len(entries))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [entries[i] for i in order[start:start + config.batch_size]]
-            feats, kw_feats, genre_truth, kw_truth = [], [], [], []
-            for entry in batch:
-                seq = sequences[entry.video_id]
-                rng = derive_rng(seed, f"tags.sample.{entry.video_id}", epoch)
-                picks = sample_shots(seq.shape[0], config.shots_per_video, rng)
-                feat = model.video_feature(seq[picks])
-                feats.append(feat)
-                g_idx, k_idx = _truth_indices(entry, vocabulary)
-                genre_truth.append(g_idx)
-                if entry.keywords:
-                    kw_feats.append(feat)
-                    kw_truth.append(k_idx)
-            genre_logits = model.genre_logits(ad.stack_rows(feats))
-            kw_logits = model.keyword_logits(ad.stack_rows(kw_feats)) if kw_feats else None
-            loss = multitask_loss(genre_logits, genre_truth, kw_logits, kw_truth,
-                                  config.genre_weight)
+            batch = order[start:start + config.batch_size]
+            rows = np.concatenate([
+                sequence_rows[i][sample_shots(
+                    len(sequence_rows[i]), shots,
+                    derive_rng(seed, f"tags.sample.{entries[i].video_id}", epoch))]
+                for i in batch])
+            pooled = matrix[rows].reshape(len(batch), shots, store.dim).mean(axis=1)
+            kw_rows = [row for row, i in enumerate(batch) if entries[i].keywords]
+            genre_logits, kw_logits = model.batch_logits(pooled, kw_rows)
+            loss = multitask_loss(genre_logits, [truths[i][0] for i in batch], kw_logits,
+                                  [truths[batch[r]][1] for r in kw_rows], config.genre_weight)
             value = ad.finite_loss(loss, f"train_tags: epoch {epoch}, batch start {start}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             epoch_loss += value * len(batch)
         history["loss"].append(epoch_loss / len(entries))
+        history["epoch_s"].append(time.perf_counter() - started)
+        history["examples_per_s"].append(len(entries) / history["epoch_s"][-1])
     return model, history
 
 
@@ -280,6 +287,7 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
     optimizer = SgdOptimizer(lstm.parameters(), config.lstm_learning_rate, config.momentum)
     inputs = {e.video_id: _lstm_inputs(model, store.sequence(e.video_id), config.max_lstm_steps)
               for e in entries}
+    truths = {e.video_id: _truth_indices(e, vocabulary) for e in entries}
     for epoch in range(config.lstm_epochs):
         order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
         for start in range(0, len(order), config.batch_size):
@@ -293,12 +301,8 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
             pooling = pooling_matrix(lengths, padded.shape[1], "mean")
             kw_rows = [row for row, entry in enumerate(batch) if entry.keywords]
             pooled = lstm.cell.fold(Tensor(padded), np.concatenate([pooling, pooling[kw_rows]]))
-            truth = [_truth_indices(entry, vocabulary) for entry in batch]
-            genre_logits = lstm.genre_logits(ad.slice_rows(pooled, 0, len(batch)))
-            kw_logits = None
-            if kw_rows:
-                kw_logits = lstm.keyword_logits(
-                    ad.slice_rows(pooled, len(batch), len(batch) + len(kw_rows)))
+            truth = [truths[e.video_id] for e in batch]
+            genre_logits, kw_logits = lstm.head_logits(pooled, len(batch))
             loss = multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
                                   [truth[row][1] for row in kw_rows], config.genre_weight)
             ad.finite_loss(loss, f"train_tag_lstm: epoch {epoch}, batch start {start}")

@@ -56,7 +56,6 @@ def _op_cases(rng):
     bias = Tensor(rng.normal(0, 1, (4,)), requires_grad=True)
     a = Tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
     b = Tensor(rng.normal(0, 1, (5, 2)), requires_grad=True)
-    vecs = [Tensor(rng.normal(0, 1, (4,)), requires_grad=True) for _ in range(3)]
     logits = Tensor(rng.normal(0, 2, (2, 6)), requires_grad=True)
     bce_logits = Tensor(rng.normal(0, 2, (7,)), requires_grad=True)
     bce_targets = rng.integers(0, 2, 7).astype(np.float64)
@@ -67,14 +66,12 @@ def _op_cases(rng):
     w38 = Tensor(rng.normal(0, 1, (3, 8)))
     w64 = Tensor(rng.normal(0, 1, (6, 4)))
     w24 = Tensor(rng.normal(0, 1, (2, 4)))
-    wv = Tensor(rng.normal(0, 1, (4,)))
     seq = Tensor(rng.normal(0, 1, (2, 3, 3)), requires_grad=True)
     lstm_w = Tensor(rng.normal(0, 0.5, (5, 8)), requires_grad=True)
     lstm_b = Tensor(rng.normal(0, 0.5, (8,)), requires_grad=True)
     w232 = Tensor(rng.normal(0, 1, (2, 3, 2)))
     return [
         ("matmul", lambda: ad.sum_all(ad.hadamard(ad.matmul(a, b), w32)), [a, b]),
-        ("mean_rows", lambda: ad.sum_all(ad.hadamard(ad.mean_rows(x), wv)), [x]),
         ("softmax_rows", lambda: ad.sum_all(ad.hadamard(ad.softmax_rows(logits), w26)), [logits]),
         ("nll_loss", lambda: ad.nll_loss(ad.softmax_rows(logits), targets), [logits]),
         ("tanh", lambda: ad.sum_all(ad.hadamard(ad.tanh(x), w34)), [x]),
@@ -88,7 +85,6 @@ def _op_cases(rng):
         ("sum_all", lambda: ad.sum_all(ad.hadamard(x, w34)), [x]),
         ("reshape", lambda: ad.sum_all(ad.hadamard(ad.reshape(x, (6, 2)), Tensor(w34.data.reshape(6, 2)))), [x]),
         ("repeat_rows", lambda: ad.sum_all(ad.hadamard(ad.repeat_rows(x, 2), Tensor(np.tile(w34.data, (2, 1))))), [x]),
-        ("stack_rows", lambda: ad.sum_all(ad.hadamard(ad.stack_rows(vecs), w34)), vecs),
         ("slice_rows", lambda: ad.sum_all(ad.hadamard(ad.slice_rows(x, 1, 3), w24)), [x]),
         ("slice_cols", lambda: ad.sum_all(ad.hadamard(ad.slice_cols(x, 1, 3), w32)), [x]),
         ("lstm_sequence", lambda: ad.sum_all(ad.hadamard(ad.lstm_sequence(seq, lstm_w, lstm_b),

@@ -46,31 +46,6 @@ def test_matmul_gradients(seed):
     check_gradients(lambda: ad.sum_all(ad.hadamard(ad.matmul(a, b), Tensor(w))), [a, b])
 
 
-# -- mean_rows ----------------------------------------------------------------
-
-def test_mean_rows_identical_rows():
-    v = np.array([1.5, -2.0, 0.25], dtype=np.float32)
-    out = ad.mean_rows(Tensor(np.stack([v, v, v, v])))
-    assert np.array_equal(out.data, v)
-
-
-def test_mean_rows_hand_case():
-    out = ad.mean_rows(Tensor([[0.0, 2.0], [2.0, 0.0]]))
-    assert np.array_equal(out.data, np.array([1.0, 1.0], dtype=np.float32))
-
-
-def test_mean_rows_gradient_is_inverse_row_count():
-    x = t64(np.arange(12, dtype=np.float64).reshape(4, 3))
-    loss = ad.sum_all(ad.mean_rows(x))
-    loss.backward()
-    assert np.allclose(x.grad, 0.25)
-
-
-def test_mean_rows_empty_error():
-    with pytest.raises(ValueError, match="empty"):
-        ad.mean_rows(Tensor(np.zeros((0, 3))))
-
-
 # -- softmax ------------------------------------------------------------------
 
 def test_softmax_uniform_row():
@@ -189,13 +164,6 @@ def test_elementwise_gradients(seed):
         check_gradients(build, params)
 
 
-def test_stack_rows_gradient():
-    rng = np.random.default_rng(7)
-    parts = [rand64(rng, (4,)) for _ in range(3)]
-    w = Tensor(rng.normal(0, 1, (3, 4)))
-    check_gradients(lambda: ad.sum_all(ad.hadamard(ad.stack_rows(parts), w)), parts)
-
-
 def test_reuse_accumulates_gradients():
     x = t64([1.0, 2.0, 3.0])
     loss = ad.add(ad.sum_all(ad.hadamard(x, x)), ad.sum_all(x))
@@ -277,6 +245,77 @@ def test_lstm_sequence_padding_leaves_real_steps_unchanged():
     long = ad.lstm_sequence(Tensor(padded), weights, bias).data
     assert long.shape == (1, 7, 2)
     assert np.allclose(long[:, :3], short, rtol=0, atol=1e-6)
+
+
+def per_step_lstm_backward(x, weights, bias, g):
+    """Oracle: the BPTT loop that takes every activation derivative inside the
+    step loop. Returns the states and the gradients of x, weights and bias."""
+    batch, steps, in_dim = x.shape
+    hidden = weights.shape[1] // 4
+    h3 = 3 * hidden
+    w_x, w_h = weights[:in_dim], weights[in_dim:]
+    x_steps = x.transpose(1, 0, 2).reshape(steps * batch, in_dim)
+    gates = (x_steps @ w_x + bias).reshape(steps, batch, 4 * hidden)
+    cells = np.empty((steps, batch, hidden), dtype=gates.dtype)
+    tanh_cells, states = np.empty_like(cells), np.empty_like(cells)
+    for t in range(steps):
+        z = gates[t]
+        if t:
+            z += states[t - 1] @ w_h
+        z[:, :h3] = ad.sigmoid_values(z[:, :h3])
+        np.tanh(z[:, h3:], out=z[:, h3:])
+        np.multiply(z[:, :hidden], z[:, h3:], out=cells[t])
+        if t:
+            cells[t] += z[:, hidden:2 * hidden] * cells[t - 1]
+        np.tanh(cells[t], out=tanh_cells[t])
+        np.multiply(z[:, 2 * hidden:h3], tanh_cells[t], out=states[t])
+    g = g.transpose(1, 0, 2)
+    d_gates = np.empty_like(gates)
+    dh = np.zeros((batch, hidden), dtype=gates.dtype)
+    dc = np.zeros_like(dh)
+    for t in range(steps - 1, -1, -1):
+        z, dz, tanh_c = gates[t], d_gates[t], tanh_cells[t]
+        dh += g[t]
+        dc += dh * z[:, 2 * hidden:h3] * (1.0 - tanh_c * tanh_c)
+        np.multiply(dc, z[:, h3:], out=dz[:, :hidden])
+        if t:
+            np.multiply(dc, cells[t - 1], out=dz[:, hidden:2 * hidden])
+        else:
+            dz[:, hidden:2 * hidden] = 0.0
+        np.multiply(dh, tanh_c, out=dz[:, 2 * hidden:h3])
+        dz[:, :h3] *= z[:, :h3] * (1.0 - z[:, :h3])
+        np.multiply(dc * z[:, :hidden], 1.0 - z[:, h3:] * z[:, h3:], out=dz[:, h3:])
+        if t:
+            dh = dz @ w_h.T
+            dc *= z[:, hidden:2 * hidden]
+    d_flat = d_gates.reshape(steps * batch, 4 * hidden)
+    dw = np.zeros_like(weights)
+    dw[:in_dim] = x_steps.T @ d_flat
+    if steps > 1:
+        dw[in_dim:] = states[:-1].reshape(-1, hidden).T @ d_gates[1:].reshape(-1, 4 * hidden)
+    dx = (d_flat @ w_x.T).reshape(steps, batch, in_dim).transpose(1, 0, 2)
+    return states.transpose(1, 0, 2), dx, dw, d_flat.sum(axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch, steps, in_dim, hidden", [(16, 40, 8, 64), (4, 8, 6, 16),
+                                                          (3, 1, 4, 5)])
+def test_lstm_sequence_backward_is_bit_identical_to_the_per_step_loop(dtype, batch, steps,
+                                                                       in_dim, hidden):
+    rng = np.random.default_rng(44)
+    x = Tensor(rng.normal(0, 1, (batch, steps, in_dim)).astype(dtype), requires_grad=True)
+    x.data[0, steps // 2:] = 0.0  # a padded sequence
+    weights = Tensor(rng.normal(0, 0.5, (in_dim + hidden, 4 * hidden)).astype(dtype),
+                     requires_grad=True)
+    bias = Tensor(rng.normal(0, 0.3, 4 * hidden).astype(dtype), requires_grad=True)
+    g = rng.normal(0, 1, (batch, steps, hidden)).astype(dtype)
+    g[0, steps // 2:] = 0.0
+    states = ad.lstm_sequence(x, weights, bias)
+    ad.sum_all(ad.hadamard(states, Tensor(g))).backward()
+    want = per_step_lstm_backward(x.data, weights.data, bias.data, g)
+    for got, expected in zip((states.data, x.grad, weights.grad, bias.grad), want):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_lstm_sequence_validates_shapes():

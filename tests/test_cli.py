@@ -266,6 +266,10 @@ def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
     assert run_cli(*base, "--set", f"scoring={scoring}", "--set", f"proj_dim={proj_dim}",
                    "train-tags", "--manifest", world / "manifest.jsonl", *tagged,
                    "--split", world / "split.json", "--output", world / "tags.stln") == 0
+    row = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()][-1]
+    assert row["command"] == "train-tags" and "epoch_val_accuracy" not in row
+    assert len(row["epoch_loss"]) == len(row["epoch_s"]) == len(row["examples_per_s"]) == 8
+    assert min(row["epoch_s"]) > 0 and min(row["examples_per_s"]) > 0
     # evaluated under the default config: the scoring comes from the checkpoint
     assert run_cli(*base, "eval-tags", "--manifest", world / "manifest.jsonl", *tagged,
                    "--model", world / "tags.stln", "--split", world / "split.json",
@@ -446,6 +450,22 @@ def test_gen_questions_rejects_a_movie_with_an_ordinal_gap(tmp_path, capsys):
         assert any(l.startswith(f"error\tValueError\tmovie '{gapped}': shot ordinals are not ")
                    and l.endswith("first missing ordinal 10") for l in err)
     assert not (world / "q.tsv").exists()
+
+
+def test_a_truncated_feature_store_is_named(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=6)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 6]
+    path = world / "features.shtf"
+    assert run_cli(*base, "gen-questions", "--features", path, "--split", world / "split.json",
+                   "--output", world / "q.tsv") == 0
+    path.write_bytes(path.read_bytes()[:300])
+    capsys.readouterr()
+    assert run_cli(*base, "eval-temporal", "--features", path, "--questions", world / "q.tsv",
+                   "--random-init", "--results", world / "r.tsv",
+                   "--metrics", world / "m.tsv") == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith(f"error\tFormatError\t{path}: truncated file reading ")
+    assert error.endswith(" at byte 256") and not (world / "r.tsv").exists()
 
 
 def test_evaluation_builds_no_tape(tmp_path, monkeypatch):

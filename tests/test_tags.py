@@ -4,6 +4,7 @@ import pytest
 from shotline import autodiff as ad
 from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.corpus import SyntheticWorldConfig, TagVocabulary, VideoManifestEntry, generate_world
+from shotline.encoder import sample_shots
 from shotline.features import FeatureStore
 from shotline.tags import (TagLstm, TagModel, TagTrainConfig, forward_video,
                            infer_feature_lstm, infer_score_average, multitask_loss,
@@ -113,12 +114,12 @@ def test_multitask_loss_gradient_through_projection_and_head():
     proj = Tensor(rng.normal(0, 0.5, (6, 4)), requires_grad=True)
     head_w = Tensor(rng.normal(0, 0.5, (4, 3)), requires_grad=True)
     head_b = Tensor(np.zeros(3, dtype=np.float64), requires_grad=True)
-    shots = [Tensor(rng.normal(0, 1, (5, 6))) for _ in range(2)]
+    shots = [rng.normal(0, 1, (5, 6)) for _ in range(2)]
+    pooled = Tensor(np.stack([s.mean(axis=0) for s in shots]))
     truth = [{0}, {2}]
 
     def loss():
-        feats = ad.stack_rows([ad.mean_rows(ad.matmul(s, proj)) for s in shots])
-        logits = ad.add(ad.matmul(feats, head_w), head_b)
+        logits = ad.add(ad.matmul(ad.matmul(pooled, proj), head_w), head_b)
         return multitask_loss(logits, truth, None, [], 1.0)
 
     check_gradients(loss, [proj, head_w, head_b])
@@ -306,14 +307,29 @@ def test_feature_lstm_order_sensitive():
     assert not np.allclose(fwd.genre_scores, rev.genre_scores, atol=1e-7)
 
 
+def stacked(rows):
+    """(n, k) tensor of n (1, k) tensors: the sum of unit column i times row i."""
+    out = None
+    for i, row in enumerate(rows):
+        term = ad.matmul(Tensor(np.eye(len(rows), 1, -i, dtype=row.data.dtype)), row)
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+def row_mean(rows):
+    """(1, k) mean of a (n, k) tensor, as a matmul by a row of 1/n."""
+    n = rows.data.shape[0]
+    return ad.matmul(Tensor(np.full((1, n), 1.0 / n, dtype=rows.data.dtype)), rows)
+
+
 def step_loop_states(cell, seq):
     """Per-step reference: (steps, hidden) states of a LstmCell.step loop."""
     h, c = cell.initial_state(1)
     states = []
     for t in range(seq.shape[0]):
         h, c = cell.step(Tensor(seq[t:t + 1]), h, c)
-        states.append(ad.reshape(h, (cell.hidden_dim,)))
-    return ad.stack_rows(states)
+        states.append(h)
+    return stacked(states)
 
 
 def padded_batch(seqs):
@@ -340,7 +356,7 @@ def test_padded_batch_matches_per_video_step_loops():
         ref_states = step_loop_states(lstm.cell, seq)
         assert np.abs(states[b, :len(seq)] - ref_states.data).max() <= 1e-5
         assert np.abs(pooled.data[b] - ref_states.data.mean(axis=0)).max() <= 1e-5
-        term = ad.sum_all(ad.hadamard(ad.mean_rows(ref_states), Tensor(coef.data[b])))
+        term = ad.sum_all(ad.hadamard(row_mean(ref_states), Tensor(coef.data[b:b + 1])))
         reference = term if reference is None else ad.add(reference, term)
     reference.backward()
     for got, want in zip(fused_grads, [lstm.cell.weights.grad, lstm.cell.bias.grad]):
@@ -386,11 +402,11 @@ def per_video_tag_lstm(entries, store, config, seed):
         order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
         for start in range(0, len(order), config.batch_size):
             batch = [entries[i] for i in order[start:start + config.batch_size]]
-            feats = [ad.mean_rows(step_loop_states(lstm.cell, store.sequence(e.video_id)))
+            feats = [row_mean(step_loop_states(lstm.cell, store.sequence(e.video_id)))
                      for e in batch]
             kw = [(f, e) for f, e in zip(feats, batch) if e.keywords]
-            genre_logits = ad.add(ad.matmul(ad.stack_rows(feats), lstm.genre_w), lstm.genre_b)
-            kw_logits = (ad.add(ad.matmul(ad.stack_rows([f for f, _ in kw]), lstm.keyword_w),
+            genre_logits = ad.add(ad.matmul(stacked(feats), lstm.genre_w), lstm.genre_b)
+            kw_logits = (ad.add(ad.matmul(stacked([f for f, _ in kw]), lstm.keyword_w),
                                 lstm.keyword_b) if kw else None)
             loss = multitask_loss(
                 genre_logits, [{VOCAB.genre_index[g] for g in e.genres} for e in batch],
@@ -421,6 +437,128 @@ def test_tag_training_stops_on_non_finite_loss():
         train_tags(entries, store, VOCAB, config, seed=0)
     with pytest.raises(FloatingPointError, match=r"train_tag_lstm: epoch 0, batch start \d+"):
         train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=0)
+
+
+def project_then_mean_logits(model, shots, kw_rows):
+    """Oracle: each video's shots projected one by one, then averaged."""
+    feats = [row_mean(model.project(Tensor(video))) for video in shots]
+    genre = model.genre_logits(stacked(feats))
+    keyword = model.keyword_logits(stacked([feats[r] for r in kw_rows])) if kw_rows else None
+    return genre, keyword
+
+
+@pytest.mark.parametrize("kw_rows", [[0, 2, 3], []])
+def test_pool_then_project_matches_project_then_mean_in_float64(kw_rows):
+    rng = np.random.default_rng(40)
+    shots = 4
+    model = TagModel(VOCAB, 5, 3, rng)
+    for tensor in model.parameters().values():
+        tensor.data = rng.normal(0, 0.5, tensor.data.shape)
+    # video 1 has two shots, fewer than shots_per_video: its picks repeat
+    lengths = (6, 2, 9, 4)
+    videos = [rng.normal(0, 1, (n, 5)) for n in lengths]
+    picks = [sample_shots(n, shots, derive_rng(3, f"tags.sample.v{i}", 0))
+             for i, n in enumerate(lengths)]
+    assert len(set(picks[1])) < shots
+    sampled = np.stack([video[p] for video, p in zip(videos, picks)])
+    genre_truth = [{0}, {1, 2}, {2}, {0}]
+    kw_truth = [{1}, {0}, {0, 1}, {1}][:len(kw_rows)]
+    results = []
+    for logits in (lambda: model.batch_logits(sampled.mean(axis=1), kw_rows),
+                   lambda: project_then_mean_logits(model, sampled, kw_rows)):
+        for tensor in model.parameters().values():
+            tensor.grad = None
+        genre, keyword = logits()
+        multitask_loss(genre, genre_truth, keyword, kw_truth, 0.5).backward()
+        results.append([genre.data, None if keyword is None else keyword.data]
+                       + [t.grad for t in model.parameters().values()])
+    assert results[0][0].dtype == np.float64
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def one_hot_corpus(seed=0):
+    """Trailers of 1-9 shots added out of ordinal order; row r of the matrix is
+    the unit vector e_r, so a pooled row is the count of each row drawn."""
+    rng = np.random.default_rng(seed)
+    lengths = (5, 1, 9, 3, 7, 2)
+    store = FeatureStore(sum(lengths))
+    entries = []
+    for i, n in enumerate(lengths):
+        for o in rng.permutation(n):
+            store.add(f"v{i}", int(o), np.eye(store.dim, dtype=np.float32)[len(store)])
+        entries.append(VideoManifestEntry(f"v{i}", "trailer", "", [f"g{i % 3}"],
+                                          ["k0"] if i % 2 else []))
+    return entries, store
+
+
+def test_train_tags_samples_the_shots_of_each_video_stream(monkeypatch):
+    entries, store = one_hot_corpus()
+    config = TagTrainConfig(epochs=3, batch_size=4, shots_per_video=4)
+    seen = []
+    batch_logits = TagModel.batch_logits
+    monkeypatch.setattr(TagModel, "batch_logits",
+                        lambda self, pooled, kw_rows: seen.append(pooled.copy())
+                        or batch_logits(self, pooled, kw_rows))
+    train_tags(entries, store, VOCAB, config, seed=7, proj_dim=None)
+    expected = []
+    for epoch in range(config.epochs):
+        order = derive_rng(7, "tags.epoch", epoch).permutation(len(entries))
+        for start in range(0, len(order), config.batch_size):
+            counts = []
+            for i in order[start:start + config.batch_size]:
+                video_id, n = entries[i].video_id, store.shot_count(entries[i].video_id)
+                picks = sample_shots(n, 4, derive_rng(7, f"tags.sample.{video_id}", epoch))
+                rows = store.row_indices([(video_id, p) for p in picks])
+                counts.append(np.bincount(rows, minlength=store.dim))
+            expected.append(np.stack(counts))
+    assert len(seen) == len(expected) == 6
+    for pooled, counts in zip(seen, expected):
+        assert np.array_equal(pooled * 4, counts)
+
+
+def per_video_train_tags(entries, store, config, seed, proj_dim):
+    """The trainer train_tags batches: each video's sampled shots projected,
+    then averaged, one video at a time."""
+    model = TagModel(VOCAB, store.dim, proj_dim, derive_rng(seed, "tags.init"))
+    optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
+    for epoch in range(config.epochs):
+        order = derive_rng(seed, "tags.epoch", epoch).permutation(len(entries))
+        for start in range(0, len(order), config.batch_size):
+            batch = [entries[i] for i in order[start:start + config.batch_size]]
+            shots = []
+            for e in batch:
+                seq = store.sequence(e.video_id)
+                rng = derive_rng(seed, f"tags.sample.{e.video_id}", epoch)
+                shots.append(seq[sample_shots(len(seq), config.shots_per_video, rng)])
+            kw_rows = [row for row, e in enumerate(batch) if e.keywords]
+            genre, keyword = project_then_mean_logits(model, shots, kw_rows)
+            loss = multitask_loss(
+                genre, [{VOCAB.genre_index[g] for g in e.genres} for e in batch], keyword,
+                [{VOCAB.keyword_index[k] for k in batch[r].keywords} for r in kw_rows],
+                config.genre_weight)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+    return model
+
+
+@pytest.mark.parametrize("proj_dim", [3, None])
+def test_train_tags_matches_per_video_trainer(proj_dim):
+    entries, store = ragged_tag_corpus()
+    config = TagTrainConfig(epochs=4, batch_size=3, shots_per_video=4, learning_rate=0.2)
+    trained, history = train_tags(entries, store, VOCAB, config, seed=5, proj_dim=proj_dim)
+    reference = per_video_train_tags(entries, store, config, 5, proj_dim)
+    start = TagModel(VOCAB, 4, proj_dim, derive_rng(5, "tags.init"))
+    for name, tensor in trained.parameters().items():
+        want = reference.parameters()[name].data
+        assert not np.array_equal(want, start.parameters()[name].data), name
+        assert np.abs(tensor.data - want).max() <= 1e-5, name
+    assert len(history["loss"]) == len(history["epoch_s"]) == len(history["examples_per_s"]) == 4
+    assert min(history["epoch_s"]) > 0 and min(history["examples_per_s"]) > 0
 
 
 # -- retrieval --------------------------------------------------------------------
