@@ -281,18 +281,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return Tensor._result(x.data.reshape(shape), (x,), backward)
 
 
-def repeat_rows(x: Tensor, times: int) -> Tensor:
-    """Repeat each row of a matrix ``times`` times in place order."""
-    if x.data.ndim != 2:
-        raise ValueError(f"repeat_rows expects a matrix, got shape {x.data.shape}")
-    rows, cols = x.data.shape
-
-    def backward(g):
-        x._accumulate(g.reshape(rows, times, cols).sum(axis=1))
-
-    return Tensor._result(np.repeat(x.data, times, axis=0), (x,), backward)
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError(f"slice_rows expects a matrix, got shape {x.data.shape}")
@@ -405,6 +393,78 @@ def lstm_sequence(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     out = np.ascontiguousarray(states.transpose(1, 0, 2))
     return Tensor._result(out, (x, weights, bias), backward)
+
+
+# -- pair scorer ---------------------------------------------------------
+
+
+def pair_mlp(context: Tensor, candidates: Tensor, layers) -> Tensor:
+    """An MLP over [context | candidate] rows: (q, c) context rows, (q * n, d)
+    candidate rows, n per context row in order. Returns (q * n, out_width).
+
+    ``layers`` is a sequence of (weights, bias) tensors, the first weights
+    with c + d rows. Hidden layers use tanh, the last is linear. The first
+    layer is applied in factored form, each context row multiplied once:
+    (repeat(context @ W[:c], n) + candidates @ W[c:]) + b, summed in that
+    order. Every layer works in place in one buffer, and the backward is
+    written by hand. It overwrites the saved tanh outputs to form 1 - y^2,
+    so a second backward() through the node raises.
+    """
+    weights, bias = layers[0]
+    if context.data.ndim != 2 or candidates.data.ndim != 2:
+        raise ValueError(f"pair_mlp expects matrices, got {context.data.shape} "
+                         f"and {candidates.data.shape}")
+    (q, c), (rows, d) = context.data.shape, candidates.data.shape
+    if c + d != weights.data.shape[0]:
+        raise ValueError(f"context width {c} plus candidate width {d} is not the "
+                         f"scorer's input width {weights.data.shape[0]}")
+    if q == 0 or rows % q:
+        raise ValueError(f"{rows} candidate rows do not split evenly over "
+                         f"{q} context rows")
+    n = rows // q
+    w_ctx, w_cand = weights.data[:c], weights.data[c:]
+    per_context = context.data @ w_ctx
+    out = candidates.data @ w_cand
+    grouped = out.reshape(q, n, -1)
+    grouped += per_context[:, None]
+    out += bias.data
+    saved = []  # each hidden layer's tanh output, the input of the next layer
+    for w, b in layers[1:]:
+        np.tanh(out, out=out)
+        saved.append(out)
+        out = out @ w.data
+        out += b.data
+
+    def backward(g):
+        nonlocal saved
+        if saved is None:
+            raise RuntimeError("pair_mlp: backward() through this node a second time; "
+                               "the first overwrote its saved activations")
+        for (w, b), y in zip(reversed(layers[1:]), reversed(saved)):
+            if w.requires_grad:
+                w._accumulate(y.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+            g = g @ w.data.T
+            np.multiply(y, y, out=y)
+            np.subtract(1.0, y, out=y)
+            g *= y
+        saved = None
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        g_context = g.reshape(q, n, -1).sum(axis=1)
+        if weights.requires_grad:
+            dw = np.empty_like(weights.data)
+            np.matmul(context.data.T, g_context, out=dw[:c])
+            np.matmul(candidates.data.T, g, out=dw[c:])
+            weights._accumulate(dw)
+        if context.requires_grad:
+            context._accumulate(g_context @ w_ctx.T)
+        if candidates.requires_grad:
+            candidates._accumulate(g @ w_cand.T)
+
+    parents = (context, candidates, *(p for layer in layers for p in layer))
+    return Tensor._result(out, parents, backward)
 
 
 # -- optimization --------------------------------------------------------

@@ -292,13 +292,15 @@ def cmd_train_tags(args, config):
     proj_dim = config["proj_dim"] if config["proj_dim"] > 0 else None
     model, history = tags.train_tags(train_entries, store, vocabulary, tag_config,
                                      config["seed"], proj_dim=proj_dim)
-    lstm = tags.train_tag_lstm(model, train_entries, store, vocabulary, tag_config,
-                               config["seed"])
+    lstm, lstm_history = tags.train_tag_lstm(model, train_entries, store, vocabulary,
+                                             tag_config, config["seed"])
     save_checkpoint(args.output, {**model.state(), **lstm.state()})
     print(f"train-tags\t{len(train_entries)} videos\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.manifest, args.vocab, args.features] + ([args.split] if args.split else [])
-    return inputs, [args.output], _curves(history, False)
+    curves = _curves(history, False)
+    curves.update({f"lstm_{k}": v for k, v in _curves(lstm_history, False).items()})
+    return inputs, [args.output], curves
 
 
 def cmd_eval_tags(args, config):

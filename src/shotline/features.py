@@ -22,6 +22,7 @@ ShotId = tuple[str, int]
 
 _ID_LEN = struct.Struct("<H")
 _ORDINAL = struct.Struct("<I")
+_WRITE_ROWS = 8192  # records per structured array at most, to bound the writer's memory
 
 
 class FeatureStore:
@@ -108,19 +109,47 @@ class FeatureStore:
         return len(self._keys)
 
 
+def _record_dtype(id_len: int, dim: int) -> np.dtype:
+    """One SHTF record whose video id is id_len bytes. The id is raw bytes,
+    since an "S" field would drop trailing NULs."""
+    return np.dtype([("id_len", "<u2"), ("id", "u1", (id_len,)),
+                     ("ordinal", "<u4"), ("features", "<f4", (dim,))])
+
+
 def write_shtf(path, store: FeatureStore) -> None:
-    payloads = store.matrix.astype("<f4", copy=False)
+    """Write a store as SHTF, each run of records with the same id length as
+    one structured array. A non-finite feature value raises ValueError
+    naming the file and the first such record, before anything is written."""
+    keys, payloads = store._keys, store.matrix
+    bad = ~np.isfinite(payloads).all(axis=1)
+    if bad.any():
+        video_id, ordinal = keys[int(np.argmax(bad))]
+        raise ValueError(f"{path}: non-finite features in {video_id}#{ordinal}")
+    encoded = {video_id: video_id.encode("utf-8") for video_id in store._video_rows}
+    for video_id, raw in encoded.items():
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"{path}: video id too long: {video_id!r}")
+    ids = [encoded[video_id] for video_id, _ in keys]
+    ordinals = [ordinal for _, ordinal in keys]
+    if ordinals and not 0 <= min(ordinals) <= max(ordinals) <= 0xFFFFFFFF:
+        raise ValueError(f"{path}: shot ordinals must lie in 0..{0xFFFFFFFF}")
+    lengths = np.array([len(raw) for raw in ids], dtype=np.int64)
+    # a run ends where the id length changes, and at least every _WRITE_ROWS records
+    bounds = sorted({*np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist(),
+                     *range(0, len(ids), _WRITE_ROWS)})
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", store.dim))
         fh.write(struct.pack("<Q", len(store)))
-        for row, (video_id, ordinal) in enumerate(store._keys):
-            encoded = video_id.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise ValueError(f"video id too long: {video_id!r}")
-            fh.write(_ID_LEN.pack(len(encoded)) + encoded + _ORDINAL.pack(ordinal)
-                     + payloads[row].tobytes())
+        for start, stop in zip(bounds, bounds[1:]):
+            id_len, rows = int(lengths[start]), stop - start
+            run = np.empty(rows, _record_dtype(id_len, store.dim))
+            run["id_len"] = id_len
+            run["id"] = np.frombuffer(b"".join(ids[start:stop]), np.uint8).reshape(rows, id_len)
+            run["ordinal"] = ordinals[start:stop]
+            run["features"] = payloads[start:stop]
+            fh.write(run.tobytes())
 
 
 def _video_id(data: bytes, offset: int, size: int) -> str:
@@ -131,10 +160,11 @@ def _video_id(data: bytes, offset: int, size: int) -> str:
 
 
 def read_shtf(path) -> FeatureStore:
-    """Load an SHTF store; a malformed file raises FormatError naming it, with
-    the first error in file order. After field-by-field checks of one record
-    header, it and every following whole record with the same id length are
-    viewed in place as one structured array (a run)."""
+    """Load an SHTF store; a malformed file or a non-finite feature value
+    raises FormatError naming it, with the first error in file order. After
+    field-by-field checks of one record header, it and every following whole
+    record with the same id length are viewed in place as one structured
+    array (a run)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -162,13 +192,16 @@ def read_shtf(path) -> FeatureStore:
                     (ordinal,) = _ORDINAL.unpack_from(data, at)
                     raise FormatError(f"truncated file reading features of {video_id}#{ordinal} "
                                       f"at byte {at + 4}")
-                # every whole record up to the first with another id length; the id
-                # is raw bytes, since an "S" field would drop trailing NULs
-                record = np.dtype([("id_len", "<u2"), ("id", "u1", (id_len,)),
-                                   ("ordinal", "<u4"), ("features", "<f4", (dim,))])
+                # every whole record up to the first with another id length or
+                # a non-finite feature value, which fails as the next run's first
+                record = _record_dtype(id_len, dim)
                 run = np.frombuffer(data, record,
                                     min(count - len(keys), (end - pos) // record.itemsize), pos)
-                run = run[:np.argmax(np.append(run["id_len"] != id_len, True))]
+                finite = np.isfinite(run["features"]).all(axis=1)
+                if not finite[0]:
+                    raise FormatError(f"non-finite features in {video_id}#{run['ordinal'][0]} "
+                                      f"at byte {at + 4}")
+                run = run[:np.argmax(np.append((run["id_len"] != id_len) | ~finite, True))]
                 row = len(keys)
                 matrix[row:row + len(run)] = run["features"]
                 # the run's records fall into stretches of one video id each

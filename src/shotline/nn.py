@@ -119,27 +119,11 @@ class RowMlp:
         """Score (q * n, d) candidate rows, n per context row in order, against
         their (q, c) context rows; c + d is input_dim. Returns (q * n, 1).
 
-        The first layer is applied in factored form,
-        repeat_rows(context @ W[:c], n) + candidates @ W[c:] + b, so each
-        context row is multiplied once rather than once per candidate.
+        The whole MLP is one ``pair_mlp`` node: its first layer is applied in
+        factored form, so each context row is multiplied once rather than
+        once per candidate.
         """
-        w, b = self.layers[0]
-        if context.data.ndim != 2 or candidates.data.ndim != 2:
-            raise ValueError(f"scores expects matrices, got {context.data.shape} "
-                             f"and {candidates.data.shape}")
-        (q, c), (rows, d) = context.data.shape, candidates.data.shape
-        if c + d != w.data.shape[0]:
-            raise ValueError(f"context width {c} plus candidate width {d} is not the "
-                             f"scorer's input width {w.data.shape[0]}")
-        if q == 0 or rows % q:
-            raise ValueError(f"{rows} candidate rows do not split evenly over "
-                             f"{q} context rows")
-        per_context = ad.repeat_rows(ad.matmul(context, ad.slice_rows(w, 0, c)), rows // q)
-        per_candidate = ad.matmul(candidates, ad.slice_rows(w, c, c + d))
-        out = ad.add(ad.add(per_context, per_candidate), b)
-        for w, b in self.layers[1:]:
-            out = ad.add(ad.matmul(ad.tanh(out), w), b)
-        return out
+        return ad.pair_mlp(context, candidates, self.layers)
 
     def parameters(self) -> dict:
         params = {}

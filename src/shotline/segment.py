@@ -181,6 +181,21 @@ def boundary_score(h1: np.ndarray, h2: np.ndarray) -> float:
     return float((diff * diff / (h1 + h2 + CHI_SQUARE_EPS)).sum())
 
 
+def cut_thresholds(scores: np.ndarray, params: SegmenterParams) -> np.ndarray:
+    """Adaptive threshold of every boundary score: mean + threshold_scale * std
+    of the trailing window of up to params.window scores before it (0 for
+    the first score). Full windows are reduced as rows of one strided view,
+    with the floats of a per-window mean() and std()."""
+    thresholds = np.zeros(scores.shape[0])
+    for i in range(1, min(params.window, scores.shape[0])):
+        thresholds[i] = scores[:i].mean() + params.threshold_scale * scores[:i].std()
+    if scores.shape[0] > params.window:
+        full = np.lib.stride_tricks.sliding_window_view(scores[:-1], params.window)
+        thresholds[params.window:] = (full.mean(axis=1)
+                                      + params.threshold_scale * full.std(axis=1))
+    return thresholds
+
+
 def detect_shots(seq: FrameSequence, params: SegmenterParams | None = None,
                  video_id: str = "video") -> list[Shot]:
     """Partition a frame sequence into shots tiling [0, frame_count).
@@ -202,16 +217,8 @@ def detect_shots(seq: FrameSequence, params: SegmenterParams | None = None,
     diff = hists[1:] - hists[:-1]
     scores = (diff * diff / (hists[1:] + hists[:-1] + CHI_SQUARE_EPS)).sum(axis=1)
 
-    cuts = []
-    for i in range(scores.shape[0]):
-        window = scores[max(0, i - params.window):i]
-        if window.size:
-            threshold = window.mean() + params.threshold_scale * window.std()
-        else:
-            threshold = 0.0
-        if scores[i] > threshold and scores[i] > params.score_floor:
-            cuts.append(i + 1)
-
+    cuts = (np.flatnonzero((scores > cut_thresholds(scores, params))
+                           & (scores > params.score_floor)) + 1).tolist()
     bounds = [0] + cuts + [total]
     spans = [[bounds[i], bounds[i + 1]] for i in range(len(bounds) - 1)]
 

@@ -273,12 +273,15 @@ def _lstm_inputs(model: TagModel, seq: np.ndarray, max_steps: int) -> np.ndarray
 
 
 def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: FeatureStore,
-                   vocabulary: TagVocabulary, config: TagTrainConfig, seed: int) -> TagLstm:
+                   vocabulary: TagVocabulary, config: TagTrainConfig,
+                   seed: int) -> tuple[TagLstm, dict]:
     """Fit the recurrent scorer on frozen projected features.
 
     The per-video loss is the multitask BCE applied to the mean of the
     per-step logits. Each minibatch runs as one zero-padded batch; the
     mean pools only a video's own steps, so padding adds exactly nothing.
+    Returns the scorer and its history: each epoch's mean loss, seconds
+    and videos per second.
     """
     if not entries:
         raise ValueError("train_tag_lstm: empty corpus")
@@ -288,8 +291,11 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
     inputs = {e.video_id: _lstm_inputs(model, store.sequence(e.video_id), config.max_lstm_steps)
               for e in entries}
     truths = {e.video_id: _truth_indices(e, vocabulary) for e in entries}
+    history = {"loss": [], "epoch_s": [], "examples_per_s": []}
     for epoch in range(config.lstm_epochs):
+        started = time.perf_counter()
         order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
+        epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [entries[i] for i in order[start:start + config.batch_size]]
             lengths = np.array([inputs[e.video_id].shape[0] for e in batch])
@@ -305,11 +311,15 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
             genre_logits, kw_logits = lstm.head_logits(pooled, len(batch))
             loss = multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
                                   [truth[row][1] for row in kw_rows], config.genre_weight)
-            ad.finite_loss(loss, f"train_tag_lstm: epoch {epoch}, batch start {start}")
+            value = ad.finite_loss(loss, f"train_tag_lstm: epoch {epoch}, batch start {start}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-    return lstm
+            epoch_loss += value * len(batch)
+        history["loss"].append(epoch_loss / len(entries))
+        history["epoch_s"].append(time.perf_counter() - started)
+        history["examples_per_s"].append(len(entries) / history["epoch_s"][-1])
+    return lstm, history
 
 
 def infer_score_average(model: TagModel, video_id: str, seq: np.ndarray) -> TagPrediction:

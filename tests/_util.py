@@ -64,3 +64,28 @@ def use_reference_engine(monkeypatch):
     intermediate gradient is kept after backward()."""
     monkeypatch.setattr(ad.Tensor, "_accumulate", _zero_filled_accumulate)
     monkeypatch.setattr(ad.Tensor, "backward", _retaining_backward)
+
+
+def repeat_rows(x: ad.Tensor, times: int) -> ad.Tensor:
+    """Each row of a matrix repeated ``times`` times in place order, as a
+    tape op: the backward sums each row's copies."""
+    rows, cols = x.data.shape
+
+    def backward(g):
+        x._accumulate(g.reshape(rows, times, cols).sum(axis=1))
+
+    return ad.Tensor._result(np.repeat(x.data, times, axis=0), (x,), backward)
+
+
+def multi_node_scores(mlp, context, candidates):
+    """RowMlp.scores built from primitive ops, the form the fused pair_mlp
+    node must reproduce bit for bit: (repeat_rows(context @ W[:c], n) +
+    candidates @ W[c:]) + b, then tanh, matmul and bias per later layer."""
+    w, b = mlp.layers[0]
+    (q, c), (rows, d) = context.data.shape, candidates.data.shape
+    per_context = repeat_rows(ad.matmul(context, ad.slice_rows(w, 0, c)), rows // q)
+    per_candidate = ad.matmul(candidates, ad.slice_rows(w, c, c + d))
+    out = ad.add(ad.add(per_context, per_candidate), b)
+    for w, b in mlp.layers[1:]:
+        out = ad.add(ad.matmul(ad.tanh(out), w), b)
+    return out

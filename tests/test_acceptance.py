@@ -84,7 +84,6 @@ def _op_cases(rng):
         ("scale", lambda: ad.sum_all(ad.scale(x, 0.6)), [x]),
         ("sum_all", lambda: ad.sum_all(ad.hadamard(x, w34)), [x]),
         ("reshape", lambda: ad.sum_all(ad.hadamard(ad.reshape(x, (6, 2)), Tensor(w34.data.reshape(6, 2)))), [x]),
-        ("repeat_rows", lambda: ad.sum_all(ad.hadamard(ad.repeat_rows(x, 2), Tensor(np.tile(w34.data, (2, 1))))), [x]),
         ("slice_rows", lambda: ad.sum_all(ad.hadamard(ad.slice_rows(x, 1, 3), w24)), [x]),
         ("slice_cols", lambda: ad.sum_all(ad.hadamard(ad.slice_cols(x, 1, 3), w32)), [x]),
         ("lstm_sequence", lambda: ad.sum_all(ad.hadamard(ad.lstm_sequence(seq, lstm_w, lstm_b),

@@ -11,7 +11,10 @@ from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.cli import load_config, main
 from shotline.features import FeatureStore, read_shtf, write_shtf
 from shotline.frames import FrameSequence, write_fseq
+from shotline.nn import RowMlp
 from shotline.rng import derive_rng
+
+from _util import multi_node_scores
 
 REPO = Path(__file__).resolve().parent.parent
 TINY = str(REPO / "configs" / "tiny.cfg")
@@ -270,6 +273,11 @@ def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
     assert row["command"] == "train-tags" and "epoch_val_accuracy" not in row
     assert len(row["epoch_loss"]) == len(row["epoch_s"]) == len(row["examples_per_s"]) == 8
     assert min(row["epoch_s"]) > 0 and min(row["examples_per_s"]) > 0
+    # tiny.cfg trains the tag sequence scorer for 3 epochs
+    assert (len(row["lstm_epoch_loss"]) == len(row["lstm_epoch_s"])
+            == len(row["lstm_examples_per_s"]) == 3)
+    assert min(row["lstm_epoch_s"]) > 0 and min(row["lstm_examples_per_s"]) > 0
+    assert "lstm_epoch_val_accuracy" not in row
     # evaluated under the default config: the scoring comes from the checkpoint
     assert run_cli(*base, "eval-tags", "--manifest", world / "manifest.jsonl", *tagged,
                    "--model", world / "tags.stln", "--split", world / "split.json",
@@ -294,13 +302,10 @@ def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
 
 
 def test_non_finite_training_loss_fails_the_command(tmp_path, capsys):
+    # a feature store cannot hold a NaN any more, so the weights overflow instead
     world = synth_and_split(tmp_path, seed=8)
-    clean = read_shtf(world / "features.shtf")
-    store = FeatureStore(clean.dim)
-    for i, (key, values) in enumerate(clean.items()):
-        store.add(*key, np.full_like(values, np.nan) if i == 5 else values)
-    write_shtf(world / "features.shtf", store)
-    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 8]
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 8,
+            "--set", "temporal_learning_rate=3e38", "--set", "temporal_batch_size=4"]
     assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
                    "--split", world / "split.json", "--output", world / "q.tsv") == 0
     capsys.readouterr()
@@ -624,3 +629,55 @@ def test_qa_hashing_fallback(tmp_path):
     items = qa.read_qa_items(world / "qa_items.tsv")
     accuracy = qa.evaluate_qa(model, items, qa.HashingEmbeddingProvider(16), store)
     assert metrics["qa.accuracy"] == f"{accuracy:.6f}"
+
+
+def test_scorer_checkpoints_match_the_multi_node_form(tmp_path, monkeypatch):
+    # configs/tiny.cfg training of both scorer users, under the fused pair_mlp
+    # node and under the primitive-op form it replaced: the same bytes
+    world = synth_and_split(tmp_path, seed=2)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), seed=2)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 2]
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--subset", "train",
+                   "--setting", "both", "--output", world / "q.tsv") == 0
+
+    def train(tag):
+        assert run_cli(*base, "train-temporal", "--features", world / "features.shtf",
+                       "--questions", world / "q.tsv",
+                       "--output", world / f"temporal_{tag}.stln") == 0
+        assert run_cli(*base, "train-qa", "--features", world / "features.shtf",
+                       "--items", world / "qa_items.tsv",
+                       "--embeddings", world / "embeddings.txt",
+                       "--output", world / f"qa_{tag}.stln") == 0
+
+    train("fused")
+    monkeypatch.setattr(RowMlp, "scores", multi_node_scores)
+    train("multi_node")
+    for name in ("temporal", "qa"):
+        assert ((world / f"{name}_fused.stln").read_bytes()
+                == (world / f"{name}_multi_node.stln").read_bytes()), name
+
+
+def test_a_non_finite_feature_store_fails_eval_tags(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=3)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 3]
+    path = world / "features.shtf"
+    tag_args = ["--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+                "--features", path, "--split", world / "split.json"]
+    assert run_cli(*base, "train-tags", *tag_args, "--output", world / "tags.stln") == 0
+    # element 0 of shot 2 of every movie becomes NaN
+    store = read_shtf(path)
+    blob, at, poisoned = bytearray(path.read_bytes()), 20, []
+    for (video_id, ordinal), _ in store.items():
+        at += 6 + len(video_id.encode("utf-8"))
+        if ordinal == 2 and video_id.startswith("m"):
+            blob[at:at + 4] = np.array(np.nan, "<f4").tobytes()
+            poisoned.append(f"{video_id}#2 at byte {at}")
+        at += 4 * store.dim
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run_cli(*base, "eval-tags", *tag_args, "--model", world / "tags.stln",
+                   "--subset", "test", "--out-dir", world / "tag_eval") == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == f"error\tFormatError\t{path}: non-finite features in {poisoned[0]}"
+    assert len(poisoned) > 1 and not (world / "tag_eval" / "metrics.tsv").exists()

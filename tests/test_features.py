@@ -243,7 +243,10 @@ def per_record_read_shtf(path) -> FeatureStore:
             if pos + 4 * dim > end:
                 raise FormatError(f"truncated file reading features of {video_id}#{ordinal} "
                                   f"at byte {pos}")
-            store.add(video_id, ordinal, np.frombuffer(data, "<f4", dim, pos))
+            values = np.frombuffer(data, "<f4", dim, pos)
+            if not np.isfinite(values).all():
+                raise FormatError(f"non-finite features in {video_id}#{ordinal} at byte {pos}")
+            store.add(video_id, ordinal, values)
             pos += 4 * dim
         if pos < end:
             raise FormatError(f"trailing bytes at byte {pos}")
@@ -336,3 +339,76 @@ def test_a_non_utf8_video_id_is_named(tmp_path):
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
                                           "video id at byte 42 is not UTF-8$"):
         read_shtf(path)
+
+
+def per_record_write_shtf(path, store) -> None:
+    """Oracle: the writer that packs one record at a time."""
+    payloads = store.matrix.astype("<f4", copy=False)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IIQ", VERSION, store.dim, len(store)))
+        for row, ((video_id, ordinal), _) in enumerate(store.items()):
+            encoded = video_id.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)) + encoded + struct.pack("<I", ordinal)
+                     + payloads[row].tobytes())
+
+
+@given(shtf_files())
+@settings(max_examples=80, deadline=None)
+def test_run_writer_matches_per_record_writer(tmp_path_factory, store):
+    root = tmp_path_factory.mktemp("shtf")
+    write_shtf(root / "runs.shtf", store)
+    per_record_write_shtf(root / "records.shtf", store)
+    assert (root / "runs.shtf").read_bytes() == (root / "records.shtf").read_bytes()
+
+
+def test_run_writer_matches_per_record_writer_on_a_large_store(tmp_path):
+    # more records than one structured array holds, in runs of mixed id lengths
+    rng = np.random.default_rng(8)
+    store = FeatureStore(12)
+    for m in range(40):
+        video_id = "m" * (m % 3 + 1) + "é" * (m % 2) + str(m)
+        for o in rng.permutation(int(rng.integers(1, 600))).tolist():
+            store.add(video_id, o, rng.normal(0, 1, 12).astype(np.float32))
+    assert len(store) > 8192
+    write_shtf(tmp_path / "runs.shtf", store)
+    per_record_write_shtf(tmp_path / "records.shtf", store)
+    assert (tmp_path / "runs.shtf").read_bytes() == (tmp_path / "records.shtf").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_a_non_finite_record(tmp_path, bad):
+    store = FeatureStore(3)
+    store.add("a", 0, np.ones(3, dtype=np.float32))
+    store.add("b", 4, np.array([1.0, bad, bad], dtype=np.float32))
+    store.add("b", 5, np.array([bad, 1.0, 1.0], dtype=np.float32))
+    path = tmp_path / "s.shtf"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite features in b#4$"):
+        write_shtf(path, store)
+    assert not path.exists()
+
+
+@given(shtf_files(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reader_names_the_first_non_finite_record(tmp_path_factory, store, data):
+    if not len(store):
+        return
+    path = tmp_path_factory.mktemp("shtf") / "s.shtf"
+    write_shtf(path, store)
+    blob = bytearray(path.read_bytes())
+    at, payloads = 20, []
+    for (video_id, ordinal), _ in store.items():
+        at += 6 + len(video_id.encode("utf-8"))
+        payloads.append((at, f"{video_id}#{ordinal}"))
+        at += 4 * store.dim
+    poisoned = sorted(data.draw(st.lists(st.integers(0, len(store) - 1), min_size=1, unique=True)))
+    for record in poisoned:
+        column = data.draw(st.integers(0, store.dim - 1))
+        value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        start = payloads[record][0] + 4 * column
+        blob[start:start + 4] = np.array(value, "<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    first_at, first_name = payloads[poisoned[0]]
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: non-finite features in "
+                                          f"{re.escape(first_name)} at byte {first_at}$"):
+        read_shtf(path)
+    assert read_outcome(read_shtf, path) == read_outcome(per_record_read_shtf, path)

@@ -5,7 +5,7 @@ from shotline import autodiff as ad
 from shotline.autodiff import Tensor
 from shotline.nn import RowMlp, assign_parameters
 
-from _util import check_gradients
+from _util import check_gradients, multi_node_scores
 
 
 def float64_scorer(rng, input_dim, widths):
@@ -18,9 +18,11 @@ def float64_scorer(rng, input_dim, widths):
 
 
 def concat_scores(mlp, context, candidates):
-    """The unfactored scorer: every [context | candidate] row through every layer."""
-    n = candidates.data.shape[0] // context.data.shape[0]
-    out = ad.concat_cols(ad.repeat_rows(context, n), candidates)
+    """The unfactored scorer: every [context | candidate] row through every layer.
+    A constant 0/1 matrix repeats the context rows, which is exact."""
+    q = context.data.shape[0]
+    repeat = np.repeat(np.eye(q, dtype=context.data.dtype), candidates.data.shape[0] // q, axis=0)
+    out = ad.concat_cols(ad.matmul(Tensor(repeat), context), candidates)
     for i, (w, b) in enumerate(mlp.layers):
         out = ad.add(ad.matmul(out, w), b)
         if i != len(mlp.layers) - 1:
@@ -30,18 +32,19 @@ def concat_scores(mlp, context, candidates):
 
 @pytest.mark.parametrize("widths", [(8, 4), (5,), ()])
 def test_factored_scores_gradients(widths):
-    # covers the context, both row slices of the first weight and every bias
+    # covers the context, the candidates, both row slices of the first
+    # weight and every bias
     rng = np.random.default_rng(len(widths))
     mlp = float64_scorer(rng, 3 + 4, widths)
     context = Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
-    candidates = Tensor(rng.normal(0, 1, (2 * 5, 4)))
+    candidates = Tensor(rng.normal(0, 1, (2 * 5, 4)), requires_grad=True)
     weights = rng.normal(0, 1, (10, 1))
 
     def loss():
         return ad.sum_all(ad.matmul(ad.reshape(mlp.scores(context, candidates), (1, 10)),
                                     Tensor(weights)))
 
-    params = [context] + [p for layer in mlp.layers for p in layer]
+    params = [context, candidates] + [p for layer in mlp.layers for p in layer]
     check_gradients(loss, params)
 
 
@@ -67,6 +70,66 @@ def test_factored_scores_match_the_concat_form(widths):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for g, w in zip(got_grads, want_grads):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def _scores_and_grads(score, mlp, context, candidates, weights):
+    params = [context, candidates] + [p for layer in mlp.layers for p in layer]
+    for p in params:
+        p.grad = None
+    out = score(mlp, context, candidates)
+    ad.matmul(ad.reshape(out, (1, -1)), weights).backward()
+    return [out.data] + [p.grad for p in params]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("widths", [(64, 16), (7,), ()])
+@pytest.mark.parametrize("candidate_grad", [False, True])
+def test_pair_mlp_is_bit_identical_to_the_multi_node_form(dtype, widths, candidate_grad):
+    # the next-shot shape in small: odd widths, several candidates per context
+    rng = np.random.default_rng(len(widths) + 3 * candidate_grad)
+    q, n, c, d = 6, 5, 19, 11
+    mlp = RowMlp(c + d, widths, rng)
+    for i, (w, b) in enumerate(mlp.layers):
+        mlp.layers[i] = (Tensor(rng.normal(0, 0.4, w.data.shape).astype(dtype), requires_grad=True),
+                         Tensor(rng.normal(0, 0.4, b.data.shape).astype(dtype), requires_grad=True))
+    context = Tensor(rng.normal(0, 1, (q, c)).astype(dtype), requires_grad=True)
+    candidates = Tensor(rng.normal(0, 1, (q * n, d)).astype(dtype), requires_grad=candidate_grad)
+    weights = Tensor(rng.normal(0, 1, (q * n, 1)).astype(dtype))
+    got = _scores_and_grads(RowMlp.scores, mlp, context, candidates, weights)
+    want = _scores_and_grads(multi_node_scores, mlp, context, candidates, weights)
+    assert (got[2] is None) == (not candidate_grad)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+def test_pair_mlp_under_no_grad_builds_no_tape():
+    rng = np.random.default_rng(5)
+    mlp = RowMlp(5, (4,), rng)
+    context = Tensor(rng.normal(0, 1, (2, 3)).astype(np.float32), requires_grad=True)
+    candidates = Tensor(rng.normal(0, 1, (6, 2)).astype(np.float32))
+    taped = mlp.scores(context, candidates)
+    with ad.no_grad():
+        out = mlp.scores(context, candidates)
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert np.array_equal(out.data, taped.data)
+    with pytest.raises(RuntimeError, match="recorded no operation"):
+        out.backward()
+
+
+def test_pair_mlp_second_backward_raises():
+    rng = np.random.default_rng(6)
+    mlp = RowMlp(5, (4, 3), rng)
+    context = Tensor(rng.normal(0, 1, (2, 3)).astype(np.float32), requires_grad=True)
+    loss = ad.sum_all(mlp.scores(context, Tensor(rng.normal(0, 1, (6, 2)).astype(np.float32))))
+    loss.backward()
+    first = context.grad.copy()
+    with pytest.raises(RuntimeError, match="pair_mlp: backward\\(\\) through this node a second time"):
+        loss.backward()
+    assert np.array_equal(context.grad, first)
 
 
 def test_scores_reject_inputs_that_do_not_fit():

@@ -126,6 +126,50 @@ def test_detect_shots_matches_an_oracle_histogram_detector(segments, noise_sigma
     assert detect_shots(seq, params, "v") == oracle_detect_shots(seq, params, "v")
 
 
+def loop_cut_thresholds(scores, params):
+    """The per-score loop cut_thresholds replaced: one window.mean() and
+    window.std() over the trailing window of each score."""
+    out = np.zeros(scores.shape[0])
+    for i in range(scores.shape[0]):
+        window = scores[max(0, i - params.window):i]
+        if window.size:
+            out[i] = window.mean() + params.threshold_scale * window.std()
+    return out
+
+
+@given(st.integers(0, 3000), st.integers(1, 40), st.floats(0.1, 8.0),
+       st.sampled_from(["uniform", "spiky", "steps"]), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_cut_thresholds_equal_the_per_score_loop(count, window, scale, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        scores = rng.uniform(0, 2, count)
+    elif kind == "spiky":
+        scores = rng.exponential(0.05, count) + (rng.random(count) < 0.05) * rng.uniform(1, 50, count)
+    else:  # long runs of one value, where a rolling sum would drift
+        scores = np.repeat(rng.uniform(0, 1, count // 7 + 1), 7)[:count]
+    params = SegmenterParams(window=window, threshold_scale=scale)
+    got = segment.cut_thresholds(scores, params)
+    assert got.dtype == np.float64 and got.tobytes() == loop_cut_thresholds(scores, params).tobytes()
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
+                          st.integers(1, 40)), min_size=1, max_size=6),
+       st.floats(0.0, 40.0), st.integers(1, 30), st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_detect_shots_matches_the_per_score_threshold_loop(segments, noise_sigma, window, seed):
+    seq = color_sequence(segments, h=6, w=8, noise_sigma=noise_sigma, seed=seed)
+    params = SegmenterParams(window=window, min_shot_len=3)
+    got = detect_shots(seq, params, "v")
+    original = segment.cut_thresholds
+    segment.cut_thresholds = loop_cut_thresholds
+    try:
+        want = detect_shots(seq, params, "v")
+    finally:
+        segment.cut_thresholds = original
+    assert got == want
+
+
 @pytest.mark.parametrize("frame, message", [
     (np.zeros((4, 4, 3), dtype=np.float64), "uint8 pixels, got float64"),
     (np.zeros((4, 4, 3), dtype=np.int64), "uint8 pixels, got int64"),

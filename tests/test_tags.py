@@ -299,8 +299,8 @@ def test_feature_lstm_order_sensitive():
     store = FeatureStore(4)
     for o in range(6):
         store.add("v0", o, rng.normal(0, 1, 4).astype(np.float32))
-    lstm = train_tag_lstm(model, entries, store, VOCAB,
-                          TagTrainConfig(lstm_epochs=2, lstm_hidden=5), seed=1)
+    lstm, _ = train_tag_lstm(model, entries, store, VOCAB,
+                             TagTrainConfig(lstm_epochs=2, lstm_hidden=5), seed=1)
     seq = store.sequence("v0")
     fwd = infer_feature_lstm(model, lstm, "v0", seq)
     rev = infer_feature_lstm(model, lstm, "v0", seq[::-1].copy())
@@ -421,8 +421,12 @@ def per_video_tag_lstm(entries, store, config, seed):
 def test_batched_tag_lstm_training_matches_per_video_trainer():
     entries, store = ragged_tag_corpus()
     config = TagTrainConfig(batch_size=3, lstm_epochs=3, lstm_hidden=5, lstm_learning_rate=0.2)
-    trained = train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=4)
+    trained, history = train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=4)
     reference = per_video_tag_lstm(entries, store, config, seed=4)
+    assert len(history["loss"]) == len(history["epoch_s"]) == len(history["examples_per_s"]) == 3
+    assert min(history["loss"]) > 0 and min(history["epoch_s"]) > 0
+    for seconds, rate in zip(history["epoch_s"], history["examples_per_s"]):
+        assert rate * seconds == pytest.approx(len(entries))
     start = TagLstm(VOCAB, 4, 5, derive_rng(4, "taglstm.init"))
     for name, tensor in trained.parameters().items():
         want = reference.parameters()[name].data
