@@ -9,7 +9,7 @@ every pipeline stage verifiable without a real movie collection.
 
 __version__ = "0.1.0"
 
-from .autodiff import SgdOptimizer, Tensor, finite_difference_gradient
+from .autodiff import SgdOptimizer, Tensor
 from .corpus import (CorpusSplit, SyntheticWorldConfig, TagVocabulary,
                      VideoManifestEntry, generate_world, load_manifest,
                      make_splits, save_manifest)

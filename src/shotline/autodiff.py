@@ -506,28 +506,3 @@ def finite_loss(loss: Tensor, where: str) -> float:
     if not np.isfinite(value):
         raise FloatingPointError(f"{where}: non-finite loss {value}")
     return value
-
-
-# -- numerical oracle ----------------------------------------------------
-
-
-def finite_difference_gradient(f, x: Tensor, h: float = 1e-3) -> np.ndarray:
-    """Central-difference gradient of a scalar function of ``x``.
-
-    Perturbs ``x.data`` in place one coordinate at a time; the function is
-    re-evaluated at x + h e_i and x - h e_i.
-    """
-    out = np.zeros(x.data.shape, dtype=np.float64)
-    for idx in np.ndindex(*x.data.shape):
-        orig = x.data[idx]
-        x.data[idx] = orig + h
-        f_plus = _scalar(f(x))
-        x.data[idx] = orig - h
-        f_minus = _scalar(f(x))
-        x.data[idx] = orig
-        out[idx] = (f_plus - f_minus) / (2.0 * h)
-    return out
-
-
-def _scalar(value) -> float:
-    return float(value.data) if isinstance(value, Tensor) else float(value)

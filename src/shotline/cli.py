@@ -361,15 +361,16 @@ def cmd_gen_questions(args, config):
                 else [args.setting])
     stride = config["stride"] if config["stride"] > 0 else None
     corpus_movies = split.train_movies + split.val_movies + split.test_movies
-    questions = []
+    parts = []
     skipped = 0
     for setting in settings:
         qs, sk = temporal.generate_questions(
             store, movie_ids, setting, mctx=config["mctx"],
             n_candidates=config["candidates"], stride=stride, seed=config["seed"],
             exclusion_radius=config["exclusion_radius"], pool_movie_ids=corpus_movies)
-        questions.extend(qs)
+        parts.append(qs)
         skipped += sk
+    questions = temporal.QuestionSet.concat(parts)
     temporal.write_questions(args.output, questions)
     print(f"gen-questions\t{len(questions)} questions\t{skipped} skipped", file=sys.stderr)
     return [args.features, args.split], [args.output]
@@ -377,14 +378,15 @@ def cmd_gen_questions(args, config):
 
 def cmd_train_temporal(args, config):
     store = read_shtf(args.features)
-    questions = temporal.read_questions(args.questions)
-    val_questions = temporal.read_questions(args.val_questions) if args.val_questions else None
+    questions = temporal.read_questions(args.questions, store)
+    val_questions = (temporal.read_questions(args.val_questions, store)
+                     if args.val_questions else None)
     t_config = temporal.TemporalTrainConfig(
         epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
         learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
         hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]),
         context_pooling=config["context_pooling"])
-    model, history = temporal.train_next_shot(questions, store, t_config, config["seed"],
+    model, history = temporal.train_next_shot(questions, t_config, config["seed"],
                                               val_questions=val_questions)
     save_checkpoint(args.output, model.state())
     last_val = history["val_accuracy"][-1] if history["val_accuracy"] else float("nan")
@@ -398,7 +400,9 @@ def cmd_train_temporal(args, config):
 
 def cmd_eval_temporal(args, config):
     store = read_shtf(args.features)
-    questions = temporal.read_questions(args.questions)
+    questions = temporal.read_questions(args.questions, store)
+    if not len(questions):
+        raise ValueError(f"{args.questions}: no questions to evaluate")
     if args.model:
         model = _from_checkpoint(args.model, temporal.NextShotModel.from_state)
     else:
@@ -406,16 +410,17 @@ def cmd_eval_temporal(args, config):
             store.dim, config["hidden_dim"], _widths(config["scorer_widths"]),
             seed=derive_rng(config["seed"], "nextshot.init").integers(2**32),
             input_scale=temporal._unit_rms_scale(store))
-    probs = temporal.predict_probabilities(model, questions, store)
-    chosen = [int(np.argmax(p)) for p in probs]
+    probs = temporal.predict_probabilities(model, questions)
+    chosen = probs.argmax(axis=1)
     metrics = {}
     _, by_setting = temporal.accuracy_by_setting(questions, chosen)
     for setting, acc in sorted(by_setting.items()):
         metrics[f"lstm.{setting}.accuracy"] = acc
-    _, baseline = temporal.evaluate_accuracy(temporal.baseline_average_cosine, questions, store)
+    _, baseline = temporal.evaluate_accuracy(temporal.baseline_average_cosine, questions)
     for setting, acc in sorted(baseline.items()):
         metrics[f"average.{setting}.accuracy"] = acc
-    rows = [(q.qid, c, float(p[c])) for q, c, p in zip(questions, chosen, probs)]
+    rows = list(zip(questions.qids, chosen.tolist(),
+                    probs[np.arange(len(chosen)), chosen].tolist()))
     rows.sort(key=lambda r: r[0])
     temporal.write_results(args.results, rows)
     tags.write_metrics(args.metrics, metrics)

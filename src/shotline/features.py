@@ -9,6 +9,7 @@ hit and a batch of shots is one fancy-index of the matrix.
 from __future__ import annotations
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -23,6 +24,8 @@ ShotId = tuple[str, int]
 _ID_LEN = struct.Struct("<H")
 _ORDINAL = struct.Struct("<I")
 _WRITE_ROWS = 8192  # records per structured array at most, to bound the writer's memory
+# what ends a label in a text table: the list separator, the field separator, a line end
+_LABEL_BREAKS = re.compile(r"[,\t\r\n]")
 
 
 class FeatureStore:
@@ -98,6 +101,10 @@ class FeatureStore:
     def video_ids(self) -> list[str]:
         return list(self._video_rows)
 
+    def keys(self) -> list[ShotId]:
+        """(video_id, ordinal) of every row, in record order."""
+        return list(self._keys)
+
     def items(self):
         for row, key in enumerate(self._keys):
             yield key, self._buffer[row]
@@ -107,6 +114,21 @@ class FeatureStore:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+
+def shot_labels(keys) -> list[str]:
+    """The ``video#ordinal`` label of each (video_id, ordinal) key: text tables
+    name shots by comma-separated labels."""
+    return [f"{video_id}#{ordinal}" for video_id, ordinal in keys]
+
+
+def check_label_ids(path, video_ids) -> None:
+    """Raise ValueError naming the file and the first video id that a text
+    table of shot labels cannot carry: one holding a comma, tab, CR or LF."""
+    for video_id in video_ids:
+        if _LABEL_BREAKS.search(video_id):
+            raise ValueError(f"{path}: video id {video_id!r} holds a comma, tab or line "
+                             f"break, which a shot label cannot carry")
 
 
 def _record_dtype(id_len: int, dim: int) -> np.dtype:

@@ -14,14 +14,22 @@ def _ranked_labels(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.shape[0]), -scores.astype(np.float64)))
 
 
+def _check_scores(scores: np.ndarray, truths: list[set], metric: str) -> None:
+    if scores.ndim != 2 or scores.shape[0] != len(truths):
+        raise ValueError(f"scores {scores.shape} do not cover {len(truths)} videos")
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{metric}: non-finite score for video {int(np.argmin(finite))}")
+
+
 def recall_at_k(scores: np.ndarray, truths: list[set], k: int = 3) -> float:
     """Mean over videos of |top-k predictions ∩ truth| / min(k, |truth|).
 
-    Videos with empty truth sets are skipped.
+    Videos with empty truth sets are skipped. A NaN or infinite score
+    raises ValueError naming its video's row.
     """
     scores = np.asarray(scores)
-    if scores.ndim != 2 or scores.shape[0] != len(truths):
-        raise ValueError(f"scores {scores.shape} do not cover {len(truths)} videos")
+    _check_scores(scores, truths, "recall_at_k")
     per_video = []
     for row, truth in zip(scores, truths):
         if not truth:
@@ -47,11 +55,11 @@ def mean_average_precision(scores: np.ndarray, truths: list[set], axis: str = "l
     """Label-centric MAP (default): rank videos per label, average the APs.
 
     The video-centric variant ranks labels per video instead. Labels (or
-    videos) without a positive are excluded.
+    videos) without a positive are excluded. A NaN or infinite score raises
+    ValueError naming its video's row.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != len(truths):
-        raise ValueError(f"scores {scores.shape} do not cover {len(truths)} videos")
+    _check_scores(scores, truths, "mean_average_precision")
     n_videos, n_labels = scores.shape
     aps = []
     if axis == "label":

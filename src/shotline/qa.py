@@ -16,10 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .binio import read_tsv
-from .features import FeatureStore
+from .features import FeatureStore, ShotId, check_label_ids, shot_labels
 from .nn import RowMlp, assign_parameters, mlp_dims
 from .rng import derive_rng
-from .temporal import ShotId, format_shot_id, parse_shot_id
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -82,6 +81,8 @@ def write_embedding_table(path, table: dict) -> None:
 
 
 def read_embedding_table(path) -> dict:
+    """Token -> float32 vector. A malformed line, or a value that is not
+    finite in float32, raises ValueError naming the file and line."""
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -91,9 +92,15 @@ def read_embedding_table(path) -> dict:
             if len(parts) < 2:
                 raise ValueError(f"{path}: line {line_no}: token without values")
             try:
-                table[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+                with np.errstate(over="ignore"):  # a float32 overflow is rejected below
+                    values = np.array([float(v) for v in parts[1:]], dtype=np.float32)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise ValueError(f"{path}: line {line_no}: non-finite value "
+                                 f"{parts[1 + int(np.argmin(finite))]!r}")
+            table[parts[0]] = values
     return table
 
 
@@ -113,20 +120,29 @@ class QaItem:
 
 
 def write_qa_items(path, items: list[QaItem]) -> None:
+    """One line per item. A video id that a shot label cannot carry raises
+    ValueError naming it before anything is written."""
+    check_label_ids(path, dict.fromkeys(video_id for item in items
+                                        for video_id, _ in item.clip_shots))
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
             for text in [item.question, *item.answers]:
                 if "|" in text or "\t" in text:
                     raise ValueError(f"item {item.qid}: '|' and tab are not allowed in texts")
-            clip = ",".join(format_shot_id(s) for s in item.clip_shots)
+            clip = ",".join(shot_labels(item.clip_shots))
             fh.write(f"{item.qid}\t{item.question}\t{'|'.join(item.answers)}\t{clip}\t"
                      f"{item.correct_index}\n")
+
+
+def _parse_shot_label(text: str) -> ShotId:
+    video_id, _, ordinal = text.rpartition("#")
+    return video_id, int(ordinal)
 
 
 def read_qa_items(path) -> list[QaItem]:
     return read_tsv(path, 5, lambda p: QaItem(
         qid=p[0], question=p[1], answers=p[2].split("|"),
-        clip_shots=[parse_shot_id(s) for s in p[3].split(",")], correct_index=int(p[4])))
+        clip_shots=[_parse_shot_label(s) for s in p[3].split(",")], correct_index=int(p[4])))
 
 
 def encode_clip(shot_ids: list[ShotId], store: FeatureStore) -> np.ndarray:

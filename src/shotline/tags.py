@@ -140,17 +140,6 @@ class TagModel(_TagHeads):
         return model
 
 
-def forward_video(model: TagModel, video_id: str, video_feature: np.ndarray) -> TagPrediction:
-    """Score a single pooled video feature with both branches."""
-    feat = np.asarray(video_feature, dtype=np.float32)
-    if feat.shape != (model.genre_w.data.shape[0],):
-        raise ValueError(f"feature shape {feat.shape} does not match head "
-                         f"({model.genre_w.data.shape[0]},)")
-    genre = model._scores_np(feat @ model.genre_w.data + model.genre_b.data)
-    keyword = model._scores_np(feat @ model.keyword_w.data + model.keyword_b.data)
-    return TagPrediction(video_id, genre, keyword)
-
-
 def _hot(index_sets: list[set], width: int) -> np.ndarray:
     out = np.zeros((len(index_sets), width), dtype=np.float32)
     for i, idx in enumerate(index_sets):

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .binio import read_tsv
-from .features import FeatureStore, ShotId
+from .features import FeatureStore, check_label_ids, shot_labels
 from .nn import (LstmCell, RowMlp, assign_parameters, lstm_dims, mlp_dims,
                  pooling_matrix, read_choice)
 from .rng import derive_rng
@@ -28,45 +29,154 @@ CROSS_MOVIE = "cross_movie"
 CONTEXT_POOLINGS = ("final", "mean")
 
 
-@dataclass
-class PredictionQuestion:
+class PredictionQuestion(NamedTuple):
+    """One question of a QuestionSet: ``context`` and ``candidates`` hold rows
+    of ``store``, and candidates[correct_index] is the answer."""
     qid: str
     movie_id: str
     setting: str
-    context: list[ShotId]
-    candidates: list[ShotId]
+    context: np.ndarray
+    candidates: np.ndarray
     correct_index: int
-
-    def __post_init__(self):
-        if self.setting not in (IN_MOVIE, CROSS_MOVIE):
-            raise ValueError(f"unknown setting {self.setting!r}")
-        if not 0 <= self.correct_index < len(self.candidates):
-            raise ValueError(f"correct_index {self.correct_index} out of range")
+    store: FeatureStore
 
 
-def format_shot_id(shot: ShotId) -> str:
-    return f"{shot[0]}#{shot[1]}"
+class QuestionSet:
+    """Next-shot questions as row arrays into one FeatureStore.
+
+    Question i is ``qids[i]`` about ``movie_ids[i]`` in ``settings[i]``. Its
+    context shots, in order, are the store rows ``context[i]`` of the
+    (Q, mctx) array and its candidates the rows ``candidates[i]`` of the
+    (Q, n) array, and ``candidates[i, correct[i]]`` is its answer. Iterating
+    yields PredictionQuestion rows; an integer index gives one row, and a
+    slice or an index array gives the set of those questions.
+    """
+
+    def __init__(self, store: FeatureStore | None, qids: list[str], movie_ids: list[str],
+                 settings: list[str], context: np.ndarray, candidates: np.ndarray,
+                 correct: np.ndarray):
+        self.store = store
+        self.qids = list(qids)
+        self.movie_ids = list(movie_ids)
+        self.settings = list(settings)
+        self.context = np.asarray(context, dtype=np.int64)
+        self.candidates = np.asarray(candidates, dtype=np.int64)
+        self.correct = np.asarray(correct, dtype=np.int64)
+        count = len(self.qids)
+        if (self.context.ndim != 2 or self.candidates.ndim != 2
+                or {len(self.movie_ids), len(self.settings), len(self.context),
+                    len(self.candidates), len(self.correct)} != {count}):
+            raise ValueError("a question set needs one qid, movie, setting, context row, "
+                             "candidate row and answer per question")
+        for setting in dict.fromkeys(self.settings):
+            if setting not in (IN_MOVIE, CROSS_MOVIE):
+                raise ValueError(f"unknown setting {setting!r}")
+        bad = (self.correct < 0) | (self.correct >= self.candidates.shape[1])
+        if bad.any():
+            raise ValueError(f"correct_index {self.correct[np.argmax(bad)]} out of range")
+
+    @classmethod
+    def concat(cls, parts) -> "QuestionSet":
+        """One set of QuestionSets and PredictionQuestion rows, in order; all
+        must index the same store. Nothing gives an empty set of no store."""
+        sets = [p if isinstance(p, QuestionSet) else
+                cls(p.store, [p.qid], [p.movie_id], [p.setting], p.context[None],
+                    p.candidates[None], [p.correct_index]) for p in parts]
+        if not sets:
+            return cls(None, [], [], [], np.empty((0, 0)), np.empty((0, 0)), [])
+        if any(s.store is not sets[0].store for s in sets):
+            raise ValueError("questions joined together must index one feature store")
+        return cls(sets[0].store, [q for s in sets for q in s.qids],
+                   [m for s in sets for m in s.movie_ids],
+                   [t for s in sets for t in s.settings],
+                   np.concatenate([s.context for s in sets]),
+                   np.concatenate([s.candidates for s in sets]),
+                   np.concatenate([s.correct for s in sets]))
+
+    def __len__(self) -> int:
+        return len(self.qids)
+
+    def __iter__(self):
+        for i in range(len(self.qids)):
+            yield self[i]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return PredictionQuestion(self.qids[index], self.movie_ids[index],
+                                      self.settings[index], self.context[index],
+                                      self.candidates[index], int(self.correct[index]),
+                                      self.store)
+        picks = np.arange(len(self.qids))[index]
+        return QuestionSet(self.store, [self.qids[i] for i in picks],
+                           [self.movie_ids[i] for i in picks],
+                           [self.settings[i] for i in picks], self.context[picks],
+                           self.candidates[picks], self.correct[picks])
 
 
-def parse_shot_id(text: str) -> ShotId:
-    video_id, _, ordinal = text.rpartition("#")
-    return video_id, int(ordinal)
+def write_questions(path, questions: QuestionSet) -> None:
+    """One line per question; shots are written as ``video#ordinal`` labels.
 
-
-def write_questions(path, questions: list[PredictionQuestion]) -> None:
+    Each store row a question names is labelled once, and each line joins
+    the labels of its rows. A plain sequence of PredictionQuestion rows is
+    joined into a set first. A video id that a label cannot carry raises
+    ValueError naming it before anything is written.
+    """
+    if not isinstance(questions, QuestionSet):
+        questions = QuestionSet.concat(questions)
+    labels = np.empty(0 if questions.store is None else len(questions.store), dtype=object)
+    used = np.zeros(len(labels), dtype=bool)
+    used[questions.context] = True
+    used[questions.candidates] = True
+    rows = np.flatnonzero(used)
+    keys = questions.store.keys() if rows.size else []
+    named = [keys[r] for r in rows.tolist()]
+    check_label_ids(path, dict.fromkeys([*questions.movie_ids, *(v for v, _ in named)]))
+    labels[rows] = shot_labels(named)
+    contexts = labels[questions.context].tolist()
+    candidates = labels[questions.candidates].tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for q in questions:
-            ctx = ",".join(format_shot_id(s) for s in q.context)
-            cands = ",".join(format_shot_id(s) for s in q.candidates)
-            fh.write(f"{q.qid}\t{q.movie_id}\t{q.setting}\t{ctx}\t{cands}\t{q.correct_index}\n")
+        fh.writelines(f"{qid}\t{movie}\t{setting}\t{','.join(ctx)}\t{','.join(cands)}\t{c}\n"
+                      for qid, movie, setting, ctx, cands, c in zip(
+                          questions.qids, questions.movie_ids, questions.settings, contexts,
+                          candidates, questions.correct.tolist()))
 
 
-def read_questions(path) -> list[PredictionQuestion]:
-    return read_tsv(path, 6, lambda p: PredictionQuestion(
-        qid=p[0], movie_id=p[1], setting=p[2],
-        context=[parse_shot_id(s) for s in p[3].split(",")],
-        candidates=[parse_shot_id(s) for s in p[4].split(",")],
-        correct_index=int(p[5])))
+def read_questions(path, store: FeatureStore) -> QuestionSet:
+    """The questions of a file written by write_questions, as rows of ``store``.
+
+    Labels resolve through one label -> row table of the store. A malformed
+    line, a label of no stored shot, or a line whose context or candidate
+    count differs from the first line's raises ValueError naming the file and
+    the line.
+    """
+    row_of = dict(zip(shot_labels(store.keys()), range(len(store))))
+    sizes: list[tuple[int, int]] = []
+
+    def shot_rows(field: str) -> list[int]:
+        try:
+            return [row_of[label] for label in field.split(",")]
+        except KeyError as exc:
+            raise ValueError(f"no feature for shot {exc.args[0]}") from None
+
+    def parse(p: list[str]):
+        context, candidates, correct = shot_rows(p[3]), shot_rows(p[4]), int(p[5])
+        if p[2] not in (IN_MOVIE, CROSS_MOVIE):
+            raise ValueError(f"unknown setting {p[2]!r}")
+        if not 0 <= correct < len(candidates):
+            raise ValueError(f"correct_index {correct} out of range")
+        if not sizes:
+            sizes.append((len(context), len(candidates)))
+        elif sizes[0] != (len(context), len(candidates)):
+            raise ValueError(f"{len(context)} context and {len(candidates)} candidate shots, "
+                             f"where the first question has {sizes[0][0]} and {sizes[0][1]}")
+        return p[0], p[1], p[2], context, candidates, correct
+
+    lines = read_tsv(path, 6, parse)
+    mctx, n = sizes[0] if sizes else (0, 0)
+    qids, movie_ids, settings, contexts, candidates, correct = zip(*lines) if lines else [()] * 6
+    return QuestionSet(store, qids, movie_ids, settings,
+                       np.array(contexts, dtype=np.int64).reshape(len(lines), mctx),
+                       np.array(candidates, dtype=np.int64).reshape(len(lines), n), correct)
 
 
 def write_results(path, rows: list[tuple[str, int, float]]) -> None:
@@ -78,21 +188,26 @@ def write_results(path, rows: list[tuple[str, int, float]]) -> None:
 # -- question generation ----------------------------------------------------
 
 
-def _shot_total(store: FeatureStore, movie_id: str) -> int:
-    """Shot count of a movie whose ordinals must be exactly 0..n-1."""
-    total = store.shot_count(movie_id)
-    for ordinal in range(total):
-        if (movie_id, ordinal) not in store:
-            raise ValueError(f"movie {movie_id!r}: shot ordinals are not 0..{total - 1}; "
-                             f"first missing ordinal {ordinal}")
-    return total
+def _movie_rows(store: FeatureStore, keys: list, movie_id: str) -> np.ndarray:
+    """Store rows of a movie's shots in ordinal order; its ordinals must be
+    exactly 0..n-1. ``keys`` is store.keys()."""
+    if not store.shot_count(movie_id):
+        return np.empty(0, dtype=np.int64)
+    rows = store.sequence_rows(movie_id)
+    total = len(rows)
+    # distinct ordinals in ascending order are 0..n-1 when the first is 0 and the last n-1
+    if keys[rows[0]][1] != 0 or keys[rows[-1]][1] != total - 1:
+        present = {keys[r][1] for r in rows.tolist()}
+        missing = next(o for o in range(total) if o not in present)
+        raise ValueError(f"movie {movie_id!r}: shot ordinals are not 0..{total - 1}; "
+                         f"first missing ordinal {missing}")
+    return rows
 
 
 def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
                        mctx: int = 8, n_candidates: int = 32, stride: int | None = None,
                        seed: int = 0, exclusion_radius: int = 0,
-                       pool_movie_ids: list[str] | None = None
-                       ) -> tuple[list[PredictionQuestion], int]:
+                       pool_movie_ids: list[str] | None = None) -> tuple[QuestionSet, int]:
     """Slide a context window over each movie and draw distractor shots.
 
     In-movie distractors come from the same movie outside the window (and
@@ -101,10 +216,13 @@ def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
     being questioned). Movies without enough material are skipped and
     counted. Every movie read must have shot ordinals 0..n-1.
 
-    A pool is a run of shots minus one contiguous excluded window (the
-    context, the answer and the radius around it). Distractors are drawn
-    as indices into the pool without the window, and an index at or past
-    the window moves up by its width, so no pool is ever materialized.
+    A pool is a run of store rows minus one contiguous excluded window (the
+    context, the answer and the radius around it). Distractors are drawn as
+    indices into the pool without the window, and an index at or past the
+    window moves up by its width, so no pool is ever materialized. Each
+    question takes one ``rng.choice`` and one ``rng.integers`` from its
+    movie's stream; the windows, shifts, gathers and answer insertion are
+    array work over all of a movie's questions at once.
     """
     if setting not in (IN_MOVIE, CROSS_MOVIE):
         raise ValueError(f"unknown setting {setting!r}")
@@ -114,43 +232,57 @@ def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
     radius = max(exclusion_radius, 0)
     pool_ids = pool_movie_ids if pool_movie_ids is not None else movie_ids
     read_ids = [*movie_ids, *pool_ids] if setting == CROSS_MOVIE else movie_ids
-    totals = {m: _shot_total(store, m) for m in dict.fromkeys(read_ids)}
+    keys = store.keys()
+    sequences = {m: _movie_rows(store, keys, m) for m in dict.fromkeys(read_ids)}
     if setting == CROSS_MOVIE:
         if len(set(pool_ids)) != len(pool_ids):
             raise ValueError("the cross-movie pool lists a movie more than once")
-        pool_shots = [(m, o) for m in pool_ids for o in range(totals[m])]
-        pool_start = dict(zip(pool_ids, np.cumsum([0] + [totals[m] for m in pool_ids]).tolist()))
-    questions: list[PredictionQuestion] = []
+        pool = np.concatenate([np.empty(0, dtype=np.int64), *(sequences[m] for m in pool_ids)])
+        pool_start = dict(zip(pool_ids, np.cumsum([0] + [len(sequences[m]) for m in pool_ids])
+                              .tolist()))
+    parts: list[QuestionSet] = []
     skipped = 0
     for movie_id in movie_ids:
-        total = totals[movie_id]
+        rows = sequences[movie_id]
+        total = len(rows)
         if total <= mctx:
             skipped += 1
             continue
         if setting == IN_MOVIE:
-            shots, base = [(movie_id, o) for o in range(total)], 0
+            shots, base = rows, 0
         else:
-            shots, base = pool_shots, pool_start.get(movie_id)  # None: movie not in pool
+            shots, base = pool, pool_start.get(movie_id)  # None: movie not in pool
+        starts = np.arange(0, total - mctx, stride)
+        answers = starts + mctx
+        lo = np.maximum(0, np.minimum(starts, answers - radius))
+        width = (np.minimum(total - 1, answers + radius) - lo + 1 if base is not None
+                 else np.zeros_like(starts))
+        kept = len(shots) - width >= n_candidates - 1
+        skipped += len(starts) - int(kept.sum())
+        starts, answers, lo, width = starts[kept], answers[kept], lo[kept], width[kept]
+        if not len(starts):
+            continue
         rng = derive_rng(seed, f"questions.{setting}.{movie_id}")
-        for start in range(0, total - mctx, stride):
-            answer_ord = start + mctx
-            lo = max(0, min(start, answer_ord - radius))
-            width = min(total - 1, answer_ord + radius) - lo + 1 if base is not None else 0
-            if len(shots) - width < n_candidates - 1:
-                skipped += 1
-                continue
-            picks = rng.choice(len(shots) - width, size=n_candidates - 1, replace=False)
-            if width:
-                picks += (picks >= base + lo) * width
-            candidates = [shots[i] for i in picks]
-            position = int(rng.integers(n_candidates))
-            candidates.insert(position, (movie_id, answer_ord))
-            questions.append(PredictionQuestion(
-                qid=f"{setting}-{movie_id}-{start:06d}", movie_id=movie_id, setting=setting,
-                context=[(movie_id, o) for o in range(start, answer_ord)],
-                candidates=candidates, correct_index=position,
-            ))
-    return questions, skipped
+        picks = np.empty((len(starts), n_candidates - 1), dtype=np.int64)
+        positions = np.empty(len(starts), dtype=np.int64)
+        for i, size in enumerate((len(shots) - width).tolist()):
+            picks[i] = rng.choice(size, size=n_candidates - 1, replace=False)
+            positions[i] = rng.integers(n_candidates)
+        picks += (picks >= (base or 0) + lo[:, None]) * width[:, None]
+        # each row's distractors fill its candidate slots around the answer's
+        candidates = np.empty((len(starts), n_candidates), dtype=np.int64)
+        at_answer = np.arange(n_candidates) == positions[:, None]
+        candidates[~at_answer] = shots[picks].ravel()
+        candidates[at_answer] = rows[answers]
+        prefix = f"{setting}-{movie_id}-"
+        parts.append(QuestionSet(
+            store, [f"{prefix}{start:06d}" for start in starts.tolist()],
+            [movie_id] * len(starts), [setting] * len(starts),
+            rows[starts[:, None] + np.arange(mctx)], candidates, positions))
+    if not parts:
+        return QuestionSet(store, [], [], [], np.empty((0, mctx)), np.empty((0, n_candidates)),
+                           []), skipped
+    return QuestionSet.concat(parts), skipped
 
 
 # -- model -------------------------------------------------------------------
@@ -230,20 +362,6 @@ class NextShotModel:
         return model
 
 
-def _question_rows(questions: list[PredictionQuestion],
-                   store: FeatureStore) -> tuple[np.ndarray, np.ndarray]:
-    """Store rows of every question's context, (Q, mctx), and candidates, (Q, n)."""
-    mctx = len(questions[0].context)
-    n = len(questions[0].candidates)
-    for q in questions:
-        if len(q.context) != mctx or len(q.candidates) != n:
-            raise ValueError("questions resolved together must share context and "
-                             "candidate sizes")
-    contexts = store.row_indices([s for q in questions for s in q.context])
-    candidates = store.row_indices([s for q in questions for s in q.candidates])
-    return contexts.reshape(len(questions), mctx), candidates.reshape(len(questions), n)
-
-
 def _unit_rms_scale(store: FeatureStore) -> float:
     """Scale that brings the store's features to unit per-dimension rms.
 
@@ -269,10 +387,8 @@ class TemporalTrainConfig:
     context_pooling: str = "final"
 
 
-def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
-                    config: TemporalTrainConfig, seed: int,
-                    val_questions: list[PredictionQuestion] | None = None
-                    ) -> tuple[NextShotModel, dict]:
+def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: int,
+                    val_questions: QuestionSet | None = None) -> tuple[NextShotModel, dict]:
     """SGD on the negative log-probability of the correct candidate.
 
     With a validation set, the model from the best validation epoch is
@@ -280,15 +396,16 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
     seconds (validation included) and the training examples per second of
     its SGD pass, plus each validation accuracy.
     """
-    if not questions:
+    if not len(questions):
         raise ValueError("train_next_shot: empty question set")
+    store = questions.store
     model = NextShotModel(store.dim, config.hidden_dim, config.scorer_widths,
                           seed=derive_rng(seed, "nextshot.init").integers(2**32),
                           context_pooling=config.context_pooling,
                           input_scale=_unit_rms_scale(store))
     optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
-    context_rows, candidate_rows = _question_rows(questions, store)
-    targets = np.array([q.correct_index for q in questions], dtype=np.int64)
+    context_rows, candidate_rows, targets = (questions.context, questions.candidates,
+                                             questions.correct)
     matrix = store.matrix
     history = {"loss": [], "epoch_s": [], "examples_per_s": [], "val_accuracy": []}
     best_val = -1.0
@@ -310,7 +427,7 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
         history["loss"].append(epoch_loss / len(questions))
         history["examples_per_s"].append(len(questions) / (time.perf_counter() - started))
         if val_questions:
-            acc = evaluate_accuracy(model, val_questions, store)[0]
+            acc = evaluate_accuracy(model, val_questions)[0]
             history["val_accuracy"].append(acc)
             if acc > best_val:
                 best_val = acc
@@ -321,10 +438,11 @@ def train_next_shot(questions: list[PredictionQuestion], store: FeatureStore,
     return model, history
 
 
-def baseline_average_cosine(question: PredictionQuestion, store: FeatureStore) -> int:
+def baseline_average_cosine(question: PredictionQuestion) -> int:
     """Pick the candidate closest (in cosine) to the mean context feature."""
-    mean = store.rows(question.context).astype(np.float64).mean(axis=0)
-    candidates = store.rows(question.candidates).astype(np.float64)
+    matrix = question.store.matrix
+    mean = matrix[question.context].astype(np.float64).mean(axis=0)
+    candidates = matrix[question.candidates].astype(np.float64)
     mean_norm = np.linalg.norm(mean)
     cand_norms = np.linalg.norm(candidates, axis=1)
     sims = np.full(candidates.shape[0], -np.inf)
@@ -336,54 +454,43 @@ def baseline_average_cosine(question: PredictionQuestion, store: FeatureStore) -
 
 
 @ad.no_grad()
-def predict_probabilities(model: NextShotModel, questions: list[PredictionQuestion],
-                          store: FeatureStore, batch_size: int = 256) -> list[np.ndarray]:
-    """Candidate distribution of every question, in question order.
-
-    Questions are batched by (context length, candidate count).
-    """
-    out: list[np.ndarray] = [None] * len(questions)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, q in enumerate(questions):
-        by_shape.setdefault((len(q.context), len(q.candidates)), []).append(i)
-    matrix = store.matrix
-    for group in by_shape.values():
-        context_rows, candidate_rows = _question_rows([questions[i] for i in group], store)
-        for start in range(0, len(group), batch_size):
-            part = slice(start, start + batch_size)
-            probs = model.probabilities_batch(matrix[context_rows[part]],
-                                              matrix[candidate_rows[part]]).data
-            for i, p in zip(group[part], probs):
-                out[i] = p
-    return out
+def predict_probabilities(model: NextShotModel, questions: QuestionSet,
+                          batch_size: int = 256) -> np.ndarray:
+    """Candidate distribution of every question, (Q, n), in question order."""
+    matrix = questions.store.matrix if len(questions) else None
+    parts = [model.probabilities_batch(matrix[questions.context[start:start + batch_size]],
+                                       matrix[questions.candidates[start:start + batch_size]]
+                                       ).data
+             for start in range(0, len(questions), batch_size)]
+    return np.concatenate(parts) if parts else np.empty(questions.candidates.shape, np.float32)
 
 
-def accuracy_by_setting(questions: list[PredictionQuestion],
-                        chosen: list[int]) -> tuple[float, dict]:
+def accuracy_by_setting(questions: QuestionSet, chosen) -> tuple[float, dict]:
     """Fraction of chosen indices that are correct, plus a per-setting breakdown."""
-    if not questions:
+    if not len(questions):
         raise ValueError("no questions to score")
-    correct: dict[str, int] = {}
-    seen: dict[str, int] = {}
-    for q, c in zip(questions, chosen, strict=True):
-        seen[q.setting] = seen.get(q.setting, 0) + 1
-        correct[q.setting] = correct.get(q.setting, 0) + int(c == q.correct_index)
-    breakdown = {s: correct[s] / seen[s] for s in seen}
-    return sum(correct.values()) / len(questions), breakdown
+    chosen = np.asarray(chosen)
+    if chosen.shape != questions.correct.shape:
+        raise ValueError(f"{chosen.size} choices for {len(questions)} questions")
+    hits = chosen == questions.correct
+    settings = np.array(questions.settings)
+    breakdown = {}
+    for setting in dict.fromkeys(questions.settings):
+        asked = settings == setting
+        breakdown[setting] = int(hits[asked].sum()) / int(asked.sum())
+    return int(hits.sum()) / len(questions), breakdown
 
 
-def evaluate_accuracy(scorer, questions: list[PredictionQuestion], store: FeatureStore,
-                      batch_size: int = 256) -> tuple[float, dict]:
+def evaluate_accuracy(scorer, questions: QuestionSet, batch_size: int = 256) -> tuple[float, dict]:
     """Fraction answered correctly, plus a per-setting breakdown.
 
-    ``scorer`` is either a NextShotModel or a callable mapping
-    (question, store) to a chosen index.
+    ``scorer`` is either a NextShotModel or a callable mapping a
+    PredictionQuestion to a chosen index.
     """
-    if not questions:
+    if not len(questions):
         raise ValueError("evaluate_accuracy: empty question set")
     if isinstance(scorer, NextShotModel):
-        chosen = [int(np.argmax(p))
-                  for p in predict_probabilities(scorer, questions, store, batch_size)]
+        chosen = predict_probabilities(scorer, questions, batch_size).argmax(axis=1)
     else:
-        chosen = [scorer(q, store) for q in questions]
+        chosen = [scorer(q) for q in questions]
     return accuracy_by_setting(questions, chosen)

@@ -1,7 +1,12 @@
-"""Shared numerical check helpers."""
+"""Shared numerical check helpers and per-id reference implementations."""
+from dataclasses import dataclass
+
 import numpy as np
 
 from shotline import autodiff as ad
+from shotline import temporal
+from shotline.rng import derive_rng
+from shotline.tags import TagModel, TagPrediction
 
 GRAD_H = 1e-3
 GRAD_TOL = 1e-3
@@ -13,6 +18,27 @@ def rel_err(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
     return float((np.abs(a - b) / denom).max())
+
+
+def finite_difference_gradient(f, x: ad.Tensor, h: float = 1e-3) -> np.ndarray:
+    """Central-difference gradient of a scalar function of ``x``.
+
+    Perturbs ``x.data`` in place one coordinate at a time; the function is
+    re-evaluated at x + h e_i and x - h e_i.
+    """
+    def scalar(value) -> float:
+        return float(value.data) if isinstance(value, ad.Tensor) else float(value)
+
+    out = np.zeros(x.data.shape, dtype=np.float64)
+    for idx in np.ndindex(*x.data.shape):
+        orig = x.data[idx]
+        x.data[idx] = orig + h
+        f_plus = scalar(f(x))
+        x.data[idx] = orig - h
+        f_minus = scalar(f(x))
+        x.data[idx] = orig
+        out[idx] = (f_plus - f_minus) / (2.0 * h)
+    return out
 
 
 def check_gradients(build_loss, params, h=GRAD_H, tol=GRAD_TOL) -> float:
@@ -28,7 +54,7 @@ def check_gradients(build_loss, params, h=GRAD_H, tol=GRAD_TOL) -> float:
     tape = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
     worst = 0.0
     for p, got in zip(params, tape):
-        fd = ad.finite_difference_gradient(lambda _x: build_loss(), p, h)
+        fd = finite_difference_gradient(lambda _x: build_loss(), p, h)
         worst = max(worst, rel_err(got, fd))
     assert worst <= tol, f"gradient mismatch: rel err {worst:.3e} > {tol}"
     return worst
@@ -89,3 +115,112 @@ def multi_node_scores(mlp, context, candidates):
     for w, b in mlp.layers[1:]:
         out = ad.add(ad.matmul(ad.tanh(out), w), b)
     return out
+
+
+def forward_video(model: TagModel, video_id: str, video_feature: np.ndarray) -> TagPrediction:
+    """Both tag heads on a single pooled video feature."""
+    feat = np.asarray(video_feature, dtype=np.float32)
+    if feat.shape != (model.genre_w.data.shape[0],):
+        raise ValueError(f"feature shape {feat.shape} does not match head "
+                         f"({model.genre_w.data.shape[0]},)")
+    genre = model._scores_np(feat @ model.genre_w.data + model.genre_b.data)
+    keyword = model._scores_np(feat @ model.keyword_w.data + model.keyword_b.data)
+    return TagPrediction(video_id, genre, keyword)
+
+
+# -- next-shot questions, one shot id at a time ------------------------------------------
+
+
+@dataclass
+class OracleQuestion:
+    """A next-shot question whose shots are (video_id, ordinal) ids."""
+    qid: str
+    movie_id: str
+    setting: str
+    context: list
+    candidates: list
+    correct_index: int
+
+
+def pool_generator(store, movie_ids, setting, mctx=8, n_candidates=32, stride=None, seed=0,
+                   exclusion_radius=0, pool_movie_ids=None):
+    """Reference generator: copies every question's distractor pool into a list.
+
+    Quadratic in corpus size, but plainly correct: the oracle that
+    generate_questions must match byte for byte.
+    """
+    stride = stride or mctx
+    all_shots = []
+    if setting == temporal.CROSS_MOVIE:
+        for movie_id in (pool_movie_ids if pool_movie_ids is not None else movie_ids):
+            all_shots.extend((movie_id, o) for o in range(store.shot_count(movie_id)))
+    questions = []
+    skipped = 0
+    for movie_id in movie_ids:
+        total = store.shot_count(movie_id)
+        if total <= mctx:
+            skipped += 1
+            continue
+        rng = derive_rng(seed, f"questions.{setting}.{movie_id}")
+        for start in range(0, total - mctx, stride):
+            answer_ord = start + mctx
+            context = [(movie_id, o) for o in range(start, answer_ord)]
+            answer = (movie_id, answer_ord)
+            excluded = set(context) | {answer}
+            if exclusion_radius > 0:
+                for o in range(answer_ord - exclusion_radius, answer_ord + exclusion_radius + 1):
+                    if 0 <= o < total:
+                        excluded.add((movie_id, o))
+            if setting == temporal.IN_MOVIE:
+                pool = [(movie_id, o) for o in range(total) if (movie_id, o) not in excluded]
+            else:
+                pool = [s for s in all_shots if s not in excluded]
+            if len(pool) < n_candidates - 1:
+                skipped += 1
+                continue
+            picks = rng.choice(len(pool), size=n_candidates - 1, replace=False)
+            candidates = [pool[i] for i in picks]
+            position = int(rng.integers(n_candidates))
+            candidates.insert(position, answer)
+            questions.append(OracleQuestion(
+                qid=f"{setting}-{movie_id}-{start:06d}", movie_id=movie_id, setting=setting,
+                context=context, candidates=candidates, correct_index=position))
+    return questions, skipped
+
+
+def write_oracle_questions(path, questions) -> None:
+    """The question file format, written one shot id at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for q in questions:
+            ctx = ",".join(f"{v}#{o}" for v, o in q.context)
+            cands = ",".join(f"{v}#{o}" for v, o in q.candidates)
+            fh.write(f"{q.qid}\t{q.movie_id}\t{q.setting}\t{ctx}\t{cands}\t{q.correct_index}\n")
+
+
+def oracle_set(store, questions) -> temporal.QuestionSet:
+    """The QuestionSet of OracleQuestions, each shot id resolved on its own."""
+    mctx, n = (len(questions[0].context), len(questions[0].candidates)) if questions else (0, 0)
+    return temporal.QuestionSet(
+        store, [q.qid for q in questions], [q.movie_id for q in questions],
+        [q.setting for q in questions],
+        np.array([[store.row_indices([s])[0] for s in q.context] for q in questions],
+                 dtype=np.int64).reshape(len(questions), mctx),
+        np.array([[store.row_indices([s])[0] for s in q.candidates] for q in questions],
+                 dtype=np.int64).reshape(len(questions), n),
+        [q.correct_index for q in questions])
+
+
+def shot_ids(questions: temporal.QuestionSet) -> list[OracleQuestion]:
+    """Each question of a set with its rows turned back into shot ids."""
+    keys = questions.store.keys() if len(questions) else []
+    return [OracleQuestion(q.qid, q.movie_id, q.setting, [keys[r] for r in q.context],
+                           [keys[r] for r in q.candidates], q.correct_index)
+            for q in questions]
+
+
+def assert_same_questions(a: temporal.QuestionSet, b: temporal.QuestionSet) -> None:
+    """The two sets hold the same questions as rows of the same store."""
+    assert a.store is b.store
+    assert (a.qids, a.movie_ids, a.settings) == (b.qids, b.movie_ids, b.settings)
+    for name in ("context", "candidates", "correct"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name

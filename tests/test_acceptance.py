@@ -14,7 +14,7 @@ import pytest
 
 from shotline import autodiff as ad
 from shotline import qa, tags, temporal
-from shotline.autodiff import Tensor, finite_difference_gradient
+from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.cli import main as cli_main
 from shotline.corpus import SyntheticWorldConfig, generate_world, make_splits
@@ -24,7 +24,7 @@ from shotline.metrics import mean_average_precision, recall_at_k
 from shotline.nn import LstmCell, RowMlp
 from shotline.segment import detect_shots
 
-from _util import rel_err
+from _util import finite_difference_gradient, rel_err
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -206,7 +206,7 @@ def test_criterion_03_chance_calibration():
     assert len(questions) >= 10_000
     questions = questions[:10_000]
     model = temporal.NextShotModel(store.dim, 64, (128, 32), seed=99, input_scale=np.sqrt(32))
-    acc, _ = temporal.evaluate_accuracy(model, questions, store)
+    acc, _ = temporal.evaluate_accuracy(model, questions)
 
     rng = np.random.default_rng(4)
     qa_store = FeatureStore(16)
@@ -246,20 +246,21 @@ def temporal_world():
     for setting in (temporal.IN_MOVIE, temporal.CROSS_MOVIE):
         qs, _ = temporal.generate_questions(store, split.train_movies, setting,
                                             mctx=8, n_candidates=32, stride=2, seed=7)
-        train_q.extend(qs)
+        train_q.append(qs)
         qs, _ = temporal.generate_questions(store, split.val_movies, setting,
                                             mctx=8, n_candidates=32, seed=8)
-        val_q.extend(qs)
+        val_q.append(qs)
+    train_q, val_q = temporal.QuestionSet.concat(train_q), temporal.QuestionSet.concat(val_q)
     test_in, _ = temporal.generate_questions(store, split.test_movies, temporal.IN_MOVIE,
                                              mctx=8, n_candidates=32, stride=2, seed=9)
     test_cross, _ = temporal.generate_questions(store, split.test_movies, temporal.CROSS_MOVIE,
                                                 mctx=8, n_candidates=32, stride=2, seed=9)
     config = temporal.TemporalTrainConfig(epochs=25, batch_size=64, learning_rate=0.3,
                                           momentum=0.9, hidden_dim=64, scorer_widths=(128, 32))
-    model, _ = temporal.train_next_shot(train_q, store, config, seed=7, val_questions=val_q)
-    acc_in, _ = temporal.evaluate_accuracy(model, test_in, store)
-    acc_cross, _ = temporal.evaluate_accuracy(model, test_cross, store)
-    base_in, _ = temporal.evaluate_accuracy(temporal.baseline_average_cosine, test_in, store)
+    model, _ = temporal.train_next_shot(train_q, config, seed=7, val_questions=val_q)
+    acc_in, _ = temporal.evaluate_accuracy(model, test_in)
+    acc_cross, _ = temporal.evaluate_accuracy(model, test_cross)
+    base_in, _ = temporal.evaluate_accuracy(temporal.baseline_average_cosine, test_in)
     return {"acc_in": acc_in, "acc_cross": acc_cross, "base_in": base_in,
             "wall": time.time() - started}
 

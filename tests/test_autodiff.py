@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotline import autodiff as ad
-from shotline.autodiff import SgdOptimizer, Tensor, finite_difference_gradient
+from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.nn import pooling_matrix
 
-from _util import check_gradients, rel_err, use_reference_engine
+from _util import check_gradients, finite_difference_gradient, rel_err, use_reference_engine
 
 
 def t64(values, requires_grad=True):

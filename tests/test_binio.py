@@ -1,8 +1,23 @@
+from functools import partial
+
+import numpy as np
 import pytest
 
+from shotline.features import FeatureStore
 from shotline.qa import read_embedding_table, read_qa_items
 from shotline.segment import read_shot_list
 from shotline.temporal import read_questions
+
+
+def _question_store() -> FeatureStore:
+    """Shots m0#0..m0#3, the ones the question lines below name."""
+    store = FeatureStore(2)
+    for ordinal in range(4):
+        store.add("m0", ordinal, np.zeros(2, dtype=np.float32))
+    return store
+
+
+read_stored_questions = partial(read_questions, store=_question_store())
 
 GOOD_QUESTION = "q0\tm0\tin_movie\tm0#0,m0#1\tm0#2,m0#3\t1"
 GOOD_ITEM = "i0\twho?\ta|b\tm0#0,m0#1\t0"
@@ -11,13 +26,13 @@ GOOD_SHOT = "v\t0\t0\t8"
 
 # Line 3 is the bad one: line 2 is blank (skipped, but still counted).
 @pytest.mark.parametrize("reader, good, bad, message", [
-    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#0\tm0#2,m0#3\tx",
+    pytest.param(read_stored_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#0\tm0#2,m0#3\tx",
                  "invalid literal for int() with base 10: 'x'", id="question-index"),
-    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#x\tm0#2,m0#3\t0",
-                 "invalid literal for int() with base 10: 'x'", id="question-shot-id"),
-    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tsideways\tm0#0\tm0#2,m0#3\t0",
+    pytest.param(read_stored_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#x\tm0#2,m0#3\t0",
+                 "no feature for shot m0#x", id="question-shot-id"),
+    pytest.param(read_stored_questions, GOOD_QUESTION, "q1\tm0\tsideways\tm0#0\tm0#2,m0#3\t0",
                  "unknown setting 'sideways'", id="question-setting"),
-    pytest.param(read_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#0",
+    pytest.param(read_stored_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#0",
                  "expected 6 fields, got 4", id="question-fields"),
     pytest.param(read_qa_items, GOOD_ITEM, "i1\twho?\ta|b\tm0#0\tx",
                  "invalid literal for int() with base 10: 'x'", id="qa-index"),

@@ -8,13 +8,13 @@ import pytest
 from shotline import corpus, qa, tags, temporal
 from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
-from shotline.cli import load_config, main
+from shotline.cli import _widths, load_config, main
 from shotline.features import FeatureStore, read_shtf, write_shtf
 from shotline.frames import FrameSequence, write_fseq
 from shotline.nn import RowMlp
 from shotline.rng import derive_rng
 
-from _util import multi_node_scores
+from _util import multi_node_scores, oracle_set, pool_generator, write_oracle_questions
 
 REPO = Path(__file__).resolve().parent.parent
 TINY = str(REPO / "configs" / "tiny.cfg")
@@ -246,11 +246,10 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling, val)
     model = _copy_weights(temporal.NextShotModel(store.dim, 32, (64, 16), context_pooling=pooling,
                                                  input_scale=temporal._unit_rms_scale(store)),
                           world / "t.stln")
-    questions = temporal.read_questions(world / "test_q.tsv")
-    context_rows, candidate_rows = temporal._question_rows(questions, store)
-    targets = [q.correct_index for q in questions]
-    probs = model.probabilities_batch(store.matrix[context_rows],
-                                      store.matrix[candidate_rows]).data
+    questions = temporal.read_questions(world / "test_q.tsv", store)
+    targets = questions.correct
+    probs = model.probabilities_batch(store.matrix[questions.context],
+                                      store.matrix[questions.candidates]).data
     chosen = probs.argmax(axis=1)
     expected = sorted(f"{q.qid}\t{c}\t{p[c]:.6f}" for q, c, p in zip(questions, chosen, probs))
     assert (world / "r.tsv").read_text().splitlines() == expected
@@ -319,10 +318,16 @@ def test_non_finite_training_loss_fails_the_command(tmp_path, capsys):
 
 def test_non_finite_qa_loss_fails_the_command(tmp_path, capsys):
     world = synth_and_split(tmp_path, seed=8)
-    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=8)
-    table = qa.read_embedding_table(world / "embeddings.txt")
-    table["q003"][0] = np.nan
-    qa.write_embedding_table(world / "embeddings.txt", table)
+    store = read_shtf(world / "features.shtf")
+    make_qa_fixture(world, store, n_items=20, seed=8)
+    # every input is finite, but the float32 mean of item 3's clip overflows to
+    # inf in two columns, so the scorer's first layer sums inf and -inf
+    clip = qa.read_qa_items(world / "qa_items.tsv")[3].clip_shots
+    poisoned = FeatureStore(store.dim)
+    for key, values in store.items():
+        poisoned.add(*key, np.where(np.arange(store.dim) < 2, np.float32(3e38), values)
+                     if key in clip else values)
+    write_shtf(world / "features.shtf", poisoned)
     capsys.readouterr()
     assert run_cli("--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 8,
                    "train-qa", "--features", world / "features.shtf",
@@ -455,6 +460,105 @@ def test_gen_questions_rejects_a_movie_with_an_ordinal_gap(tmp_path, capsys):
         assert any(l.startswith(f"error\tValueError\tmovie '{gapped}': shot ordinals are not ")
                    and l.endswith("first missing ordinal 10") for l in err)
     assert not (world / "q.tsv").exists()
+
+
+def test_gen_questions_refuses_an_id_a_label_cannot_carry(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=2)
+    split = json.loads((world / "split.json").read_text())
+    renamed = split["train_movies"][0]
+    clean = read_shtf(world / "features.shtf")
+    store = FeatureStore(clean.dim)
+    for (vid, ordinal), values in clean.items():
+        store.add(f"{vid},x" if vid == renamed else vid, ordinal, values)
+    write_shtf(world / "features.shtf", store)
+    split["train_movies"][0] = f"{renamed},x"
+    (world / "split.json").write_text(json.dumps(split))
+    capsys.readouterr()
+    assert run_cli("--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 2,
+                   "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--subset", "train",
+                   "--output", world / "q.tsv") == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == (f"error\tValueError\t{world / 'q.tsv'}: video id '{renamed},x' holds a "
+                     f"comma, tab or line break, which a shot label cannot carry")
+    assert not (world / "q.tsv").exists()
+
+
+def test_next_shot_commands_match_the_per_question_oracle_path(tmp_path):
+    """gen-questions, train-temporal and eval-temporal under the tiny config
+    give the bytes of questions generated, written and resolved one shot id at
+    a time, and of a baseline fed one question's shots at a time."""
+    seed = 5
+    world = synth_and_split(tmp_path, seed=seed)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", seed]
+    features = world / "features.shtf"
+    for subset in ("train", "test"):
+        assert run_cli(*base, "gen-questions", "--features", features, "--split",
+                       world / "split.json", "--subset", subset, "--setting", "both",
+                       "--output", world / f"{subset}_q.tsv") == 0
+    assert run_cli(*base, "train-temporal", "--features", features,
+                   "--questions", world / "train_q.tsv", "--output", world / "temporal.stln") == 0
+    assert run_cli(*base, "eval-temporal", "--features", features,
+                   "--questions", world / "test_q.tsv", "--model", world / "temporal.stln",
+                   "--results", world / "results.tsv", "--metrics", world / "metrics.tsv") == 0
+
+    config = load_config(TINY, [])
+    store = read_shtf(features)
+    split = corpus.CorpusSplit.load(world / "split.json")
+    pool = split.train_movies + split.val_movies + split.test_movies
+    oracle = {}
+    for subset, movies in (("train", split.train_movies), ("test", split.test_movies)):
+        questions = []
+        for setting in (temporal.IN_MOVIE, temporal.CROSS_MOVIE):
+            questions += pool_generator(store, movies, setting, mctx=config["mctx"],
+                                        n_candidates=config["candidates"], seed=seed,
+                                        exclusion_radius=config["exclusion_radius"],
+                                        pool_movie_ids=pool)[0]
+        write_oracle_questions(tmp_path / f"{subset}_q.tsv", questions)
+        assert ((tmp_path / f"{subset}_q.tsv").read_bytes()
+                == (world / f"{subset}_q.tsv").read_bytes()), subset
+        oracle[subset] = questions
+    t_config = temporal.TemporalTrainConfig(
+        epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
+        learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
+        hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]),
+        context_pooling=config["context_pooling"])
+    model, _ = temporal.train_next_shot(oracle_set(store, oracle["train"]), t_config, seed)
+    save_checkpoint(tmp_path / "temporal.stln", model.state())
+    assert (tmp_path / "temporal.stln").read_bytes() == (world / "temporal.stln").read_bytes()
+
+    test = oracle["test"]
+    rows, hits, baseline_hits = [], {}, {}
+    for start in range(0, len(test), 256):
+        batch = test[start:start + 256]
+        probs = model.probabilities_batch(
+            np.stack([store.rows(q.context) for q in batch]),
+            np.stack([store.rows(q.candidates) for q in batch])).data
+        for q, p in zip(batch, probs):
+            chosen = int(np.argmax(p))
+            rows.append((q.qid, chosen, float(p[chosen])))
+            hits.setdefault(q.setting, []).append(chosen == q.correct_index)
+            mean = store.rows(q.context).astype(np.float64).mean(axis=0)
+            cands = store.rows(q.candidates).astype(np.float64)
+            sims = (cands @ mean) / (np.linalg.norm(cands, axis=1) * np.linalg.norm(mean))
+            baseline_hits.setdefault(q.setting, []).append(int(np.argmax(sims)) == q.correct_index)
+    temporal.write_results(tmp_path / "results.tsv", sorted(rows))
+    metrics = {f"lstm.{s}.accuracy": sum(h) / len(h) for s, h in hits.items()}
+    metrics.update({f"average.{s}.accuracy": sum(h) / len(h) for s, h in baseline_hits.items()})
+    tags.write_metrics(tmp_path / "metrics.tsv", metrics)
+    for name in ("results.tsv", "metrics.tsv"):
+        assert (tmp_path / name).read_bytes() == (world / name).read_bytes(), name
+
+
+def test_eval_temporal_names_an_empty_question_file(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=6)
+    (world / "q.tsv").write_text("")
+    capsys.readouterr()
+    assert run_cli("--config", TINY, "eval-temporal", "--features", world / "features.shtf",
+                   "--questions", world / "q.tsv", "--random-init", "--results",
+                   world / "r.tsv", "--metrics", world / "m.tsv") == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == f"error\tValueError\t{world / 'q.tsv'}: no questions to evaluate"
 
 
 def test_a_truncated_feature_store_is_named(tmp_path, capsys):
@@ -681,3 +785,25 @@ def test_a_non_finite_feature_store_fails_eval_tags(tmp_path, capsys):
     error = capsys.readouterr().err.splitlines()[-1]
     assert error == f"error\tFormatError\t{path}: non-finite features in {poisoned[0]}"
     assert len(poisoned) > 1 and not (world / "tag_eval" / "metrics.tsv").exists()
+
+
+def test_a_non_finite_tag_score_fails_eval_tags(tmp_path, capsys, monkeypatch):
+    world = synth_and_split(tmp_path, seed=3)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 3]
+    tag_args = ["--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+                "--features", world / "features.shtf", "--split", world / "split.json"]
+    assert run_cli(*base, "train-tags", *tag_args, "--output", world / "tags.stln") == 0
+    original = tags.infer_score_average
+
+    def poisoned(model, video_id, seq):
+        prediction = original(model, video_id, seq)
+        prediction.genre_scores[1] = np.nan
+        return prediction
+
+    monkeypatch.setattr(tags, "infer_score_average", poisoned)
+    capsys.readouterr()
+    assert run_cli(*base, "eval-tags", *tag_args, "--model", world / "tags.stln",
+                   "--subset", "test", "--out-dir", world / "tag_eval") == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == "error\tValueError\trecall_at_k: non-finite score for video 0"
+    assert not (world / "tag_eval" / "metrics.tsv").exists()

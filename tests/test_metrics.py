@@ -121,3 +121,22 @@ def test_metrics_invariant_under_monotone_transform(seed, power):
     assert recall_at_k(scores, truths) == recall_at_k(transformed, truths)
     assert mean_average_precision(scores, truths) == pytest.approx(
         mean_average_precision(transformed, truths), abs=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_metrics_reject_a_non_finite_score_naming_its_video(data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+    scores = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1))).random((rows, cols))
+    truths = [{0}] * rows
+    poisoned = data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                                  min_size=1, max_size=4))
+    for i, j in poisoned:
+        scores[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    first = min(i for i, _ in poisoned)
+    with pytest.raises(ValueError, match=f"^recall_at_k: non-finite score for video {first}$"):
+        recall_at_k(scores, truths)
+    for axis in ("label", "video"):
+        with pytest.raises(ValueError, match=f"^mean_average_precision: non-finite score for "
+                                             f"video {first}$"):
+            mean_average_precision(scores.astype(np.float32), truths, axis=axis)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shotline import autodiff as ad
 from shotline.autodiff import Tensor
@@ -57,6 +61,36 @@ def test_embedding_table_round_trip(tmp_path):
     loaded = read_embedding_table(path)
     assert set(loaded) == {"alpha", "beta"}
     assert np.allclose(loaded["alpha"], table["alpha"])
+
+
+@given(st.lists(st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=4),
+                min_size=1, max_size=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_embedding_table_reader_names_the_first_non_finite_value(tmp_path_factory, rows, data):
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    table = {f"t{i}": np.array(r, dtype=np.float32) for i, r in enumerate(rows)}
+    write_embedding_table(path, table)
+    # every finite table reads back as the values its text spells
+    lines = path.read_text().splitlines()
+    loaded = read_embedding_table(path)
+    assert list(loaded) == list(table)
+    for line, vec in zip(lines, loaded.values()):
+        assert np.array_equal(vec, np.array(line.split()[1:], dtype=np.float64).astype(np.float32))
+    poisoned = sorted(data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, unique=True)))
+    first_token = None
+    for n, line_no in enumerate(poisoned):
+        parts = lines[line_no].split()
+        column = data.draw(st.integers(1, len(parts) - 1))
+        parts[column] = data.draw(st.sampled_from(["nan", "inf", "-inf", "-Infinity", "1e39"]))
+        if n == 0:
+            with np.errstate(over="ignore"):
+                first_token = next(t for t in parts[1:]
+                                   if not np.isfinite(np.float32(float(t))))
+        lines[line_no] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {poisoned[0] + 1}: "
+                                         f"non-finite value '{re.escape(first_token)}'$"):
+        read_embedding_table(path)
 
 
 def small_fixture(n=4, clip_dim=4, embed_dim=3, seed=0):
@@ -238,3 +272,16 @@ def test_qa_item_file_round_trip(tmp_path):
     with pytest.raises(ValueError, match="not allowed"):
         write_qa_items(tmp_path / "bad.tsv",
                        [QaItem("q2", "a|b", ["x", "y"], [("m", 0)], 0)])
+
+
+@given(st.text(max_size=4), st.sampled_from([",", "\t", "\r", "\n"]), st.text(max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_qa_writer_refuses_an_id_a_label_cannot_carry(tmp_path_factory, head, bad, tail):
+    video_id = head + bad + tail
+    path = tmp_path_factory.mktemp("qa") / "items.tsv"
+    items = [QaItem("q1", "who", ["a", "b"], [("ok", 0)], 0),
+             QaItem("q2", "why", ["a", "b"], [("ok", 1), (video_id, 2)], 1)]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: video id "
+                                         f"{re.escape(repr(video_id))} holds a comma"):
+        write_qa_items(path, items)
+    assert not path.exists()

@@ -6,15 +6,15 @@ from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.corpus import SyntheticWorldConfig, TagVocabulary, VideoManifestEntry, generate_world
 from shotline.encoder import sample_shots
 from shotline.features import FeatureStore
-from shotline.tags import (TagLstm, TagModel, TagTrainConfig, forward_video,
-                           infer_feature_lstm, infer_score_average, multitask_loss,
-                           shot_tag_response, top_shots, train_tag_lstm, train_tags,
-                           write_metrics, write_predictions)
+from shotline.tags import (TagLstm, TagModel, TagTrainConfig, infer_feature_lstm,
+                           infer_score_average, multitask_loss, shot_tag_response,
+                           top_shots, train_tag_lstm, train_tags, write_metrics,
+                           write_predictions)
 from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.nn import pooling_matrix
 from shotline.rng import derive_rng
 
-from _util import check_gradients
+from _util import check_gradients, forward_video
 
 
 VOCAB = TagVocabulary(["g0", "g1", "g2"], ["k0", "k1"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,14 @@ from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import LstmCell
-from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel,
-                               PredictionQuestion, TemporalTrainConfig,
-                               baseline_average_cosine, evaluate_accuracy,
-                               generate_questions, predict_probabilities,
+from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel, QuestionSet,
+                               TemporalTrainConfig, baseline_average_cosine,
+                               evaluate_accuracy, generate_questions, predict_probabilities,
                                read_questions, train_next_shot, write_questions,
                                write_results)
-from shotline.rng import derive_rng
 
-from _util import check_gradients, use_reference_engine
+from _util import (OracleQuestion, assert_same_questions, check_gradients, oracle_set,
+                   pool_generator, shot_ids, use_reference_engine, write_oracle_questions)
 
 
 def filled_store(n_movies=3, shots=50, dim=6, seed=0):
@@ -212,14 +213,14 @@ def test_score_candidates_distribution_and_permutation_equivariance():
 def test_answer_matches_argmax_and_tie_breaks_low():
     store = filled_store()
     model = NextShotModel(6, hidden_dim=5, scorer_widths=(8,), seed=10)
-    q = PredictionQuestion("q", "m0", IN_MOVIE,
-                           [("m0", i) for i in range(4)],
-                           [("m0", 9), ("m0", 20), ("m0", 4), ("m0", 30)], 2)
-    probs = model.probabilities_batch(store.rows(q.context)[None],
-                                      store.rows(q.candidates)[None]).data[0]
-    assert np.array_equal(predict_probabilities(model, [q], store)[0], probs)
+    q = oracle_set(store, [OracleQuestion("q", "m0", IN_MOVIE,
+                                          [("m0", i) for i in range(4)],
+                                          [("m0", 9), ("m0", 20), ("m0", 4), ("m0", 30)], 2)])
+    probs = model.probabilities_batch(store.matrix[q.context],
+                                      store.matrix[q.candidates]).data[0]
+    assert np.array_equal(predict_probabilities(model, q)[0], probs)
     chosen = int(np.argmax(probs))
-    assert evaluate_accuracy(model, [q], store)[0] == float(chosen == q.correct_index)
+    assert evaluate_accuracy(model, q)[0] == float(chosen == q.correct[0])
     assert np.argmax(np.array([0.3, 0.3, 0.2, 0.2], dtype=np.float32)) == 0
 
 
@@ -268,8 +269,8 @@ def test_generate_questions_structure():
     questions, skipped = generate_questions(store, ["m0", "m1"], IN_MOVIE,
                                             mctx=4, n_candidates=8, seed=0)
     assert skipped == 0
-    assert questions
-    for q in questions:
+    assert len(questions)
+    for q in shot_ids(questions):
         assert len(q.context) == 4
         assert len(q.candidates) == 8
         # the labeled answer really is the window's successor shot
@@ -286,7 +287,7 @@ def test_generate_questions_pigeonhole_skip():
     # context 4 leaves zero candidates for in-movie distractors
     questions, skipped = generate_questions(store, ["m0"], IN_MOVIE,
                                             mctx=4, n_candidates=2, seed=0)
-    assert questions == []
+    assert len(questions) == 0 and questions.candidates.shape == (0, 2)
     assert skipped == 1
 
 
@@ -294,7 +295,7 @@ def test_generate_questions_too_short_movie_counted():
     store = filled_store(n_movies=1, shots=3)
     questions, skipped = generate_questions(store, ["m0"], IN_MOVIE, mctx=4,
                                             n_candidates=2, seed=0)
-    assert questions == [] and skipped == 1
+    assert len(questions) == 0 and skipped == 1
 
 
 def test_generate_questions_cross_movie_pool():
@@ -302,7 +303,7 @@ def test_generate_questions_cross_movie_pool():
     questions, _ = generate_questions(store, ["m0", "m1", "m2"], CROSS_MOVIE,
                                       mctx=4, n_candidates=6, seed=1)
     # distractors really come from the whole corpus, not just the question's movie
-    foreign = sum(any(c[0] != q.movie_id for c in q.candidates) for q in questions)
+    foreign = sum(any(c[0] != q.movie_id for c in q.candidates) for q in shot_ids(questions))
     assert foreign > len(questions) * 0.9
 
 
@@ -313,53 +314,7 @@ def test_generate_questions_deterministic_files(tmp_path):
     write_questions(tmp_path / "a.tsv", a)
     write_questions(tmp_path / "b.tsv", b)
     assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
-    assert read_questions(tmp_path / "a.tsv") == a
-
-
-def pool_generator(store, movie_ids, setting, mctx=8, n_candidates=32, stride=None, seed=0,
-                   exclusion_radius=0, pool_movie_ids=None):
-    """Reference generator: copies every question's distractor pool into a list.
-
-    Quadratic in corpus size, but plainly correct: the oracle that
-    generate_questions must match byte for byte.
-    """
-    stride = stride or mctx
-    all_shots = []
-    if setting == CROSS_MOVIE:
-        for movie_id in (pool_movie_ids if pool_movie_ids is not None else movie_ids):
-            all_shots.extend((movie_id, o) for o in range(store.shot_count(movie_id)))
-    questions = []
-    skipped = 0
-    for movie_id in movie_ids:
-        total = store.shot_count(movie_id)
-        if total <= mctx:
-            skipped += 1
-            continue
-        rng = derive_rng(seed, f"questions.{setting}.{movie_id}")
-        for start in range(0, total - mctx, stride):
-            answer_ord = start + mctx
-            context = [(movie_id, o) for o in range(start, answer_ord)]
-            answer = (movie_id, answer_ord)
-            excluded = set(context) | {answer}
-            if exclusion_radius > 0:
-                for o in range(answer_ord - exclusion_radius, answer_ord + exclusion_radius + 1):
-                    if 0 <= o < total:
-                        excluded.add((movie_id, o))
-            if setting == IN_MOVIE:
-                pool = [(movie_id, o) for o in range(total) if (movie_id, o) not in excluded]
-            else:
-                pool = [s for s in all_shots if s not in excluded]
-            if len(pool) < n_candidates - 1:
-                skipped += 1
-                continue
-            picks = rng.choice(len(pool), size=n_candidates - 1, replace=False)
-            candidates = [pool[i] for i in picks]
-            position = int(rng.integers(n_candidates))
-            candidates.insert(position, answer)
-            questions.append(PredictionQuestion(
-                qid=f"{setting}-{movie_id}-{start:06d}", movie_id=movie_id, setting=setting,
-                context=context, candidates=candidates, correct_index=position))
-    return questions, skipped
+    assert_same_questions(read_questions(tmp_path / "a.tsv", store), a)
 
 
 @given(lengths=st.lists(st.integers(0, 40), min_size=1, max_size=5),
@@ -388,9 +343,101 @@ def test_generate_questions_matches_pool_oracle(tmp_path_factory, lengths, setti
     want, want_skipped = pool_generator(store, questioned, setting, **kwargs)
     out = tmp_path_factory.mktemp("questions")
     write_questions(out / "got.tsv", got)
-    write_questions(out / "want.tsv", want)
+    write_oracle_questions(out / "want.tsv", want)
     assert (out / "got.tsv").read_bytes() == (out / "want.tsv").read_bytes()
     assert got_skipped == want_skipped
+
+
+@given(lengths=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+       mctx=st.integers(1, 5), n_candidates=st.integers(2, 10),
+       stride=st.one_of(st.none(), st.integers(1, 6)), seed=st.integers(0, 2**31 - 1),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_question_file_round_trips_the_rows(tmp_path_factory, lengths, mctx, n_candidates,
+                                            stride, seed, data):
+    store = FeatureStore(2)
+    records = [(f"m{m}", o) for m, length in enumerate(lengths) for o in range(length)]
+    for video_id, o in data.draw(st.permutations(records)):  # rows in any record order
+        store.add(video_id, o, np.full(2, o, dtype=np.float32))
+    movies = [f"m{m}" for m in range(len(lengths))]
+    questions = QuestionSet.concat(
+        generate_questions(store, movies, setting, mctx=mctx, n_candidates=n_candidates,
+                           stride=stride, seed=seed)[0] for setting in (IN_MOVIE, CROSS_MOVIE))
+    path = tmp_path_factory.mktemp("questions") / "q.tsv"
+    write_questions(path, questions)
+    back = read_questions(path, store)
+    if len(questions):
+        assert_same_questions(back, questions)
+        assert back.context.shape == (len(questions), mctx)
+        assert back.candidates.shape == (len(questions), n_candidates)
+    else:  # an empty file holds no sizes
+        assert len(back) == 0 and path.read_bytes() == b""
+    # the rows name the same shots as the per-id path
+    want = shot_ids(questions)
+    write_oracle_questions(path.with_suffix(".want"), want)
+    assert path.read_bytes() == path.with_suffix(".want").read_bytes()
+
+
+def test_a_list_of_question_rows_is_written_as_its_set(tmp_path):
+    store = filled_store(n_movies=2, shots=20)
+    questions, _ = generate_questions(store, ["m0", "m1"], CROSS_MOVIE, mctx=4, n_candidates=6)
+    write_questions(tmp_path / "set.tsv", questions)
+    rows = list(questions)
+    write_questions(tmp_path / "rows.tsv", rows)
+    assert (tmp_path / "rows.tsv").read_bytes() == (tmp_path / "set.tsv").read_bytes()
+    assert_same_questions(QuestionSet.concat(rows), questions)
+    other, _ = generate_questions(filled_store(n_movies=2, shots=20), ["m0"], IN_MOVIE,
+                                  mctx=4, n_candidates=6)
+    with pytest.raises(ValueError, match="one feature store"):
+        write_questions(tmp_path / "mixed.tsv", [rows[0], other[0]])
+    assert not (tmp_path / "mixed.tsv").exists()
+
+
+def test_read_questions_names_a_shot_missing_from_the_store(tmp_path):
+    store = filled_store(n_movies=1, shots=10)
+    path = tmp_path / "q.tsv"
+    path.write_text("q0\tm0\tin_movie\tm0#0,m0#1\tm0#2,m0#5\t0\n"
+                    "\n"
+                    "q1\tm0\tin_movie\tm0#1,m0#2\tm0#3,m0#10\t0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: "
+                                         f"no feature for shot m0#10$"):
+        read_questions(path, store)
+    # a label is the exact text the writer gives: no other spelling of a shot resolves
+    path.write_text("q0\tm0\tin_movie\tm0#0,m0#01\tm0#2,m0#5\t0\n")
+    with pytest.raises(ValueError, match="line 1: no feature for shot m0#01$"):
+        read_questions(path, store)
+
+
+def test_read_questions_rejects_a_question_of_another_size(tmp_path):
+    store = filled_store(n_movies=1, shots=10)
+    path = tmp_path / "q.tsv"
+    path.write_text("q0\tm0\tin_movie\tm0#0,m0#1\tm0#2,m0#5\t0\n"
+                    "q1\tm0\tin_movie\tm0#1,m0#2\tm0#3,m0#4,m0#6\t0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: 2 context and 3 "
+                                         f"candidate shots, where the first question has 2 "
+                                         f"and 2$"):
+        read_questions(path, store)
+    path.write_text("q0\tm0\tin_movie\tm0#0,m0#1\tm0#2,m0#5\t2\n")
+    with pytest.raises(ValueError, match="line 1: correct_index 2 out of range$"):
+        read_questions(path, store)
+
+
+@given(st.text(max_size=4), st.sampled_from([",", "\t", "\r", "\n"]), st.text(max_size=4),
+       st.sampled_from([IN_MOVIE, CROSS_MOVIE]))
+@settings(max_examples=60, deadline=None)
+def test_question_writer_refuses_an_id_a_label_cannot_carry(tmp_path_factory, head, bad, tail,
+                                                            setting):
+    video_id = head + bad + tail
+    store = FeatureStore(2)
+    for movie in ("ok", video_id):
+        for o in range(8):
+            store.add(movie, o, np.zeros(2, dtype=np.float32))
+    questions, _ = generate_questions(store, ["ok", video_id], setting, mctx=2, n_candidates=3)
+    path = tmp_path_factory.mktemp("questions") / "q.tsv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: video id "
+                                         f"{re.escape(repr(video_id))} holds a comma"):
+        write_questions(path, questions)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("where", ["questioned", "pool"])
@@ -416,7 +463,7 @@ def test_exclusion_radius_blocks_neighbors():
     store = filled_store(n_movies=1, shots=40)
     questions, _ = generate_questions(store, ["m0"], IN_MOVIE, mctx=4,
                                       n_candidates=8, seed=2, exclusion_radius=3)
-    for q in questions:
+    for q in shot_ids(questions):
         answer_ord = q.candidates[q.correct_index][1]
         for i, (vid, o) in enumerate(q.candidates):
             if i != q.correct_index:
@@ -431,15 +478,16 @@ def test_single_question_overfit():
                                       n_candidates=8, seed=3)
     config = TemporalTrainConfig(epochs=200, batch_size=1, learning_rate=0.1,
                                  momentum=0.9, hidden_dim=8, scorer_widths=(16, 8))
-    model, history = train_next_shot(questions[:1], store, config, seed=0)
-    acc, _ = evaluate_accuracy(model, questions[:1], store)
+    model, history = train_next_shot(questions[:1], config, seed=0)
+    acc, _ = evaluate_accuracy(model, questions[:1])
     assert acc == 1.0
 
 
 def test_train_rejects_empty():
     store = filled_store()
+    questions, _ = generate_questions(store, ["m0"], IN_MOVIE, mctx=4, n_candidates=4)
     with pytest.raises(ValueError, match="empty"):
-        train_next_shot([], store, TemporalTrainConfig(), seed=0)
+        train_next_shot(questions[:0], TemporalTrainConfig(), seed=0)
 
 
 def test_untrained_model_near_chance():
@@ -447,7 +495,7 @@ def test_untrained_model_near_chance():
     questions, _ = generate_questions(store, [f"m{i}" for i in range(4)], IN_MOVIE,
                                       mctx=4, n_candidates=16, stride=1, seed=4)
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=11)
-    acc, _ = evaluate_accuracy(model, questions, store)
+    acc, _ = evaluate_accuracy(model, questions)
     # 200 questions, chance 1/16
     assert abs(acc - 1 / 16) < 0.05
 
@@ -456,10 +504,10 @@ def test_oracle_and_adversary_scorers():
     store = filled_store(n_movies=2, shots=30)
     questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
                                       n_candidates=8, seed=5)
-    oracle_acc, by_setting = evaluate_accuracy(lambda q, s: q.correct_index, questions, store)
+    oracle_acc, by_setting = evaluate_accuracy(lambda q: q.correct_index, questions)
     assert oracle_acc == 1.0 and by_setting == {IN_MOVIE: 1.0}
     adversary_acc, _ = evaluate_accuracy(
-        lambda q, s: (q.correct_index + 1) % len(q.candidates), questions, store)
+        lambda q: (q.correct_index + 1) % len(q.candidates), questions)
     assert adversary_acc == 0.0
 
 
@@ -468,7 +516,7 @@ def test_random_scorer_matches_binomial_chance():
     questions, _ = generate_questions(store, [f"m{i}" for i in range(4)], IN_MOVIE,
                                       mctx=4, n_candidates=32, stride=1, seed=6)
     rng = np.random.default_rng(0)
-    acc, _ = evaluate_accuracy(lambda q, s: int(rng.integers(32)), questions, store)
+    acc, _ = evaluate_accuracy(lambda q: int(rng.integers(32)), questions)
     # ~300 questions at chance 1/32: 3 sigma is about 0.03
     assert abs(acc - 1 / 32) < 0.03
 
@@ -479,8 +527,8 @@ def test_training_is_deterministic(tmp_path):
                                       n_candidates=8, seed=7)
     config = TemporalTrainConfig(epochs=2, batch_size=8, learning_rate=0.1,
                                  hidden_dim=8, scorer_widths=(16, 8))
-    model_a, _ = train_next_shot(questions, store, config, seed=3)
-    model_b, _ = train_next_shot(questions, store, config, seed=3)
+    model_a, _ = train_next_shot(questions, config, seed=3)
+    model_b, _ = train_next_shot(questions, config, seed=3)
     save_checkpoint(tmp_path / "a.stln", model_a.state())
     save_checkpoint(tmp_path / "b.stln", model_b.state())
     assert (tmp_path / "a.stln").read_bytes() == (tmp_path / "b.stln").read_bytes()
@@ -493,10 +541,10 @@ def test_gradient_buffer_ownership_leaves_the_checkpoint_bytes_unchanged(tmp_pat
                                       n_candidates=8, seed=7)
     config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
                                  hidden_dim=8, scorer_widths=(16, 8))
-    model, _ = train_next_shot(questions, store, config, seed=3)
+    model, _ = train_next_shot(questions, config, seed=3)
     save_checkpoint(tmp_path / "owned.stln", model.state())
     use_reference_engine(monkeypatch)
-    model, _ = train_next_shot(questions, store, config, seed=3)
+    model, _ = train_next_shot(questions, config, seed=3)
     save_checkpoint(tmp_path / "zero_filled.stln", model.state())
     assert (tmp_path / "owned.stln").read_bytes() == (tmp_path / "zero_filled.stln").read_bytes()
 
@@ -507,7 +555,7 @@ def test_training_history_times_every_epoch():
                                       n_candidates=8, seed=7)
     config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
                                  hidden_dim=8, scorer_widths=(16, 8))
-    _, history = train_next_shot(questions, store, config, seed=3, val_questions=questions)
+    _, history = train_next_shot(questions, config, seed=3, val_questions=questions)
     assert len(history["epoch_s"]) == len(history["examples_per_s"]) == 3
     for seconds, rate in zip(history["epoch_s"], history["examples_per_s"]):
         # the rate covers the SGD pass only; the epoch also runs validation
@@ -571,8 +619,7 @@ def test_best_validation_model_keeps_context_pooling():
                                       n_candidates=8, seed=7)
     config = TemporalTrainConfig(epochs=2, batch_size=8, learning_rate=0.1,
                                  hidden_dim=8, scorer_widths=(16, 8), context_pooling="mean")
-    model, history = train_next_shot(questions, store, config, seed=3,
-                                     val_questions=questions[:10])
+    model, history = train_next_shot(questions, config, seed=3, val_questions=questions[:10])
     assert len(history["val_accuracy"]) == 2
     assert model.context_pooling == "mean"
     assert np.float32(model.input_scale) != 1.0
@@ -591,7 +638,7 @@ def test_training_stops_on_non_finite_loss():
     config = TemporalTrainConfig(epochs=1, batch_size=4, hidden_dim=4, scorer_widths=(4,))
     with pytest.raises(FloatingPointError,
                        match=r"train_next_shot: epoch 0, batch start \d+: non-finite loss"):
-        train_next_shot(questions, store, config, seed=0)
+        train_next_shot(questions, config, seed=0)
 
 
 # -- baseline ---------------------------------------------------------------------------
@@ -603,9 +650,9 @@ def test_baseline_picks_identical_direction():
         store.add("m", o, v)
     store.add("m", 4, v)
     store.add("m", 5, -v)
-    q = PredictionQuestion("q", "m", IN_MOVIE, [("m", i) for i in range(4)],
-                           [("m", 4), ("m", 5)], 0)
-    assert baseline_average_cosine(q, store) == 0
+    q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", i) for i in range(4)],
+                                          [("m", 4), ("m", 5)], 0)])[0]
+    assert baseline_average_cosine(q) == 0
 
 
 def test_baseline_scale_invariant():
@@ -618,11 +665,12 @@ def test_baseline_scale_invariant():
     for i in range(4):
         store.add("m", 3 + i, cands[i])
         store.add("x", i, cands[i] * np.float32(3.7))
-    q1 = PredictionQuestion("q", "m", IN_MOVIE, [("m", o) for o in range(3)],
-                            [("m", 3 + i) for i in range(4)], 0)
-    q2 = PredictionQuestion("q", "m", CROSS_MOVIE, [("m", o) for o in range(3)],
-                            [("x", i) for i in range(4)], 0)
-    assert baseline_average_cosine(q1, store) == baseline_average_cosine(q2, store)
+    q1, q2 = oracle_set(store, [
+        OracleQuestion("q", "m", IN_MOVIE, [("m", o) for o in range(3)],
+                       [("m", 3 + i) for i in range(4)], 0),
+        OracleQuestion("q", "m", CROSS_MOVIE, [("m", o) for o in range(3)],
+                       [("x", i) for i in range(4)], 0)])
+    assert baseline_average_cosine(q1) == baseline_average_cosine(q2)
 
 
 def test_baseline_matches_dot_norm_oracle():
@@ -630,13 +678,13 @@ def test_baseline_matches_dot_norm_oracle():
     rng = np.random.default_rng(3)
     for o in range(6):
         store.add("m", o, rng.normal(0, 1, 5).astype(np.float32))
-    q = PredictionQuestion("q", "m", IN_MOVIE, [("m", 0), ("m", 1)],
-                           [("m", i) for i in (2, 3, 4, 5)], 0)
-    mean = store.rows(q.context).astype(np.float64).mean(axis=0)
+    q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", 0), ("m", 1)],
+                                          [("m", i) for i in (2, 3, 4, 5)], 0)])[0]
+    mean = store.rows([("m", 0), ("m", 1)]).astype(np.float64).mean(axis=0)
     sims = [float(np.dot(store.get("m", i), mean) /
                   (np.linalg.norm(store.get("m", i)) * np.linalg.norm(mean)))
             for i in (2, 3, 4, 5)]
-    assert baseline_average_cosine(q, store) == int(np.argmax(sims))
+    assert baseline_average_cosine(q) == int(np.argmax(sims))
 
 
 def test_baseline_zero_norm_candidates():
@@ -644,8 +692,9 @@ def test_baseline_zero_norm_candidates():
     store.add("m", 0, np.ones(2))
     store.add("m", 1, np.zeros(2))
     store.add("m", 2, np.zeros(2))
-    q = PredictionQuestion("q", "m", IN_MOVIE, [("m", 0)], [("m", 1), ("m", 2)], 0)
-    assert baseline_average_cosine(q, store) == 0
+    q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", 0)],
+                                          [("m", 1), ("m", 2)], 0)])[0]
+    assert baseline_average_cosine(q) == 0
 
 
 def test_results_file_format(tmp_path):
