@@ -506,3 +506,13 @@ def finite_loss(loss: Tensor, where: str) -> float:
     if not np.isfinite(value):
         raise FloatingPointError(f"{where}: non-finite loss {value}")
     return value
+
+
+def finite_rows(rows: np.ndarray, ids, what: str) -> np.ndarray:
+    """``rows`` as given when every value is finite; otherwise FloatingPointError
+    naming the id of the first row that is not, so a NaN distribution cannot
+    reach an argmax or a results file."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(f"{ids[int(np.argmin(finite))]}: non-finite {what}")
+    return rows

@@ -432,8 +432,8 @@ def cmd_eval_temporal(args, config):
 
 def cmd_train_qa(args, config):
     store = read_shtf(args.features)
-    items = qa.read_qa_items(args.items)
-    val_items = qa.read_qa_items(args.val_items) if args.val_items else None
+    items = qa.read_qa_items(args.items, store)
+    val_items = qa.read_qa_items(args.val_items, store) if args.val_items else None
     provider = _provider(args, config)
     qa_config = qa.QaTrainConfig(
         epochs=config["qa_epochs"], batch_size=config["qa_batch_size"],
@@ -451,7 +451,7 @@ def cmd_train_qa(args, config):
 
 def cmd_eval_qa(args, config):
     store = read_shtf(args.features)
-    items = qa.read_qa_items(args.items)
+    items = qa.read_qa_items(args.items, store)
     provider = _provider(args, config)
     model = _from_checkpoint(args.model, qa.QaModel.from_state)
     accuracy = qa.evaluate_qa(model, items, provider, store)

@@ -183,16 +183,53 @@ def make_transition(topics: int, self_mass: float, successor_mass: float,
     return matrix, successor
 
 
+def _check_transition(matrix: np.ndarray) -> None:
+    """The checks Generator.choice makes of its ``p``, once per row: a NaN,
+    a negative entry, or a sum off 1 by more than sqrt(eps) raises ValueError
+    naming the first such row."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"transition matrix must be square, got shape {matrix.shape}")
+    sums = matrix.sum(axis=1, dtype=np.float64)
+    nan, negative = np.isnan(sums), (matrix < 0).any(axis=1)
+    bad = nan | negative | (np.abs(sums - 1.0) > np.sqrt(np.finfo(np.float64).eps))
+    if bad.any():
+        row = int(np.argmax(bad))
+        if nan[row]:
+            raise ValueError(f"transition row {row}: probabilities contain NaN")
+        if negative[row]:
+            raise ValueError(f"transition row {row}: probabilities are not non-negative")
+        raise ValueError(f"transition row {row}: probabilities sum to {float(sums[row])!r}, not 1")
+
+
 def sample_topic_chain(matrix: np.ndarray, length: int, rng: np.random.Generator,
                        start: int | None = None) -> np.ndarray:
-    """Walk a Markov chain for ``length`` steps from a uniform (or given) start."""
+    """Walk a Markov chain for ``length`` steps from a uniform (or given) start.
+
+    Each step takes the next state from one uniform double as
+    ``Generator.choice(topics, p=row)`` does: the first index of the row's
+    normalised cumulative sum above it. All ``length`` doubles come from one
+    ``rng.random(length)``, so the chain and the generator's final state
+    equal those of one ``choice`` call per step.
+    """
+    matrix = np.asarray(matrix)
+    _check_transition(matrix)
     topics = matrix.shape[0]
-    chain = np.empty(length, dtype=np.int64)
-    state = int(rng.integers(topics)) if start is None else start
-    for i in range(length):
-        chain[i] = state
-        state = int(rng.choice(topics, p=matrix[state]))
-    return chain
+    if start is None:
+        state = int(rng.integers(topics))
+    elif not 0 <= start < topics:
+        raise ValueError(f"start topic {start} outside 0..{topics - 1}")
+    else:
+        state = int(start)
+    cdf = matrix.cumsum(axis=1, dtype=np.float64)
+    cdf /= cdf[:, -1:]
+    uniforms = rng.random(length)
+    # next_state[t][i]: the state after step i when step i is in state t
+    next_state = [np.searchsorted(row, uniforms, side="right").tolist() for row in cdf]
+    chain = []
+    for step in range(length):
+        chain.append(state)
+        state = next_state[state][step]
+    return np.array(chain, dtype=np.int64)
 
 
 def _restrict_transition(matrix: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -321,8 +358,7 @@ def generate_world(config: SyntheticWorldConfig):
     store = FeatureStore(config.feature_dim)
     entries = []
     for video in movies + trailers:
-        for ordinal in range(video.features.shape[0]):
-            store.add(video.video_id, ordinal, video.features[ordinal])
+        store.add_rows(video.video_id, range(video.features.shape[0]), video.features)
         entries.append(VideoManifestEntry(
             video_id=video.video_id, kind=video.kind, path="",
             genres=sorted(video.genres), keywords=sorted(video.keywords),

@@ -35,7 +35,7 @@ class FeatureStore:
         if dim <= 0:
             raise ValueError(f"feature dimension must be positive, got {dim}")
         self.dim = dim
-        # rows [0, len(self)) are live; add() doubles the capacity when full
+        # rows [0, len(self)) are live; add_rows() doubles the capacity when full
         self._buffer = np.empty((0, dim), dtype=np.float32)
         self._keys: list[ShotId] = []
         self._row_of: dict[ShotId, int] = {}
@@ -43,20 +43,37 @@ class FeatureStore:
         self._ordered: dict[str, np.ndarray] = {}    # the same rows in ordinal order
 
     def add(self, video_id: str, ordinal: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
-        key, row = (video_id, ordinal), len(self._keys)
-        if key in self._row_of:
-            raise ValueError(f"duplicate feature record {key}")
-        if row == len(self._buffer):
-            grown = np.empty((max(64, 2 * row), self.dim), dtype=np.float32)
-            grown[:row] = self._buffer[:row]
+        """Append one shot's vector: add_rows with one row."""
+        self.add_rows(video_id, [ordinal], np.asarray(values)[None])
+
+    def add_rows(self, video_id: str, ordinals, rows: np.ndarray) -> None:
+        """Append the (len(ordinals), dim) rows of one video, row i as shot
+        ordinals[i]. A row block of another shape, or a key that is already
+        stored or repeats in the call, raises ValueError naming the first such
+        key before anything is added. The buffer grows at most once, doubling
+        when full, so appends stay amortised O(1) per row."""
+        rows = np.asarray(rows, dtype=np.float32)
+        keys = [(video_id, ordinal) for ordinal in ordinals]
+        start, count = len(self._keys), len(keys)
+        if rows.shape != (count, self.dim):
+            raise ValueError(f"expected shape ({count}, {self.dim}), got {rows.shape}")
+        if not count:
+            return
+        row_of = dict(zip(keys, range(start, start + count)))
+        if len(row_of) < count or (video_id in self._video_rows
+                                   and not row_of.keys().isdisjoint(self._row_of.keys())):
+            seen = set()
+            duplicate = next(k for k in keys if k in self._row_of or k in seen or seen.add(k))
+            raise ValueError(f"duplicate feature record {duplicate}")
+        if start + count > len(self._buffer):
+            grown = np.empty((max(64, 2 * len(self._buffer), start + count), self.dim),
+                             dtype=np.float32)
+            grown[:start] = self._buffer[:start]
             self._buffer = grown
-        self._buffer[row] = values
-        self._keys.append(key)
-        self._row_of[key] = row
-        self._video_rows.setdefault(video_id, []).append(row)
+        self._buffer[start:start + count] = rows
+        self._keys.extend(keys)
+        self._row_of.update(row_of)
+        self._video_rows.setdefault(video_id, []).extend(range(start, start + count))
         self._ordered.pop(video_id, None)
 
     @property
@@ -120,6 +137,21 @@ def shot_labels(keys) -> list[str]:
     """The ``video#ordinal`` label of each (video_id, ordinal) key: text tables
     name shots by comma-separated labels."""
     return [f"{video_id}#{ordinal}" for video_id, ordinal in keys]
+
+
+def label_rows(store: FeatureStore):
+    """A parser of comma-separated ``video#ordinal`` labels into the matrix
+    rows of ``store``, through one label -> row table built here. A label of
+    no stored shot raises ValueError naming it."""
+    row_of = dict(zip(shot_labels(store.keys()), range(len(store))))
+
+    def rows(field: str) -> list[int]:
+        try:
+            return [row_of[label] for label in field.split(",")]
+        except KeyError as exc:
+            raise ValueError(f"no feature for shot {exc.args[0]}") from None
+
+    return rows
 
 
 def check_label_ids(path, video_ids) -> None:

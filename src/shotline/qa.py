@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .binio import read_tsv
-from .features import FeatureStore, ShotId, check_label_ids, shot_labels
+from .features import FeatureStore, ShotId, check_label_ids, label_rows, shot_labels
 from .nn import RowMlp, assign_parameters, mlp_dims
 from .rng import derive_rng
 
@@ -134,15 +134,14 @@ def write_qa_items(path, items: list[QaItem]) -> None:
                      f"{item.correct_index}\n")
 
 
-def _parse_shot_label(text: str) -> ShotId:
-    video_id, _, ordinal = text.rpartition("#")
-    return video_id, int(ordinal)
-
-
-def read_qa_items(path) -> list[QaItem]:
+def read_qa_items(path, store: FeatureStore) -> list[QaItem]:
+    """The items of a file written by write_qa_items. Clip labels resolve
+    through the label -> row table of ``store``, so a malformed line or a
+    label of no stored shot raises ValueError naming the file and the line."""
+    keys, clip_rows = store.keys(), label_rows(store)
     return read_tsv(path, 5, lambda p: QaItem(
         qid=p[0], question=p[1], answers=p[2].split("|"),
-        clip_shots=[_parse_shot_label(s) for s in p[3].split(",")], correct_index=int(p[4])))
+        clip_shots=[keys[row] for row in clip_rows(p[3])], correct_index=int(p[4])))
 
 
 def encode_clip(shot_ids: list[ShotId], store: FeatureStore) -> np.ndarray:
@@ -262,6 +261,9 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
 @ad.no_grad()
 def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureStore,
                 batch_size: int = 256) -> float:
+    """Share of items whose most probable answer is the correct one. An
+    answer distribution that is not finite raises FloatingPointError naming
+    the first such item of its batch."""
     if not items:
         raise ValueError("evaluate_qa: empty item set")
     width = model.scorer.layers[0][0].data.shape[0]
@@ -277,6 +279,7 @@ def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureSto
         for start in range(0, len(group), batch_size):
             batch = group[start:start + batch_size]
             clips, questions, answers, targets = _item_arrays(batch, provider, store)
-            probs = model.probabilities_batch(clips, questions, answers).data
+            probs = ad.finite_rows(model.probabilities_batch(clips, questions, answers).data,
+                                   [item.qid for item in batch], "answer distribution")
             correct += int((np.argmax(probs, axis=1) == targets).sum())
     return correct / len(items)

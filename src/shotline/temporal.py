@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdOptimizer, Tensor
 from .binio import read_tsv
-from .features import FeatureStore, check_label_ids, shot_labels
+from .features import FeatureStore, check_label_ids, label_rows, shot_labels
 from .nn import (LstmCell, RowMlp, assign_parameters, lstm_dims, mlp_dims,
                  pooling_matrix, read_choice)
 from .rng import derive_rng
@@ -149,14 +149,8 @@ def read_questions(path, store: FeatureStore) -> QuestionSet:
     count differs from the first line's raises ValueError naming the file and
     the line.
     """
-    row_of = dict(zip(shot_labels(store.keys()), range(len(store))))
+    shot_rows = label_rows(store)
     sizes: list[tuple[int, int]] = []
-
-    def shot_rows(field: str) -> list[int]:
-        try:
-            return [row_of[label] for label in field.split(",")]
-        except KeyError as exc:
-            raise ValueError(f"no feature for shot {exc.args[0]}") from None
 
     def parse(p: list[str]):
         context, candidates, correct = shot_rows(p[3]), shot_rows(p[4]), int(p[5])
@@ -456,13 +450,17 @@ def baseline_average_cosine(question: PredictionQuestion) -> int:
 @ad.no_grad()
 def predict_probabilities(model: NextShotModel, questions: QuestionSet,
                           batch_size: int = 256) -> np.ndarray:
-    """Candidate distribution of every question, (Q, n), in question order."""
+    """Candidate distribution of every question, (Q, n), in question order.
+    A distribution that is not finite raises FloatingPointError naming the
+    first such question."""
     matrix = questions.store.matrix if len(questions) else None
     parts = [model.probabilities_batch(matrix[questions.context[start:start + batch_size]],
                                        matrix[questions.candidates[start:start + batch_size]]
                                        ).data
              for start in range(0, len(questions), batch_size)]
-    return np.concatenate(parts) if parts else np.empty(questions.candidates.shape, np.float32)
+    if not parts:
+        return np.empty(questions.candidates.shape, np.float32)
+    return ad.finite_rows(np.concatenate(parts), questions.qids, "candidate distribution")
 
 
 def accuracy_by_setting(questions: QuestionSet, chosen) -> tuple[float, dict]:

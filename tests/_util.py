@@ -224,3 +224,16 @@ def assert_same_questions(a: temporal.QuestionSet, b: temporal.QuestionSet) -> N
     assert (a.qids, a.movie_ids, a.settings) == (b.qids, b.movie_ids, b.settings)
     for name in ("context", "candidates", "correct"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def stepwise_topic_chain(matrix: np.ndarray, length: int, rng: np.random.Generator,
+                         start: int | None = None) -> np.ndarray:
+    """Reference Markov walk: one ``Generator.choice`` call per step, as
+    ``corpus.sample_topic_chain`` was first written."""
+    topics = matrix.shape[0]
+    chain = np.empty(length, dtype=np.int64)
+    state = int(rng.integers(topics)) if start is None else start
+    for i in range(length):
+        chain[i] = state
+        state = int(rng.choice(topics, p=matrix[state]))
+    return chain

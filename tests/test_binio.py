@@ -18,6 +18,7 @@ def _question_store() -> FeatureStore:
 
 
 read_stored_questions = partial(read_questions, store=_question_store())
+read_stored_items = partial(read_qa_items, store=_question_store())
 
 GOOD_QUESTION = "q0\tm0\tin_movie\tm0#0,m0#1\tm0#2,m0#3\t1"
 GOOD_ITEM = "i0\twho?\ta|b\tm0#0,m0#1\t0"
@@ -34,10 +35,12 @@ GOOD_SHOT = "v\t0\t0\t8"
                  "unknown setting 'sideways'", id="question-setting"),
     pytest.param(read_stored_questions, GOOD_QUESTION, "q1\tm0\tin_movie\tm0#0",
                  "expected 6 fields, got 4", id="question-fields"),
-    pytest.param(read_qa_items, GOOD_ITEM, "i1\twho?\ta|b\tm0#0\tx",
+    pytest.param(read_stored_items, GOOD_ITEM, "i1\twho?\ta|b\tm0#0\tx",
                  "invalid literal for int() with base 10: 'x'", id="qa-index"),
-    pytest.param(read_qa_items, GOOD_ITEM, "i1\twho?\ta\tm0#0\t0",
+    pytest.param(read_stored_items, GOOD_ITEM, "i1\twho?\ta\tm0#0\t0",
                  "item i1: need at least 2 answers", id="qa-answers"),
+    pytest.param(read_stored_items, GOOD_ITEM, "i1\twho?\ta|b\tm0#1,m0#9\t0",
+                 "no feature for shot m0#9", id="qa-shot-id"),
     pytest.param(read_shot_list, GOOD_SHOT, "v\t1\t8\tz",
                  "invalid literal for int() with base 10: 'z'", id="shot-end"),
     pytest.param(read_shot_list, GOOD_SHOT, "v\t1\t8\t8",

@@ -322,7 +322,7 @@ def test_non_finite_qa_loss_fails_the_command(tmp_path, capsys):
     make_qa_fixture(world, store, n_items=20, seed=8)
     # every input is finite, but the float32 mean of item 3's clip overflows to
     # inf in two columns, so the scorer's first layer sums inf and -inf
-    clip = qa.read_qa_items(world / "qa_items.tsv")[3].clip_shots
+    clip = qa.read_qa_items(world / "qa_items.tsv", store)[3].clip_shots
     poisoned = FeatureStore(store.dim)
     for key, values in store.items():
         poisoned.add(*key, np.where(np.arange(store.dim) < 2, np.float32(3e38), values)
@@ -388,6 +388,74 @@ def test_a_non_finite_checkpoint_weight_fails_every_loader(tmp_path, capsys):
         assert (f"error\tValueError\t{checkpoint}: '{entry}' holds 1 non-finite value(s), "
                 f"the first at index ") in capsys.readouterr().err, command
         assert not output.exists(), command
+
+
+def _overflow(path, prefix):
+    """Rewrite the scorer of the checkpoint at path so that every score
+    overflows: the last hidden layer saturates at 1 and the output weights
+    are 3e37, finite, so the loader takes them, but 16 of them sum to inf."""
+    state = load_checkpoint(path)
+    state[f"{prefix}mlp.1.bias"][...] = 1e3
+    state[f"{prefix}mlp.2.weights"][...] = 3e37
+    save_checkpoint(path, state)
+
+
+def test_eval_temporal_fails_on_a_non_finite_distribution(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    assert run_cli(*base, "--set", "temporal_epochs=1", "train-temporal",
+                   "--features", world / "features.shtf", "--questions", world / "q.tsv",
+                   "--output", world / "t.stln") == 0
+    _overflow(world / "t.stln", "nextshot.")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert run_cli(*base, "eval-temporal", "--features", world / "features.shtf",
+                       "--questions", world / "q.tsv", "--model", world / "t.stln",
+                       "--results", world / "res.tsv", "--metrics", world / "m.tsv") == 1
+    first = (world / "q.tsv").read_text().split("\t", 1)[0]
+    assert (f"error\tFloatingPointError\t{first}: non-finite candidate distribution"
+            in capsys.readouterr().err.splitlines())
+    assert not (world / "res.tsv").exists() and not (world / "m.tsv").exists()
+
+
+def test_eval_qa_fails_on_a_non_finite_distribution(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=1)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
+    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa",
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    _overflow(world / "qa.stln", "qa.")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert run_cli(*base, "eval-qa", "--features", world / "features.shtf",
+                       "--items", world / "qa_items.tsv", "--model", world / "qa.stln",
+                       "--metrics", world / "m.tsv") == 1
+    assert ("error\tFloatingPointError\titem000: non-finite answer distribution"
+            in capsys.readouterr().err.splitlines())
+    assert not (world / "m.tsv").exists()
+
+
+def test_qa_items_naming_a_missing_shot_fail_train_and_eval_qa(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=1)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
+    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa",
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    missing = tmp_path / "missing.tsv"
+    missing.write_text("i0\twho?\ta|b\tm0000#999\t0\n")
+    message = f"error\tValueError\t{missing}: line 1: no feature for shot m0000#999"
+    runs = {"train-qa": ["--output", tmp_path / "qa.stln"],
+            "eval-qa": ["--model", world / "qa.stln", "--metrics", tmp_path / "m.tsv"]}
+    for command, args in runs.items():
+        capsys.readouterr()
+        assert run_cli(*base, command, "--features", world / "features.shtf",
+                       "--items", missing, *args) == 1, command
+        assert message in capsys.readouterr().err.splitlines(), command
+        assert not args[-1].exists(), command
 
 
 def test_extract_rejects_a_shot_outside_the_clip(tmp_path, capsys):
@@ -730,7 +798,7 @@ def test_qa_hashing_fallback(tmp_path):
     assert len(row["examples_per_s"]) == epochs and min(row["examples_per_s"]) > 0
     metrics = dict(l.split("\t") for l in (world / "qa_metrics.tsv").read_text().splitlines())
     model = _copy_weights(qa.QaModel(store.dim, 16, (64, 16)), world / "qa.stln")
-    items = qa.read_qa_items(world / "qa_items.tsv")
+    items = qa.read_qa_items(world / "qa_items.tsv", store)
     accuracy = qa.evaluate_qa(model, items, qa.HashingEmbeddingProvider(16), store)
     assert metrics["qa.accuracy"] == f"{accuracy:.6f}"
 

@@ -1,15 +1,24 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from shotline import corpus
+from shotline.cli import _world_config, load_config
 from shotline.corpus import (CorpusSplit, SyntheticWorld, SyntheticWorldConfig,
-                             TagVocabulary, VideoManifestEntry, generate_world,
-                             load_manifest, make_prototypes, make_splits,
+                             TagVocabulary, VideoManifestEntry, _restrict_transition,
+                             generate_world, load_manifest, make_prototypes, make_splits,
                              make_transition, sample_topic_chain, save_manifest,
                              write_ground_truth, read_ground_truth)
 from shotline.rng import derive_rng
+
+from _util import stepwise_topic_chain
+
+TINY = str(Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg")
 
 
 # -- manifest -------------------------------------------------------------------
@@ -103,6 +112,69 @@ def test_chain_marginals_match_stationary_chi_square():
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # not rejected at alpha = 0.01
     assert chi2 < stats.chi2.ppf(0.99, df=7)
+
+
+@st.composite
+def transition_matrices(draw):
+    """Row-stochastic matrices of 1-9 topics: normalised random rows with
+    zeros among them, or a _restrict_transition of a make_transition."""
+    topics = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        full = draw(st.integers(topics, 9))
+        self_mass = draw(st.floats(0.05, 0.95))
+        successor_mass = (1.0 - self_mass) * draw(st.floats(0.0, 1.0))
+        matrix, _ = make_transition(full, self_mass, successor_mass, rng)
+        return _restrict_transition(matrix, np.sort(rng.choice(full, size=topics, replace=False)))
+    raw = rng.random((topics, topics)) * (rng.random((topics, topics)) < 0.7)
+    raw[np.arange(topics), rng.integers(topics, size=topics)] += 0.1  # no all-zero row
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(transition_matrices(), st.integers(0, 500), st.integers(0, 2**32 - 1), st.data())
+def test_topic_chain_equals_the_stepwise_choice_walk(matrix, length, seed, data):
+    start = data.draw(st.none() | st.integers(0, matrix.shape[0] - 1))
+    rng_bulk, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
+    chain = sample_topic_chain(matrix, length, rng_bulk, start)
+    expected = stepwise_topic_chain(matrix, length, rng_step, start)
+    assert chain.dtype == expected.dtype and np.array_equal(chain, expected)
+    assert rng_bulk.random() == rng_step.random()
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0.5, np.nan, 0.5], "probabilities contain NaN"),
+    ([1.2, -0.2, 0.0], "probabilities are not non-negative"),
+    ([0.5, 0.4, 0.0], "probabilities sum to 0.9, not 1"),
+    ([0.5, np.inf, 0.0], "probabilities sum to inf, not 1"),
+])
+def test_topic_chain_names_a_bad_transition_row(row, message):
+    matrix = np.full((3, 3), 1 / 3)
+    matrix[2] = row
+    with pytest.raises(ValueError, match=rf"^transition row 2: {message}"):
+        sample_topic_chain(matrix, 5, np.random.default_rng(0), start=0)
+
+
+@pytest.mark.parametrize("start", [-1, 3, 7])
+def test_topic_chain_rejects_a_start_outside_the_topics(start):
+    with pytest.raises(ValueError, match=rf"^start topic {start} outside 0\.\.2$"):
+        sample_topic_chain(np.full((3, 3), 1 / 3), 5, np.random.default_rng(0), start=start)
+
+
+@pytest.mark.parametrize("overrides", [
+    [], ["movie_topic_count=0"],
+    ["topics=8", "movie_topic_count=3", "movie_style_sigma=0.3", "movies=6", "trailers=12"]])
+def test_generate_world_equals_the_stepwise_walk(monkeypatch, overrides):
+    cfg = _world_config(load_config(TINY, overrides))
+    _, videos, store, entries = generate_world(cfg)
+    monkeypatch.setattr(corpus, "sample_topic_chain", stepwise_topic_chain)
+    _, ref_videos, ref_store, ref_entries = generate_world(cfg)
+    assert any(v.kind == "trailer" for v in videos)
+    assert store.keys() == ref_store.keys()
+    assert store.matrix.tobytes() == ref_store.matrix.tobytes()
+    assert [v.topics.tolist() for v in videos] == [v.topics.tolist() for v in ref_videos]
+    assert entries == ref_entries
 
 
 def test_movie_sigma_zero_single_topic_equals_prototype():

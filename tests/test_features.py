@@ -29,6 +29,56 @@ def test_store_duplicate_rejected():
         store.add("a", 0, np.ones(2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 70)), max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_add_rows_equals_one_add_per_row(blocks, seed):
+    # blocks of up to 70 rows across three videos, in shuffled ordinal order,
+    # so a block may cross the first and later buffer doublings
+    rng = np.random.default_rng(seed)
+    bulk, single = FeatureStore(3), FeatureStore(3)
+    next_ordinal = {}
+    for video_id, count in blocks:
+        first = next_ordinal.get(video_id, 0)
+        next_ordinal[video_id] = first + count
+        ordinals = (first + rng.permutation(count)).tolist()
+        rows = rng.normal(0, 1, (count, 3))
+        bulk.add_rows(video_id, ordinals, rows)
+        for ordinal, values in zip(ordinals, rows):
+            single.add(video_id, ordinal, values)
+    assert bulk.matrix.dtype == np.float32
+    assert bulk.matrix.tobytes() == single.matrix.tobytes()
+    assert bulk.keys() == single.keys() and bulk.video_ids() == single.video_ids()
+    for video_id in bulk.video_ids():
+        assert bulk.shot_count(video_id) == single.shot_count(video_id)
+        assert np.array_equal(bulk.sequence_rows(video_id), single.sequence_rows(video_id))
+
+
+def test_add_rows_fails_like_add_and_adds_nothing():
+    store = FeatureStore(2)
+    store.add_rows("a", [0, 1], np.zeros((2, 2)))
+    before = (store.keys(), store.matrix.tobytes())
+    # a stored key is named as add names it
+    for add in (lambda: store.add_rows("a", [2, 1, 0], np.ones((3, 2))),
+                lambda: store.add("a", 1, np.ones(2))):
+        with pytest.raises(ValueError, match=r"^duplicate feature record \('a', 1\)$"):
+            add()
+    # the first duplicate in order, be it a repeat within the call or a stored key
+    with pytest.raises(ValueError, match=r"^duplicate feature record \('a', 3\)$"):
+        store.add_rows("a", [2, 3, 4, 3, 0], np.ones((5, 2)))
+    with pytest.raises(ValueError, match=r"^duplicate feature record \('c', 0\)$"):
+        store.add_rows("c", [0, 0], np.ones((2, 2)))
+    for add in (lambda: store.add_rows("a", [5], np.ones((1, 3))),
+                lambda: store.add("a", 5, np.ones(3))):
+        with pytest.raises(ValueError, match=r"^expected shape \(1, 2\), got \(1, 3\)$"):
+            add()
+    with pytest.raises(ValueError, match=r"^expected shape \(2, 2\), got \(3, 2\)$"):
+        store.add_rows("b", [0, 1], np.ones((3, 2)))
+    assert (store.keys(), store.matrix.tobytes()) == before
+    store.add_rows("b", [], np.ones((0, 2)))
+    assert store.video_ids() == ["a"] and len(store) == 2
+
+
 def test_store_missing_lookup():
     store = FeatureStore(2)
     with pytest.raises(KeyError):

@@ -268,7 +268,9 @@ def test_qa_item_file_round_trip(tmp_path):
                     [("mov", 3), ("mov", 4)], 1)]
     path = tmp_path / "items.tsv"
     write_qa_items(path, items)
-    assert read_qa_items(path) == items
+    store = FeatureStore(2)
+    store.add_rows("mov", range(6), np.zeros((6, 2)))
+    assert read_qa_items(path, store) == items
     with pytest.raises(ValueError, match="not allowed"):
         write_qa_items(tmp_path / "bad.tsv",
                        [QaItem("q2", "a|b", ["x", "y"], [("m", 0)], 0)])
