@@ -499,15 +499,6 @@ class SgdOptimizer:
             p.grad = None
 
 
-def finite_loss(loss: Tensor, where: str) -> float:
-    """The value of a scalar loss; a NaN or infinite one raises FloatingPointError
-    naming ``where``, so training stops before it corrupts the weights."""
-    value = loss.item()
-    if not np.isfinite(value):
-        raise FloatingPointError(f"{where}: non-finite loss {value}")
-    return value
-
-
 def finite_rows(rows: np.ndarray, ids, what: str) -> np.ndarray:
     """``rows`` as given when every value is finite; otherwise FloatingPointError
     naming the id of the first row that is not, so a NaN distribution cannot

@@ -191,15 +191,18 @@ def _tag_config(config: dict) -> tags.TagTrainConfig:
         max_lstm_steps=config["max_lstm_steps"])
 
 
-def _curves(history: dict, validated: bool) -> dict:
-    """Manifest entries for a training history: each epoch's loss, seconds
-    and training examples per second, plus its validation accuracy when a
-    validation set was given."""
-    curves = {"epoch_loss": history["loss"], "epoch_s": history["epoch_s"],
-              "examples_per_s": history["examples_per_s"]}
-    if validated:
-        curves["epoch_val_accuracy"] = history["val_accuracy"]
-    return curves
+def _curves(history: dict) -> dict:
+    """Manifest entries of an nn.fit history: epoch_loss, epoch_s,
+    examples_per_s and, when the trainer validated, epoch_val_accuracy."""
+    names = {"loss": "epoch_loss", "val_accuracy": "epoch_val_accuracy"}
+    return {names.get(key, key): values for key, values in history.items()}
+
+
+def _nonempty(rows, path, what: str):
+    """The rows read from path; an empty file raises ValueError naming it."""
+    if not len(rows):
+        raise ValueError(f"{path}: no {what}")
+    return rows
 
 
 def _from_checkpoint(path, build):
@@ -298,8 +301,8 @@ def cmd_train_tags(args, config):
     print(f"train-tags\t{len(train_entries)} videos\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.manifest, args.vocab, args.features] + ([args.split] if args.split else [])
-    curves = _curves(history, False)
-    curves.update({f"lstm_{k}": v for k, v in _curves(lstm_history, False).items()})
+    curves = _curves(history)
+    curves.update({f"lstm_{k}": v for k, v in _curves(lstm_history).items()})
     return inputs, [args.output], curves
 
 
@@ -378,9 +381,10 @@ def cmd_gen_questions(args, config):
 
 def cmd_train_temporal(args, config):
     store = read_shtf(args.features)
-    questions = temporal.read_questions(args.questions, store)
-    val_questions = (temporal.read_questions(args.val_questions, store)
-                     if args.val_questions else None)
+    questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
+                          "questions")
+    val_questions = (_nonempty(temporal.read_questions(args.val_questions, store),
+                               args.val_questions, "questions") if args.val_questions else None)
     t_config = temporal.TemporalTrainConfig(
         epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
         learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
@@ -389,20 +393,19 @@ def cmd_train_temporal(args, config):
     model, history = temporal.train_next_shot(questions, t_config, config["seed"],
                                               val_questions=val_questions)
     save_checkpoint(args.output, model.state())
-    last_val = history["val_accuracy"][-1] if history["val_accuracy"] else float("nan")
+    last_val = history.get("val_accuracy", [float("nan")])[-1]
     print(f"train-temporal\t{len(questions)} questions\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}\tval {last_val:.4f}",
           file=sys.stderr)
     inputs = [args.features, args.questions] + (
         [args.val_questions] if args.val_questions else [])
-    return inputs, [args.output], _curves(history, bool(args.val_questions))
+    return inputs, [args.output], _curves(history)
 
 
 def cmd_eval_temporal(args, config):
     store = read_shtf(args.features)
-    questions = temporal.read_questions(args.questions, store)
-    if not len(questions):
-        raise ValueError(f"{args.questions}: no questions to evaluate")
+    questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
+                          "questions to evaluate")
     if args.model:
         model = _from_checkpoint(args.model, temporal.NextShotModel.from_state)
     else:
@@ -432,8 +435,9 @@ def cmd_eval_temporal(args, config):
 
 def cmd_train_qa(args, config):
     store = read_shtf(args.features)
-    items = qa.read_qa_items(args.items, store)
-    val_items = qa.read_qa_items(args.val_items, store) if args.val_items else None
+    items = _nonempty(qa.read_qa_items(args.items, store), args.items, "items")
+    val_items = (_nonempty(qa.read_qa_items(args.val_items, store), args.val_items, "items")
+                 if args.val_items else None)
     provider = _provider(args, config)
     qa_config = qa.QaTrainConfig(
         epochs=config["qa_epochs"], batch_size=config["qa_batch_size"],
@@ -446,12 +450,12 @@ def cmd_train_qa(args, config):
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
     inputs = [args.features, args.items] + ([args.val_items] if args.val_items else []) + (
         [args.embeddings] if args.embeddings else [])
-    return inputs, [args.output], _curves(history, bool(args.val_items))
+    return inputs, [args.output], _curves(history)
 
 
 def cmd_eval_qa(args, config):
     store = read_shtf(args.features)
-    items = qa.read_qa_items(args.items, store)
+    items = _nonempty(qa.read_qa_items(args.items, store), args.items, "items")
     provider = _provider(args, config)
     model = _from_checkpoint(args.model, qa.QaModel.from_state)
     accuracy = qa.evaluate_qa(model, items, provider, store)

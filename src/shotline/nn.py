@@ -1,6 +1,8 @@
 """Small trainable building blocks shared by the sequence and QA models."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from . import autodiff as ad
@@ -131,6 +133,64 @@ class RowMlp:
             params[f"mlp.{i}.weights"] = w
             params[f"mlp.{i}.bias"] = b
         return params
+
+
+# -- training ----------------------------------------------------------------
+
+
+def fit(params: dict, count: int, epochs: int, batch_size: int, learning_rate: float,
+        momentum: float, order, batch_loss, where: str, validate=None,
+        patience: int | None = None) -> dict:
+    """Minibatch SGD with momentum, the one epoch loop of every trainer.
+
+    Each epoch walks ``order(epoch)``, a permutation of range(count), in
+    batches; ``batch_loss(epoch, batch)`` builds a batch's scalar loss, and
+    a non-finite one raises FloatingPointError naming ``where``, the epoch
+    and the batch start. The history holds each epoch's mean ``loss``, its
+    ``epoch_s`` and the ``examples_per_s`` of its SGD pass. With
+    ``validate`` (the model's validation accuracy), each epoch's seconds
+    include it and it is recorded as ``val_accuracy``; training stops after
+    ``patience`` epochs in a row without a better one (None: never), and
+    the parameters of the best epoch are restored in place.
+    """
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{where}: {name} must be at least 1, got {value}")
+    optimizer = ad.SgdOptimizer(params, learning_rate, momentum)
+    history = {"loss": [], "epoch_s": [], "examples_per_s": [],
+               **({} if validate is None else {"val_accuracy": []})}
+    best_val, best_state, stale = -1.0, None, 0
+    for epoch in range(epochs):
+        started = time.perf_counter()
+        epoch_order = order(epoch)
+        total = 0.0
+        for start in range(0, count, batch_size):
+            batch = epoch_order[start:start + batch_size]
+            loss = batch_loss(epoch, batch)
+            if not np.isfinite(value := loss.item()):
+                raise FloatingPointError(f"{where}: epoch {epoch}, batch start {start}: "
+                                         f"non-finite loss {value}")
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            total += value * len(batch)
+        seconds = time.perf_counter() - started
+        history["loss"].append(total / count)
+        history["examples_per_s"].append(count / seconds)
+        if validate is not None:
+            history["val_accuracy"].append(accuracy := validate())
+            if accuracy > best_val:
+                best_val, stale = accuracy, 0
+                best_state = {name: p.data.copy() for name, p in params.items()}
+            else:
+                stale += 1
+            seconds = time.perf_counter() - started
+        history["epoch_s"].append(seconds)
+        if validate is not None and patience is not None and stale >= patience:
+            break
+    if best_state is not None:
+        assign_parameters(params, best_state)
+    return history
 
 
 # -- model states ------------------------------------------------------------

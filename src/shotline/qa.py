@@ -7,17 +7,16 @@ a softmax over the choices gives the answer distribution.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from hashlib import blake2b
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SgdOptimizer, Tensor
+from .autodiff import Tensor
 from .binio import read_tsv
 from .features import FeatureStore, ShotId, check_label_ids, label_rows, shot_labels
-from .nn import RowMlp, assign_parameters, mlp_dims
+from .nn import RowMlp, assign_parameters, fit, mlp_dims
 from .rng import derive_rng
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -120,15 +119,20 @@ class QaItem:
 
 
 def write_qa_items(path, items: list[QaItem]) -> None:
-    """One line per item. A video id that a shot label cannot carry raises
-    ValueError naming it before anything is written."""
+    """One line per item. An item id holding a tab or line break, a text
+    holding '|', a tab or a line break, or a video id that a shot label
+    cannot carry raises ValueError naming it before the file is opened."""
+    for item in items:
+        if any(c in item.qid for c in "\t\r\n"):
+            raise ValueError(f"{path}: item id {item.qid!r}: tab, CR and LF are not allowed")
+        for text in [item.question, *item.answers]:
+            if any(c in text for c in "|\t\r\n"):
+                raise ValueError(f"{path}: item {item.qid!r}: text {text!r}: '|', tab, CR and "
+                                 f"LF are not allowed in texts")
     check_label_ids(path, dict.fromkeys(video_id for item in items
                                         for video_id, _ in item.clip_shots))
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
-            for text in [item.question, *item.answers]:
-                if "|" in text or "\t" in text:
-                    raise ValueError(f"item {item.qid}: '|' and tab are not allowed in texts")
             clip = ",".join(shot_labels(item.clip_shots))
             fh.write(f"{item.qid}\t{item.question}\t{'|'.join(item.answers)}\t{clip}\t"
                      f"{item.correct_index}\n")
@@ -212,49 +216,25 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
              val_items: list[QaItem] | None = None) -> tuple[QaModel, dict]:
     """SGD on the answer NLL with early stopping on validation accuracy.
 
-    The history holds each epoch's mean loss, its seconds (validation
-    included) and the training examples per second of its SGD pass, plus
-    each validation accuracy.
+    Returns the model (with validation items, that of the best epoch) and
+    its nn.fit history.
     """
     if not train_items:
         raise ValueError("train_qa: empty training set")
     model = QaModel(store.dim, provider.dim, config.scorer_widths,
                     seed=derive_rng(seed, "qa.init").integers(2**32))
-    optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
     clips, questions, answers, targets = _item_arrays(train_items, provider, store)
-    history = {"loss": [], "epoch_s": [], "examples_per_s": [], "val_accuracy": []}
-    best_val = -1.0
-    best_state = None
-    stale = 0
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = derive_rng(seed, "qa.epoch", epoch).permutation(len(train_items))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            probs = model.probabilities_batch(clips[idx], questions[idx], answers[idx])
-            loss = ad.nll_loss(probs, targets[idx])
-            value = ad.finite_loss(loss, f"train_qa: epoch {epoch}, batch start {start}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_loss += value * idx.size
-        history["loss"].append(epoch_loss / len(train_items))
-        history["examples_per_s"].append(len(train_items) / (time.perf_counter() - started))
-        if val_items is not None:
-            acc = evaluate_qa(model, val_items, provider, store)
-            history["val_accuracy"].append(acc)
-            if acc > best_val:
-                best_val = acc
-                best_state = model.state()
-                stale = 0
-            else:
-                stale += 1
-        history["epoch_s"].append(time.perf_counter() - started)
-        if val_items is not None and stale >= config.patience:
-            break
-    if best_state is not None:
-        model = QaModel.from_state(best_state)
+
+    def batch_loss(epoch: int, idx: np.ndarray) -> Tensor:
+        return ad.nll_loss(model.probabilities_batch(clips[idx], questions[idx], answers[idx]),
+                           targets[idx])
+
+    validate = (None if val_items is None
+                else lambda: evaluate_qa(model, val_items, provider, store))
+    history = fit(model.parameters(), len(train_items), config.epochs, config.batch_size,
+                  config.learning_rate, config.momentum,
+                  lambda e: derive_rng(seed, "qa.epoch", e).permutation(len(train_items)),
+                  batch_loss, "train_qa", validate, config.patience)
     return model, history
 
 

@@ -9,17 +9,16 @@ shots.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SgdOptimizer, Tensor
+from .autodiff import Tensor
 from .corpus import TagVocabulary, VideoManifestEntry
 from .encoder import sample_shots
 from .features import FeatureStore
-from .nn import (LstmCell, assign_parameters, lstm_dims, pooling_matrix, read_choice,
+from .nn import (LstmCell, assign_parameters, fit, lstm_dims, pooling_matrix, read_choice,
                  uniform_init)
 from .rng import derive_rng
 
@@ -186,35 +185,26 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
             raise ValueError(f"training video {e.video_id!r} has no genres")
     model = TagModel(vocabulary, store.dim, proj_dim, derive_rng(seed, "tags.init"),
                      scoring=config.scoring)
-    optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
     sequence_rows = [store.sequence_rows(e.video_id) for e in entries]
     truths = [_truth_indices(e, vocabulary) for e in entries]
     matrix, shots = store.matrix, config.shots_per_video
-    history = {"loss": [], "epoch_s": [], "examples_per_s": []}
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = derive_rng(seed, "tags.epoch", epoch).permutation(len(entries))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            rows = np.concatenate([
-                sequence_rows[i][sample_shots(
-                    len(sequence_rows[i]), shots,
-                    derive_rng(seed, f"tags.sample.{entries[i].video_id}", epoch))]
-                for i in batch])
-            pooled = matrix[rows].reshape(len(batch), shots, store.dim).mean(axis=1)
-            kw_rows = [row for row, i in enumerate(batch) if entries[i].keywords]
-            genre_logits, kw_logits = model.batch_logits(pooled, kw_rows)
-            loss = multitask_loss(genre_logits, [truths[i][0] for i in batch], kw_logits,
-                                  [truths[batch[r]][1] for r in kw_rows], config.genre_weight)
-            value = ad.finite_loss(loss, f"train_tags: epoch {epoch}, batch start {start}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_loss += value * len(batch)
-        history["loss"].append(epoch_loss / len(entries))
-        history["epoch_s"].append(time.perf_counter() - started)
-        history["examples_per_s"].append(len(entries) / history["epoch_s"][-1])
+
+    def batch_loss(epoch: int, batch: np.ndarray) -> Tensor:
+        rows = np.concatenate([
+            sequence_rows[i][sample_shots(
+                len(sequence_rows[i]), shots,
+                derive_rng(seed, f"tags.sample.{entries[i].video_id}", epoch))]
+            for i in batch])
+        pooled = matrix[rows].reshape(len(batch), shots, store.dim).mean(axis=1)
+        kw_rows = [row for row, i in enumerate(batch) if entries[i].keywords]
+        genre_logits, kw_logits = model.batch_logits(pooled, kw_rows)
+        return multitask_loss(genre_logits, [truths[i][0] for i in batch], kw_logits,
+                              [truths[batch[r]][1] for r in kw_rows], config.genre_weight)
+
+    history = fit(model.parameters(), len(entries), config.epochs, config.batch_size,
+                  config.learning_rate, config.momentum,
+                  lambda e: derive_rng(seed, "tags.epoch", e).permutation(len(entries)),
+                  batch_loss, "train_tags")
     return model, history
 
 
@@ -269,45 +259,36 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
     The per-video loss is the multitask BCE applied to the mean of the
     per-step logits. Each minibatch runs as one zero-padded batch; the
     mean pools only a video's own steps, so padding adds exactly nothing.
-    Returns the scorer and its history: each epoch's mean loss, seconds
-    and videos per second.
+    Returns the scorer and its nn.fit history.
     """
     if not entries:
         raise ValueError("train_tag_lstm: empty corpus")
     feat_dim = model.proj_dim if model.proj_dim else model.input_dim
     lstm = TagLstm(vocabulary, feat_dim, config.lstm_hidden, derive_rng(seed, "taglstm.init"))
-    optimizer = SgdOptimizer(lstm.parameters(), config.lstm_learning_rate, config.momentum)
     inputs = {e.video_id: _lstm_inputs(model, store.sequence(e.video_id), config.max_lstm_steps)
               for e in entries}
     truths = {e.video_id: _truth_indices(e, vocabulary) for e in entries}
-    history = {"loss": [], "epoch_s": [], "examples_per_s": []}
-    for epoch in range(config.lstm_epochs):
-        started = time.perf_counter()
-        order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = [entries[i] for i in order[start:start + config.batch_size]]
-            lengths = np.array([inputs[e.video_id].shape[0] for e in batch])
-            padded = np.zeros((len(batch), lengths.max(), feat_dim), dtype=np.float32)
-            for row, entry in enumerate(batch):
-                padded[row, :lengths[row]] = inputs[entry.video_id]
-            # one pooling matmul gives every video's mean, then again the
-            # rows of the videos that have keyword labels
-            pooling = pooling_matrix(lengths, padded.shape[1], "mean")
-            kw_rows = [row for row, entry in enumerate(batch) if entry.keywords]
-            pooled = lstm.cell.fold(Tensor(padded), np.concatenate([pooling, pooling[kw_rows]]))
-            truth = [truths[e.video_id] for e in batch]
-            genre_logits, kw_logits = lstm.head_logits(pooled, len(batch))
-            loss = multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
-                                  [truth[row][1] for row in kw_rows], config.genre_weight)
-            value = ad.finite_loss(loss, f"train_tag_lstm: epoch {epoch}, batch start {start}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_loss += value * len(batch)
-        history["loss"].append(epoch_loss / len(entries))
-        history["epoch_s"].append(time.perf_counter() - started)
-        history["examples_per_s"].append(len(entries) / history["epoch_s"][-1])
+
+    def batch_loss(epoch: int, picks: np.ndarray) -> Tensor:
+        batch = [entries[i] for i in picks]
+        lengths = np.array([inputs[e.video_id].shape[0] for e in batch])
+        padded = np.zeros((len(batch), lengths.max(), feat_dim), dtype=np.float32)
+        for row, entry in enumerate(batch):
+            padded[row, :lengths[row]] = inputs[entry.video_id]
+        # one pooling matmul gives every video's mean, then again the
+        # rows of the videos that have keyword labels
+        pooling = pooling_matrix(lengths, padded.shape[1], "mean")
+        kw_rows = [row for row, entry in enumerate(batch) if entry.keywords]
+        pooled = lstm.cell.fold(Tensor(padded), np.concatenate([pooling, pooling[kw_rows]]))
+        truth = [truths[e.video_id] for e in batch]
+        genre_logits, kw_logits = lstm.head_logits(pooled, len(batch))
+        return multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
+                              [truth[row][1] for row in kw_rows], config.genre_weight)
+
+    history = fit(lstm.parameters(), len(entries), config.lstm_epochs, config.batch_size,
+                  config.lstm_learning_rate, config.momentum,
+                  lambda e: derive_rng(seed, "taglstm.epoch", e).permutation(len(entries)),
+                  batch_loss, "train_tag_lstm")
     return lstm, history
 
 

@@ -8,17 +8,16 @@ no annotation beyond the shot order itself is needed.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SgdOptimizer, Tensor
+from .autodiff import Tensor
 from .binio import read_tsv
 from .features import FeatureStore, check_label_ids, label_rows, shot_labels
-from .nn import (LstmCell, RowMlp, assign_parameters, lstm_dims, mlp_dims,
+from .nn import (LstmCell, RowMlp, assign_parameters, fit, lstm_dims, mlp_dims,
                  pooling_matrix, read_choice)
 from .rng import derive_rng
 
@@ -385,10 +384,9 @@ def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: i
                     val_questions: QuestionSet | None = None) -> tuple[NextShotModel, dict]:
     """SGD on the negative log-probability of the correct candidate.
 
-    With a validation set, the model from the best validation epoch is
-    restored at the end. The history holds each epoch's mean loss, its
-    seconds (validation included) and the training examples per second of
-    its SGD pass, plus each validation accuracy.
+    With a validation set, the model of the best validation epoch is
+    restored at the end; training never stops early. Returns the model and
+    its nn.fit history.
     """
     if not len(questions):
         raise ValueError("train_next_shot: empty question set")
@@ -397,38 +395,19 @@ def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: i
                           seed=derive_rng(seed, "nextshot.init").integers(2**32),
                           context_pooling=config.context_pooling,
                           input_scale=_unit_rms_scale(store))
-    optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
-    context_rows, candidate_rows, targets = (questions.context, questions.candidates,
-                                             questions.correct)
     matrix = store.matrix
-    history = {"loss": [], "epoch_s": [], "examples_per_s": [], "val_accuracy": []}
-    best_val = -1.0
-    best_state = None
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = derive_rng(seed, "nextshot.epoch", epoch).permutation(len(questions))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            probs = model.probabilities_batch(matrix[context_rows[batch]],
-                                              matrix[candidate_rows[batch]])
-            loss = ad.nll_loss(probs, targets[batch])
-            value = ad.finite_loss(loss, f"train_next_shot: epoch {epoch}, batch start {start}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_loss += value * len(batch)
-        history["loss"].append(epoch_loss / len(questions))
-        history["examples_per_s"].append(len(questions) / (time.perf_counter() - started))
-        if val_questions:
-            acc = evaluate_accuracy(model, val_questions)[0]
-            history["val_accuracy"].append(acc)
-            if acc > best_val:
-                best_val = acc
-                best_state = model.state()
-        history["epoch_s"].append(time.perf_counter() - started)
-    if best_state is not None:
-        model = NextShotModel.from_state(best_state)
+
+    def batch_loss(epoch: int, batch: np.ndarray) -> Tensor:
+        probs = model.probabilities_batch(matrix[questions.context[batch]],
+                                          matrix[questions.candidates[batch]])
+        return ad.nll_loss(probs, questions.correct[batch])
+
+    validate = (None if val_questions is None
+                else lambda: evaluate_accuracy(model, val_questions)[0])
+    history = fit(model.parameters(), len(questions), config.epochs, config.batch_size,
+                  config.learning_rate, config.momentum,
+                  lambda e: derive_rng(seed, "nextshot.epoch", e).permutation(len(questions)),
+                  batch_loss, "train_next_shot", validate)
     return model, history
 
 

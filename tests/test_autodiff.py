@@ -339,12 +339,6 @@ def test_pooling_matrix_rows():
         pooling_matrix([2], 3, "max")
 
 
-def test_finite_loss_names_the_batch():
-    assert ad.finite_loss(Tensor(np.float32(0.5)), "here") == 0.5
-    with pytest.raises(FloatingPointError, match="epoch 2, batch start 64: non-finite loss nan"):
-        ad.finite_loss(Tensor(np.float32(np.nan)), "train: epoch 2, batch start 64")
-
-
 # -- no_grad ---------------------------------------------------------------------
 
 def test_no_grad_results_record_no_tape():

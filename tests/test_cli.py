@@ -629,6 +629,55 @@ def test_eval_temporal_names_an_empty_question_file(tmp_path, capsys):
     assert error == f"error\tValueError\t{world / 'q.tsv'}: no questions to evaluate"
 
 
+@pytest.mark.parametrize("command, files, what", [
+    ("train-temporal", {"--questions": "empty.tsv"}, "questions"),
+    ("train-temporal", {"--questions": "q.tsv", "--val-questions": "empty.tsv"}, "questions"),
+    ("train-qa", {"--items": "empty.tsv"}, "items"),
+    ("train-qa", {"--items": "qa_items.tsv", "--val-items": "empty.tsv"}, "items"),
+    ("eval-qa", {"--items": "empty.tsv", "--model": "qa.stln"}, "items"),
+])
+def test_an_empty_question_or_item_file_fails_naming_it(tmp_path, capsys, command, files, what):
+    world = synth_and_split(tmp_path, seed=3)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 3]
+    (world / "empty.tsv").write_text("")
+    if "q.tsv" in files.values():
+        assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                       "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    if "qa_items.tsv" in files.values():
+        make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=3)
+    out = ["--metrics", world / "m.tsv"] if command == "eval-qa" else ["--output", world / "o.stln"]
+    capsys.readouterr()
+    argv = [a for flag, name in files.items() for a in (flag, world / name)]
+    assert run_cli(*base, command, "--features", world / "features.shtf", *argv, *out) == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == f"error\tValueError\t{world / 'empty.tsv'}: no {what}"
+    assert not (world / "o.stln").exists() and not (world / "m.tsv").exists()
+
+
+def test_a_count_below_one_names_the_trainer(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=3)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 3]
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    tag_args = ["train-tags", "--manifest", world / "manifest.jsonl",
+                "--vocab", world / "vocab.json", "--features", world / "features.shtf",
+                "--split", world / "split.json", "--output", world / "o.stln"]
+    temporal_args = ["train-temporal", "--features", world / "features.shtf",
+                     "--questions", world / "q.tsv", "--output", world / "o.stln"]
+    for setting, argv, error in [
+            ("epochs=0", tag_args, "train_tags: epochs must be at least 1, got 0"),
+            # an untrained sequence scorer is no longer written
+            ("tag_lstm_epochs=0", tag_args, "train_tag_lstm: epochs must be at least 1, got 0"),
+            ("temporal_epochs=-1", temporal_args,
+             "train_next_shot: epochs must be at least 1, got -1"),
+            ("temporal_batch_size=0", temporal_args,
+             "train_next_shot: batch_size must be at least 1, got 0")]:
+        capsys.readouterr()
+        assert run_cli(*base, "--set", setting, *argv) == 1, setting
+        assert capsys.readouterr().err.splitlines()[-1] == f"error\tValueError\t{error}"
+        assert not (world / "o.stln").exists()
+
+
 def test_a_truncated_feature_store_is_named(tmp_path, capsys):
     world = synth_and_split(tmp_path, seed=6)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 6]

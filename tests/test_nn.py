@@ -3,7 +3,7 @@ import pytest
 
 from shotline import autodiff as ad
 from shotline.autodiff import Tensor
-from shotline.nn import RowMlp, assign_parameters
+from shotline.nn import RowMlp, assign_parameters, fit
 
 from _util import check_gradients, multi_node_scores
 
@@ -158,3 +158,97 @@ def test_assign_parameters_rejects_a_non_finite_value(bad):
     state["mlp.1.weights"][1, 0] = 0.5
     assign_parameters(mlp.parameters(), state)
     assert mlp.layers[1][0].data[1, 0] == np.float32(0.5)
+
+
+# -- fit -------------------------------------------------------------------------
+
+TARGETS = np.array([[1.0], [2.0], [4.0], [-1.0], [0.5]], dtype=np.float32)
+
+
+def quadratic(w):
+    """A float32 toy model: batch_loss of the mean squared distance from w to targets."""
+
+    def batch_loss(epoch, batch):
+        d = ad.add(Tensor(-TARGETS[batch]), w)                       # (b, 1)
+        squares = ad.matmul(ad.reshape(d, (1, len(batch))), d)      # (1, 1)
+        return ad.reshape(ad.scale(squares, 1.0 / len(batch)), ())
+
+    return batch_loss
+
+
+def fit_quadratic(w, **kwargs):
+    args = {"count": len(TARGETS), "epochs": 3, "batch_size": 2, "learning_rate": 0.1,
+            "momentum": 0.5, "order": lambda e: np.arange(len(TARGETS)),
+            "batch_loss": quadratic(w), "where": "toy"}
+    return fit({"w": w}, **{**args, **kwargs})
+
+
+def test_fit_calls_order_once_per_epoch_and_walks_its_batches():
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    orders, batches = [], []
+    loss = quadratic(w)
+
+    def order(epoch):
+        orders.append(epoch)
+        return np.roll(np.arange(len(TARGETS)), epoch)
+
+    def batch_loss(epoch, batch):
+        batches.append((epoch, batch.tolist()))
+        return loss(epoch, batch)
+
+    history = fit_quadratic(w, order=order, batch_loss=batch_loss)
+    assert orders == [0, 1, 2]
+    assert batches[:3] == [(0, [0, 1]), (0, [2, 3]), (0, [4])]
+    assert batches[3:6] == [(1, [4, 0]), (1, [1, 2]), (1, [3])] and len(batches) == 9
+    assert sorted(history) == ["epoch_s", "examples_per_s", "loss"]
+    assert history["loss"][0] > history["loss"][-1] > 0
+    for seconds, rate in zip(history["epoch_s"], history["examples_per_s"]):
+        # without validation both come from one clock reading
+        assert rate * seconds == pytest.approx(len(TARGETS))
+
+
+def test_fit_stops_after_patience_and_restores_the_best_epoch_in_place():
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    array = w.data
+    scores = iter([0.2, 0.5, 0.4, 0.5, 0.3, 0.9])
+    seen = []
+
+    def validate():
+        seen.append(w.data.copy())
+        return next(scores)
+
+    history = fit_quadratic(w, epochs=6, validate=validate, patience=3)
+    # epoch 1 is the best; epochs 2-4 are not better (a tie is not), so 5 run
+    assert history["val_accuracy"] == [0.2, 0.5, 0.4, 0.5, 0.3]
+    assert len(history["loss"]) == len(history["epoch_s"]) == 5
+    assert w.data is array and np.array_equal(w.data, seen[1])
+    assert not np.array_equal(seen[1], seen[4])
+
+
+def test_fit_without_patience_runs_every_epoch():
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    history = fit_quadratic(w, epochs=4, validate=lambda: 0.5)
+    assert history["val_accuracy"] == [0.5] * 4
+
+
+def test_fit_names_the_batch_of_a_non_finite_loss():
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    loss = quadratic(w)
+    moved = []
+
+    def batch_loss(epoch, batch):
+        moved.append(w.data.copy())
+        return Tensor(np.float64(np.nan)) if (epoch, batch[0]) == (1, 2) else loss(epoch, batch)
+
+    with pytest.raises(FloatingPointError, match=r"^toy: epoch 1, batch start 2: "
+                                                 r"non-finite loss nan$"):
+        fit_quadratic(w, batch_loss=batch_loss)
+    # the bad batch took no step
+    assert np.array_equal(w.data, moved[-1])
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 0), ("epochs", -1), ("batch_size", 0)])
+def test_fit_rejects_a_count_below_one(key, value):
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match=f"^toy: {key} must be at least 1, got {value}$"):
+        fit_quadratic(w, **{key: value})

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shotline import autodiff as ad
@@ -276,14 +276,33 @@ def test_qa_item_file_round_trip(tmp_path):
                        [QaItem("q2", "a|b", ["x", "y"], [("m", 0)], 0)])
 
 
-@given(st.text(max_size=4), st.sampled_from([",", "\t", "\r", "\n"]), st.text(max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_qa_writer_refuses_an_id_a_label_cannot_carry(tmp_path_factory, head, bad, tail):
-    video_id = head + bad + tail
+@given(st.text(max_size=4), st.sampled_from([",", "|", "\t", "\r", "\n"]), st.text(max_size=4),
+       st.sampled_from(["video", "id", "question", "answer"]))
+@example("q", "\t", "1", "id")
+@example("who", "\n", "is", "question")
+@example("a", "\r", "x", "answer")
+@settings(max_examples=120, deadline=None)
+def test_qa_writer_refuses_an_id_a_label_cannot_carry(tmp_path_factory, head, bad, tail, where):
+    value = head + bad + tail
     path = tmp_path_factory.mktemp("qa") / "items.tsv"
+    path.write_text("previous\n")
+    fields = {"id": "q2", "question": "why", "answer": "b", where: value}
+    clip = [("ok", 1)] + ([(value, 2)] if where == "video" else [])
     items = [QaItem("q1", "who", ["a", "b"], [("ok", 0)], 0),
-             QaItem("q2", "why", ["a", "b"], [("ok", 1), (video_id, 2)], 1)]
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: video id "
-                                         f"{re.escape(repr(video_id))} holds a comma"):
+             QaItem(fields["id"], fields["question"], ["a", fields["answer"]], clip, 1)]
+    refused = {"video": ",\t\r\n", "id": "\t\r\n"}.get(where, "|\t\r\n")
+    if not any(c in value for c in refused):
+        store = FeatureStore(2)
+        store.add_rows("ok", [0, 1], np.zeros((2, 2)))
+        if where == "video":
+            store.add(value, 2, np.zeros(2))
         write_qa_items(path, items)
-    assert not path.exists()
+        assert read_qa_items(path, store) == items
+        return
+    error = {"video": f"video id {re.escape(repr(value))} holds a comma",
+             "id": f"item id {re.escape(repr(value))}: tab, CR and LF are not allowed"}.get(
+        where, f"item 'q2': text {re.escape(repr(value))}: '\\|', tab, CR and LF are not allowed")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
+        write_qa_items(path, items)
+    # a refused write leaves the file as it was
+    assert path.read_text() == "previous\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotline import autodiff as ad
+from shotline import temporal
 from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
@@ -560,6 +561,26 @@ def test_training_history_times_every_epoch():
     for seconds, rate in zip(history["epoch_s"], history["examples_per_s"]):
         # the rate covers the SGD pass only; the epoch also runs validation
         assert seconds > 0 and rate * seconds > len(questions)
+
+
+def test_train_next_shot_draws_each_epoch_order_from_temporal_derive_rng(monkeypatch):
+    # the traced benchmark marks next-shot epochs by wrapping temporal.derive_rng
+    # and watching for this purpose, so the order must be drawn through it
+    store = filled_store(n_movies=2, shots=40)
+    questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
+                                      n_candidates=8, seed=7)
+    config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
+                                 hidden_dim=8, scorer_widths=(16, 8))
+    real, calls = temporal.derive_rng, []
+
+    def spy(root_seed, purpose, *rest):
+        if purpose == "nextshot.epoch":
+            calls.append((root_seed, *rest))
+        return real(root_seed, purpose, *rest)
+
+    monkeypatch.setattr(temporal, "derive_rng", spy)
+    train_next_shot(questions, config, seed=3, val_questions=questions[:10])
+    assert calls == [(3, 0), (3, 1), (3, 2)]
 
 
 def test_model_state_round_trip(tmp_path):
