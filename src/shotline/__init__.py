@@ -8,11 +8,3 @@ every pipeline stage verifiable without a real movie collection.
 """
 
 __version__ = "0.1.0"
-
-from .autodiff import SgdOptimizer, Tensor
-from .corpus import (CorpusSplit, SyntheticWorldConfig, TagVocabulary,
-                     VideoManifestEntry, generate_world, load_manifest,
-                     make_splits, save_manifest)
-from .features import FeatureStore, read_shtf, write_shtf
-from .frames import FrameSequence, read_fseq, write_fseq
-from .segment import SegmenterParams, Shot, detect_shots

@@ -15,24 +15,28 @@ VERSION = 1
 
 
 def save_checkpoint(path, params: dict) -> None:
-    """Write named parameters in declaration order; values stored as f32."""
+    """Write named parameters in declaration order; values stored as f32.
+
+    Every name and value is checked before the file is opened, so a
+    rejected state leaves whatever was at path untouched.
+    """
+    records = []
+    for name, value in params.items():
+        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+        arr = np.asarray(arr, dtype="<f4", order="C")  # ascontiguousarray would promote 0-d
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ValueError(f"parameter name too long: {name!r}")
+        if arr.ndim > 0xFF:
+            raise ValueError(f"parameter rank too large: {arr.ndim}")
+        header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                             arr.ndim, *arr.shape)
+        records.append((header, arr))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(params)))
-        for name, value in params.items():
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-            arr = np.asarray(arr, dtype="<f4", order="C")  # ascontiguousarray would promote 0-d
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise ValueError(f"parameter name too long: {name!r}")
-            if arr.ndim > 0xFF:
-                raise ValueError(f"parameter rank too large: {arr.ndim}")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
+        fh.write(struct.pack("<II", VERSION, len(params)))
+        for header, arr in records:
+            fh.write(header)
             fh.write(arr.tobytes())
 
 

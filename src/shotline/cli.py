@@ -3,7 +3,9 @@
 Every subcommand is a pure function of (inputs, config, seed): it echoes
 its effective configuration, derives all randomness from the one seed,
 and appends a run-manifest record with content digests of everything it
-read and wrote.
+read and wrote. Each handler imports the modules it runs, so a process
+loads (and, without a bytecode cache, compiles) only what its
+subcommand needs.
 """
 from __future__ import annotations
 
@@ -15,14 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-from . import corpus, qa, segment, tags, temporal
-from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import HistogramEdgeExtractor, extract_features
-from .features import read_shtf, write_shtf
-from .frames import read_fseq
-from .metrics import mean_average_precision, recall_at_k
-from .rng import derive_rng
 
 DEFAULTS = {
     "seed": 0,
@@ -159,14 +153,16 @@ def _ratios(text: str) -> tuple[float, ...]:
     return tuple(float(r) for r in text.split(","))
 
 
-def _segmenter_params(config: dict) -> segment.SegmenterParams:
-    return segment.SegmenterParams(
+def _segmenter_params(config: dict):
+    from .segment import SegmenterParams
+    return SegmenterParams(
         window=config["seg_window"], threshold_scale=config["seg_threshold_scale"],
         min_shot_len=config["seg_min_shot_len"], score_floor=config["seg_floor"])
 
 
-def _world_config(config: dict) -> corpus.SyntheticWorldConfig:
-    return corpus.SyntheticWorldConfig(
+def _world_config(config: dict):
+    from .corpus import SyntheticWorldConfig
+    return SyntheticWorldConfig(
         topics=config["topics"], feature_dim=config["feature_dim"],
         n_movies=config["movies"], n_trailers=config["trailers"],
         self_transition=config["self_transition"], successor_mass=config["successor_mass"],
@@ -180,8 +176,9 @@ def _world_config(config: dict) -> corpus.SyntheticWorldConfig:
         trailer_shuffle=bool(config["trailer_shuffle"]), seed=config["seed"])
 
 
-def _tag_config(config: dict) -> tags.TagTrainConfig:
-    return tags.TagTrainConfig(
+def _tag_config(config: dict):
+    from .tags import TagTrainConfig
+    return TagTrainConfig(
         epochs=config["epochs"], batch_size=config["batch_size"],
         learning_rate=config["learning_rate"], momentum=config["momentum"],
         shots_per_video=config["shots_per_video"], genre_weight=config["genre_weight"],
@@ -209,6 +206,7 @@ def _from_checkpoint(path, build):
     """build(state) for the checkpoint at path. A state the model rejects (a
     missing entry, a wrong shape, a non-finite weight) raises ValueError
     naming the file; the reader already names it for a malformed file."""
+    from .checkpoint import load_checkpoint
     state = load_checkpoint(path)
     try:
         return build(state)
@@ -217,6 +215,7 @@ def _from_checkpoint(path, build):
 
 
 def _provider(args, config):
+    from . import qa
     if not args.embeddings:
         return qa.HashingEmbeddingProvider(dim=config["embed_dim"])
     table = qa.read_embedding_table(args.embeddings)
@@ -231,6 +230,8 @@ def _provider(args, config):
 
 
 def cmd_segment(args, config):
+    from . import segment
+    from .frames import read_fseq
     seq = read_fseq(args.input)
     shots = segment.detect_shots(seq, _segmenter_params(config), video_id=args.video_id)
     segment.write_shot_list(args.output, shots)
@@ -239,6 +240,10 @@ def cmd_segment(args, config):
 
 
 def cmd_extract(args, config):
+    from . import segment
+    from .encoder import HistogramEdgeExtractor, extract_features
+    from .features import write_shtf
+    from .frames import read_fseq
     seq = read_fseq(args.input)
     shots = segment.read_shot_list(args.shots)
     store = extract_features(seq, shots, HistogramEdgeExtractor(), m=config["frames_per_shot"])
@@ -248,6 +253,8 @@ def cmd_extract(args, config):
 
 
 def cmd_synth(args, config):
+    from . import corpus
+    from .features import write_shtf
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     world, videos, store, entries = corpus.generate_world(_world_config(config))
@@ -264,6 +271,7 @@ def cmd_synth(args, config):
 
 
 def cmd_split(args, config):
+    from . import corpus
     vocabulary = corpus.TagVocabulary.load(args.vocab) if args.vocab else None
     entries = corpus.load_manifest(args.manifest, vocabulary)
     sizes = tuple(int(s) for s in config["trailer_subsets"].split(",") if s.strip())
@@ -278,6 +286,9 @@ def cmd_split(args, config):
 
 
 def cmd_train_tags(args, config):
+    from . import corpus, tags
+    from .checkpoint import save_checkpoint
+    from .features import read_shtf
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
     store = read_shtf(args.features)
@@ -307,6 +318,9 @@ def cmd_train_tags(args, config):
 
 
 def cmd_eval_tags(args, config):
+    from . import corpus, tags
+    from .features import read_shtf
+    from .metrics import mean_average_precision, recall_at_k, write_metrics
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
     store = read_shtf(args.features)
@@ -346,7 +360,7 @@ def cmd_eval_tags(args, config):
             scores = np.stack([getter(p) for p in preds])
             metrics[f"{mode}.{branch}.recall_at_{k}"] = recall_at_k(scores, truth, k)
             metrics[f"{mode}.{branch}.map"] = mean_average_precision(scores, truth, axis=axis)
-    tags.write_metrics(out / "metrics.tsv", metrics)
+    write_metrics(out / "metrics.tsv", metrics)
     tags.write_predictions(out / "predictions.tsv", predictions["score_average"], vocabulary)
     for key in sorted(metrics):
         print(f"metric\t{key}\t{metrics[key]:.6f}", file=sys.stderr)
@@ -356,6 +370,8 @@ def cmd_eval_tags(args, config):
 
 
 def cmd_gen_questions(args, config):
+    from . import corpus, temporal
+    from .features import read_shtf
     store = read_shtf(args.features)
     split = corpus.CorpusSplit.load(args.split)
     movie_ids = {"train": split.train_movies, "val": split.val_movies,
@@ -380,6 +396,9 @@ def cmd_gen_questions(args, config):
 
 
 def cmd_train_temporal(args, config):
+    from . import temporal
+    from .checkpoint import save_checkpoint
+    from .features import read_shtf
     store = read_shtf(args.features)
     questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
                           "questions")
@@ -393,16 +412,19 @@ def cmd_train_temporal(args, config):
     model, history = temporal.train_next_shot(questions, t_config, config["seed"],
                                               val_questions=val_questions)
     save_checkpoint(args.output, model.state())
-    last_val = history.get("val_accuracy", [float("nan")])[-1]
+    val = f"\tval {history['val_accuracy'][-1]:.4f}" if val_questions is not None else ""
     print(f"train-temporal\t{len(questions)} questions\tloss "
-          f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}\tval {last_val:.4f}",
-          file=sys.stderr)
+          f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}{val}", file=sys.stderr)
     inputs = [args.features, args.questions] + (
         [args.val_questions] if args.val_questions else [])
     return inputs, [args.output], _curves(history)
 
 
 def cmd_eval_temporal(args, config):
+    from . import temporal
+    from .features import read_shtf
+    from .metrics import write_metrics
+    from .rng import derive_rng
     store = read_shtf(args.features)
     questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
                           "questions to evaluate")
@@ -426,7 +448,7 @@ def cmd_eval_temporal(args, config):
                     probs[np.arange(len(chosen)), chosen].tolist()))
     rows.sort(key=lambda r: r[0])
     temporal.write_results(args.results, rows)
-    tags.write_metrics(args.metrics, metrics)
+    write_metrics(args.metrics, metrics)
     for key in sorted(metrics):
         print(f"metric\t{key}\t{metrics[key]:.6f}", file=sys.stderr)
     inputs = [args.features, args.questions] + ([args.model] if args.model else [])
@@ -434,6 +456,9 @@ def cmd_eval_temporal(args, config):
 
 
 def cmd_train_qa(args, config):
+    from . import qa
+    from .checkpoint import save_checkpoint
+    from .features import read_shtf
     store = read_shtf(args.features)
     items = _nonempty(qa.read_qa_items(args.items, store), args.items, "items")
     val_items = (_nonempty(qa.read_qa_items(args.val_items, store), args.val_items, "items")
@@ -454,12 +479,15 @@ def cmd_train_qa(args, config):
 
 
 def cmd_eval_qa(args, config):
+    from . import qa
+    from .features import read_shtf
+    from .metrics import write_metrics
     store = read_shtf(args.features)
     items = _nonempty(qa.read_qa_items(args.items, store), args.items, "items")
     provider = _provider(args, config)
     model = _from_checkpoint(args.model, qa.QaModel.from_state)
     accuracy = qa.evaluate_qa(model, items, provider, store)
-    tags.write_metrics(args.metrics, {"qa.accuracy": accuracy})
+    write_metrics(args.metrics, {"qa.accuracy": accuracy})
     print(f"metric\tqa.accuracy\t{accuracy:.6f}", file=sys.stderr)
     inputs = [args.features, args.items, args.model] + (
         [args.embeddings] if args.embeddings else [])
@@ -467,6 +495,8 @@ def cmd_eval_qa(args, config):
 
 
 def cmd_retrieve(args, config):
+    from . import corpus, tags
+    from .features import read_shtf
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     store = read_shtf(args.features)
     model = _from_checkpoint(args.model, lambda state: tags.TagModel.from_state(state, vocabulary))
@@ -546,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--subset", default="train", choices=("train", "val", "test"))
     p.add_argument("--setting", default="both",
-                   choices=(temporal.IN_MOVIE, temporal.CROSS_MOVIE, "both"))
+                   choices=("in_movie", "cross_movie", "both"))  # temporal's settings
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_gen_questions)
 

@@ -1,7 +1,6 @@
 """Shot encoding: sparse frame sampling plus average pooling.
 
-A shot feature is the mean of the descriptors of a few sampled frames;
-the tag model pools a video from a few sampled shots (sample_shots).
+A shot feature is the mean of the descriptors of a few sampled frames.
 """
 from __future__ import annotations
 
@@ -32,26 +31,6 @@ def sample_frames(shot: Shot, m: int, rng: np.random.Generator | None = None) ->
             offset = int(rng.integers(lo, hi))
         picks.append(shot.start + offset)
     return picks
-
-
-def sample_shots(shot_count: int, n: int, rng: np.random.Generator | None = None) -> list[int]:
-    """Pick n shot indices from a video, returned in temporal order.
-
-    Without an rng the indices are evenly spaced; with one they are
-    distinct uniform draws (with replacement only when the video has
-    fewer than n shots).
-    """
-    if shot_count < 1:
-        raise ValueError("sample_shots: video has no shots")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if rng is None:
-        return [(i * shot_count) // n for i in range(n)]
-    if shot_count >= n:
-        picks = rng.choice(shot_count, size=n, replace=False)
-    else:
-        picks = rng.integers(0, shot_count, size=n)
-    return sorted(int(i) for i in picks)
 
 
 class HistogramEdgeExtractor:

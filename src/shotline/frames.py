@@ -44,13 +44,14 @@ class FrameSequence:
 
 
 def write_fseq(path, seq: FrameSequence) -> None:
+    """Write a clip. Anything but a FrameSequence, or a clip too large for
+    the header's fields, raises before the file is opened."""
+    if not isinstance(seq, FrameSequence):
+        raise TypeError(f"write_fseq needs a FrameSequence, got {type(seq).__name__}")
+    header = MAGIC + struct.pack("<IIIBI", VERSION, seq.width, seq.height, CHANNELS,
+                                 seq.frame_count)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", seq.width))
-        fh.write(struct.pack("<I", seq.height))
-        fh.write(struct.pack("<B", CHANNELS))
-        fh.write(struct.pack("<I", seq.frame_count))
+        fh.write(header)
         fh.write(np.ascontiguousarray(seq.frames).tobytes())
 
 

@@ -1,8 +1,8 @@
-"""Ranking metrics for multi-label tag prediction.
+"""Ranking metrics for multi-label tag prediction, and the metrics file.
 
 Both metrics are rank-based: any strictly increasing transform of the
 scores leaves them unchanged. Ties break deterministically by ascending
-index.
+index. Every eval subcommand writes its figures with write_metrics.
 """
 from __future__ import annotations
 
@@ -83,3 +83,10 @@ def mean_average_precision(scores: np.ndarray, truths: list[set], axis: str = "l
     if not aps:
         raise ValueError("mean_average_precision: nothing to rank")
     return float(np.mean(aps))
+
+
+def write_metrics(path, values: dict) -> None:
+    """One ``metric<TAB>value`` line per entry, sorted by name, 6 decimals."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(values):
+            fh.write(f"{key}\t{values[key]:.6f}\n")

@@ -203,13 +203,14 @@ def fit(params: dict, count: int, epochs: int, batch_size: int, learning_rate: f
 def assign_parameters(params: dict, state: dict) -> None:
     """Copy every named parameter's value out of a state dict, checking shapes.
 
-    A NaN or infinite value raises ValueError naming the entry, so a
-    corrupt state cannot load and score silently.
+    Each value is cast to its parameter's own dtype. A NaN or infinite
+    value raises ValueError naming the entry, so a corrupt state cannot
+    load and score silently.
     """
     for name, tensor in params.items():
         if name not in state:
             raise KeyError(f"model state has no {name!r}")
-        value = np.asarray(state[name], dtype=np.float32)
+        value = np.asarray(state[name], dtype=tensor.data.dtype)
         if value.shape != tensor.data.shape:
             raise ValueError(f"{name!r} has shape {value.shape}, "
                              f"the model expects {tensor.data.shape}")

@@ -16,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import TagVocabulary, VideoManifestEntry
-from .encoder import sample_shots
 from .features import FeatureStore
 from .nn import (LstmCell, assign_parameters, fit, lstm_dims, pooling_matrix, read_choice,
                  uniform_init)
@@ -172,6 +171,26 @@ def _truth_indices(entry: VideoManifestEntry, vocabulary: TagVocabulary) -> tupl
     genres = {vocabulary.genre_index[g] for g in entry.genres}
     keywords = {vocabulary.keyword_index[k] for k in entry.keywords}
     return genres, keywords
+
+
+def sample_shots(shot_count: int, n: int, rng: np.random.Generator | None = None) -> list[int]:
+    """Pick n shot indices from a video, returned in temporal order.
+
+    Without an rng the indices are evenly spaced; with one they are
+    distinct uniform draws (with replacement only when the video has
+    fewer than n shots).
+    """
+    if shot_count < 1:
+        raise ValueError("sample_shots: video has no shots")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if rng is None:
+        return [(i * shot_count) // n for i in range(n)]
+    if shot_count >= n:
+        picks = rng.choice(shot_count, size=n, replace=False)
+    else:
+        picks = rng.integers(0, shot_count, size=n)
+    return sorted(int(i) for i in picks)
 
 
 def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
@@ -340,9 +359,3 @@ def write_predictions(path, predictions: list[TagPrediction], vocabulary: TagVoc
                 fh.write(f"{pred.video_id}\tgenre\t{name}\t{score:.6f}\n")
             for name, score in zip(vocabulary.keywords, pred.keyword_scores):
                 fh.write(f"{pred.video_id}\tkeyword\t{name}\t{score:.6f}\n")
-
-
-def write_metrics(path, values: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(values):
-            fh.write(f"{key}\t{values[key]:.6f}\n")

@@ -3,7 +3,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+from shotline.checkpoint import save_checkpoint
 from shotline.features import FeatureStore
+from shotline.frames import write_fseq
 from shotline.qa import read_embedding_table, read_qa_items
 from shotline.segment import read_shot_list
 from shotline.temporal import read_questions
@@ -58,3 +60,19 @@ def test_text_readers_name_the_file_and_line(tmp_path, reader, good, bad, messag
     assert str(info.value) == f"{path}: line 3: {message}"
     path.write_text(f"{good}\n\n")
     assert len(reader(path)) == 1
+
+
+@pytest.mark.parametrize("write, value, error, message", [
+    pytest.param(write_fseq, np.zeros((2, 4, 4, 3), dtype=np.uint8), TypeError,
+                 "needs a FrameSequence, got ndarray", id="fseq-bare-array"),
+    pytest.param(save_checkpoint, {"w": np.zeros(2), "x" * 0x10000: np.zeros(1)}, ValueError,
+                 "parameter name too long", id="stln-name-length"),
+    pytest.param(save_checkpoint, {"w": np.zeros(2), "x": "one"}, ValueError,
+                 "could not convert string to float", id="stln-value"),
+])
+def test_a_rejected_write_leaves_the_existing_file_alone(tmp_path, write, value, error, message):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"earlier contents")
+    with pytest.raises(error, match=message):
+        write(path, value)
+    assert path.read_bytes() == b"earlier contents"

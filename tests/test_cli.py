@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,9 +11,10 @@ import pytest
 from shotline import corpus, qa, tags, temporal
 from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
-from shotline.cli import _widths, load_config, main
+from shotline.cli import _widths, build_parser, load_config, main
 from shotline.features import FeatureStore, read_shtf, write_shtf
 from shotline.frames import FrameSequence, write_fseq
+from shotline.metrics import write_metrics
 from shotline.nn import RowMlp
 from shotline.rng import derive_rng
 
@@ -216,7 +220,7 @@ def _copy_weights(model, path):
 @pytest.mark.parametrize("pooling, val", [
     pytest.param("final", False, id="final"), pytest.param("mean", False, id="mean"),
     pytest.param("final", True, id="final-val"), pytest.param("mean", True, id="mean-val")])
-def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling, val):
+def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooling, val):
     world = synth_and_split(tmp_path, seed=7)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 7]
     for subset in ("train", "val", "test"):
@@ -224,11 +228,16 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, pooling, val)
                        "--split", world / "split.json", "--subset", subset,
                        "--output", world / f"{subset}_q.tsv") == 0
     val_args = ["--val-questions", world / "val_q.tsv"] if val else []
+    capsys.readouterr()
     assert run_cli(*base, "--set", f"context_pooling={pooling}", "--set", "temporal_epochs=2",
                    "train-temporal", "--features", world / "features.shtf",
                    "--questions", world / "train_q.tsv", *val_args,
                    "--output", world / "t.stln") == 0
+    summary = capsys.readouterr().err.splitlines()[-1].split("\t")
     row = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()][-1]
+    # a val figure is printed only when there is a validation set
+    assert summary[0] == "train-temporal" and summary[2].startswith("loss ")
+    assert summary[3:] == ([f"val {row['epoch_val_accuracy'][-1]:.4f}"] if val else [])
     assert row["command"] == "train-temporal" and len(row["epoch_loss"]) == 2
     assert all(np.isfinite(row["epoch_loss"]))
     assert len(row["epoch_s"]) == len(row["examples_per_s"]) == 2
@@ -613,7 +622,7 @@ def test_next_shot_commands_match_the_per_question_oracle_path(tmp_path):
     temporal.write_results(tmp_path / "results.tsv", sorted(rows))
     metrics = {f"lstm.{s}.accuracy": sum(h) / len(h) for s, h in hits.items()}
     metrics.update({f"average.{s}.accuracy": sum(h) / len(h) for s, h in baseline_hits.items()})
-    tags.write_metrics(tmp_path / "metrics.tsv", metrics)
+    write_metrics(tmp_path / "metrics.tsv", metrics)
     for name in ("results.tsv", "metrics.tsv"):
         assert (tmp_path / name).read_bytes() == (world / name).read_bytes(), name
 
@@ -924,3 +933,82 @@ def test_a_non_finite_tag_score_fails_eval_tags(tmp_path, capsys, monkeypatch):
     error = capsys.readouterr().err.splitlines()[-1]
     assert error == "error\tValueError\trecall_at_k: non-finite score for video 0"
     assert not (world / "tag_eval" / "metrics.tsv").exists()
+
+
+# -- what each subcommand loads ---------------------------------------------------
+
+SHOTLINE_PROBE = """\
+import sys
+from shotline.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("shotline")))
+"""
+
+
+def _fresh_python(*argv) -> list[str]:
+    """stdout words of a new interpreter run with src/ on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.split()
+
+
+def loaded_modules(tmp_path, *argv) -> set[str]:
+    """The shotline modules a fresh process holds after one successful subcommand."""
+    code, *modules = _fresh_python("-c", SHOTLINE_PROBE, "--run-log", tmp_path / "probe.jsonl",
+                                   *argv)
+    assert code == "0"
+    return set(modules)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _fresh_python("-c", "import sys, shotline; "
+                         "print(*[m for m in sys.modules if m.startswith('shotline')])"
+                         ) == ["shotline"]
+
+
+def test_segment_and_extract_load_only_the_modules_they_run(tmp_path):
+    frames = np.zeros((40, 12, 12, 3), dtype=np.uint8)
+    frames[20:, ..., 2] = 255  # a hard cut from black to blue
+    write_fseq(tmp_path / "clip.fseq", FrameSequence(frames))
+    base = {"shotline", "shotline.cli", "shotline.segment", "shotline.frames",
+            "shotline.binio"}
+    assert loaded_modules(tmp_path, "segment", "--input", tmp_path / "clip.fseq",
+                          "--output", tmp_path / "shots.tsv") == base
+    assert loaded_modules(tmp_path, "extract", "--input", tmp_path / "clip.fseq",
+                          "--shots", tmp_path / "shots.tsv",
+                          "--output", tmp_path / "clip.shtf") == base | {
+        "shotline.encoder", "shotline.features"}
+
+
+def test_retrieve_and_eval_temporal_skip_the_other_models(tmp_path):
+    world = synth_and_split(tmp_path, seed=2)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 2]
+    assert run_cli(*base, "--set", "epochs=1", "--set", "tag_lstm_epochs=1", "train-tags",
+                   "--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+                   "--features", world / "features.shtf", "--output", world / "tags.stln") == 0
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    movie = corpus.load_manifest(world / "manifest.jsonl")[0].video_id
+    tag = json.loads((world / "vocab.json").read_text())["genres"][0]
+    retrieve = loaded_modules(
+        tmp_path, "--config", TINY, "retrieve", "--vocab", world / "vocab.json",
+        "--features", world / "features.shtf", "--model", world / "tags.stln",
+        "--video-id", movie, "--tag", tag, "--output", tmp_path / "series.tsv",
+        "--ranked-output", tmp_path / "ranked.tsv")
+    assert "shotline.tags" in retrieve
+    assert not retrieve & {"shotline.temporal", "shotline.qa", "shotline.encoder"}
+    eval_temporal = loaded_modules(
+        tmp_path, "--config", TINY, "eval-temporal", "--features", world / "features.shtf",
+        "--questions", world / "q.tsv", "--random-init", "--results", tmp_path / "r.tsv",
+        "--metrics", tmp_path / "m.tsv")
+    assert "shotline.temporal" in eval_temporal
+    assert not eval_temporal & {"shotline.tags", "shotline.corpus"}
+
+
+def test_setting_choices_are_the_temporal_settings():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    setting = next(a for a in sub.choices["gen-questions"]._actions if a.dest == "setting")
+    assert setting.choices == (temporal.IN_MOVIE, temporal.CROSS_MOVIE, "both")

@@ -3,10 +3,10 @@ import pytest
 
 from shotline import autodiff as ad
 from shotline.autodiff import Tensor
-from shotline.encoder import (HistogramEdgeExtractor, extract_features, sample_frames,
-                              sample_shots)
+from shotline.encoder import HistogramEdgeExtractor, extract_features, sample_frames
 from shotline.frames import FrameSequence
 from shotline.segment import Shot
+from shotline.tags import sample_shots
 
 from _util import check_gradients
 

@@ -225,6 +225,21 @@ def test_fit_stops_after_patience_and_restores_the_best_epoch_in_place():
     assert not np.array_equal(seen[1], seen[4])
 
 
+def test_fit_restores_a_float64_parameter_bit_exactly():
+    w = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True)
+    scores = iter([0.2, 0.9, 0.4, 0.5])
+    seen = []
+
+    def validate():
+        seen.append(w.data.copy())
+        return next(scores)
+
+    fit_quadratic(w, epochs=4, validate=validate, patience=2)
+    assert w.data.dtype == np.float64
+    assert seen[1][0] != np.float32(seen[1][0])  # a float32 round trip would change it
+    assert w.data.tobytes() == seen[1].tobytes()
+
+
 def test_fit_without_patience_runs_every_epoch():
     w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
     history = fit_quadratic(w, epochs=4, validate=lambda: 0.5)

@@ -4,11 +4,11 @@ import pytest
 from shotline import autodiff as ad
 from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.corpus import SyntheticWorldConfig, TagVocabulary, VideoManifestEntry, generate_world
-from shotline.encoder import sample_shots
 from shotline.features import FeatureStore
+from shotline.metrics import write_metrics
 from shotline.tags import (TagLstm, TagModel, TagTrainConfig, infer_feature_lstm,
-                           infer_score_average, multitask_loss, shot_tag_response,
-                           top_shots, train_tag_lstm, train_tags, write_metrics,
+                           infer_score_average, multitask_loss, sample_shots,
+                           shot_tag_response, top_shots, train_tag_lstm, train_tags,
                            write_predictions)
 from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.nn import pooling_matrix
