@@ -445,7 +445,9 @@ def pair_mlp(context: Tensor, candidates: Tensor, layers) -> Tensor:
                 w._accumulate(y.T @ g)
             if b.requires_grad:
                 b._accumulate(g.sum(axis=0))
-            g = g @ w.data.T
+            # a one-column layer's K=1 product is exact elementwise, and far
+            # cheaper than the GEMM
+            g = g * w.data.T if w.data.shape[1] == 1 else g @ w.data.T
             np.multiply(y, y, out=y)
             np.subtract(1.0, y, out=y)
             g *= y

@@ -1,12 +1,31 @@
 """Shared helpers for the fixed binary container formats and the text tables."""
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from typing import BinaryIO, Callable
 
 
 class FormatError(ValueError):
     """Raised when a binary container is malformed or truncated."""
+
+
+@contextmanager
+def replace_on_success(path):
+    """A binary file handle whose bytes become ``path`` only if the block
+    finishes: they go to a temporary file in the same directory, which
+    os.replace then moves over ``path``. On an exception the temporary file
+    is removed and whatever was at ``path`` stays as it was."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
 
 
 def read_exact(fh: BinaryIO, count: int, what: str) -> bytes:

@@ -8,7 +8,8 @@ import struct
 import numpy as np
 
 from .autodiff import Tensor
-from .binio import FormatError, expect_magic, expect_version, read_exact, read_struct
+from .binio import (FormatError, expect_magic, expect_version, read_exact, read_struct,
+                    replace_on_success)
 
 MAGIC = b"STLN"
 VERSION = 1
@@ -17,8 +18,9 @@ VERSION = 1
 def save_checkpoint(path, params: dict) -> None:
     """Write named parameters in declaration order; values stored as f32.
 
-    Every name and value is checked before the file is opened, so a
-    rejected state leaves whatever was at path untouched.
+    Every name and value is checked before anything is written, and the
+    bytes replace path only once all are written, so a rejected state or a
+    failed write leaves whatever was at path untouched.
     """
     records = []
     for name, value in params.items():
@@ -32,7 +34,7 @@ def save_checkpoint(path, params: dict) -> None:
         header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
                              arr.ndim, *arr.shape)
         records.append((header, arr))
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for header, arr in records:

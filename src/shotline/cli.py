@@ -441,7 +441,8 @@ def cmd_eval_temporal(args, config):
     _, by_setting = temporal.accuracy_by_setting(questions, chosen)
     for setting, acc in sorted(by_setting.items()):
         metrics[f"lstm.{setting}.accuracy"] = acc
-    _, baseline = temporal.evaluate_accuracy(temporal.baseline_average_cosine, questions)
+    _, baseline = temporal.accuracy_by_setting(questions,
+                                               temporal.baseline_average_cosine(questions))
     for setting, acc in sorted(baseline.items()):
         metrics[f"average.{setting}.accuracy"] = acc
     rows = list(zip(questions.qids, chosen.tolist(),

@@ -377,17 +377,6 @@ def write_ground_truth(path, videos: list[SyntheticVideo]) -> None:
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
-def read_ground_truth(path) -> dict:
-    truth = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                row = json.loads(line)
-                truth[row["id"]] = row
-    return truth
-
-
 # -- splits ----------------------------------------------------------------
 
 

@@ -11,26 +11,12 @@ from .frames import FrameSequence
 from .segment import SegmenterParams, Shot, frame_histogram
 
 
-def sample_frames(shot: Shot, m: int, rng: np.random.Generator | None = None) -> list[int]:
-    """Pick m frame indices from a shot, one per equal segment.
-
-    Without an rng each segment contributes its center frame; with one,
-    a uniform draw inside the segment. Shots shorter than m repeat
-    indices by the same segment arithmetic.
-    """
+def sample_frames(shot: Shot, m: int) -> list[int]:
+    """Pick m frame indices from a shot: the center frame of each of m equal
+    segments. Shots shorter than m repeat indices by the same arithmetic."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    length = shot.length
-    picks = []
-    for i in range(m):
-        lo = (i * length) // m
-        hi = ((i + 1) * length) // m
-        if rng is None or hi <= lo:
-            offset = int((2 * i + 1) * length // (2 * m))
-        else:
-            offset = int(rng.integers(lo, hi))
-        picks.append(shot.start + offset)
-    return picks
+    return [shot.start + (2 * i + 1) * shot.length // (2 * m) for i in range(m)]
 
 
 class HistogramEdgeExtractor:
@@ -78,7 +64,7 @@ def extract_features(seq: FrameSequence, shots: list[Shot], extractor, m: int = 
         if shot.start < 0 or shot.end > seq.frame_count:
             raise ValueError(f"shot {shot.video_id}#{shot.ordinal} [{shot.start}, {shot.end}) "
                              f"lies outside the clip of {seq.frame_count} frames")
-        picks = sample_frames(shot, m, rng=None)
+        picks = sample_frames(shot, m)
         raw = np.stack([extractor.describe(seq.frame(i)) for i in picks])
         store.add(shot.video_id, shot.ordinal, raw.mean(axis=0))
     return store

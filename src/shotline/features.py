@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .binio import FormatError, expect_magic, expect_version, read_struct
+from .binio import FormatError, expect_magic, expect_version, read_struct, replace_on_success
 
 MAGIC = b"SHTF"
 VERSION = 1
@@ -173,7 +173,8 @@ def _record_dtype(id_len: int, dim: int) -> np.dtype:
 def write_shtf(path, store: FeatureStore) -> None:
     """Write a store as SHTF, each run of records with the same id length as
     one structured array. A non-finite feature value raises ValueError
-    naming the file and the first such record, before anything is written."""
+    naming the file and the first such record, before anything is written;
+    the bytes replace path only once all are written."""
     keys, payloads = store._keys, store.matrix
     bad = ~np.isfinite(payloads).all(axis=1)
     if bad.any():
@@ -191,7 +192,7 @@ def write_shtf(path, store: FeatureStore) -> None:
     # a run ends where the id length changes, and at least every _WRITE_ROWS records
     bounds = sorted({*np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist(),
                      *range(0, len(ids), _WRITE_ROWS)})
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", store.dim))

@@ -73,12 +73,6 @@ class HashingEmbeddingProvider:
         return acc / norm if norm > 0 else acc
 
 
-def write_embedding_table(path, table: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for token, vec in table.items():
-            fh.write(token + " " + " ".join(f"{v:.6f}" for v in np.asarray(vec)) + "\n")
-
-
 def read_embedding_table(path) -> dict:
     """Token -> float32 vector. A malformed line, or a value that is not
     finite in float32, raises ValueError naming the file and line."""

@@ -9,7 +9,6 @@ no annotation beyond the shot order itself is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,27 +27,15 @@ CROSS_MOVIE = "cross_movie"
 CONTEXT_POOLINGS = ("final", "mean")
 
 
-class PredictionQuestion(NamedTuple):
-    """One question of a QuestionSet: ``context`` and ``candidates`` hold rows
-    of ``store``, and candidates[correct_index] is the answer."""
-    qid: str
-    movie_id: str
-    setting: str
-    context: np.ndarray
-    candidates: np.ndarray
-    correct_index: int
-    store: FeatureStore
-
-
 class QuestionSet:
     """Next-shot questions as row arrays into one FeatureStore.
 
     Question i is ``qids[i]`` about ``movie_ids[i]`` in ``settings[i]``. Its
     context shots, in order, are the store rows ``context[i]`` of the
     (Q, mctx) array and its candidates the rows ``candidates[i]`` of the
-    (Q, n) array, and ``candidates[i, correct[i]]`` is its answer. Iterating
-    yields PredictionQuestion rows; an integer index gives one row, and a
-    slice or an index array gives the set of those questions.
+    (Q, n) array, and ``candidates[i, correct[i]]`` is its answer. A slice
+    or an index array gives the set of those questions, and iterating yields
+    one-question sets in order.
     """
 
     def __init__(self, store: FeatureStore | None, qids: list[str], movie_ids: list[str],
@@ -75,12 +62,10 @@ class QuestionSet:
             raise ValueError(f"correct_index {self.correct[np.argmax(bad)]} out of range")
 
     @classmethod
-    def concat(cls, parts) -> "QuestionSet":
-        """One set of QuestionSets and PredictionQuestion rows, in order; all
-        must index the same store. Nothing gives an empty set of no store."""
-        sets = [p if isinstance(p, QuestionSet) else
-                cls(p.store, [p.qid], [p.movie_id], [p.setting], p.context[None],
-                    p.candidates[None], [p.correct_index]) for p in parts]
+    def concat(cls, sets) -> "QuestionSet":
+        """One set of QuestionSets, in order; all must index the same store.
+        Nothing gives an empty set of no store."""
+        sets = list(sets)
         if not sets:
             return cls(None, [], [], [], np.empty((0, 0)), np.empty((0, 0)), [])
         if any(s.store is not sets[0].store for s in sets):
@@ -96,15 +81,9 @@ class QuestionSet:
         return len(self.qids)
 
     def __iter__(self):
-        for i in range(len(self.qids)):
-            yield self[i]
+        return (self[i:i + 1] for i in range(len(self.qids)))
 
     def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return PredictionQuestion(self.qids[index], self.movie_ids[index],
-                                      self.settings[index], self.context[index],
-                                      self.candidates[index], int(self.correct[index]),
-                                      self.store)
         picks = np.arange(len(self.qids))[index]
         return QuestionSet(self.store, [self.qids[i] for i in picks],
                            [self.movie_ids[i] for i in picks],
@@ -116,9 +95,9 @@ def write_questions(path, questions: QuestionSet) -> None:
     """One line per question; shots are written as ``video#ordinal`` labels.
 
     Each store row a question names is labelled once, and each line joins
-    the labels of its rows. A plain sequence of PredictionQuestion rows is
-    joined into a set first. A video id that a label cannot carry raises
-    ValueError naming it before anything is written.
+    the labels of its rows. A plain sequence of sets is joined into one
+    first. A video id that a label cannot carry raises ValueError naming it
+    before anything is written.
     """
     if not isinstance(questions, QuestionSet):
         questions = QuestionSet.concat(questions)
@@ -311,18 +290,22 @@ class NextShotModel:
         pooling = pooling_matrix(np.full(batch, steps), steps, self.context_pooling)
         return self.cell.fold(Tensor(scaled), pooling)
 
+    def score_batch(self, encoded: Tensor, candidates: np.ndarray) -> Tensor:
+        """Candidate distributions, (batch, n) softmax rows, of (batch, hidden)
+        encoded contexts and their (batch, n, feature_dim) candidates."""
+        batch, n, _ = candidates.shape
+        scaled = (np.asarray(candidates, dtype=np.float32).reshape(-1, self.feature_dim)
+                  * np.float32(self.input_scale))
+        scores = self.scorer.scores(encoded, Tensor(scaled))
+        return ad.softmax_rows(ad.reshape(scores, (batch, n)))
+
     def probabilities_batch(self, contexts: np.ndarray, candidates: np.ndarray) -> Tensor:
         """Candidate distributions for a batch: (batch, n) softmax rows.
 
         candidates is (batch, n, feature_dim); every question in the
         batch shares the same context length and candidate count.
         """
-        batch, n, _ = candidates.shape
-        u = self.encode_context_batch(contexts)
-        scaled = (np.asarray(candidates, dtype=np.float32).reshape(-1, self.feature_dim)
-                  * np.float32(self.input_scale))
-        scores = self.scorer.scores(u, Tensor(scaled))
-        return ad.softmax_rows(ad.reshape(scores, (batch, n)))
+        return self.score_batch(self.encode_context_batch(contexts), candidates)
 
     def parameters(self) -> dict:
         params = {f"nextshot.{k}": v for k, v in self.cell.parameters().items()}
@@ -411,34 +394,49 @@ def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: i
     return model, history
 
 
-def baseline_average_cosine(question: PredictionQuestion) -> int:
-    """Pick the candidate closest (in cosine) to the mean context feature."""
-    matrix = question.store.matrix
-    mean = matrix[question.context].astype(np.float64).mean(axis=0)
-    candidates = matrix[question.candidates].astype(np.float64)
-    mean_norm = np.linalg.norm(mean)
-    cand_norms = np.linalg.norm(candidates, axis=1)
-    sims = np.full(candidates.shape[0], -np.inf)
-    valid = (cand_norms > 0) & (mean_norm > 0)
-    sims[valid] = (candidates[valid] @ mean) / (cand_norms[valid] * mean_norm)
-    if not np.isfinite(sims).any():
-        return 0
-    return int(np.argmax(sims))
+def baseline_average_cosine(questions: QuestionSet) -> np.ndarray:
+    """Each question's pick, (Q,): the candidate closest in cosine to the
+    float64 mean of its context rows.
+
+    A zero-norm candidate, or every candidate of a zero-norm mean, scores
+    -inf, and a question with no finite score picks 0. The dot products and
+    the mean's norm go through the same BLAS calls as one question's
+    ``candidates @ mean`` and ``norm(mean)``, so a set gives the choices its
+    questions give one at a time.
+    """
+    matrix = questions.store.matrix
+    means = matrix[questions.context].astype(np.float64).mean(axis=1)
+    candidates = matrix[questions.candidates].astype(np.float64)
+    dots = (candidates @ means[:, :, None])[:, :, 0]
+    mean_norms = np.sqrt((means[:, None, :] @ means[:, :, None])[:, 0, 0])
+    cand_norms = np.linalg.norm(candidates, axis=2)
+    sims = np.full(dots.shape, -np.inf)
+    np.divide(dots, cand_norms * mean_norms[:, None], out=sims,
+              where=(cand_norms > 0) & (mean_norms[:, None] > 0))
+    return np.where(np.isfinite(sims).any(axis=1), sims.argmax(axis=1), 0)
 
 
 @ad.no_grad()
 def predict_probabilities(model: NextShotModel, questions: QuestionSet,
                           batch_size: int = 256) -> np.ndarray:
     """Candidate distribution of every question, (Q, n), in question order.
-    A distribution that is not finite raises FloatingPointError naming the
-    first such question."""
-    matrix = questions.store.matrix if len(questions) else None
-    parts = [model.probabilities_batch(matrix[questions.context[start:start + batch_size]],
-                                       matrix[questions.candidates[start:start + batch_size]]
-                                       ).data
-             for start in range(0, len(questions), batch_size)]
-    if not parts:
+
+    Each distinct context window is encoded once, in batches of
+    ``batch_size`` windows; each batch of ``batch_size`` questions is then
+    scored with its windows' encodings. A distribution that is not finite
+    raises FloatingPointError naming the first such question.
+    """
+    if not len(questions):
         return np.empty(questions.candidates.shape, np.float32)
+    matrix = questions.store.matrix
+    windows, window_of = np.unique(questions.context, axis=0, return_inverse=True)
+    window_of = window_of.reshape(-1)  # numpy 2.0.0 gives it the context's rank
+    encoded = np.concatenate([
+        model.encode_context_batch(matrix[windows[start:start + batch_size]]).data
+        for start in range(0, len(windows), batch_size)])
+    parts = [model.score_batch(Tensor(encoded[window_of[start:start + batch_size]]),
+                               matrix[questions.candidates[start:start + batch_size]]).data
+             for start in range(0, len(questions), batch_size)]
     return ad.finite_rows(np.concatenate(parts), questions.qids, "candidate distribution")
 
 
@@ -461,13 +459,11 @@ def accuracy_by_setting(questions: QuestionSet, chosen) -> tuple[float, dict]:
 def evaluate_accuracy(scorer, questions: QuestionSet, batch_size: int = 256) -> tuple[float, dict]:
     """Fraction answered correctly, plus a per-setting breakdown.
 
-    ``scorer`` is either a NextShotModel or a callable mapping a
-    PredictionQuestion to a chosen index.
+    ``scorer`` is either a NextShotModel or the (Q,) array of chosen
+    indices, such as baseline_average_cosine(questions).
     """
     if not len(questions):
         raise ValueError("evaluate_accuracy: empty question set")
-    if isinstance(scorer, NextShotModel):
-        chosen = predict_probabilities(scorer, questions, batch_size).argmax(axis=1)
-    else:
-        chosen = [scorer(q) for q in questions]
+    chosen = (predict_probabilities(scorer, questions, batch_size).argmax(axis=1)
+              if isinstance(scorer, NextShotModel) else scorer)
     return accuracy_by_setting(questions, chosen)

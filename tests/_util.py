@@ -1,4 +1,5 @@
 """Shared numerical check helpers and per-id reference implementations."""
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,9 +214,30 @@ def oracle_set(store, questions) -> temporal.QuestionSet:
 def shot_ids(questions: temporal.QuestionSet) -> list[OracleQuestion]:
     """Each question of a set with its rows turned back into shot ids."""
     keys = questions.store.keys() if len(questions) else []
-    return [OracleQuestion(q.qid, q.movie_id, q.setting, [keys[r] for r in q.context],
-                           [keys[r] for r in q.candidates], q.correct_index)
-            for q in questions]
+    return [OracleQuestion(qid, movie_id, setting, [keys[r] for r in context],
+                           [keys[r] for r in candidates], correct)
+            for qid, movie_id, setting, context, candidates, correct in zip(
+                questions.qids, questions.movie_ids, questions.settings,
+                questions.context.tolist(), questions.candidates.tolist(),
+                questions.correct.tolist())]
+
+
+def per_question_baseline(questions: temporal.QuestionSet) -> list[int]:
+    """Reference average-feature baseline, one question at a time: the
+    candidate closest in cosine to the float64 mean of the context rows; a
+    zero-norm candidate or mean scores -inf, and no finite score picks 0."""
+    matrix = questions.store.matrix if len(questions) else None
+    chosen = []
+    for context, candidate_rows in zip(questions.context, questions.candidates):
+        mean = matrix[context].astype(np.float64).mean(axis=0)
+        candidates = matrix[candidate_rows].astype(np.float64)
+        mean_norm = np.linalg.norm(mean)
+        cand_norms = np.linalg.norm(candidates, axis=1)
+        sims = np.full(candidates.shape[0], -np.inf)
+        valid = (cand_norms > 0) & (mean_norm > 0)
+        sims[valid] = (candidates[valid] @ mean) / (cand_norms[valid] * mean_norm)
+        chosen.append(int(np.argmax(sims)) if np.isfinite(sims).any() else 0)
+    return chosen
 
 
 def assert_same_questions(a: temporal.QuestionSet, b: temporal.QuestionSet) -> None:
@@ -237,3 +259,56 @@ def stepwise_topic_chain(matrix: np.ndarray, length: int, rng: np.random.Generat
         chain[i] = state
         state = int(rng.choice(topics, p=matrix[state]))
     return chain
+
+
+def read_ground_truth(path) -> dict:
+    """Shot-level ground truth written by corpus.write_ground_truth: id -> row."""
+    truth = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                row = json.loads(line)
+                truth[row["id"]] = row
+    return truth
+
+
+def write_embedding_table(path, table: dict) -> None:
+    """An embedding table file of token -> vector, 6 decimals per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for token, vec in table.items():
+            fh.write(token + " " + " ".join(f"{v:.6f}" for v in np.asarray(vec)) + "\n")
+
+
+class _DiskFullAfter:
+    """A binary file handle that takes ``budget`` bytes, then fails as a
+    full disk would, in the middle of a write."""
+
+    def __init__(self, fh, budget: int):
+        self._fh, self._left = fh, budget
+
+    def write(self, data) -> int:
+        data = bytes(data)
+        if len(data) > self._left:
+            self._fh.write(data[:self._left])
+            raise OSError(28, "No space left on device")
+        self._left -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def fill_disk_after(monkeypatch, budget: int) -> None:
+    """Make every file that shotline.binio opens for writing fail once
+    ``budget`` bytes are written to it."""
+    from shotline import binio
+
+    def opener(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _DiskFullAfter(fh, budget) if "w" in mode else fh
+
+    monkeypatch.setattr(binio, "open", opener, raising=False)

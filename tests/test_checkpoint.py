@@ -9,6 +9,8 @@ from shotline.autodiff import Tensor
 from shotline.binio import FormatError
 from shotline.checkpoint import load_checkpoint, save_checkpoint
 
+from _util import fill_disk_after
+
 
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
@@ -30,6 +32,22 @@ def test_two_saves_are_byte_identical(tmp_path):
     save_checkpoint(a, params)
     save_checkpoint(b, params)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("budget", [0, 5, 40, 200])
+def test_a_failed_write_leaves_the_old_checkpoint(tmp_path, monkeypatch, budget):
+    path = tmp_path / "model.stln"
+    save_checkpoint(path, {"w": np.zeros(3, dtype=np.float32)})
+    old = path.read_bytes()
+    fill_disk_after(monkeypatch, budget)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, {"w": np.arange(60, dtype=np.float32), "b": np.ones(4)})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.stln"]
+    monkeypatch.undo()
+    save_checkpoint(path, {"w": np.arange(60, dtype=np.float32)})
+    assert np.array_equal(load_checkpoint(path)["w"], np.arange(60, dtype=np.float32))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.stln"]
 
 
 @given(st.lists(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shotline import corpus, qa, tags, temporal
 from shotline.autodiff import Tensor
@@ -18,7 +22,8 @@ from shotline.metrics import write_metrics
 from shotline.nn import RowMlp
 from shotline.rng import derive_rng
 
-from _util import multi_node_scores, oracle_set, pool_generator, write_oracle_questions
+from _util import (multi_node_scores, oracle_set, pool_generator, write_embedding_table,
+                   write_oracle_questions)
 
 REPO = Path(__file__).resolve().parent.parent
 TINY = str(REPO / "configs" / "tiny.cfg")
@@ -117,7 +122,7 @@ def make_qa_fixture(world, store, n_items=60, seed=0):
         pos = int(rng.integers(5))
         answers.insert(pos, f"ans{i:03d}")
         items.append(qa.QaItem(f"item{i:03d}", f"q{i:03d}", answers, clips[i], pos))
-    qa.write_embedding_table(world / "embeddings.txt", table)
+    write_embedding_table(world / "embeddings.txt", table)
     qa.write_qa_items(world / "qa_items.tsv", items)
 
 
@@ -260,11 +265,11 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooli
     probs = model.probabilities_batch(store.matrix[questions.context],
                                       store.matrix[questions.candidates]).data
     chosen = probs.argmax(axis=1)
-    expected = sorted(f"{q.qid}\t{c}\t{p[c]:.6f}" for q, c, p in zip(questions, chosen, probs))
+    expected = sorted(f"{qid}\t{c}\t{p[c]:.6f}" for qid, c, p in zip(questions.qids, chosen, probs))
     assert (world / "r.tsv").read_text().splitlines() == expected
     metrics = dict(l.split("\t") for l in (world / "m.tsv").read_text().splitlines())
     for setting in (temporal.IN_MOVIE, temporal.CROSS_MOVIE):
-        hits = [c == t for q, c, t in zip(questions, chosen, targets) if q.setting == setting]
+        hits = [c == t for s, c, t in zip(questions.settings, chosen, targets) if s == setting]
         assert metrics[f"lstm.{setting}.accuracy"] == f"{np.mean(hits):.6f}"
 
 
@@ -353,6 +358,50 @@ def _poison(path, name):
     state = load_checkpoint(path)
     state[name].flat[1] = np.nan
     save_checkpoint(path, state)
+
+
+@given(kind=st.sampled_from(["nextshot", "tags"]), feature_dim=st.integers(1, 6),
+       hidden=st.integers(1, 6), widths=st.lists(st.integers(1, 6), max_size=2),
+       proj_dim=st.integers(0, 4), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_non_finite_value_anywhere_in_a_state_is_named(tmp_path_factory, kind, feature_dim,
+                                                         hidden, widths, proj_dim, bad, data):
+    root = tmp_path_factory.mktemp("poisoned")
+    vocab = corpus.TagVocabulary(["g0", "g1"], ["k0", "k1", "k2"])
+    if kind == "nextshot":
+        model = temporal.NextShotModel(feature_dim, hidden, tuple(widths), seed=1)
+    else:
+        model = tags.TagModel(vocab, feature_dim, proj_dim or None, derive_rng(1, "t"))
+    state = model.state()
+    names = list(model.parameters())
+    entry = data.draw(st.sampled_from(names))
+    index = tuple(data.draw(st.integers(0, size - 1)) for size in state[entry].shape)
+    state[entry][index] = bad
+    save_checkpoint(root / "model.stln", state)
+    loaded = load_checkpoint(root / "model.stln")
+    message = f"'{entry}' holds 1 non-finite value(s), the first at index {index}"
+    with pytest.raises(ValueError) as caught:
+        if kind == "nextshot":
+            temporal.NextShotModel.from_state(loaded)
+        else:
+            tags.TagModel.from_state(loaded, vocab)
+    assert str(caught.value) == message
+    if kind == "tags":
+        return
+    store = FeatureStore(feature_dim)
+    for o in range(12):
+        store.add("m0", o, np.full(feature_dim, o + 1, dtype=np.float32))
+    write_shtf(root / "features.shtf", store)
+    temporal.write_questions(root / "q.tsv", temporal.generate_questions(
+        store, ["m0"], temporal.IN_MOVIE, mctx=2, n_candidates=3)[0])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run_cli("--run-log", root / "log.jsonl", "eval-temporal", "--features",
+                       root / "features.shtf", "--questions", root / "q.tsv", "--model",
+                       root / "model.stln", "--results", root / "r.tsv",
+                       "--metrics", root / "m.tsv") == 1
+    assert f"error\tValueError\t{root / 'model.stln'}: {message}" in err.getvalue()
+    assert not (root / "r.tsv").exists() and not (root / "m.tsv").exists()
 
 
 def test_a_non_finite_checkpoint_weight_fails_every_loader(tmp_path, capsys):

@@ -13,10 +13,10 @@ from shotline.corpus import (CorpusSplit, SyntheticWorld, SyntheticWorldConfig,
                              TagVocabulary, VideoManifestEntry, _restrict_transition,
                              generate_world, load_manifest, make_prototypes, make_splits,
                              make_transition, sample_topic_chain, save_manifest,
-                             write_ground_truth, read_ground_truth)
+                             write_ground_truth)
 from shotline.rng import derive_rng
 
-from _util import stepwise_topic_chain
+from _util import read_ground_truth, stepwise_topic_chain
 
 TINY = str(Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg")
 

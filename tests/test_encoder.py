@@ -29,21 +29,6 @@ def test_sample_frames_center_formula():
     assert sample_frames(Shot("v", 0, 10, 16), 3) == [11, 13, 15]
 
 
-def test_sample_frames_train_mode_stays_in_segments():
-    shot = Shot("v", 0, 0, 30)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        picks = sample_frames(shot, 3, rng)
-        assert 0 <= picks[0] < 10 and 10 <= picks[1] < 20 and 20 <= picks[2] < 30
-
-
-def test_sample_frames_train_deterministic_given_seed():
-    shot = Shot("v", 0, 5, 95)
-    a = sample_frames(shot, 3, np.random.default_rng(42))
-    b = sample_frames(shot, 3, np.random.default_rng(42))
-    assert a == b
-
-
 def test_sample_shots_exact_count():
     assert sample_shots(8, 8) == list(range(8))
 

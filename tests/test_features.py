@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from shotline.binio import FormatError, expect_magic, expect_version, read_struct
 from shotline.features import MAGIC, VERSION, FeatureStore, read_shtf, write_shtf
 
+from _util import fill_disk_after
+
 
 def test_store_basics():
     store = FeatureStore(4)
@@ -137,6 +139,26 @@ def test_round_trip_random_stores(tmp_path_factory, keys, dim, seed):
     assert [k for k, _ in loaded.items()] == [k for k, _ in store.items()]
     for key, values in store.items():
         assert loaded.get(*key).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("budget", [0, 12, 30, 500])
+def test_a_failed_write_leaves_the_old_cache(tmp_path, monkeypatch, budget):
+    path = tmp_path / "features.shtf"
+    store = FeatureStore(4)
+    store.add("m0", 0, np.ones(4, dtype=np.float32))
+    write_shtf(path, store)
+    old = path.read_bytes()
+    for o in range(1, 40):
+        store.add("m0", o, np.full(4, o, dtype=np.float32))
+    fill_disk_after(monkeypatch, budget)
+    with pytest.raises(OSError, match="No space left"):
+        write_shtf(path, store)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["features.shtf"]
+    monkeypatch.undo()
+    write_shtf(path, store)
+    assert len(read_shtf(path)) == 40
+    assert [p.name for p in tmp_path.iterdir()] == ["features.shtf"]
 
 
 def test_truncated_cache_reports_offset(tmp_path):

@@ -13,9 +13,9 @@ from shotline.nn import RowMlp
 from shotline.qa import (HashingEmbeddingProvider, QaItem, QaModel, QaTrainConfig,
                          TableEmbeddingProvider, _item_arrays, encode_clip, evaluate_qa,
                          read_embedding_table, read_qa_items, tokenize, train_qa,
-                         write_embedding_table, write_qa_items)
+                         write_qa_items)
 
-from _util import check_gradients
+from _util import check_gradients, write_embedding_table
 
 
 def test_tokenize_lowercases_and_splits():

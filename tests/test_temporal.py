@@ -18,7 +18,8 @@ from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel, QuestionSet
                                write_results)
 
 from _util import (OracleQuestion, assert_same_questions, check_gradients, oracle_set,
-                   pool_generator, shot_ids, use_reference_engine, write_oracle_questions)
+                   per_question_baseline, pool_generator, shot_ids, use_reference_engine,
+                   write_oracle_questions)
 
 
 def filled_store(n_movies=3, shots=50, dim=6, seed=0):
@@ -263,6 +264,47 @@ def test_end_to_end_gradient_tiny_instance():
     check_gradients(loss, [cell.weights, cell.bias, *mlp_params])
 
 
+@st.composite
+def repeated_window_sets(draw):
+    """A question set in which windows repeat: each question takes one of a
+    few distinct context windows and its own candidates."""
+    dim, mctx, n = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    rows, windows = draw(st.integers(6, 30)), draw(st.integers(1, 12))
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    store = FeatureStore(dim)
+    for o in range(rows):
+        store.add("m", o, rng.normal(0, 1, dim).astype(np.float32))
+    distinct = rng.integers(rows, size=(windows, mctx))
+    return QuestionSet(store, [f"q{i}" for i in range(count)], ["m"] * count,
+                       [IN_MOVIE] * count, distinct[rng.integers(windows, size=count)],
+                       rng.integers(rows, size=(count, n)), rng.integers(n, size=count))
+
+
+@given(questions=repeated_window_sets(), pooling=st.sampled_from(["final", "mean"]),
+       batch_size=st.sampled_from([1, 2, 3, 5, 8, 64]), seed=st.integers(0, 99))
+@settings(max_examples=120, deadline=None)
+def test_predict_probabilities_equals_the_per_batch_path(questions, pooling, batch_size, seed):
+    model = NextShotModel(questions.store.dim, hidden_dim=6, scorer_widths=(7, 4), seed=seed,
+                          context_pooling=pooling, input_scale=1.3)
+    matrix = questions.store.matrix
+    want = np.concatenate([
+        model.probabilities_batch(matrix[questions.context[start:start + batch_size]],
+                                  matrix[questions.candidates[start:start + batch_size]]).data
+        for start in range(0, len(questions), batch_size)])
+    got = predict_probabilities(model, questions, batch_size)
+    windows = len(np.unique(questions.context, axis=0))
+    # A one-row LSTM batch takes BLAS's matrix-vector path, which rounds
+    # differently. Mean pooling's dense matmul groups a row's steps by the
+    # row's place in its batch, and windows are encoded in other places.
+    if (pooling == "final" and batch_size > 1 and len(questions) % batch_size != 1
+            and windows % batch_size != 1):
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
 # -- question generation ---------------------------------------------------------------
 
 def test_generate_questions_structure():
@@ -384,13 +426,14 @@ def test_a_list_of_question_rows_is_written_as_its_set(tmp_path):
     questions, _ = generate_questions(store, ["m0", "m1"], CROSS_MOVIE, mctx=4, n_candidates=6)
     write_questions(tmp_path / "set.tsv", questions)
     rows = list(questions)
+    assert [len(row) for row in rows] == [1] * len(questions)
     write_questions(tmp_path / "rows.tsv", rows)
     assert (tmp_path / "rows.tsv").read_bytes() == (tmp_path / "set.tsv").read_bytes()
     assert_same_questions(QuestionSet.concat(rows), questions)
     other, _ = generate_questions(filled_store(n_movies=2, shots=20), ["m0"], IN_MOVIE,
                                   mctx=4, n_candidates=6)
     with pytest.raises(ValueError, match="one feature store"):
-        write_questions(tmp_path / "mixed.tsv", [rows[0], other[0]])
+        write_questions(tmp_path / "mixed.tsv", [rows[0], other[:1]])
     assert not (tmp_path / "mixed.tsv").exists()
 
 
@@ -505,10 +548,9 @@ def test_oracle_and_adversary_scorers():
     store = filled_store(n_movies=2, shots=30)
     questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
                                       n_candidates=8, seed=5)
-    oracle_acc, by_setting = evaluate_accuracy(lambda q: q.correct_index, questions)
+    oracle_acc, by_setting = evaluate_accuracy(questions.correct, questions)
     assert oracle_acc == 1.0 and by_setting == {IN_MOVIE: 1.0}
-    adversary_acc, _ = evaluate_accuracy(
-        lambda q: (q.correct_index + 1) % len(q.candidates), questions)
+    adversary_acc, _ = evaluate_accuracy((questions.correct + 1) % 8, questions)
     assert adversary_acc == 0.0
 
 
@@ -517,7 +559,7 @@ def test_random_scorer_matches_binomial_chance():
     questions, _ = generate_questions(store, [f"m{i}" for i in range(4)], IN_MOVIE,
                                       mctx=4, n_candidates=32, stride=1, seed=6)
     rng = np.random.default_rng(0)
-    acc, _ = evaluate_accuracy(lambda q: int(rng.integers(32)), questions)
+    acc, _ = evaluate_accuracy(rng.integers(32, size=len(questions)), questions)
     # ~300 questions at chance 1/32: 3 sigma is about 0.03
     assert abs(acc - 1 / 32) < 0.03
 
@@ -672,8 +714,8 @@ def test_baseline_picks_identical_direction():
     store.add("m", 4, v)
     store.add("m", 5, -v)
     q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", i) for i in range(4)],
-                                          [("m", 4), ("m", 5)], 0)])[0]
-    assert baseline_average_cosine(q) == 0
+                                          [("m", 4), ("m", 5)], 0)])
+    assert baseline_average_cosine(q).tolist() == [0]
 
 
 def test_baseline_scale_invariant():
@@ -686,12 +728,13 @@ def test_baseline_scale_invariant():
     for i in range(4):
         store.add("m", 3 + i, cands[i])
         store.add("x", i, cands[i] * np.float32(3.7))
-    q1, q2 = oracle_set(store, [
+    q = oracle_set(store, [
         OracleQuestion("q", "m", IN_MOVIE, [("m", o) for o in range(3)],
                        [("m", 3 + i) for i in range(4)], 0),
         OracleQuestion("q", "m", CROSS_MOVIE, [("m", o) for o in range(3)],
                        [("x", i) for i in range(4)], 0)])
-    assert baseline_average_cosine(q1) == baseline_average_cosine(q2)
+    first, second = baseline_average_cosine(q)
+    assert first == second
 
 
 def test_baseline_matches_dot_norm_oracle():
@@ -700,12 +743,12 @@ def test_baseline_matches_dot_norm_oracle():
     for o in range(6):
         store.add("m", o, rng.normal(0, 1, 5).astype(np.float32))
     q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", 0), ("m", 1)],
-                                          [("m", i) for i in (2, 3, 4, 5)], 0)])[0]
+                                          [("m", i) for i in (2, 3, 4, 5)], 0)])
     mean = store.rows([("m", 0), ("m", 1)]).astype(np.float64).mean(axis=0)
     sims = [float(np.dot(store.get("m", i), mean) /
                   (np.linalg.norm(store.get("m", i)) * np.linalg.norm(mean)))
             for i in (2, 3, 4, 5)]
-    assert baseline_average_cosine(q) == int(np.argmax(sims))
+    assert baseline_average_cosine(q).tolist() == [int(np.argmax(sims))]
 
 
 def test_baseline_zero_norm_candidates():
@@ -714,8 +757,44 @@ def test_baseline_zero_norm_candidates():
     store.add("m", 1, np.zeros(2))
     store.add("m", 2, np.zeros(2))
     q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", 0)],
-                                          [("m", 1), ("m", 2)], 0)])[0]
-    assert baseline_average_cosine(q) == 0
+                                          [("m", 1), ("m", 2)], 0)])
+    assert baseline_average_cosine(q).tolist() == [0]
+
+
+@st.composite
+def tie_prone_sets(draw):
+    """Question sets over a few coarse feature values, so that zero-norm
+    candidate rows, zero-norm context means and exact ties are common."""
+    dim, mctx, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(2, 9))
+    rows, count = draw(st.integers(2, 12)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = draw(st.booleans())
+    values = (rng.choice([0.0, 0.0, 1.0, -1.0, 0.5, 2.0], size=(rows, dim)) if coarse
+              else rng.normal(0, 1, (rows, dim)) * (rng.random((rows, 1)) < 0.8))
+    store = FeatureStore(dim)
+    for o in range(rows):
+        store.add("m", o, values[o].astype(np.float32))
+    return QuestionSet(store, [f"q{i}" for i in range(count)], ["m"] * count,
+                       [IN_MOVIE] * count, rng.integers(rows, size=(count, mctx)),
+                       rng.integers(rows, size=(count, n)), rng.integers(n, size=count))
+
+
+@given(questions=tie_prone_sets())
+@settings(max_examples=200, deadline=None)
+def test_whole_set_baseline_matches_the_per_question_oracle(questions):
+    chosen = baseline_average_cosine(questions)
+    assert chosen.shape == (len(questions),)
+    assert chosen.tolist() == per_question_baseline(questions)
+
+
+def test_baseline_zero_norm_mean_picks_the_first_candidate():
+    store = FeatureStore(2)
+    store.add("m", 0, np.array([1.0, 2.0]))
+    store.add("m", 1, np.array([-1.0, -2.0]))
+    store.add("m", 2, np.array([3.0, 1.0]))
+    q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", 0), ("m", 1)],
+                                          [("m", 2), ("m", 0)], 1)])
+    assert baseline_average_cosine(q).tolist() == [0]
 
 
 def test_results_file_format(tmp_path):
