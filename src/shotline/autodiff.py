@@ -473,7 +473,7 @@ def pair_mlp(context: Tensor, candidates: Tensor, layers) -> Tensor:
 
 
 class SgdOptimizer:
-    """Plain SGD with optional momentum velocity buffers."""
+    """SGD with momentum velocity buffers; momentum 0 is plain SGD."""
 
     def __init__(self, params, learning_rate: float = 0.01, momentum: float = 0.0):
         if learning_rate <= 0:
@@ -489,12 +489,9 @@ class SgdOptimizer:
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
-            if self.momentum == 0.0:
-                p.data -= self.learning_rate * p.grad
-            else:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.learning_rate * v
+            v *= self.momentum
+            v += p.grad
+            p.data -= self.learning_rate * v
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -39,7 +39,6 @@ DEFAULTS = {
     "tag_lstm_hidden": 64,
     "tag_lstm_epochs": 6,
     "tag_lstm_learning_rate": 0.05,
-    "max_lstm_steps": 0,
     # next-shot prediction
     "mctx": 8,
     "candidates": 32,
@@ -138,7 +137,7 @@ def _record_run(run_log: str, command: str, config: dict, inputs: list, outputs:
         "seed": config["seed"],
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "output_digests": {str(p): _sha256(p) for p in outputs},
-        "wall_time_ms": int((time.time() - started) * 1000),
+        "wall_time_ms": int((time.perf_counter() - started) * 1000),
         **(report or {}),
     }
     with open(run_log, "a", encoding="utf-8") as fh:
@@ -184,8 +183,7 @@ def _tag_config(config: dict):
         shots_per_video=config["shots_per_video"], genre_weight=config["genre_weight"],
         scoring=config["scoring"], lstm_hidden=config["tag_lstm_hidden"],
         lstm_epochs=config["tag_lstm_epochs"],
-        lstm_learning_rate=config["tag_lstm_learning_rate"],
-        max_lstm_steps=config["max_lstm_steps"])
+        lstm_learning_rate=config["tag_lstm_learning_rate"])
 
 
 def _curves(history: dict) -> dict:
@@ -212,6 +210,13 @@ def _from_checkpoint(path, build):
         return build(state)
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: {exc.args[0] if exc.args else exc}") from None
+
+
+def _check_width(args, width: int, store) -> None:
+    """Raise ValueError, naming both files and widths, unless args.model takes store.dim."""
+    if width != store.dim:
+        raise ValueError(f"{args.model} takes {width}-value features, but {args.features} "
+                         f"holds {store.dim}-value ones")
 
 
 def _provider(args, config):
@@ -326,6 +331,7 @@ def cmd_eval_tags(args, config):
     store = read_shtf(args.features)
     model, lstm = _from_checkpoint(args.model, lambda state: (
         tags.TagModel.from_state(state, vocabulary), tags.TagLstm.from_state(state, vocabulary)))
+    _check_width(args, model.input_dim, store)
     by_id = {e.video_id: e for e in entries}
     if args.split:
         split = corpus.CorpusSplit.load(args.split)
@@ -350,7 +356,7 @@ def cmd_eval_tags(args, config):
         seq = store.sequence(entry.video_id)
         predictions["score_average"].append(tags.infer_score_average(model, entry.video_id, seq))
         predictions["feature_lstm"].append(tags.infer_feature_lstm(
-            model, lstm, entry.video_id, seq, max_steps=config["max_lstm_steps"]))
+            model, lstm, entry.video_id, seq))
     for mode, preds in predictions.items():
         for branch, getter in (("genres", lambda p: p.genre_scores),
                                ("keywords", lambda p: p.keyword_scores)):
@@ -426,15 +432,16 @@ def cmd_eval_temporal(args, config):
     from .metrics import write_metrics
     from .rng import derive_rng
     store = read_shtf(args.features)
-    questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
-                          "questions to evaluate")
     if args.model:
         model = _from_checkpoint(args.model, temporal.NextShotModel.from_state)
+        _check_width(args, model.feature_dim, store)
     else:
         model = temporal.NextShotModel(
             store.dim, config["hidden_dim"], _widths(config["scorer_widths"]),
             seed=derive_rng(config["seed"], "nextshot.init").integers(2**32),
             input_scale=temporal._unit_rms_scale(store))
+    questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
+                          "questions to evaluate")
     probs = temporal.predict_probabilities(model, questions)
     chosen = probs.argmax(axis=1)
     metrics = {}
@@ -501,6 +508,7 @@ def cmd_retrieve(args, config):
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     store = read_shtf(args.features)
     model = _from_checkpoint(args.model, lambda state: tags.TagModel.from_state(state, vocabulary))
+    _check_width(args, model.input_dim, store)
     series = tags.shot_tag_response(model, args.video_id, store.sequence(args.video_id),
                                     args.tag)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -639,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval-temporal" and not args.model and not args.random_init:
             raise ValueError("eval-temporal needs --model or --random-init")
         _echo_config(config)
-        started = time.time()
+        started = time.perf_counter()
         # a handler returns (inputs, outputs) and optionally a report for the manifest row
         inputs, outputs, *report = args.handler(args, config)
         _record_run(args.run_log, args.command, config, inputs, outputs, started, *report)

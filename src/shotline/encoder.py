@@ -28,11 +28,7 @@ class HistogramEdgeExtractor:
     """
 
     dim = 138
-
-    def __init__(self, params: SegmenterParams | None = None):
-        self.params = params or SegmenterParams()
-        if self.params.total_bins != 128:
-            raise ValueError("descriptor layout assumes 128 HSV bins")
+    params = SegmenterParams()
 
     def describe(self, frame: np.ndarray) -> np.ndarray:
         """The 138-value descriptor of one RGB frame."""
@@ -52,14 +48,12 @@ class HistogramEdgeExtractor:
         return np.concatenate([hsv, orient, moments]).astype(np.float32)
 
 
-def extract_features(seq: FrameSequence, shots: list[Shot], extractor, m: int = 3,
-                     store: FeatureStore | None = None) -> FeatureStore:
+def extract_features(seq: FrameSequence, shots: list[Shot], extractor, m: int = 3) -> FeatureStore:
     """Deterministic (center-frame) shot descriptors for the cache.
 
     Every shot must lie inside the clip; one that does not raises.
     """
-    if store is None:
-        store = FeatureStore(extractor.dim)
+    store = FeatureStore(extractor.dim)
     for shot in shots:
         if shot.start < 0 or shot.end > seq.frame_count:
             raise ValueError(f"shot {shot.video_id}#{shot.ordinal} [{shot.start}, {shot.end}) "

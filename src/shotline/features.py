@@ -94,9 +94,6 @@ class FeatureStore:
     def get(self, video_id: str, ordinal: int) -> np.ndarray:
         return self._buffer[self.row_indices([(video_id, ordinal)])[0]]
 
-    def __contains__(self, key: ShotId) -> bool:
-        return key in self._row_of
-
     def shot_count(self, video_id: str) -> int:
         return len(self._video_rows.get(video_id, ()))
 

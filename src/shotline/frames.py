@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 
-from .binio import expect_magic, expect_version, read_struct, FormatError
+from .binio import expect_magic, expect_version, read_struct, replace_on_success, FormatError
 
 MAGIC = b"FSEQ"
 VERSION = 1
@@ -39,18 +39,16 @@ class FrameSequence:
     def frame(self, index: int) -> np.ndarray:
         return self.frames[index]
 
-    def __len__(self) -> int:
-        return self.frame_count
-
 
 def write_fseq(path, seq: FrameSequence) -> None:
     """Write a clip. Anything but a FrameSequence, or a clip too large for
-    the header's fields, raises before the file is opened."""
+    the header's fields, raises before the file is opened, and a write that
+    fails later leaves path as it was."""
     if not isinstance(seq, FrameSequence):
         raise TypeError(f"write_fseq needs a FrameSequence, got {type(seq).__name__}")
     header = MAGIC + struct.pack("<IIIBI", VERSION, seq.width, seq.height, CHANNELS,
                                  seq.frame_count)
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(seq.frames).tobytes())
 

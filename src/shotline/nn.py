@@ -9,10 +9,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int | None = None) -> np.ndarray:
-    """Uniform weights in +-1/sqrt(fan_in), the usual recurrent-net range."""
-    fan = fan_in if fan_in is not None else shape[0]
-    bound = 1.0 / np.sqrt(fan)
+def uniform_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Uniform weights in +-1/sqrt(shape[0]), the usual recurrent-net range."""
+    bound = 1.0 / np.sqrt(shape[0])
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
@@ -20,16 +19,15 @@ class LstmCell:
     """Single-layer LSTM with fused gate weights.
 
     Gate order in the fused matrices is input, forget, output, candidate.
-    The forget-gate bias starts at forget_bias so early training does not
-    wash out the cell state.
+    The forget-gate bias starts at 1 so early training does not wash out
+    the cell state.
 
     ``fold`` runs whole sequences through the fused ``lstm_sequence`` op;
     every model uses it. ``step`` builds one update from primitive ops and
     is kept only as the reference the op is tested against.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 forget_bias: float = 1.0):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         if input_dim < 1 or hidden_dim < 1:
             raise ValueError("input_dim and hidden_dim must be positive")
         self.input_dim = input_dim
@@ -37,7 +35,7 @@ class LstmCell:
         self.weights = Tensor(uniform_init(rng, (input_dim + hidden_dim, 4 * hidden_dim)),
                               requires_grad=True)
         bias = np.zeros(4 * hidden_dim, dtype=np.float32)
-        bias[hidden_dim:2 * hidden_dim] = forget_bias
+        bias[hidden_dim:2 * hidden_dim] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
 
     def initial_state(self, batch: int = 1) -> tuple[Tensor, Tensor]:
@@ -200,6 +198,13 @@ def fit(params: dict, count: int, epochs: int, batch_size: int, learning_rate: f
 # rebuilds the model from those shapes and scalars with the helpers below.
 
 
+def state_entry(state: dict, name: str):
+    """state[name]; a missing entry raises KeyError naming it."""
+    if name not in state:
+        raise KeyError(f"model state has no {name!r}")
+    return state[name]
+
+
 def assign_parameters(params: dict, state: dict) -> None:
     """Copy every named parameter's value out of a state dict, checking shapes.
 
@@ -208,9 +213,7 @@ def assign_parameters(params: dict, state: dict) -> None:
     load and score silently.
     """
     for name, tensor in params.items():
-        if name not in state:
-            raise KeyError(f"model state has no {name!r}")
-        value = np.asarray(state[name], dtype=tensor.data.dtype)
+        value = np.asarray(state_entry(state, name), dtype=tensor.data.dtype)
         if value.shape != tensor.data.shape:
             raise ValueError(f"{name!r} has shape {value.shape}, "
                              f"the model expects {tensor.data.shape}")
@@ -223,12 +226,9 @@ def assign_parameters(params: dict, state: dict) -> None:
 
 
 def read_choice(state: dict, key: str, choices: tuple[str, ...]) -> str:
-    """Decode a setting stored as its index in choices.
-
-    A missing entry reads as choices[0]: checkpoints written before the
-    setting was stored all used that one. An unknown code raises.
-    """
-    code = float(np.asarray(state.get(key, 0.0)))
+    """Decode a setting stored as its index in choices. A missing entry
+    raises KeyError and an unknown code ValueError."""
+    code = float(np.asarray(state_entry(state, key)))
     if code not in range(len(choices)):
         raise ValueError(f"unknown {key} code {code}")
     return choices[int(code)]
@@ -236,17 +236,13 @@ def read_choice(state: dict, key: str, choices: tuple[str, ...]) -> str:
 
 def lstm_dims(state: dict, name: str) -> tuple[int, int]:
     """(input_dim, hidden_dim) of the fused LSTM weights stored under name."""
-    if name not in state:
-        raise KeyError(f"model state has no {name!r}")
-    rows, cols = state[name].shape
+    rows, cols = state_entry(state, name).shape
     return rows - cols // 4, cols // 4
 
 
 def mlp_dims(state: dict, prefix: str) -> tuple[int, tuple[int, ...]]:
     """Input width and hidden widths of the RowMlp stored under prefix."""
-    shapes = []
+    shapes = [state_entry(state, f"{prefix}mlp.0.weights").shape]
     while f"{prefix}mlp.{len(shapes)}.weights" in state:
         shapes.append(state[f"{prefix}mlp.{len(shapes)}.weights"].shape)
-    if not shapes:
-        raise KeyError(f"model state has no {prefix}mlp.0.weights")
     return shapes[0][0], tuple(cols for _, cols in shapes[:-1])

@@ -171,14 +171,11 @@ def sequence_histograms(seq: FrameSequence, params: SegmenterParams) -> np.ndarr
     return _histograms(seq.frames, params)
 
 
-def boundary_score(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Chi-square distance between two unit-sum histograms."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    if h1.shape != h2.shape:
-        raise ValueError(f"histogram length mismatch: {h1.shape} vs {h2.shape}")
-    diff = h1 - h2
-    return float((diff * diff / (h1 + h2 + CHI_SQUARE_EPS)).sum())
+def boundary_scores(hists: np.ndarray) -> np.ndarray:
+    """Chi-square distance between each pair of adjacent rows of a
+    (frames, bins) float64 array of unit-sum histograms: (frames - 1,) scores."""
+    diff = hists[1:] - hists[:-1]
+    return (diff * diff / (hists[1:] + hists[:-1] + CHI_SQUARE_EPS)).sum(axis=1)
 
 
 def cut_thresholds(scores: np.ndarray, params: SegmenterParams) -> np.ndarray:
@@ -210,12 +207,8 @@ def detect_shots(seq: FrameSequence, params: SegmenterParams | None = None,
     total = seq.frame_count
     if total == 0:
         raise ValueError("detect_shots: empty frame sequence")
-    if total == 1:
-        return [Shot(video_id, 0, 0, 1)]
 
-    hists = sequence_histograms(seq, params)
-    diff = hists[1:] - hists[:-1]
-    scores = (diff * diff / (hists[1:] + hists[:-1] + CHI_SQUARE_EPS)).sum(axis=1)
+    scores = boundary_scores(sequence_histograms(seq, params))
 
     cuts = (np.flatnonzero((scores > cut_thresholds(scores, params))
                            & (scores > params.score_floor)) + 1).tolist()

@@ -18,7 +18,7 @@ from .autodiff import Tensor
 from .corpus import TagVocabulary, VideoManifestEntry
 from .features import FeatureStore
 from .nn import (LstmCell, assign_parameters, fit, lstm_dims, pooling_matrix, read_choice,
-                 uniform_init)
+                 state_entry, uniform_init)
 from .rng import derive_rng
 
 # Checkpoint code of each scoring mode, stored as tags.scoring.
@@ -44,7 +44,6 @@ class TagTrainConfig:
     lstm_hidden: int = 64
     lstm_epochs: int = 6
     lstm_learning_rate: float = 0.05
-    max_lstm_steps: int = 0      # 0 means use every step
 
 
 class _TagHeads:
@@ -126,12 +125,11 @@ class TagModel(_TagHeads):
 
     @classmethod
     def from_state(cls, state: dict, vocabulary: TagVocabulary) -> "TagModel":
-        """Rebuild a model from state(); older states lack tags.scoring and
-        load as "sigmoid"."""
+        """Rebuild a model from state(); a missing tags.scoring raises KeyError."""
         if "projection" in state:
             input_dim, proj_dim = state["projection"].shape
         else:
-            input_dim, proj_dim = state["head.genre.weights"].shape[0], None
+            input_dim, proj_dim = state_entry(state, "head.genre.weights").shape[0], None
         model = cls(vocabulary, input_dim, proj_dim, derive_rng(0, "tags.init"),
                     scoring=read_choice(state, "tags.scoring", SCORINGS))
         assign_parameters(model.parameters(), state)
@@ -173,19 +171,13 @@ def _truth_indices(entry: VideoManifestEntry, vocabulary: TagVocabulary) -> tupl
     return genres, keywords
 
 
-def sample_shots(shot_count: int, n: int, rng: np.random.Generator | None = None) -> list[int]:
-    """Pick n shot indices from a video, returned in temporal order.
-
-    Without an rng the indices are evenly spaced; with one they are
-    distinct uniform draws (with replacement only when the video has
-    fewer than n shots).
-    """
+def sample_shots(shot_count: int, n: int, rng: np.random.Generator) -> list[int]:
+    """n shot indices of a video in temporal order: distinct uniform draws,
+    with replacement only when the video has fewer than n shots."""
     if shot_count < 1:
         raise ValueError("sample_shots: video has no shots")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if rng is None:
-        return [(i * shot_count) // n for i in range(n)]
     if shot_count >= n:
         picks = rng.choice(shot_count, size=n, replace=False)
     else:
@@ -253,21 +245,16 @@ class TagLstm(_TagHeads):
 
     @classmethod
     def from_state(cls, state: dict, vocabulary: TagVocabulary) -> "TagLstm":
+        """Rebuild the scorer; an input width not the tag model's raises ValueError."""
         feat_dim, hidden_dim = lstm_dims(state, "taglstm.lstm.weights")
+        projected = (state["projection"].shape[1] if "projection" in state
+                     else state_entry(state, "head.genre.weights").shape[0])
+        if feat_dim != projected:
+            raise ValueError(f"'taglstm.lstm.weights' takes {feat_dim}-value inputs, "
+                             f"but the tag model gives {projected}")
         lstm = cls(vocabulary, feat_dim, hidden_dim, derive_rng(0, "taglstm.init"))
         assign_parameters(lstm.parameters(), state)
         return lstm
-
-
-@ad.no_grad()
-def _lstm_inputs(model: TagModel, seq: np.ndarray, max_steps: int) -> np.ndarray:
-    """Projected per-shot inputs; long sequences are subsampled only when
-    a positive cap is configured."""
-    rows = model.project(Tensor(seq, dtype=np.float32)).data
-    if max_steps > 0 and rows.shape[0] > max_steps:
-        picks = sample_shots(rows.shape[0], max_steps, rng=None)
-        rows = rows[picks]
-    return rows
 
 
 def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: FeatureStore,
@@ -284,8 +271,9 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
         raise ValueError("train_tag_lstm: empty corpus")
     feat_dim = model.proj_dim if model.proj_dim else model.input_dim
     lstm = TagLstm(vocabulary, feat_dim, config.lstm_hidden, derive_rng(seed, "taglstm.init"))
-    inputs = {e.video_id: _lstm_inputs(model, store.sequence(e.video_id), config.max_lstm_steps)
-              for e in entries}
+    with ad.no_grad():  # the inputs are the frozen projection of each video's shots
+        inputs = {e.video_id: model.project(Tensor(store.sequence(e.video_id))).data
+                  for e in entries}
     truths = {e.video_id: _truth_indices(e, vocabulary) for e in entries}
 
     def batch_loss(epoch: int, picks: np.ndarray) -> Tensor:
@@ -320,12 +308,10 @@ def infer_score_average(model: TagModel, video_id: str, seq: np.ndarray) -> TagP
 
 
 @ad.no_grad()
-def infer_feature_lstm(model: TagModel, lstm: TagLstm | None, video_id: str,
-                       seq: np.ndarray, max_steps: int = 0) -> TagPrediction:
+def infer_feature_lstm(model: TagModel, lstm: TagLstm, video_id: str,
+                       seq: np.ndarray) -> TagPrediction:
     """Average the per-step tag scores of the recurrent scorer."""
-    if lstm is None:
-        raise ValueError("feature+lstm inference requires a trained tag sequence model")
-    hidden = lstm.step_outputs(Tensor(_lstm_inputs(model, seq, max_steps)))
+    hidden = lstm.step_outputs(model.project(Tensor(seq, dtype=np.float32)))
     genre = model._scores_np(lstm.genre_logits(hidden).data)
     keyword = model._scores_np(lstm.keyword_logits(hidden).data)
     return TagPrediction(video_id, genre.mean(axis=0), keyword.mean(axis=0))

@@ -17,7 +17,7 @@ from .autodiff import Tensor
 from .binio import read_tsv
 from .features import FeatureStore, check_label_ids, label_rows, shot_labels
 from .nn import (LstmCell, RowMlp, assign_parameters, fit, lstm_dims, mlp_dims,
-                 pooling_matrix, read_choice)
+                 pooling_matrix, read_choice, state_entry)
 from .rng import derive_rng
 
 IN_MOVIE = "in_movie"
@@ -323,11 +323,10 @@ class NextShotModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "NextShotModel":
-        """Rebuild a model from state(); older states lack the scalars and
-        load with input_scale 1 and "final" pooling."""
+        """Rebuild a model from state(); a missing scalar raises KeyError."""
         feature_dim, hidden_dim = lstm_dims(state, "nextshot.lstm.weights")
         _, widths = mlp_dims(state, "nextshot.")
-        input_scale = float(np.asarray(state.get("nextshot.input_scale", 1.0)))
+        input_scale = float(np.asarray(state_entry(state, "nextshot.input_scale")))
         if not np.isfinite(input_scale):
             raise ValueError(f"'nextshot.input_scale' is {input_scale}")
         model = cls(feature_dim, hidden_dim, widths,

@@ -448,6 +448,110 @@ def test_a_non_finite_checkpoint_weight_fails_every_loader(tmp_path, capsys):
         assert not output.exists(), command
 
 
+def _trained_checkpoints(tmp_path):
+    """A tiny world with a one-epoch tag checkpoint and next-shot checkpoint."""
+    world = synth_and_split(tmp_path, seed=5)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 5]
+    assert run_cli(*base, "--set", "epochs=1", "--set", "tag_lstm_epochs=1", "train-tags",
+                   "--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+                   "--features", world / "features.shtf", "--output", world / "tags.stln") == 0
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    assert run_cli(*base, "--set", "temporal_epochs=1", "train-temporal",
+                   "--features", world / "features.shtf", "--questions", world / "q.tsv",
+                   "--output", world / "t.stln") == 0
+    return world, base
+
+
+def _checkpoint_runs(world, features):
+    """command -> (arguments, checkpoint, outputs) of each loader of a checkpoint."""
+    tagged = ["--vocab", world / "vocab.json", "--features", features,
+              "--model", world / "tags.stln"]
+    movie = json.loads((world / "split.json").read_text())["test_movies"][0]
+    return {
+        "eval-tags": (["--manifest", world / "manifest.jsonl", *tagged,
+                       "--out-dir", world / "tag_eval"], world / "tags.stln",
+                      [world / "tag_eval"]),
+        "retrieve": ([*tagged, "--video-id", movie, "--tag", "x", "--output", world / "s.tsv",
+                      "--ranked-output", world / "r.tsv"], world / "tags.stln",
+                     [world / "s.tsv", world / "r.tsv"]),
+        "eval-temporal": (["--features", features, "--questions", world / "q.tsv",
+                           "--model", world / "t.stln", "--results", world / "res.tsv",
+                           "--metrics", world / "m.tsv"], world / "t.stln",
+                          [world / "res.tsv", world / "m.tsv"]),
+    }
+
+
+def _assert_fails_writing_nothing(capsys, base, command, args, outputs, error):
+    """The command exits 1 with error as its last stderr line, creates none of
+    outputs and appends no row to the run log (base is ["--run-log", log, ...])."""
+    log = base[1]
+    rows = log.read_text()
+    capsys.readouterr()
+    assert run_cli(*base, command, *args) == 1, command
+    assert capsys.readouterr().err.splitlines()[-1] == error, command
+    assert not any(path.exists() for path in outputs), command
+    assert log.read_text() == rows, command
+
+
+def test_a_checkpoint_of_another_feature_width_fails_before_any_work(tmp_path, capsys):
+    world, base = _trained_checkpoints(tmp_path)
+    store = read_shtf(world / "features.shtf")
+    wide = FeatureStore(store.dim + 3)
+    for key, values in store.items():
+        wide.add(*key, np.concatenate([values, np.ones(3, dtype=np.float32)]))
+    write_shtf(world / "wide.shtf", wide)
+    for command, (args, checkpoint, outputs) in _checkpoint_runs(world,
+                                                                 world / "wide.shtf").items():
+        _assert_fails_writing_nothing(
+            capsys, base, command, args, outputs,
+            f"error\tValueError\t{checkpoint} takes {store.dim}-value features, "
+            f"but {world / 'wide.shtf'} holds {store.dim + 3}-value ones")
+
+
+def test_a_tag_sequence_scorer_of_another_width_fails_eval_tags(tmp_path, capsys):
+    world, base = _trained_checkpoints(tmp_path)
+    state = load_checkpoint(world / "tags.stln")
+    vocabulary = corpus.TagVocabulary.load(world / "vocab.json")
+    state.update(tags.TagLstm(vocabulary, 17, 16, derive_rng(0, "other")).state())
+    save_checkpoint(world / "tags.stln", state)
+    args, checkpoint, outputs = _checkpoint_runs(world, world / "features.shtf")["eval-tags"]
+    _assert_fails_writing_nothing(
+        capsys, base, "eval-tags", args, outputs,
+        f"error\tValueError\t{checkpoint}: 'taglstm.lstm.weights' takes 17-value inputs, "
+        f"but the tag model gives 16")
+
+
+@pytest.mark.parametrize("command, scalar", [
+    ("eval-tags", "tags.scoring"), ("retrieve", "tags.scoring"),
+    ("eval-temporal", "nextshot.input_scale"), ("eval-temporal", "nextshot.context_pooling")])
+def test_a_checkpoint_without_a_scalar_fails_naming_it(tmp_path, capsys, command, scalar):
+    world, base = _trained_checkpoints(tmp_path)
+    args, checkpoint, outputs = _checkpoint_runs(world, world / "features.shtf")[command]
+    state = load_checkpoint(checkpoint)
+    del state[scalar]
+    save_checkpoint(checkpoint, state)
+    _assert_fails_writing_nothing(capsys, base, command, args, outputs,
+                                  f"error\tValueError\t{checkpoint}: model state has no '{scalar}'")
+
+
+def test_wall_time_survives_a_clock_that_steps_back(tmp_path, monkeypatch):
+    from shotline import cli
+    wall_clock = time.time
+    readings = []
+
+    def stepping_back():
+        readings.append(wall_clock())
+        return readings[-1] - (3600.0 if len(readings) > 1 else 0.0)
+
+    monkeypatch.setattr(cli.time, "time", stepping_back)
+    assert run_cli("--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1,
+                   "synth", "--out-dir", tmp_path / "world") == 0
+    monkeypatch.undo()
+    row = json.loads((tmp_path / "log.jsonl").read_text())
+    assert row["wall_time_ms"] >= 0
+
+
 def _overflow(path, prefix):
     """Rewrite the scorer of the checkpoint at path so that every score
     overflows: the last hidden layer saturates at 1 and the output weights

@@ -29,14 +29,6 @@ def test_sample_frames_center_formula():
     assert sample_frames(Shot("v", 0, 10, 16), 3) == [11, 13, 15]
 
 
-def test_sample_shots_exact_count():
-    assert sample_shots(8, 8) == list(range(8))
-
-
-def test_sample_shots_even_spacing():
-    assert sample_shots(16, 8) == [0, 2, 4, 6, 8, 10, 12, 14]
-
-
 def test_sample_shots_with_replacement_when_short():
     picks = sample_shots(3, 8, np.random.default_rng(1))
     assert len(picks) == 8
@@ -52,10 +44,15 @@ def test_sample_shots_distinct_in_train_mode():
 
 def test_sample_shots_empty_error():
     with pytest.raises(ValueError):
-        sample_shots(0, 4)
+        sample_shots(0, 4, np.random.default_rng(0))
 
 
 # -- descriptor ------------------------------------------------------------------
+
+def test_descriptor_width_is_the_hsv_bins_plus_ten():
+    # 8 gradient-orientation bins and 2 intensity moments follow the histogram
+    assert HistogramEdgeExtractor.dim == HistogramEdgeExtractor.params.total_bins + 10
+
 
 def test_descriptor_shape_and_blocks():
     ext = HistogramEdgeExtractor()

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from shotline import segment
 from shotline.binio import FormatError
 from shotline.frames import FrameSequence, read_fseq, write_fseq
-from shotline.segment import (SegmenterParams, Shot, boundary_score, detect_shots,
+from shotline.segment import (SegmenterParams, Shot, boundary_scores, detect_shots,
                               frame_histogram, read_shot_list, write_shot_list)
+
+from _util import fill_disk_after
 
 
 def solid_frame(rgb, h=16, w=16):
@@ -223,33 +225,35 @@ def test_histogram_two_color_split():
 
 def test_boundary_score_identical_is_zero():
     hist = frame_histogram(solid_frame((12, 200, 99)))
-    assert boundary_score(hist, hist) == 0.0
+    assert boundary_scores(np.stack([hist, hist])).tolist() == [0.0]
 
 
 def test_boundary_score_disjoint_one_hots():
-    h1 = np.zeros(128)
-    h2 = np.zeros(128)
-    h1[3] = 1.0
-    h2[40] = 1.0
-    assert abs(boundary_score(h1, h2) - 2.0) < 1e-6
+    hists = np.zeros((2, 128))
+    hists[0, 3] = 1.0
+    hists[1, 40] = 1.0
+    assert abs(boundary_scores(hists)[0] - 2.0) < 1e-6
 
 
 def test_boundary_score_matches_direct_sum():
     rng = np.random.default_rng(5)
-    h1 = rng.random(128)
-    h1 /= h1.sum()
-    h2 = rng.random(128)
-    h2 /= h2.sum()
-    direct = sum((a - b) ** 2 / (a + b + 1e-10) for a, b in zip(h1, h2))
-    assert abs(boundary_score(h1, h2) - direct) < 1e-12
+    hists = rng.random((4, 128))
+    hists /= hists.sum(axis=1, keepdims=True)
+    direct = [sum((a - b) ** 2 / (a + b + 1e-10) for a, b in zip(h1, h2))
+              for h1, h2 in zip(hists[:-1], hists[1:])]
+    assert np.abs(boundary_scores(hists) - direct).max() < 1e-12
 
 
-def test_boundary_score_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        boundary_score(np.ones(4) / 4, np.ones(5) / 5)
+def test_boundary_scores_need_a_stack_of_histograms():
+    with pytest.raises(ValueError):
+        boundary_scores(np.ones(4) / 4)
 
 
 # -- detection ------------------------------------------------------------------
+
+def test_one_frame_is_one_shot():
+    assert detect_shots(color_sequence([((9, 9, 9), 1)]), video_id="v") == [Shot("v", 0, 0, 1)]
+
 
 def test_constant_sequence_is_one_shot():
     seq = color_sequence([((0, 128, 255), 100)])
@@ -356,6 +360,19 @@ def test_fseq_round_trip(tmp_path):
     assert np.array_equal(loaded.frames, seq.frames)
     write_fseq(tmp_path / "clip2.fseq", loaded)
     assert path.read_bytes() == (tmp_path / "clip2.fseq").read_bytes()
+
+
+@pytest.mark.parametrize("budget", [21, 100])
+def test_a_failed_fseq_write_leaves_the_old_clip(tmp_path, monkeypatch, budget):
+    # the header is 21 bytes, so the write fails in the frame data
+    path = tmp_path / "clip.fseq"
+    write_fseq(path, FrameSequence(np.zeros((2, 4, 4, 3), dtype=np.uint8)))
+    old = path.read_bytes()
+    fill_disk_after(monkeypatch, budget)
+    with pytest.raises(OSError, match="No space left"):
+        write_fseq(path, FrameSequence(np.full((5, 6, 7, 3), 9, dtype=np.uint8)))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.fseq"]
 
 
 def test_fseq_truncation_reports_offset(tmp_path):

@@ -191,11 +191,12 @@ def test_model_state_round_trip(tmp_path):
         assert np.array_equal(want.keyword_scores, got.keyword_scores)
 
 
-def test_state_without_scoring_loads_as_sigmoid():
-    # the layout written before the scalar was stored: weights only
+def test_a_state_without_scoring_is_named():
+    # weights only: a softmax model must not load as a sigmoid one
     model = TagModel(VOCAB, 4, None, np.random.default_rng(5), scoring="softmax")
     state = {k: v.data for k, v in model.parameters().items()}
-    assert TagModel.from_state(state, VOCAB).scoring == "sigmoid"
+    with pytest.raises(KeyError, match="model state has no 'tags.scoring'"):
+        TagModel.from_state(state, VOCAB)
     state["tags.scoring"] = np.float32(2)
     with pytest.raises(ValueError, match="tags.scoring code"):
         TagModel.from_state(state, VOCAB)
@@ -241,10 +242,14 @@ def test_score_average_five_shot_loop_oracle_and_permutation_invariance():
     assert np.allclose(pred.genre_scores, shuffled.genre_scores, atol=1e-6)
 
 
-def test_feature_lstm_requires_model():
-    model = zero_model()
-    with pytest.raises(ValueError, match="trained tag sequence model"):
-        infer_feature_lstm(model, None, "v", np.zeros((3, 4), dtype=np.float32))
+@pytest.mark.parametrize("proj_dim", [3, None])
+def test_a_sequence_scorer_of_another_input_width_is_named(proj_dim):
+    rng = np.random.default_rng(8)
+    model = TagModel(VOCAB, 4, proj_dim, rng)
+    state = {**model.state(), **TagLstm(VOCAB, 5, 6, rng).state()}
+    with pytest.raises(ValueError, match=f"^'taglstm.lstm.weights' takes 5-value inputs, "
+                                         f"but the tag model gives {proj_dim or 4}$"):
+        TagLstm.from_state(state, VOCAB)
 
 
 def test_feature_lstm_single_step_equals_one_step():

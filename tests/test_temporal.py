@@ -655,14 +655,20 @@ def test_state_is_a_snapshot():
     assert not np.array_equal(state["nextshot.lstm.weights"], model.cell.weights.data)
 
 
-def test_checkpoint_without_pooling_loads_as_final():
-    # the layout written before the scalars were stored: weights only
+@pytest.mark.parametrize("scalar", ["nextshot.input_scale", "nextshot.context_pooling"])
+def test_a_state_without_a_scalar_is_named(scalar):
+    # weights and one scalar only: the model must not load with a stand-in
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5,
                           context_pooling="mean")
-    state = {k: v.data for k, v in model.parameters().items()}
-    restored = NextShotModel.from_state(state)
-    assert restored.context_pooling == "final"
-    assert restored.input_scale == 1.0
+    state = model.state()
+    del state[scalar]
+    with pytest.raises(KeyError, match=f"model state has no '{scalar}'"):
+        NextShotModel.from_state(state)
+
+
+def test_an_unknown_pooling_code_is_an_error():
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
+    state = model.state()
     state["nextshot.context_pooling"] = np.float32(7)
     with pytest.raises(ValueError, match="context_pooling code"):
         NextShotModel.from_state(state)
