@@ -35,7 +35,6 @@ DEFAULTS = {
     "learning_rate": 0.05,
     "momentum": 0.9,
     "genre_weight": 0.5,
-    "scoring": "sigmoid",
     "tag_lstm_hidden": 64,
     "tag_lstm_epochs": 6,
     "tag_lstm_learning_rate": 0.05,
@@ -49,7 +48,6 @@ DEFAULTS = {
     "temporal_epochs": 30,
     "temporal_batch_size": 64,
     "temporal_learning_rate": 0.3,
-    "context_pooling": "final",
     # question answering
     "qa_epochs": 40,
     "qa_batch_size": 32,
@@ -79,8 +77,6 @@ DEFAULTS = {
     "trailer_fraction": 0.5,
     "trailer_shuffle": 1,
     # reporting
-    "recall_k": 3,
-    "map_axis": "label",
     "top_shots": 5,
 }
 
@@ -94,7 +90,7 @@ def load_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ValueError(f"{where}: unknown config key {key!r}")
         kind = type(DEFAULTS[key])
         try:
-            config[key] = kind(raw) if kind is not bool else raw.lower() in ("1", "true", "yes")
+            config[key] = kind(raw)
         except ValueError:
             raise ValueError(f"{where}: cannot parse {key}={raw!r} as {kind.__name__}") from None
 
@@ -181,8 +177,7 @@ def _tag_config(config: dict):
         epochs=config["epochs"], batch_size=config["batch_size"],
         learning_rate=config["learning_rate"], momentum=config["momentum"],
         shots_per_video=config["shots_per_video"], genre_weight=config["genre_weight"],
-        scoring=config["scoring"], lstm_hidden=config["tag_lstm_hidden"],
-        lstm_epochs=config["tag_lstm_epochs"],
+        lstm_hidden=config["tag_lstm_hidden"], lstm_epochs=config["tag_lstm_epochs"],
         lstm_learning_rate=config["tag_lstm_learning_rate"])
 
 
@@ -345,8 +340,6 @@ def cmd_eval_tags(args, config):
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    k = config["recall_k"]
-    axis = config["map_axis"]
     metrics: dict[str, float] = {}
     truths = {"genres": [], "keywords": []}
     predictions = {"score_average": [], "feature_lstm": []}
@@ -364,8 +357,8 @@ def cmd_eval_tags(args, config):
             if not any(truth):
                 continue
             scores = np.stack([getter(p) for p in preds])
-            metrics[f"{mode}.{branch}.recall_at_{k}"] = recall_at_k(scores, truth, k)
-            metrics[f"{mode}.{branch}.map"] = mean_average_precision(scores, truth, axis=axis)
+            metrics[f"{mode}.{branch}.recall_at_3"] = recall_at_k(scores, truth, 3)
+            metrics[f"{mode}.{branch}.map"] = mean_average_precision(scores, truth)
     write_metrics(out / "metrics.tsv", metrics)
     tags.write_predictions(out / "predictions.tsv", predictions["score_average"], vocabulary)
     for key in sorted(metrics):
@@ -413,8 +406,7 @@ def cmd_train_temporal(args, config):
     t_config = temporal.TemporalTrainConfig(
         epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
         learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
-        hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]),
-        context_pooling=config["context_pooling"])
+        hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]))
     model, history = temporal.train_next_shot(questions, t_config, config["seed"],
                                               val_questions=val_questions)
     save_checkpoint(args.output, model.state())
@@ -491,9 +483,14 @@ def cmd_eval_qa(args, config):
     from .features import read_shtf
     from .metrics import write_metrics
     store = read_shtf(args.features)
+    model = _from_checkpoint(args.model, qa.QaModel.from_state)
+    width, rows = model.scorer.layers[0][0].data.shape[0], store.dim + 2 * config["embed_dim"]
+    if width != rows:
+        raise ValueError(f"{args.model} scores {width}-value rows, but {args.features} holds "
+                         f"{store.dim}-value features, which with embed_dim="
+                         f"{config['embed_dim']} give {rows}-value ones")
     items = _nonempty(qa.read_qa_items(args.items, store), args.items, "items")
     provider = _provider(args, config)
-    model = _from_checkpoint(args.model, qa.QaModel.from_state)
     accuracy = qa.evaluate_qa(model, items, provider, store)
     write_metrics(args.metrics, {"qa.accuracy": accuracy})
     print(f"metric\tqa.accuracy\t{accuracy:.6f}", file=sys.stderr)
@@ -509,6 +506,11 @@ def cmd_retrieve(args, config):
     store = read_shtf(args.features)
     model = _from_checkpoint(args.model, lambda state: tags.TagModel.from_state(state, vocabulary))
     _check_width(args, model.input_dim, store)
+    if not store.shot_count(args.video_id):
+        raise ValueError(f"--video-id {args.video_id!r}: {args.features} holds no features "
+                         f"of that video")
+    if args.tag not in vocabulary.genre_index and args.tag not in vocabulary.keyword_index:
+        raise ValueError(f"--tag {args.tag!r}: {args.vocab} has no genre or keyword of that name")
     series = tags.shot_tag_response(model, args.video_id, store.sequence(args.video_id),
                                     args.tag)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -570,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_train_tags)
 
-    p = sub.add_parser("eval-tags", help="recall@k and MAP in both inference modes")
+    p = sub.add_parser("eval-tags", help="recall@3 and label-centric MAP in both inference modes")
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--features", required=True)

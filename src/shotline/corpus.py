@@ -201,9 +201,8 @@ def _check_transition(matrix: np.ndarray) -> None:
         raise ValueError(f"transition row {row}: probabilities sum to {float(sums[row])!r}, not 1")
 
 
-def sample_topic_chain(matrix: np.ndarray, length: int, rng: np.random.Generator,
-                       start: int | None = None) -> np.ndarray:
-    """Walk a Markov chain for ``length`` steps from a uniform (or given) start.
+def sample_topic_chain(matrix: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Walk a Markov chain for ``length`` steps from a uniform start.
 
     Each step takes the next state from one uniform double as
     ``Generator.choice(topics, p=row)`` does: the first index of the row's
@@ -213,13 +212,7 @@ def sample_topic_chain(matrix: np.ndarray, length: int, rng: np.random.Generator
     """
     matrix = np.asarray(matrix)
     _check_transition(matrix)
-    topics = matrix.shape[0]
-    if start is None:
-        state = int(rng.integers(topics))
-    elif not 0 <= start < topics:
-        raise ValueError(f"start topic {start} outside 0..{topics - 1}")
-    else:
-        state = int(start)
+    state = int(rng.integers(matrix.shape[0]))
     cdf = matrix.cumsum(axis=1, dtype=np.float64)
     cdf /= cdf[:, -1:]
     uniforms = rng.random(length)

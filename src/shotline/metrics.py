@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _ranked_labels(scores: np.ndarray) -> np.ndarray:
-    # lexsort is stable: sort by -score, then by label index for ties
+def _ranking(scores: np.ndarray) -> np.ndarray:
+    # lexsort is stable: sort by -score, then by index for ties
     return np.lexsort((np.arange(scores.shape[0]), -scores.astype(np.float64)))
 
 
@@ -34,7 +34,7 @@ def recall_at_k(scores: np.ndarray, truths: list[set], k: int = 3) -> float:
     for row, truth in zip(scores, truths):
         if not truth:
             continue
-        top = set(_ranked_labels(row)[:k].tolist())
+        top = set(_ranking(row)[:k].tolist())
         per_video.append(len(top & truth) / min(k, len(truth)))
     if not per_video:
         raise ValueError("recall_at_k: every video has an empty truth set")
@@ -51,35 +51,20 @@ def average_precision(ranked_relevance: np.ndarray) -> float:
     return float((precision_at * rel).sum() / positives)
 
 
-def mean_average_precision(scores: np.ndarray, truths: list[set], axis: str = "label") -> float:
-    """Label-centric MAP (default): rank videos per label, average the APs.
+def mean_average_precision(scores: np.ndarray, truths: list[set]) -> float:
+    """Label-centric MAP: rank videos per label, average the APs.
 
-    The video-centric variant ranks labels per video instead. Labels (or
-    videos) without a positive are excluded. A NaN or infinite score raises
+    Labels without a positive are excluded. A NaN or infinite score raises
     ValueError naming its video's row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     _check_scores(scores, truths, "mean_average_precision")
     n_videos, n_labels = scores.shape
-    aps = []
-    if axis == "label":
-        hot = np.zeros((n_videos, n_labels), dtype=np.float64)
-        for i, truth in enumerate(truths):
-            hot[i, sorted(truth)] = 1.0
-        for j in range(n_labels):
-            if hot[:, j].sum() == 0:
-                continue
-            order = np.lexsort((np.arange(n_videos), -scores[:, j]))
-            aps.append(average_precision(hot[order, j]))
-    elif axis == "video":
-        for i, truth in enumerate(truths):
-            if not truth:
-                continue
-            order = _ranked_labels(scores[i])
-            rel = np.array([1.0 if j in truth else 0.0 for j in order])
-            aps.append(average_precision(rel))
-    else:
-        raise ValueError(f"unknown axis {axis!r} (expected 'label' or 'video')")
+    hot = np.zeros((n_videos, n_labels), dtype=np.float64)
+    for i, truth in enumerate(truths):
+        hot[i, sorted(truth)] = 1.0
+    aps = [average_precision(hot[_ranking(scores[:, j]), j])
+           for j in range(n_labels) if hot[:, j].any()]
     if not aps:
         raise ValueError("mean_average_precision: nothing to rank")
     return float(np.mean(aps))

@@ -21,8 +21,9 @@ from .nn import (LstmCell, assign_parameters, fit, lstm_dims, pooling_matrix, re
                  state_entry, uniform_init)
 from .rng import derive_rng
 
-# Checkpoint code of each scoring mode, stored as tags.scoring.
-SCORINGS = ("sigmoid", "softmax")
+# Checkpoint code of the scoring mode, stored as tags.scoring: tag scores are
+# always per-label sigmoids, so only code 0 loads.
+SCORINGS = ("sigmoid",)
 
 
 @dataclass
@@ -40,7 +41,6 @@ class TagTrainConfig:
     momentum: float = 0.9
     shots_per_video: int = 8
     genre_weight: float = 0.5       # loss mix: genre term weight, keywords get the rest
-    scoring: str = "sigmoid"        # or "softmax": normalize each branch across labels
     lstm_hidden: int = 64
     lstm_epochs: int = 6
     lstm_learning_rate: float = 0.05
@@ -80,12 +80,9 @@ class TagModel(_TagHeads):
     """Projection plus per-branch affine heads over pooled video features."""
 
     def __init__(self, vocabulary: TagVocabulary, input_dim: int,
-                 proj_dim: int | None, rng: np.random.Generator, scoring: str = "sigmoid"):
-        if scoring not in SCORINGS:
-            raise ValueError(f"unknown scoring mode {scoring!r}")
+                 proj_dim: int | None, rng: np.random.Generator):
         self.input_dim = input_dim
         self.proj_dim = proj_dim
-        self.scoring = scoring
         self.projection = (Tensor(uniform_init(rng, (input_dim, proj_dim)), requires_grad=True)
                            if proj_dim else None)
         self._init_heads(vocabulary, proj_dim if proj_dim else input_dim, rng)
@@ -98,20 +95,12 @@ class TagModel(_TagHeads):
         return self.head_logits(self.project(Tensor(np.concatenate([pooled, pooled[kw_rows]]))),
                                 pooled.shape[0])
 
-    def _scores_np(self, logits: np.ndarray) -> np.ndarray:
-        """The inference-time activation of the scoring mode (training uses logits)."""
-        if self.scoring == "softmax":
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            return e / e.sum(axis=-1, keepdims=True)
-        return ad.sigmoid_values(logits)
-
     @ad.no_grad()
     def shot_scores(self, shot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-shot tag scores for every row of a (shots, input_dim) array."""
+        """Per-shot sigmoid tag scores for every row of a (shots, input_dim) array."""
         feats = self.project(Tensor(shot_rows, dtype=np.float32))
-        return (self._scores_np(self.genre_logits(feats).data),
-                self._scores_np(self.keyword_logits(feats).data))
+        return (ad.sigmoid_values(self.genre_logits(feats).data),
+                ad.sigmoid_values(self.keyword_logits(feats).data))
 
     def parameters(self) -> dict:
         params = {"projection": self.projection} if self.projection is not None else {}
@@ -120,18 +109,19 @@ class TagModel(_TagHeads):
     def state(self) -> dict:
         """Weight copies plus tags.scoring (the index into SCORINGS)."""
         state = {k: v.data.copy() for k, v in self.parameters().items()}
-        state["tags.scoring"] = np.float32(SCORINGS.index(self.scoring))
+        state["tags.scoring"] = np.float32(0)
         return state
 
     @classmethod
     def from_state(cls, state: dict, vocabulary: TagVocabulary) -> "TagModel":
-        """Rebuild a model from state(); a missing tags.scoring raises KeyError."""
+        """Rebuild a model from state(); a missing tags.scoring raises KeyError,
+        and one other than 0 ValueError."""
         if "projection" in state:
             input_dim, proj_dim = state["projection"].shape
         else:
             input_dim, proj_dim = state_entry(state, "head.genre.weights").shape[0], None
-        model = cls(vocabulary, input_dim, proj_dim, derive_rng(0, "tags.init"),
-                    scoring=read_choice(state, "tags.scoring", SCORINGS))
+        read_choice(state, "tags.scoring", SCORINGS)
+        model = cls(vocabulary, input_dim, proj_dim, derive_rng(0, "tags.init"))
         assign_parameters(model.parameters(), state)
         return model
 
@@ -194,8 +184,7 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
     for e in entries:
         if not e.genres:
             raise ValueError(f"training video {e.video_id!r} has no genres")
-    model = TagModel(vocabulary, store.dim, proj_dim, derive_rng(seed, "tags.init"),
-                     scoring=config.scoring)
+    model = TagModel(vocabulary, store.dim, proj_dim, derive_rng(seed, "tags.init"))
     sequence_rows = [store.sequence_rows(e.video_id) for e in entries]
     truths = [_truth_indices(e, vocabulary) for e in entries]
     matrix, shots = store.matrix, config.shots_per_video
@@ -310,10 +299,10 @@ def infer_score_average(model: TagModel, video_id: str, seq: np.ndarray) -> TagP
 @ad.no_grad()
 def infer_feature_lstm(model: TagModel, lstm: TagLstm, video_id: str,
                        seq: np.ndarray) -> TagPrediction:
-    """Average the per-step tag scores of the recurrent scorer."""
+    """Average the per-step sigmoid tag scores of the recurrent scorer."""
     hidden = lstm.step_outputs(model.project(Tensor(seq, dtype=np.float32)))
-    genre = model._scores_np(lstm.genre_logits(hidden).data)
-    keyword = model._scores_np(lstm.keyword_logits(hidden).data)
+    genre = ad.sigmoid_values(lstm.genre_logits(hidden).data)
+    keyword = ad.sigmoid_values(lstm.keyword_logits(hidden).data)
     return TagPrediction(video_id, genre.mean(axis=0), keyword.mean(axis=0))
 
 

@@ -23,8 +23,9 @@ from .rng import derive_rng
 IN_MOVIE = "in_movie"
 CROSS_MOVIE = "cross_movie"
 
-# Checkpoint code of each context pooling, stored as nextshot.context_pooling.
-CONTEXT_POOLINGS = ("final", "mean")
+# Checkpoint code of the context pooling, stored as nextshot.context_pooling: the
+# context is always the LSTM's final state, so only code 0 loads.
+CONTEXT_POOLINGS = ("final",)
 
 
 class QuestionSet:
@@ -271,23 +272,20 @@ class NextShotModel:
 
     def __init__(self, feature_dim: int, hidden_dim: int = 256,
                  scorer_widths: tuple[int, ...] = (256, 64),
-                 seed: int = 0, context_pooling: str = "final",
-                 input_scale: float = 1.0):
-        if context_pooling not in CONTEXT_POOLINGS:
-            raise ValueError(f"unknown context_pooling {context_pooling!r}")
+                 seed: int = 0, input_scale: float = 1.0):
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
-        self.context_pooling = context_pooling
         self.input_scale = float(input_scale)
         self.cell = LstmCell(feature_dim, hidden_dim, derive_rng(seed, "nextshot.lstm"))
         self.scorer = RowMlp(hidden_dim + feature_dim, scorer_widths,
                              derive_rng(seed, "nextshot.scorer"))
 
     def encode_context_batch(self, contexts: np.ndarray) -> Tensor:
-        """Encode (batch, steps, feature_dim) contexts into (batch, hidden)."""
+        """Encode (batch, steps, feature_dim) contexts into their final
+        hidden states, (batch, hidden)."""
         batch, steps, _ = contexts.shape
         scaled = np.asarray(contexts, dtype=np.float32) * np.float32(self.input_scale)
-        pooling = pooling_matrix(np.full(batch, steps), steps, self.context_pooling)
+        pooling = pooling_matrix(np.full(batch, steps), steps, "final")
         return self.cell.fold(Tensor(scaled), pooling)
 
     def score_batch(self, encoded: Tensor, candidates: np.ndarray) -> Tensor:
@@ -317,22 +315,20 @@ class NextShotModel:
         (the index into CONTEXT_POOLINGS)."""
         state = {k: v.data.copy() for k, v in self.parameters().items()}
         state["nextshot.input_scale"] = np.float32(self.input_scale)
-        state["nextshot.context_pooling"] = np.float32(
-            CONTEXT_POOLINGS.index(self.context_pooling))
+        state["nextshot.context_pooling"] = np.float32(0)
         return state
 
     @classmethod
     def from_state(cls, state: dict) -> "NextShotModel":
-        """Rebuild a model from state(); a missing scalar raises KeyError."""
+        """Rebuild a model from state(); a missing scalar raises KeyError, and a
+        nextshot.context_pooling other than 0 ValueError."""
         feature_dim, hidden_dim = lstm_dims(state, "nextshot.lstm.weights")
         _, widths = mlp_dims(state, "nextshot.")
         input_scale = float(np.asarray(state_entry(state, "nextshot.input_scale")))
         if not np.isfinite(input_scale):
             raise ValueError(f"'nextshot.input_scale' is {input_scale}")
-        model = cls(feature_dim, hidden_dim, widths,
-                    context_pooling=read_choice(state, "nextshot.context_pooling",
-                                                CONTEXT_POOLINGS),
-                    input_scale=input_scale)
+        read_choice(state, "nextshot.context_pooling", CONTEXT_POOLINGS)
+        model = cls(feature_dim, hidden_dim, widths, input_scale=input_scale)
         assign_parameters(model.parameters(), state)
         return model
 
@@ -359,7 +355,6 @@ class TemporalTrainConfig:
     momentum: float = 0.9
     hidden_dim: int = 256
     scorer_widths: tuple[int, ...] = (256, 64)
-    context_pooling: str = "final"
 
 
 def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: int,
@@ -375,7 +370,6 @@ def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: i
     store = questions.store
     model = NextShotModel(store.dim, config.hidden_dim, config.scorer_widths,
                           seed=derive_rng(seed, "nextshot.init").integers(2**32),
-                          context_pooling=config.context_pooling,
                           input_scale=_unit_rms_scale(store))
     matrix = store.matrix
 

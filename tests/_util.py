@@ -124,8 +124,8 @@ def forward_video(model: TagModel, video_id: str, video_feature: np.ndarray) -> 
     if feat.shape != (model.genre_w.data.shape[0],):
         raise ValueError(f"feature shape {feat.shape} does not match head "
                          f"({model.genre_w.data.shape[0]},)")
-    genre = model._scores_np(feat @ model.genre_w.data + model.genre_b.data)
-    keyword = model._scores_np(feat @ model.keyword_w.data + model.keyword_b.data)
+    genre = ad.sigmoid_values(feat @ model.genre_w.data + model.genre_b.data)
+    keyword = ad.sigmoid_values(feat @ model.keyword_w.data + model.keyword_b.data)
     return TagPrediction(video_id, genre, keyword)
 
 
@@ -248,13 +248,13 @@ def assert_same_questions(a: temporal.QuestionSet, b: temporal.QuestionSet) -> N
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def stepwise_topic_chain(matrix: np.ndarray, length: int, rng: np.random.Generator,
-                         start: int | None = None) -> np.ndarray:
+def stepwise_topic_chain(matrix: np.ndarray, length: int,
+                         rng: np.random.Generator) -> np.ndarray:
     """Reference Markov walk: one ``Generator.choice`` call per step, as
     ``corpus.sample_topic_chain`` was first written."""
     topics = matrix.shape[0]
     chain = np.empty(length, dtype=np.int64)
-    state = int(rng.integers(topics)) if start is None else start
+    state = int(rng.integers(topics))
     for i in range(length):
         chain[i] = state
         state = int(rng.choice(topics, p=matrix[state]))

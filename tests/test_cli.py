@@ -59,13 +59,7 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
 
 
 def test_segment_and_extract_flow(tmp_path):
-    rng = np.random.default_rng(0)
-    frames = []
-    for color in ((255, 0, 0), (0, 0, 255)):
-        block = np.full((30, 12, 12, 3), color, dtype=np.float64)
-        block += rng.normal(0, 5, block.shape)
-        frames.append(np.clip(block, 0, 255).astype(np.uint8))
-    write_fseq(tmp_path / "clip.fseq", FrameSequence(np.concatenate(frames)))
+    two_shot_clip(tmp_path / "clip.fseq")
     rc = run_cli("--run-log", tmp_path / "log.jsonl",
                  "segment", "--input", tmp_path / "clip.fseq",
                  "--video-id", "clip", "--output", tmp_path / "shots.tsv")
@@ -197,6 +191,61 @@ def test_full_tiny_pipeline_under_60s_and_deterministic(tmp_path):
                               "average.in_movie.accuracy", "average.cross_movie.accuracy"}
 
 
+def two_shot_clip(path):
+    """A 60-frame FSEQ clip of two solid-colour shots with pixel noise."""
+    rng = np.random.default_rng(0)
+    frames = []
+    for color in ((255, 0, 0), (0, 0, 255)):
+        block = np.full((30, 12, 12, 3), color, dtype=np.float64)
+        block += rng.normal(0, 5, block.shape)
+        frames.append(np.clip(block, 0, 255).astype(np.uint8))
+    write_fseq(path, FrameSequence(np.concatenate(frames)))
+
+
+def test_evaluation_and_ingest_commands_are_deterministic(tmp_path):
+    """eval-tags, retrieve, train-qa, eval-qa, eval-temporal --random-init,
+    segment and extract write the same bytes when run twice at one seed."""
+    world = synth_and_split(tmp_path, seed=2)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 2]
+    tagged = ["--vocab", world / "vocab.json", "--features", world / "features.shtf",
+              "--model", world / "tags.stln"]
+    assert run_cli(*base, "--set", "epochs=1", "--set", "tag_lstm_epochs=1", "train-tags",
+                   "--manifest", world / "manifest.jsonl", *tagged[:4],
+                   "--split", world / "split.json", "--output", world / "tags.stln") == 0
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--subset", "test",
+                   "--output", world / "q.tsv") == 0
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=2)
+    two_shot_clip(tmp_path / "clip.fseq")
+    movie = json.loads((world / "split.json").read_text())["test_movies"][0]
+    genre = corpus.TagVocabulary.load(world / "vocab.json").genres[0]
+    qa_args = ["--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+               "--embeddings", world / "embeddings.txt"]
+
+    def run_all(out):
+        for argv in (
+                ["eval-tags", "--manifest", world / "manifest.jsonl", *tagged,
+                 "--split", world / "split.json", "--out-dir", out / "tag_eval"],
+                ["retrieve", *tagged, "--video-id", movie, "--tag", genre,
+                 "--output", out / "series.tsv", "--ranked-output", out / "ranked.tsv"],
+                ["train-qa", *qa_args, "--output", out / "qa.stln"],
+                ["eval-qa", *qa_args, "--model", out / "qa.stln", "--metrics", out / "qa.tsv"],
+                ["eval-temporal", "--features", world / "features.shtf", "--questions",
+                 world / "q.tsv", "--random-init", "--results", out / "results.tsv",
+                 "--metrics", out / "temporal.tsv"],
+                ["segment", "--input", tmp_path / "clip.fseq", "--video-id", "clip",
+                 "--output", out / "shots.tsv"],
+                ["extract", "--input", tmp_path / "clip.fseq", "--shots", out / "shots.tsv",
+                 "--output", out / "clip.shtf"]):
+            assert run_cli(*base, *argv) == 0, argv[0]
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    first, second = run_all(tmp_path / "a"), run_all(tmp_path / "b")
+    assert len(first) == 10 and first.keys() == second.keys()
+    for name in first:
+        assert first[name] == second[name], name
+
+
 def test_eval_temporal_random_init_near_chance(tmp_path):
     world = synth_and_split(tmp_path, seed=1)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
@@ -223,8 +272,7 @@ def _copy_weights(model, path):
 
 
 @pytest.mark.parametrize("pooling, val", [
-    pytest.param("final", False, id="final"), pytest.param("mean", False, id="mean"),
-    pytest.param("final", True, id="final-val"), pytest.param("mean", True, id="mean-val")])
+    pytest.param("final", False, id="final"), pytest.param("final", True, id="final-val")])
 def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooling, val):
     world = synth_and_split(tmp_path, seed=7)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 7]
@@ -234,8 +282,8 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooli
                        "--output", world / f"{subset}_q.tsv") == 0
     val_args = ["--val-questions", world / "val_q.tsv"] if val else []
     capsys.readouterr()
-    assert run_cli(*base, "--set", f"context_pooling={pooling}", "--set", "temporal_epochs=2",
-                   "train-temporal", "--features", world / "features.shtf",
+    assert run_cli(*base, "--set", "temporal_epochs=2", "train-temporal",
+                   "--features", world / "features.shtf",
                    "--questions", world / "train_q.tsv", *val_args,
                    "--output", world / "t.stln") == 0
     summary = capsys.readouterr().err.splitlines()[-1].split("\t")
@@ -252,12 +300,14 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooli
         assert all(0.0 <= a <= 1.0 for a in row["epoch_val_accuracy"])
     else:
         assert "epoch_val_accuracy" not in row
-    # evaluated under the default config: the pooling comes from the checkpoint
+    # evaluated under the default config: the widths come from the checkpoint
     assert run_cli(*base, "eval-temporal", "--features", world / "features.shtf",
                    "--questions", world / "test_q.tsv", "--model", world / "t.stln",
                    "--results", world / "r.tsv", "--metrics", world / "m.tsv") == 0
+    assert (load_checkpoint(world / "t.stln")["nextshot.context_pooling"]
+            == temporal.CONTEXT_POOLINGS.index(pooling))
     store = read_shtf(world / "features.shtf")
-    model = _copy_weights(temporal.NextShotModel(store.dim, 32, (64, 16), context_pooling=pooling,
+    model = _copy_weights(temporal.NextShotModel(store.dim, 32, (64, 16),
                                                  input_scale=temporal._unit_rms_scale(store)),
                           world / "t.stln")
     questions = temporal.read_questions(world / "test_q.tsv", store)
@@ -273,14 +323,14 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooli
         assert metrics[f"lstm.{setting}.accuracy"] == f"{np.mean(hits):.6f}"
 
 
-@pytest.mark.parametrize("scoring", ["sigmoid", "softmax"])
+@pytest.mark.parametrize("scoring", ["sigmoid"])
 @pytest.mark.parametrize("proj_dim", [0, 16])
 def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
     world = synth_and_split(tmp_path, seed=9)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 9]
     tagged = ["--vocab", world / "vocab.json", "--features", world / "features.shtf"]
-    assert run_cli(*base, "--set", f"scoring={scoring}", "--set", f"proj_dim={proj_dim}",
-                   "train-tags", "--manifest", world / "manifest.jsonl", *tagged,
+    assert run_cli(*base, "--set", f"proj_dim={proj_dim}", "train-tags",
+                   "--manifest", world / "manifest.jsonl", *tagged,
                    "--split", world / "split.json", "--output", world / "tags.stln") == 0
     row = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()][-1]
     assert row["command"] == "train-tags" and "epoch_val_accuracy" not in row
@@ -291,7 +341,8 @@ def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
             == len(row["lstm_examples_per_s"]) == 3)
     assert min(row["lstm_epoch_s"]) > 0 and min(row["lstm_examples_per_s"]) > 0
     assert "lstm_epoch_val_accuracy" not in row
-    # evaluated under the default config: the scoring comes from the checkpoint
+    assert load_checkpoint(world / "tags.stln")["tags.scoring"] == tags.SCORINGS.index(scoring)
+    # evaluated under the default config: the projection comes from the checkpoint
     assert run_cli(*base, "eval-tags", "--manifest", world / "manifest.jsonl", *tagged,
                    "--model", world / "tags.stln", "--split", world / "split.json",
                    "--out-dir", world / "eval") == 0
@@ -304,8 +355,7 @@ def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
                    "--ranked-output", world / "ranked.tsv") == 0
     store = read_shtf(world / "features.shtf")
     model = _copy_weights(tags.TagModel(vocabulary, store.dim, proj_dim or None,
-                                        np.random.default_rng(0), scoring=scoring),
-                          world / "tags.stln")
+                                        np.random.default_rng(0)), world / "tags.stln")
     predictions = [tags.infer_score_average(model, vid, store.sequence(vid))
                    for vid in split["test_movies"]]
     tags.write_predictions(world / "expected.tsv", predictions, vocabulary)
@@ -494,13 +544,20 @@ def _assert_fails_writing_nothing(capsys, base, command, args, outputs, error):
     assert log.read_text() == rows, command
 
 
-def test_a_checkpoint_of_another_feature_width_fails_before_any_work(tmp_path, capsys):
-    world, base = _trained_checkpoints(tmp_path)
+def _write_wide_copy(world) -> FeatureStore:
+    """Write world/wide.shtf, the world's features with three more values
+    each, and return the world's own store."""
     store = read_shtf(world / "features.shtf")
     wide = FeatureStore(store.dim + 3)
     for key, values in store.items():
         wide.add(*key, np.concatenate([values, np.ones(3, dtype=np.float32)]))
     write_shtf(world / "wide.shtf", wide)
+    return store
+
+
+def test_a_checkpoint_of_another_feature_width_fails_before_any_work(tmp_path, capsys):
+    world, base = _trained_checkpoints(tmp_path)
+    store = _write_wide_copy(world)
     for command, (args, checkpoint, outputs) in _checkpoint_runs(world,
                                                                  world / "wide.shtf").items():
         _assert_fails_writing_nothing(
@@ -533,6 +590,74 @@ def test_a_checkpoint_without_a_scalar_fails_naming_it(tmp_path, capsys, command
     save_checkpoint(checkpoint, state)
     _assert_fails_writing_nothing(capsys, base, command, args, outputs,
                                   f"error\tValueError\t{checkpoint}: model state has no '{scalar}'")
+
+
+def test_a_softmax_or_mean_pooled_checkpoint_fails_naming_the_entry(tmp_path, capsys):
+    # code 1 marks a checkpoint written with softmax tag scoring or mean context pooling
+    world, base = _trained_checkpoints(tmp_path)
+    for command, scalar in (("eval-tags", "tags.scoring"), ("retrieve", "tags.scoring"),
+                            ("eval-temporal", "nextshot.context_pooling")):
+        args, checkpoint, outputs = _checkpoint_runs(world, world / "features.shtf")[command]
+        state = load_checkpoint(checkpoint)
+        state[scalar] = np.float32(1)
+        save_checkpoint(checkpoint, state)
+        _assert_fails_writing_nothing(capsys, base, command, args, outputs,
+                                      f"error\tValueError\t{checkpoint}: unknown {scalar} code 1.0")
+
+
+def test_eval_qa_on_features_of_another_width_names_both_files(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=6)
+    store = _write_wide_copy(world)
+    make_qa_fixture(world, store, n_items=20, seed=6)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 6]
+    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa",
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    # rows of 16 + 2 * 16 = 48 values; the wide copy's 19-value features give 51
+    _assert_fails_writing_nothing(
+        capsys, base, "eval-qa", ["--features", world / "wide.shtf", "--items",
+                                  world / "qa_items.tsv", "--model", world / "qa.stln",
+                                  "--metrics", world / "m.tsv"], [world / "m.tsv"],
+        f"error\tValueError\t{world / 'qa.stln'} scores 48-value rows, but "
+        f"{world / 'wide.shtf'} holds 19-value features, which with embed_dim=16 give "
+        f"51-value ones")
+
+
+def test_retrieve_names_an_unknown_video_or_tag_with_its_flag(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=4)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 4]
+    vocabulary = corpus.TagVocabulary.load(world / "vocab.json")
+    save_checkpoint(world / "tags.stln",
+                    tags.TagModel(vocabulary, 16, 16, derive_rng(4, "tags.init")).state())
+    movie = json.loads((world / "split.json").read_text())["test_movies"][0]
+    outputs = [world / "s.tsv", world / "r.tsv"]
+    for video, tag, error in (
+            ("nope", vocabulary.genres[0],
+             f"--video-id 'nope': {world / 'features.shtf'} holds no features of that video"),
+            (movie, "nope",
+             f"--tag 'nope': {world / 'vocab.json'} has no genre or keyword of that name")):
+        _assert_fails_writing_nothing(
+            capsys, base, "retrieve", ["--vocab", world / "vocab.json",
+                                       "--features", world / "features.shtf",
+                                       "--model", world / "tags.stln", "--video-id", video,
+                                       "--tag", tag, "--output", outputs[0],
+                                       "--ranked-output", outputs[1]],
+            outputs, f"error\tValueError\t{error}")
+
+
+@pytest.mark.parametrize("key, value", [("context_pooling", "mean"), ("scoring", "softmax"),
+                                        ("map_axis", "video"), ("recall_k", "5")])
+def test_a_removed_config_key_is_unknown(tmp_path, capsys, key, value):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{key}={value}\n")
+    for options, where in ((["--set", f"{key}={value}"], f"--set {key}={value}"),
+                           (["--config", config], f"{config}: line 1")):
+        capsys.readouterr()
+        assert run_cli("--run-log", tmp_path / "log.jsonl", *options,
+                       "synth", "--out-dir", tmp_path / "world") == 1
+        assert (capsys.readouterr().err.splitlines()[-1]
+                == f"error\tValueError\t{where}: unknown config key {key!r}")
+    assert not (tmp_path / "world").exists() and not (tmp_path / "log.jsonl").exists()
 
 
 def test_wall_time_survives_a_clock_that_steps_back(tmp_path, monkeypatch):
@@ -646,8 +771,9 @@ def test_eval_qa_rejects_a_mismatched_embed_dim(tmp_path, capsys):
                    "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
                    "--model", world / "qa.stln", "--metrics", world / "m.tsv") == 1
     err = capsys.readouterr().err.splitlines()
-    assert ("error\tValueError\tevaluate_qa: the model scores rows of width 48, "
-            "but 16-dim clip features and embed_dim 8 give 32") in err
+    assert (f"error\tValueError\t{world / 'qa.stln'} scores 48-value rows, but "
+            f"{world / 'features.shtf'} holds 16-value features, which with embed_dim=8 give "
+            f"32-value ones") in err
     assert not (world / "m.tsv").exists()
 
 
@@ -656,9 +782,8 @@ def test_eval_qa_names_the_table_when_embed_dim_does_not_fit_it(tmp_path, capsys
     make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=6)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 6]
     table = world / "embeddings.txt"
-    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa", "--embeddings", table,
-                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
-                   "--output", world / "qa.stln") == 0
+    # a checkpoint for embed_dim=8 passes the width check; the 16-value table does not fit
+    save_checkpoint(world / "qa.stln", qa.QaModel(16, 8, (64, 16)).state())
     capsys.readouterr()
     assert run_cli(*base, "--set", "embed_dim=8", "eval-qa", "--embeddings", table,
                    "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
@@ -751,8 +876,7 @@ def test_next_shot_commands_match_the_per_question_oracle_path(tmp_path):
     t_config = temporal.TemporalTrainConfig(
         epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
         learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
-        hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]),
-        context_pooling=config["context_pooling"])
+        hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]))
     model, _ = temporal.train_next_shot(oracle_set(store, oracle["train"]), t_config, seed)
     save_checkpoint(tmp_path / "temporal.stln", model.state())
     assert (tmp_path / "temporal.stln").read_bytes() == (world / "temporal.stln").read_bytes()
@@ -808,6 +932,8 @@ def test_an_empty_question_or_item_file_fails_naming_it(tmp_path, capsys, comman
     if "qa_items.tsv" in files.values():
         make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=3)
     out = ["--metrics", world / "m.tsv"] if command == "eval-qa" else ["--output", world / "o.stln"]
+    if command == "eval-qa":  # a checkpoint that fits, so the item file is what fails
+        save_checkpoint(world / "qa.stln", qa.QaModel(16, 16, (64, 16)).state())
     capsys.readouterr()
     argv = [a for flag, name in files.items() for a in (flag, world / name)]
     assert run_cli(*base, command, "--features", world / "features.shtf", *argv, *out) == 1

@@ -133,12 +133,11 @@ def transition_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(transition_matrices(), st.integers(0, 500), st.integers(0, 2**32 - 1), st.data())
-def test_topic_chain_equals_the_stepwise_choice_walk(matrix, length, seed, data):
-    start = data.draw(st.none() | st.integers(0, matrix.shape[0] - 1))
+@given(transition_matrices(), st.integers(0, 500), st.integers(0, 2**32 - 1))
+def test_topic_chain_equals_the_stepwise_choice_walk(matrix, length, seed):
     rng_bulk, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
-    chain = sample_topic_chain(matrix, length, rng_bulk, start)
-    expected = stepwise_topic_chain(matrix, length, rng_step, start)
+    chain = sample_topic_chain(matrix, length, rng_bulk)
+    expected = stepwise_topic_chain(matrix, length, rng_step)
     assert chain.dtype == expected.dtype and np.array_equal(chain, expected)
     assert rng_bulk.random() == rng_step.random()
 
@@ -153,13 +152,7 @@ def test_topic_chain_names_a_bad_transition_row(row, message):
     matrix = np.full((3, 3), 1 / 3)
     matrix[2] = row
     with pytest.raises(ValueError, match=rf"^transition row 2: {message}"):
-        sample_topic_chain(matrix, 5, np.random.default_rng(0), start=0)
-
-
-@pytest.mark.parametrize("start", [-1, 3, 7])
-def test_topic_chain_rejects_a_start_outside_the_topics(start):
-    with pytest.raises(ValueError, match=rf"^start topic {start} outside 0\.\.2$"):
-        sample_topic_chain(np.full((3, 3), 1 / 3), 5, np.random.default_rng(0), start=start)
+        sample_topic_chain(matrix, 5, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("overrides", [

@@ -83,13 +83,6 @@ def test_map_random_case_vs_oracle():
         brute_force_label_map(scores, truths), abs=1e-12)
 
 
-def test_map_video_centric_variant():
-    scores = np.array([[0.9, 0.1, 0.5]])
-    truths = [{2}]
-    # labels ranked 0, 2, 1: the only truth label sits at rank 2
-    assert mean_average_precision(scores, truths, axis="video") == 0.5
-
-
 def test_average_precision_requires_positive():
     with pytest.raises(ValueError):
         average_precision(np.zeros(4))
@@ -136,7 +129,6 @@ def test_metrics_reject_a_non_finite_score_naming_its_video(data):
     first = min(i for i, _ in poisoned)
     with pytest.raises(ValueError, match=f"^recall_at_k: non-finite score for video {first}$"):
         recall_at_k(scores, truths)
-    for axis in ("label", "video"):
-        with pytest.raises(ValueError, match=f"^mean_average_precision: non-finite score for "
-                                             f"video {first}$"):
-            mean_average_precision(scores.astype(np.float32), truths, axis=axis)
+    with pytest.raises(ValueError, match=f"^mean_average_precision: non-finite score for "
+                                         f"video {first}$"):
+        mean_average_precision(scores.astype(np.float32), truths)

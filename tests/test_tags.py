@@ -20,8 +20,8 @@ from _util import check_gradients, forward_video
 VOCAB = TagVocabulary(["g0", "g1", "g2"], ["k0", "k1"])
 
 
-def zero_model(input_dim=4, scoring="sigmoid"):
-    model = TagModel(VOCAB, input_dim, None, np.random.default_rng(0), scoring=scoring)
+def zero_model(input_dim=4):
+    model = TagModel(VOCAB, input_dim, None, np.random.default_rng(0))
     for p in model.parameters().values():
         p.data[...] = 0.0
     return model
@@ -59,12 +59,6 @@ def test_forward_matches_affine_sigmoid_oracle():
     logits = feat @ model.genre_w.data + model.genre_b.data
     assert np.array_equal(pred.genre_scores, ad.sigmoid_values(logits))
     assert np.allclose(pred.genre_scores, 1.0 / (1.0 + np.exp(-logits)), atol=1e-7)
-
-
-def test_forward_softmax_mode_normalizes():
-    model = zero_model(scoring="softmax")
-    pred = forward_video(model, "v", np.zeros(4, dtype=np.float32))
-    assert np.allclose(pred.genre_scores.sum(), 1.0, atol=1e-6)
 
 
 def test_forward_dimension_mismatch():
@@ -172,14 +166,15 @@ def test_train_tags_deterministic_checkpoints(tmp_path):
 
 def test_model_state_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    for proj_dim, scoring in ((3, "sigmoid"), (None, "softmax")):
-        model = TagModel(VOCAB, 4, proj_dim, rng, scoring=scoring)
+    for proj_dim in (3, None):
+        model = TagModel(VOCAB, 4, proj_dim, rng)
         lstm = TagLstm(VOCAB, proj_dim or 4, 5, rng)
         save_checkpoint(tmp_path / "m.stln", {**model.state(), **lstm.state()})
         state = load_checkpoint(tmp_path / "m.stln")
         restored = TagModel.from_state(state, VOCAB)
         restored_lstm = TagLstm.from_state(state, VOCAB)
-        assert (restored.input_dim, restored.proj_dim, restored.scoring) == (4, proj_dim, scoring)
+        assert (restored.input_dim, restored.proj_dim) == (4, proj_dim)
+        assert state["tags.scoring"] == 0
         assert restored_lstm.cell.hidden_dim == 5
         for old, new in ((model, restored), (lstm, restored_lstm)):
             for name, tensor in old.parameters().items():
@@ -192,13 +187,20 @@ def test_model_state_round_trip(tmp_path):
 
 
 def test_a_state_without_scoring_is_named():
-    # weights only: a softmax model must not load as a sigmoid one
-    model = TagModel(VOCAB, 4, None, np.random.default_rng(5), scoring="softmax")
+    model = TagModel(VOCAB, 4, None, np.random.default_rng(5))
     state = {k: v.data for k, v in model.parameters().items()}
     with pytest.raises(KeyError, match="model state has no 'tags.scoring'"):
         TagModel.from_state(state, VOCAB)
     state["tags.scoring"] = np.float32(2)
     with pytest.raises(ValueError, match="tags.scoring code"):
+        TagModel.from_state(state, VOCAB)
+
+
+def test_a_softmax_state_does_not_load():
+    # a checkpoint written with softmax scoring holds code 1: it must not score as sigmoid
+    state = TagModel(VOCAB, 4, None, np.random.default_rng(5)).state()
+    state["tags.scoring"] = np.float32(1)
+    with pytest.raises(ValueError, match="unknown tags.scoring code 1.0"):
         TagModel.from_state(state, VOCAB)
 
 

@@ -11,8 +11,8 @@ from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import LstmCell
-from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel, QuestionSet,
-                               TemporalTrainConfig, baseline_average_cosine,
+from shotline.temporal import (CONTEXT_POOLINGS, CROSS_MOVIE, IN_MOVIE, NextShotModel,
+                               QuestionSet, TemporalTrainConfig, baseline_average_cosine,
                                evaluate_accuracy, generate_questions, predict_probabilities,
                                read_questions, train_next_shot, write_questions,
                                write_results)
@@ -126,24 +126,6 @@ def test_encode_context_is_gate_bounded():
         assert np.abs(u.data).max() <= 1.0
 
 
-def test_encode_context_mean_pooling_variant():
-    final = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=6)
-    mean = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=6,
-                         context_pooling="mean")
-    rng = np.random.default_rng(8)
-    features = rng.normal(0, 1, (3, 4)).astype(np.float32)
-    # mean pooling averages the per-step hidden states
-    h, c = final.cell.initial_state(1)
-    steps = []
-    for t in range(3):
-        h, c = final.cell.step(Tensor(features[t:t + 1] * np.float32(final.input_scale)), h, c)
-        steps.append(h.data[0])
-    assert np.allclose(mean.encode_context_batch(features[None]).data[0],
-                       np.stack(steps).mean(axis=0), atol=1e-6)
-    assert np.allclose(final.encode_context_batch(features[None]).data[0], steps[-1],
-                       rtol=0, atol=1e-6)
-
-
 def step_loop_contexts(model, contexts):
     """Per-step reference: every hidden state of a LstmCell.step loop."""
     scaled = contexts * np.float32(model.input_scale)
@@ -155,10 +137,11 @@ def step_loop_contexts(model, contexts):
     return states
 
 
-@pytest.mark.parametrize("pooling", ["final", "mean"])
+@pytest.mark.parametrize("pooling", ["final"])
 def test_encode_context_batch_matches_step_loop(pooling):
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(8,), seed=21,
-                          context_pooling=pooling, input_scale=1.7)
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(8,), seed=21, input_scale=1.7)
+    # the context is the last step's hidden state, and the checkpoint says so
+    assert model.state()["nextshot.context_pooling"] == CONTEXT_POOLINGS.index(pooling)
     rng = np.random.default_rng(22)
     contexts = rng.normal(0, 1, (5, 7, 6)).astype(np.float32)
     coef = Tensor(rng.normal(0, 1, (5, 8)).astype(np.float32))
@@ -166,12 +149,7 @@ def test_encode_context_batch_matches_step_loop(pooling):
     ad.sum_all(ad.hadamard(u, coef)).backward()
     fused = {"u": u.data, "weights": model.cell.weights.grad, "bias": model.cell.bias.grad}
     model.cell.weights.grad = model.cell.bias.grad = None
-    states = step_loop_contexts(model, contexts)
-    ref = states[-1]
-    if pooling == "mean":
-        for h in states[:-1]:
-            ref = ad.add(ref, h)
-        ref = ad.scale(ref, 1.0 / len(states))
+    ref = step_loop_contexts(model, contexts)[-1]
     ad.sum_all(ad.hadamard(ref, coef)).backward()
     reference = {"u": ref.data, "weights": model.cell.weights.grad,
                  "bias": model.cell.bias.grad}
@@ -281,12 +259,12 @@ def repeated_window_sets(draw):
                        rng.integers(rows, size=(count, n)), rng.integers(n, size=count))
 
 
-@given(questions=repeated_window_sets(), pooling=st.sampled_from(["final", "mean"]),
-       batch_size=st.sampled_from([1, 2, 3, 5, 8, 64]), seed=st.integers(0, 99))
+@given(questions=repeated_window_sets(), batch_size=st.sampled_from([1, 2, 3, 5, 8, 64]),
+       seed=st.integers(0, 99))
 @settings(max_examples=120, deadline=None)
-def test_predict_probabilities_equals_the_per_batch_path(questions, pooling, batch_size, seed):
+def test_predict_probabilities_equals_the_per_batch_path(questions, batch_size, seed):
     model = NextShotModel(questions.store.dim, hidden_dim=6, scorer_widths=(7, 4), seed=seed,
-                          context_pooling=pooling, input_scale=1.3)
+                          input_scale=1.3)
     matrix = questions.store.matrix
     want = np.concatenate([
         model.probabilities_batch(matrix[questions.context[start:start + batch_size]],
@@ -295,10 +273,8 @@ def test_predict_probabilities_equals_the_per_batch_path(questions, pooling, bat
     got = predict_probabilities(model, questions, batch_size)
     windows = len(np.unique(questions.context, axis=0))
     # A one-row LSTM batch takes BLAS's matrix-vector path, which rounds
-    # differently. Mean pooling's dense matmul groups a row's steps by the
-    # row's place in its batch, and windows are encoded in other places.
-    if (pooling == "final" and batch_size > 1 and len(questions) % batch_size != 1
-            and windows % batch_size != 1):
+    # differently.
+    if batch_size > 1 and len(questions) % batch_size != 1 and windows % batch_size != 1:
         assert np.array_equal(got, want)
     else:
         assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
@@ -637,17 +613,6 @@ def test_model_state_round_trip(tmp_path):
                           restored.encode_context_batch(q_feats[None]).data)
 
 
-def test_model_state_round_trip_keeps_context_pooling(tmp_path):
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12,
-                          context_pooling="mean")
-    save_checkpoint(tmp_path / "m.stln", model.state())
-    restored = NextShotModel.from_state(load_checkpoint(tmp_path / "m.stln"))
-    assert restored.context_pooling == "mean"
-    q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
-    assert np.array_equal(model.encode_context_batch(q_feats[None]).data,
-                          restored.encode_context_batch(q_feats[None]).data)
-
-
 def test_state_is_a_snapshot():
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
     state = model.state()
@@ -658,8 +623,7 @@ def test_state_is_a_snapshot():
 @pytest.mark.parametrize("scalar", ["nextshot.input_scale", "nextshot.context_pooling"])
 def test_a_state_without_a_scalar_is_named(scalar):
     # weights and one scalar only: the model must not load with a stand-in
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5,
-                          context_pooling="mean")
+    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5)
     state = model.state()
     del state[scalar]
     with pytest.raises(KeyError, match=f"model state has no '{scalar}'"):
@@ -674,24 +638,20 @@ def test_an_unknown_pooling_code_is_an_error():
         NextShotModel.from_state(state)
 
 
+def test_a_mean_pooled_state_does_not_load():
+    # a checkpoint written with mean pooling holds code 1: it must not load as final-state
+    state = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12).state()
+    state["nextshot.context_pooling"] = np.float32(1)
+    with pytest.raises(ValueError, match="unknown nextshot.context_pooling code 1.0"):
+        NextShotModel.from_state(state)
+
+
 def test_from_state_rejects_a_non_finite_input_scale():
     model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
     state = model.state()
     state["nextshot.input_scale"] = np.float32(np.nan)
     with pytest.raises(ValueError, match="^'nextshot.input_scale' is nan$"):
         NextShotModel.from_state(state)
-
-
-def test_best_validation_model_keeps_context_pooling():
-    store = filled_store(n_movies=2, shots=40)
-    questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
-                                      n_candidates=8, seed=7)
-    config = TemporalTrainConfig(epochs=2, batch_size=8, learning_rate=0.1,
-                                 hidden_dim=8, scorer_widths=(16, 8), context_pooling="mean")
-    model, history = train_next_shot(questions, config, seed=3, val_questions=questions[:10])
-    assert len(history["val_accuracy"]) == 2
-    assert model.context_pooling == "mean"
-    assert np.float32(model.input_scale) != 1.0
 
 
 def test_training_stops_on_non_finite_loss():
