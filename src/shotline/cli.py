@@ -377,14 +377,13 @@ def cmd_gen_questions(args, config):
                  "test": split.test_movies}[args.subset]
     settings = ([temporal.IN_MOVIE, temporal.CROSS_MOVIE] if args.setting == "both"
                 else [args.setting])
-    stride = config["stride"] if config["stride"] > 0 else None
     corpus_movies = split.train_movies + split.val_movies + split.test_movies
     parts = []
     skipped = 0
     for setting in settings:
         qs, sk = temporal.generate_questions(
             store, movie_ids, setting, mctx=config["mctx"],
-            n_candidates=config["candidates"], stride=stride, seed=config["seed"],
+            n_candidates=config["candidates"], stride=config["stride"], seed=config["seed"],
             exclusion_radius=config["exclusion_radius"], pool_movie_ids=corpus_movies)
         parts.append(qs)
         skipped += sk
@@ -513,10 +512,10 @@ def cmd_retrieve(args, config):
         raise ValueError(f"--tag {args.tag!r}: {args.vocab} has no genre or keyword of that name")
     series = tags.shot_tag_response(model, args.video_id, store.sequence(args.video_id),
                                     args.tag)
+    ranked = tags.top_shots(series, config["top_shots"])
     with open(args.output, "w", encoding="utf-8") as fh:
         for ordinal, score in series:
             fh.write(f"{ordinal}\t{score:.6f}\n")
-    ranked = tags.top_shots(series, config["top_shots"])
     with open(args.ranked_output, "w", encoding="utf-8") as fh:
         by_ordinal = dict(series)
         for ordinal in ranked:

@@ -141,6 +141,9 @@ class SyntheticWorldConfig:
             raise ValueError("length ranges must be (low <= high)")
         if not 0.0 < self.trailer_fraction <= 1.0:
             raise ValueError("trailer_fraction must be in (0, 1]")
+        for name in ("n_trailers", "noise_sigma", "movie_style_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 def make_prototypes(count: int, dim: int, max_cos: float, rng: np.random.Generator) -> np.ndarray:

@@ -23,8 +23,9 @@ class LstmCell:
     the cell state.
 
     ``fold`` runs whole sequences through the fused ``lstm_sequence`` op;
-    every model uses it. ``step`` builds one update from primitive ops and
-    is kept only as the reference the op is tested against.
+    every model uses it, and a reader takes the last step or pools the
+    steps itself. ``step`` builds one update from primitive ops and is
+    kept only as the reference the op is tested against.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -37,10 +38,6 @@ class LstmCell:
         bias = np.zeros(4 * hidden_dim, dtype=np.float32)
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
-
-    def initial_state(self, batch: int = 1) -> tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch, self.hidden_dim), dtype=np.float32)
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         """One update: rows of x are batch items; h, c are matching states."""
@@ -58,44 +55,29 @@ class LstmCell:
         h_next = ad.hadamard(gate_out, ad.tanh(c_next))
         return h_next, c_next
 
-    def fold(self, inputs: Tensor, pooling: np.ndarray | None = None) -> Tensor:
-        """Run over (batch, steps, input_dim) inputs, each from a zero state.
-
-        Returns every step's hidden state, (batch, steps, hidden), or with a
-        constant (rows, batch * steps) pooling matrix (see pooling_matrix)
-        the pooled (rows, hidden) states, as one matmul.
-        """
-        states = ad.lstm_sequence(inputs, self.weights, self.bias)
-        if pooling is None:
-            return states
-        batch, steps, _ = states.data.shape
-        flat = ad.reshape(states, (batch * steps, self.hidden_dim))
-        return ad.matmul(Tensor(pooling), flat)
+    def fold(self, inputs: Tensor) -> Tensor:
+        """Every step's hidden state, (batch, steps, hidden), of (batch,
+        steps, input_dim) inputs, each sequence from a zero state."""
+        return ad.lstm_sequence(inputs, self.weights, self.bias)
 
     def parameters(self) -> dict:
         return {"lstm.weights": self.weights, "lstm.bias": self.bias}
 
 
-def pooling_matrix(lengths, steps: int, mode: str) -> np.ndarray:
-    """(batch, batch * steps) weights that pool each zero-padded sequence.
+def pooling_matrix(lengths, steps: int) -> np.ndarray:
+    """(batch, batch * steps) weights that mean-pool each zero-padded sequence.
 
-    Row b reads only the first lengths[b] steps of sequence b: their last
-    one ("final") or their mean ("mean"). Padded steps get weight 0, so
-    they receive no gradient.
+    Row b averages only the first lengths[b] steps of sequence b. Padded
+    steps get weight 0, so they receive no gradient.
     """
-    if mode not in ("final", "mean"):
-        raise ValueError(f"unknown pooling {mode!r}")
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.max() > steps:
         raise ValueError(f"sequence lengths must lie in 1..{steps}")
     batch = lengths.size
     blocks = np.zeros((batch, batch, steps), dtype=np.float32)
     rows = np.arange(batch)
-    if mode == "final":
-        blocks[rows, rows, lengths - 1] = 1.0
-    else:
-        real = np.arange(steps) < lengths[:, None]
-        blocks[rows, rows] = real / lengths[:, None].astype(np.float32)
+    real = np.arange(steps) < lengths[:, None]
+    blocks[rows, rows] = real / lengths[:, None].astype(np.float32)
     return blocks.reshape(batch, batch * steps)
 
 
@@ -108,6 +90,8 @@ class RowMlp:
 
     def __init__(self, input_dim: int, hidden_widths: tuple[int, ...],
                  rng: np.random.Generator):
+        if min(hidden_widths, default=1) < 1:
+            raise ValueError(f"scorer_widths must each be at least 1, got {tuple(hidden_widths)}")
         widths = [input_dim, *hidden_widths, 1]
         self.layers: list[tuple[Tensor, Tensor]] = []
         for i in range(len(widths) - 1):

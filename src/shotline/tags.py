@@ -273,9 +273,10 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
             padded[row, :lengths[row]] = inputs[entry.video_id]
         # one pooling matmul gives every video's mean, then again the
         # rows of the videos that have keyword labels
-        pooling = pooling_matrix(lengths, padded.shape[1], "mean")
+        pooling = pooling_matrix(lengths, padded.shape[1])
         kw_rows = [row for row, entry in enumerate(batch) if entry.keywords]
-        pooled = lstm.cell.fold(Tensor(padded), np.concatenate([pooling, pooling[kw_rows]]))
+        states = ad.reshape(lstm.cell.fold(Tensor(padded)), (pooling.shape[1], config.lstm_hidden))
+        pooled = ad.matmul(Tensor(np.concatenate([pooling, pooling[kw_rows]])), states)
         truth = [truths[e.video_id] for e in batch]
         genre_logits, kw_logits = lstm.head_logits(pooled, len(batch))
         return multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
@@ -320,6 +321,9 @@ def shot_tag_response(model: TagModel, video_id: str, seq: np.ndarray,
 
 
 def top_shots(series: list[tuple[int, float]], k: int = 5) -> list[int]:
+    """The ordinals of the k highest-scoring shots, ties to the lower ordinal."""
+    if k < 1:
+        raise ValueError(f"top_shots must be at least 1, got {k}")
     ranked = sorted(series, key=lambda pair: (-pair[1], pair[0]))
     return [ordinal for ordinal, _ in ranked[:k]]
 

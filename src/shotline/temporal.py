@@ -16,8 +16,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .binio import read_tsv
 from .features import FeatureStore, check_label_ids, label_rows, shot_labels
-from .nn import (LstmCell, RowMlp, assign_parameters, fit, lstm_dims, mlp_dims,
-                 pooling_matrix, read_choice, state_entry)
+from .nn import (LstmCell, RowMlp, assign_parameters, fit, lstm_dims, mlp_dims, read_choice,
+                 state_entry)
 from .rng import derive_rng
 
 IN_MOVIE = "in_movie"
@@ -187,7 +187,8 @@ def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
     outside exclusion_radius around the answer); cross-movie distractors
     come from the whole corpus (pool_movie_ids, defaulting to the movies
     being questioned). Movies without enough material are skipped and
-    counted. Every movie read must have shot ordinals 0..n-1.
+    counted. Every movie read must have shot ordinals 0..n-1. A stride of
+    None or 0 means mctx; a negative stride or exclusion_radius raises.
 
     A pool is a run of store rows minus one contiguous excluded window (the
     context, the answer and the radius around it). Distractors are drawn as
@@ -201,8 +202,10 @@ def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
         raise ValueError(f"unknown setting {setting!r}")
     if mctx < 1 or n_candidates < 2:
         raise ValueError("need mctx >= 1 and n_candidates >= 2")
+    for name, value in (("stride", stride or 0), ("exclusion_radius", exclusion_radius)):
+        if value < 0:
+            raise ValueError(f"generate_questions: {name} must not be negative, got {value}")
     stride = stride or mctx
-    radius = max(exclusion_radius, 0)
     pool_ids = pool_movie_ids if pool_movie_ids is not None else movie_ids
     read_ids = [*movie_ids, *pool_ids] if setting == CROSS_MOVIE else movie_ids
     keys = store.keys()
@@ -227,8 +230,8 @@ def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
             shots, base = pool, pool_start.get(movie_id)  # None: movie not in pool
         starts = np.arange(0, total - mctx, stride)
         answers = starts + mctx
-        lo = np.maximum(0, np.minimum(starts, answers - radius))
-        width = (np.minimum(total - 1, answers + radius) - lo + 1 if base is not None
+        lo = np.maximum(0, np.minimum(starts, answers - exclusion_radius))
+        width = (np.minimum(total - 1, answers + exclusion_radius) - lo + 1 if base is not None
                  else np.zeros_like(starts))
         kept = len(shots) - width >= n_candidates - 1
         skipped += len(starts) - int(kept.sum())
@@ -281,12 +284,12 @@ class NextShotModel:
                              derive_rng(seed, "nextshot.scorer"))
 
     def encode_context_batch(self, contexts: np.ndarray) -> Tensor:
-        """Encode (batch, steps, feature_dim) contexts into their final
+        """Encode (batch, steps, feature_dim) contexts into their last step's
         hidden states, (batch, hidden)."""
         batch, steps, _ = contexts.shape
         scaled = np.asarray(contexts, dtype=np.float32) * np.float32(self.input_scale)
-        pooling = pooling_matrix(np.full(batch, steps), steps, "final")
-        return self.cell.fold(Tensor(scaled), pooling)
+        states = ad.reshape(self.cell.fold(Tensor(scaled)), (batch, steps * self.hidden_dim))
+        return ad.slice_cols(states, (steps - 1) * self.hidden_dim, steps * self.hidden_dim)
 
     def score_batch(self, encoded: Tensor, candidates: np.ndarray) -> Tensor:
         """Candidate distributions, (batch, n) softmax rows, of (batch, hidden)

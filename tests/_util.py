@@ -118,6 +118,32 @@ def multi_node_scores(mlp, context, candidates):
     return out
 
 
+def zero_state(cell, batch: int = 1) -> tuple[ad.Tensor, ad.Tensor]:
+    """Zero (h, c) states of an LstmCell for ``batch`` rows, the start of a step loop."""
+    zeros = np.zeros((batch, cell.hidden_dim), dtype=np.float32)
+    return ad.Tensor(zeros.copy()), ad.Tensor(zeros.copy())
+
+
+def final_step_rows(lengths, steps: int) -> np.ndarray:
+    """(batch, batch * steps) one-hot rows: row b picks step lengths[b] - 1 of
+    sequence b out of the flattened (batch * steps, hidden) states."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows = np.arange(lengths.size)
+    out = np.zeros((lengths.size, lengths.size * steps), dtype=np.float32)
+    out[rows, rows * steps + lengths - 1] = 1.0
+    return out
+
+
+def one_hot_context_batch(model, contexts: np.ndarray) -> ad.Tensor:
+    """NextShotModel.encode_context_batch as a pooling matmul: every step's
+    states times the constant one-hot rows of each window's last step, the
+    form the last-step readout must reproduce bit for bit."""
+    batch, steps, _ = contexts.shape
+    scaled = np.asarray(contexts, dtype=np.float32) * np.float32(model.input_scale)
+    flat = ad.reshape(model.cell.fold(ad.Tensor(scaled)), (batch * steps, model.hidden_dim))
+    return ad.matmul(ad.Tensor(final_step_rows(np.full(batch, steps), steps)), flat)
+
+
 def forward_video(model: TagModel, video_id: str, video_feature: np.ndarray) -> TagPrediction:
     """Both tag heads on a single pooled video feature."""
     feat = np.asarray(video_feature, dtype=np.float32)

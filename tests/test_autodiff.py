@@ -9,7 +9,8 @@ from shotline import autodiff as ad
 from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.nn import pooling_matrix
 
-from _util import check_gradients, finite_difference_gradient, rel_err, use_reference_engine
+from _util import (check_gradients, final_step_rows, finite_difference_gradient, rel_err,
+                   use_reference_engine)
 
 
 def t64(values, requires_grad=True):
@@ -210,7 +211,9 @@ def test_lstm_sequence_gradients_on_ragged_padded_batch(mode):
     x = ragged_batch(rng, lengths, steps, dim)
     weights = rand64(rng, (dim + hidden, 4 * hidden), 0.5)
     bias = rand64(rng, (4 * hidden,), 0.3)
-    pooling = Tensor(pooling_matrix(lengths, steps, mode).astype(np.float64))
+    rows = (final_step_rows(lengths, steps) if mode == "final"
+            else pooling_matrix(lengths, steps))
+    pooling = Tensor(rows.astype(np.float64))
     coef = Tensor(rng.normal(0, 1, (3, hidden)))
 
     def loss():
@@ -328,15 +331,12 @@ def test_lstm_sequence_validates_shapes():
 
 
 def test_pooling_matrix_rows():
-    final = pooling_matrix([3, 1], 3, "final")
-    mean = pooling_matrix([3, 1], 3, "mean")
-    assert final.shape == mean.shape == (2, 6)
-    assert np.array_equal(final, [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
+    mean = pooling_matrix([3, 1], 3)
+    assert mean.shape == (2, 6)
     assert np.allclose(mean, [[1 / 3, 1 / 3, 1 / 3, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
-    with pytest.raises(ValueError, match="lengths"):
-        pooling_matrix([4], 3, "mean")
-    with pytest.raises(ValueError, match="pooling"):
-        pooling_matrix([2], 3, "max")
+    for lengths in ([4], [0], []):
+        with pytest.raises(ValueError, match="lengths"):
+            pooling_matrix(lengths, 3)
 
 
 # -- no_grad ---------------------------------------------------------------------

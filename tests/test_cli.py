@@ -645,6 +645,38 @@ def test_retrieve_names_an_unknown_video_or_tag_with_its_flag(tmp_path, capsys):
             outputs, f"error\tValueError\t{error}")
 
 
+@pytest.mark.parametrize("value", [-1, 0])
+def test_retrieve_rejects_top_shots_below_one(tmp_path, capsys, value):
+    world = synth_and_split(tmp_path, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1,
+            "--set", f"top_shots={value}"]
+    vocabulary = corpus.TagVocabulary.load(world / "vocab.json")
+    save_checkpoint(world / "tags.stln",
+                    tags.TagModel(vocabulary, 16, 16, derive_rng(1, "tags.init")).state())
+    movie = json.loads((world / "split.json").read_text())["test_movies"][0]
+    outputs = [world / "s.tsv", world / "r.tsv"]
+    _assert_fails_writing_nothing(
+        capsys, base, "retrieve", ["--vocab", world / "vocab.json",
+                                   "--features", world / "features.shtf",
+                                   "--model", world / "tags.stln", "--video-id", movie,
+                                   "--tag", vocabulary.genres[0], "--output", outputs[0],
+                                   "--ranked-output", outputs[1]],
+        outputs, f"error\tValueError\ttop_shots must be at least 1, got {value}")
+
+
+@pytest.mark.parametrize("key, value", [("stride", -3), ("exclusion_radius", -2)])
+def test_gen_questions_rejects_a_negative_stride_or_radius(tmp_path, capsys, key, value):
+    world = synth_and_split(tmp_path, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1,
+            "--set", f"{key}={value}"]
+    _assert_fails_writing_nothing(
+        capsys, base, "gen-questions", ["--features", world / "features.shtf",
+                                        "--split", world / "split.json", "--subset", "train",
+                                        "--setting", "both", "--output", world / "q.tsv"],
+        [world / "q.tsv"],
+        f"error\tValueError\tgenerate_questions: {key} must not be negative, got {value}")
+
+
 @pytest.mark.parametrize("key, value", [("context_pooling", "mean"), ("scoring", "softmax"),
                                         ("map_axis", "video"), ("recall_k", "5")])
 def test_a_removed_config_key_is_unknown(tmp_path, capsys, key, value):

@@ -170,6 +170,13 @@ def test_generate_world_equals_the_stepwise_walk(monkeypatch, overrides):
     assert entries == ref_entries
 
 
+@pytest.mark.parametrize("field, value", [("noise_sigma", -0.5), ("movie_style_sigma", -0.1),
+                                          ("n_trailers", -4)])
+def test_world_config_rejects_a_negative_sigma_or_trailer_count(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must not be negative, got {value}$"):
+        SyntheticWorldConfig(**{field: value})
+
+
 def test_movie_sigma_zero_single_topic_equals_prototype():
     cfg = SyntheticWorldConfig(topics=1, feature_dim=16, noise_sigma=0.0,
                                movie_len=(30, 30), seed=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,13 @@ def test_scores_reject_inputs_that_do_not_fit():
                    Tensor(np.zeros((4, 2), dtype=np.float32)))
     with pytest.raises(ValueError, match="expects matrices"):
         mlp.scores(context, Tensor(np.zeros(12, dtype=np.float32)))
+
+
+@pytest.mark.parametrize("widths", [(64, 0), (0,), (-2, 8)], ids=["64,0", "0", "-2,8"])
+def test_scorer_rejects_a_hidden_width_below_one(widths):
+    with pytest.raises(ValueError, match=rf"^scorer_widths must each be at least 1, "
+                                         rf"got {re.escape(str(widths))}$"):
+        RowMlp(6, widths, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -14,7 +14,7 @@ from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.nn import pooling_matrix
 from shotline.rng import derive_rng
 
-from _util import check_gradients, forward_video
+from _util import check_gradients, final_step_rows, forward_video, zero_state
 
 
 VOCAB = TagVocabulary(["g0", "g1", "g2"], ["k0", "k1"])
@@ -289,7 +289,7 @@ def test_feature_lstm_matches_step_oracle():
     lstm = TagLstm(VOCAB, 4, 5, rng)
     seq = rng.normal(0, 1, (4, 4)).astype(np.float32)
     pred = infer_feature_lstm(model, lstm, "v", seq)
-    h, c = lstm.cell.initial_state(1)
+    h, c = zero_state(lstm.cell)
     rows = []
     for t in range(4):
         h, c = lstm.cell.step(Tensor(seq[t:t + 1]), h, c)
@@ -331,12 +331,19 @@ def row_mean(rows):
 
 def step_loop_states(cell, seq):
     """Per-step reference: (steps, hidden) states of a LstmCell.step loop."""
-    h, c = cell.initial_state(1)
+    h, c = zero_state(cell)
     states = []
     for t in range(seq.shape[0]):
         h, c = cell.step(Tensor(seq[t:t + 1]), h, c)
         states.append(h)
     return stacked(states)
+
+
+def pooled_states(cell, padded, rows):
+    """Every step's states of a padded batch pooled by constant (rows, batch
+    * steps) weights, one matmul, as train_tag_lstm pools them."""
+    states = ad.reshape(cell.fold(Tensor(padded)), (rows.shape[1], cell.hidden_dim))
+    return ad.matmul(Tensor(rows), states)
 
 
 def padded_batch(seqs):
@@ -354,7 +361,7 @@ def test_padded_batch_matches_per_video_step_loops():
     padded, lengths = padded_batch(seqs)
     coef = Tensor(rng.normal(0, 1, (4, 6)).astype(np.float32))
     states = lstm.cell.fold(Tensor(padded)).data
-    pooled = lstm.cell.fold(Tensor(padded), pooling_matrix(lengths, 7, "mean"))
+    pooled = pooled_states(lstm.cell, padded, pooling_matrix(lengths, 7))
     ad.sum_all(ad.hadamard(pooled, coef)).backward()
     fused_grads = [lstm.cell.weights.grad, lstm.cell.bias.grad]
     lstm.cell.weights.grad = lstm.cell.bias.grad = None
@@ -379,7 +386,9 @@ def test_pooled_video_independent_of_batch_mates(mode):
     pooled = []
     for seqs, row in (([video], 0), ([video, others[0]], 0), ([others[1], others[2], video], 2)):
         padded, lengths = padded_batch(seqs)
-        out = lstm.cell.fold(Tensor(padded), pooling_matrix(lengths, lengths.max(), mode))
+        rows = (final_step_rows(lengths, lengths.max()) if mode == "final"
+                else pooling_matrix(lengths, lengths.max()))
+        out = pooled_states(lstm.cell, padded, rows)
         pooled.append(out.data[row])
     assert np.allclose(pooled[1], pooled[0], rtol=0, atol=1e-6)
     assert np.allclose(pooled[2], pooled[0], rtol=0, atol=1e-6)

@@ -17,9 +17,9 @@ from shotline.temporal import (CONTEXT_POOLINGS, CROSS_MOVIE, IN_MOVIE, NextShot
                                read_questions, train_next_shot, write_questions,
                                write_results)
 
-from _util import (OracleQuestion, assert_same_questions, check_gradients, oracle_set,
-                   per_question_baseline, pool_generator, shot_ids, use_reference_engine,
-                   write_oracle_questions)
+from _util import (OracleQuestion, assert_same_questions, check_gradients,
+                   one_hot_context_batch, oracle_set, per_question_baseline, pool_generator,
+                   shot_ids, use_reference_engine, write_oracle_questions, zero_state)
 
 
 def filled_store(n_movies=3, shots=50, dim=6, seed=0):
@@ -37,7 +37,7 @@ def test_lstm_zero_weights_zero_state_gives_zero():
     cell = LstmCell(3, 4, np.random.default_rng(0))
     cell.weights.data[...] = 0.0
     cell.bias.data[...] = 0.0
-    h, c = cell.initial_state(1)
+    h, c = zero_state(cell)
     h2, c2 = cell.step(Tensor(np.ones((1, 3), dtype=np.float32)), h, c)
     assert np.array_equal(h2.data, np.zeros((1, 4), dtype=np.float32))
 
@@ -85,7 +85,7 @@ def test_encode_context_single_step_equals_one_lstm_step():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=3)
     features = np.random.default_rng(0).normal(0, 1, (1, 4)).astype(np.float32)
     u = model.encode_context_batch(features[None]).data[0]
-    h, c = model.cell.initial_state(1)
+    h, c = zero_state(model.cell)
     h2, _ = model.cell.step(Tensor(features * np.float32(model.input_scale)), h, c)
     assert np.array_equal(u, h2.data[0])
 
@@ -104,7 +104,7 @@ def test_encode_context_matches_unrolled_oracle():
     rng = np.random.default_rng(2)
     features = rng.normal(0, 1, (3, 4)).astype(np.float32)
     u = model.encode_context_batch(features[None]).data[0]
-    h, c = model.cell.initial_state(1)
+    h, c = zero_state(model.cell)
     for t in range(3):
         h, c = model.cell.step(Tensor(features[t:t + 1] * np.float32(model.input_scale)), h, c)
     # the fused op projects all steps in one matmul: equal up to float32 rounding
@@ -113,7 +113,7 @@ def test_encode_context_matches_unrolled_oracle():
 
 def test_encode_context_empty_rejected():
     model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=6)
-    with pytest.raises(ValueError, match="lengths must lie in 1..0"):
+    with pytest.raises(ValueError, match="lstm_sequence: empty input sequence"):
         model.encode_context_batch(np.zeros((1, 0, 4), dtype=np.float32))
 
 
@@ -129,7 +129,7 @@ def test_encode_context_is_gate_bounded():
 def step_loop_contexts(model, contexts):
     """Per-step reference: every hidden state of a LstmCell.step loop."""
     scaled = contexts * np.float32(model.input_scale)
-    h, c = model.cell.initial_state(contexts.shape[0])
+    h, c = zero_state(model.cell, contexts.shape[0])
     states = []
     for t in range(contexts.shape[1]):
         h, c = model.cell.step(Tensor(np.ascontiguousarray(scaled[:, t])), h, c)
@@ -156,6 +156,32 @@ def test_encode_context_batch_matches_step_loop(pooling):
     for name in fused:
         assert fused[name].dtype == np.float32
         assert np.abs(fused[name] - reference[name]).max() <= 1e-5, name
+
+
+@pytest.mark.parametrize("dtype, batch, steps, feature_dim, hidden", [
+    pytest.param(np.float32, 64, 8, 32, 256, id="train-shape"),
+    pytest.param(np.float32, 256, 8, 32, 256, id="eval-shape"),
+    pytest.param(np.float64, 5, 7, 6, 8, id="float64")])
+def test_last_step_readout_is_bit_identical_to_one_hot_pooling(dtype, batch, steps,
+                                                                feature_dim, hidden):
+    model = NextShotModel(feature_dim, hidden_dim=hidden, scorer_widths=(8,), seed=23,
+                          input_scale=1.3)
+    cell = model.cell
+    cell.weights = Tensor(cell.weights.data.astype(dtype), requires_grad=True)
+    cell.bias = Tensor(cell.bias.data.astype(dtype), requires_grad=True)
+    rng = np.random.default_rng(24)
+    contexts = rng.normal(0, 1, (batch, steps, feature_dim)).astype(np.float32)
+    coef = Tensor(rng.normal(0, 1, (batch, hidden)).astype(dtype))
+    runs = []
+    for encode in (model.encode_context_batch, lambda c: one_hot_context_batch(model, c)):
+        cell.weights.grad = cell.bias.grad = None
+        u = encode(contexts)
+        ad.sum_all(ad.hadamard(u, coef)).backward()
+        runs.append({"u": u.data, "weights": cell.weights.grad, "bias": cell.bias.grad})
+    for name, got in runs[0].items():
+        want = runs[1][name]
+        assert got.dtype == want.dtype == dtype, name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 # -- candidate scoring --------------------------------------------------------------
@@ -340,7 +366,7 @@ def test_generate_questions_deterministic_files(tmp_path):
        setting=st.sampled_from([IN_MOVIE, CROSS_MOVIE]),
        mctx=st.integers(1, 6), n_candidates=st.integers(2, 12),
        stride=st.one_of(st.none(), st.integers(1, 8)),
-       radius=st.integers(-1, 14), seed=st.integers(0, 2**31 - 1),
+       radius=st.integers(0, 14), seed=st.integers(0, 2**31 - 1),
        pool=st.sampled_from(["default", "all", "omit-first", "absent-movie"]))
 @settings(max_examples=150, deadline=None)
 def test_generate_questions_matches_pool_oracle(tmp_path_factory, lengths, setting, mctx,
