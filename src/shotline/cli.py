@@ -21,23 +21,15 @@ import numpy as np
 DEFAULTS = {
     "seed": 0,
     # sampling and dimensions
-    "frames_per_shot": 3,
     "shots_per_video": 8,
     "proj_dim": 64,
-    # segmentation
-    "seg_window": 24,
-    "seg_threshold_scale": 4.0,
-    "seg_min_shot_len": 8,
-    "seg_floor": 0.2,
     # tag training
     "epochs": 12,
     "batch_size": 16,
     "learning_rate": 0.05,
     "momentum": 0.9,
-    "genre_weight": 0.5,
     "tag_lstm_hidden": 64,
     "tag_lstm_epochs": 6,
-    "tag_lstm_learning_rate": 0.05,
     # next-shot prediction
     "mctx": 8,
     "candidates": 32,
@@ -50,9 +42,6 @@ DEFAULTS = {
     "temporal_learning_rate": 0.3,
     # question answering
     "qa_epochs": 40,
-    "qa_batch_size": 32,
-    "qa_learning_rate": 0.05,
-    "qa_patience": 5,
     "embed_dim": 300,
     # splits
     "split_ratios": "0.7,0.1,0.2",
@@ -65,17 +54,12 @@ DEFAULTS = {
     "self_transition": 0.6,
     "successor_mass": 0.3,
     "noise_sigma": 0.15,
-    "prototype_max_cos": 0.3,
-    "tag_threshold": 0.1,
     "movie_len_min": 120,
     "movie_len_max": 300,
-    "trailer_len_min": 15,
-    "trailer_len_max": 40,
     "movie_topic_count": 0,
     "movie_style_sigma": 0.0,
     "keyword_prob": 0.5,
     "trailer_fraction": 0.5,
-    "trailer_shuffle": 1,
     # reporting
     "top_shots": 5,
 }
@@ -140,19 +124,14 @@ def _record_run(run_log: str, command: str, config: dict, inputs: list, outputs:
         fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _widths(text: str) -> tuple[int, ...]:
-    return tuple(int(w) for w in text.split(",") if w.strip())
-
-
-def _ratios(text: str) -> tuple[float, ...]:
-    return tuple(float(r) for r in text.split(","))
-
-
-def _segmenter_params(config: dict):
-    from .segment import SegmenterParams
-    return SegmenterParams(
-        window=config["seg_window"], threshold_scale=config["seg_threshold_scale"],
-        min_shot_len=config["seg_min_shot_len"], score_floor=config["seg_floor"])
+def _numbers(config: dict, key: str, kind: type) -> tuple:
+    """config[key], a comma-separated list, as a tuple of kind; blank items are
+    skipped. An item that does not parse raises ValueError naming the key."""
+    text = config[key]
+    try:
+        return tuple(kind(item) for item in text.split(",") if item.strip())
+    except ValueError:
+        raise ValueError(f"cannot parse {key}={text!r} as a list of {kind.__name__}") from None
 
 
 def _world_config(config: dict):
@@ -161,14 +140,12 @@ def _world_config(config: dict):
         topics=config["topics"], feature_dim=config["feature_dim"],
         n_movies=config["movies"], n_trailers=config["trailers"],
         self_transition=config["self_transition"], successor_mass=config["successor_mass"],
-        noise_sigma=config["noise_sigma"], prototype_max_cos=config["prototype_max_cos"],
-        tag_threshold=config["tag_threshold"],
+        noise_sigma=config["noise_sigma"],
         movie_len=(config["movie_len_min"], config["movie_len_max"]),
-        trailer_len=(config["trailer_len_min"], config["trailer_len_max"]),
         movie_topic_count=config["movie_topic_count"],
         movie_style_sigma=config["movie_style_sigma"],
         keyword_prob=config["keyword_prob"], trailer_fraction=config["trailer_fraction"],
-        trailer_shuffle=bool(config["trailer_shuffle"]), seed=config["seed"])
+        seed=config["seed"])
 
 
 def _tag_config(config: dict):
@@ -176,9 +153,22 @@ def _tag_config(config: dict):
     return TagTrainConfig(
         epochs=config["epochs"], batch_size=config["batch_size"],
         learning_rate=config["learning_rate"], momentum=config["momentum"],
-        shots_per_video=config["shots_per_video"], genre_weight=config["genre_weight"],
-        lstm_hidden=config["tag_lstm_hidden"], lstm_epochs=config["tag_lstm_epochs"],
-        lstm_learning_rate=config["tag_lstm_learning_rate"])
+        shots_per_video=config["shots_per_video"],
+        lstm_hidden=config["tag_lstm_hidden"], lstm_epochs=config["tag_lstm_epochs"])
+
+
+def _temporal_config(config: dict):
+    from .temporal import TemporalTrainConfig
+    return TemporalTrainConfig(
+        epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
+        learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
+        hidden_dim=config["hidden_dim"], scorer_widths=_numbers(config, "scorer_widths", int))
+
+
+def _qa_config(config: dict):
+    from .qa import QaTrainConfig
+    return QaTrainConfig(epochs=config["qa_epochs"], momentum=config["momentum"],
+                         scorer_widths=_numbers(config, "scorer_widths", int))
 
 
 def _curves(history: dict) -> dict:
@@ -233,7 +223,7 @@ def cmd_segment(args, config):
     from . import segment
     from .frames import read_fseq
     seq = read_fseq(args.input)
-    shots = segment.detect_shots(seq, _segmenter_params(config), video_id=args.video_id)
+    shots = segment.detect_shots(seq, video_id=args.video_id)
     segment.write_shot_list(args.output, shots)
     print(f"segment\t{args.video_id}\t{len(shots)} shots", file=sys.stderr)
     return [args.input], [args.output], {"frames": seq.frame_count, "shots": len(shots)}
@@ -246,7 +236,7 @@ def cmd_extract(args, config):
     from .frames import read_fseq
     seq = read_fseq(args.input)
     shots = segment.read_shot_list(args.shots)
-    store = extract_features(seq, shots, HistogramEdgeExtractor(), m=config["frames_per_shot"])
+    store = extract_features(seq, shots, HistogramEdgeExtractor())
     write_shtf(args.output, store)
     print(f"extract\t{len(store)} shot features\tdim {store.dim}", file=sys.stderr)
     return [args.input, args.shots], [args.output], {"shots": len(shots)}
@@ -255,9 +245,10 @@ def cmd_extract(args, config):
 def cmd_synth(args, config):
     from . import corpus
     from .features import write_shtf
+    world_config = _world_config(config)  # checked before the output directory is made
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    world, videos, store, entries = corpus.generate_world(_world_config(config))
+    world, videos, store, entries = corpus.generate_world(world_config)
     features_path = out / "features.shtf"
     for entry in entries:
         entry.path = features_path.name
@@ -274,9 +265,8 @@ def cmd_split(args, config):
     from . import corpus
     vocabulary = corpus.TagVocabulary.load(args.vocab) if args.vocab else None
     entries = corpus.load_manifest(args.manifest, vocabulary)
-    sizes = tuple(int(s) for s in config["trailer_subsets"].split(",") if s.strip())
-    split = corpus.make_splits(entries, _ratios(config["split_ratios"]),
-                               config["seed"], subset_sizes=sizes)
+    split = corpus.make_splits(entries, _numbers(config, "split_ratios", float), config["seed"],
+                               subset_sizes=_numbers(config, "trailer_subsets", int))
     split.save(args.output)
     print(f"split\t{len(split.train_movies)}/{len(split.val_movies)}/"
           f"{len(split.test_movies)} movies\t{len(split.trailer_pool)} trailers eligible",
@@ -402,11 +392,7 @@ def cmd_train_temporal(args, config):
                           "questions")
     val_questions = (_nonempty(temporal.read_questions(args.val_questions, store),
                                args.val_questions, "questions") if args.val_questions else None)
-    t_config = temporal.TemporalTrainConfig(
-        epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
-        learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
-        hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]))
-    model, history = temporal.train_next_shot(questions, t_config, config["seed"],
+    model, history = temporal.train_next_shot(questions, _temporal_config(config), config["seed"],
                                               val_questions=val_questions)
     save_checkpoint(args.output, model.state())
     val = f"\tval {history['val_accuracy'][-1]:.4f}" if val_questions is not None else ""
@@ -428,7 +414,7 @@ def cmd_eval_temporal(args, config):
         _check_width(args, model.feature_dim, store)
     else:
         model = temporal.NextShotModel(
-            store.dim, config["hidden_dim"], _widths(config["scorer_widths"]),
+            store.dim, config["hidden_dim"], _numbers(config, "scorer_widths", int),
             seed=derive_rng(config["seed"], "nextshot.init").integers(2**32),
             input_scale=temporal._unit_rms_scale(store))
     questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
@@ -463,11 +449,7 @@ def cmd_train_qa(args, config):
     val_items = (_nonempty(qa.read_qa_items(args.val_items, store), args.val_items, "items")
                  if args.val_items else None)
     provider = _provider(args, config)
-    qa_config = qa.QaTrainConfig(
-        epochs=config["qa_epochs"], batch_size=config["qa_batch_size"],
-        learning_rate=config["qa_learning_rate"], momentum=config["momentum"],
-        scorer_widths=_widths(config["scorer_widths"]), patience=config["qa_patience"])
-    model, history = qa.train_qa(items, provider, store, qa_config, config["seed"],
+    model, history = qa.train_qa(items, provider, store, _qa_config(config), config["seed"],
                                  val_items=val_items)
     save_checkpoint(args.output, model.state())
     print(f"train-qa\t{len(items)} items\tloss "

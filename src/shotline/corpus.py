@@ -109,6 +109,9 @@ def load_manifest(path, vocabulary: TagVocabulary | None = None) -> list[VideoMa
 
 # -- synthetic world -------------------------------------------------------
 
+PROTOTYPE_MAX_COS = 0.3     # pairwise cosine bound between topic prototypes
+TAG_THRESHOLD = 0.10        # share of a video's shots a topic needs to tag it
+
 
 @dataclass
 class SyntheticWorldConfig:
@@ -119,20 +122,19 @@ class SyntheticWorldConfig:
     self_transition: float = 0.6
     successor_mass: float = 0.3
     noise_sigma: float = 0.15
-    prototype_max_cos: float = 0.3
-    tag_threshold: float = 0.10
     movie_len: tuple[int, int] = (120, 300)
     trailer_len: tuple[int, int] = (15, 40)
     movie_topic_count: int = 0          # 0 means every movie may visit all topics
     movie_style_sigma: float = 0.0      # per-movie additive style offset
     keyword_prob: float = 0.5
     trailer_fraction: float = 0.5       # share of most-distinctive shots eligible
-    trailer_shuffle: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.topics < 1 or self.feature_dim < 1:
             raise ValueError("topics and feature_dim must be positive")
+        if self.n_movies < 1:
+            raise ValueError(f"n_movies must be at least 1, got {self.n_movies}")
         if not 0.0 < self.self_transition < 1.0:
             raise ValueError("self_transition must be in (0, 1)")
         if self.successor_mass < 0 or self.self_transition + self.successor_mass > 1.0:
@@ -141,7 +143,9 @@ class SyntheticWorldConfig:
             raise ValueError("length ranges must be (low <= high)")
         if not 0.0 < self.trailer_fraction <= 1.0:
             raise ValueError("trailer_fraction must be in (0, 1]")
-        for name in ("n_trailers", "noise_sigma", "movie_style_sigma"):
+        if not 0.0 <= self.keyword_prob <= 1.0:
+            raise ValueError(f"keyword_prob must be in [0, 1], got {self.keyword_prob}")
+        for name in ("n_trailers", "noise_sigma", "movie_style_sigma", "movie_topic_count"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
@@ -264,7 +268,7 @@ class SyntheticWorld:
         self.config = config
         rng = derive_rng(config.seed, "world")
         self.prototypes = make_prototypes(config.topics, config.feature_dim,
-                                          config.prototype_max_cos, rng)
+                                          PROTOTYPE_MAX_COS, rng)
         self.transition, self.successor = make_transition(
             config.topics, config.self_transition, config.successor_mass, rng)
         genres = [f"genre{t:02d}" for t in range(config.topics)]
@@ -282,7 +286,7 @@ class SyntheticWorld:
         share = counts / chain.size
         genres, keywords = set(), set()
         for t in range(self.config.topics):
-            if share[t] >= self.config.tag_threshold:
+            if share[t] >= TAG_THRESHOLD:
                 genre, keyword = self.topic_tags(t)
                 genres.add(genre)
                 if keyword is not None:
@@ -314,7 +318,7 @@ class SyntheticWorld:
         """Compile a trailer from the movie's most distinctive shots.
 
         Distinctiveness is distance from the movie's mean feature. The
-        sampled shots are shuffled (by default), destroying the source
+        sampled shots are shuffled, destroying the source
         ordering while keeping the movie's tags.
         """
         cfg = self.config
@@ -327,8 +331,7 @@ class SyntheticWorld:
         order = np.lexsort((np.arange(n), -distance))
         pool = order[:max(length, math.ceil(n * cfg.trailer_fraction))]
         chosen = np.sort(rng.choice(pool, size=length, replace=False))
-        if cfg.trailer_shuffle:
-            chosen = chosen[rng.permutation(length)]
+        chosen = chosen[rng.permutation(length)]
         return SyntheticVideo(
             video_id, "trailer", movie.features[chosen].copy(), movie.topics[chosen].copy(),
             set(movie.genres), set(movie.keywords),

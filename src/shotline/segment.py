@@ -16,6 +16,7 @@ from .binio import read_tsv
 from .frames import FrameSequence
 
 CHI_SQUARE_EPS = 1e-10
+SCORE_FLOOR = 0.2       # a cut's boundary score must also exceed this absolute floor
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,13 @@ class SegmenterParams:
     window: int = 24
     threshold_scale: float = 4.0
     min_shot_len: int = 8
-    score_floor: float = 0.2
 
     def __post_init__(self):
         for name in ("hue_bins", "sat_bins", "val_bins", "window", "min_shot_len"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.threshold_scale <= 0 or self.score_floor <= 0:
-            raise ValueError("threshold_scale and score_floor must be positive")
+        if self.threshold_scale <= 0:
+            raise ValueError("threshold_scale must be positive")
 
     @property
     def total_bins(self) -> int:
@@ -211,7 +211,7 @@ def detect_shots(seq: FrameSequence, params: SegmenterParams | None = None,
     scores = boundary_scores(sequence_histograms(seq, params))
 
     cuts = (np.flatnonzero((scores > cut_thresholds(scores, params))
-                           & (scores > params.score_floor)) + 1).tolist()
+                           & (scores > SCORE_FLOOR)) + 1).tolist()
     bounds = [0] + cuts + [total]
     spans = [[bounds[i], bounds[i + 1]] for i in range(len(bounds) - 1)]
 

@@ -24,6 +24,8 @@ from .rng import derive_rng
 # Checkpoint code of the scoring mode, stored as tags.scoring: tag scores are
 # always per-label sigmoids, so only code 0 loads.
 SCORINGS = ("sigmoid",)
+# Loss mix of multitask_loss: the genre term's weight; keywords get the rest.
+GENRE_WEIGHT = 0.5
 
 
 @dataclass
@@ -40,7 +42,6 @@ class TagTrainConfig:
     learning_rate: float = 0.05
     momentum: float = 0.9
     shots_per_video: int = 8
-    genre_weight: float = 0.5       # loss mix: genre term weight, keywords get the rest
     lstm_hidden: int = 64
     lstm_epochs: int = 6
     lstm_learning_rate: float = 0.05
@@ -199,7 +200,7 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
         kw_rows = [row for row, i in enumerate(batch) if entries[i].keywords]
         genre_logits, kw_logits = model.batch_logits(pooled, kw_rows)
         return multitask_loss(genre_logits, [truths[i][0] for i in batch], kw_logits,
-                              [truths[batch[r]][1] for r in kw_rows], config.genre_weight)
+                              [truths[batch[r]][1] for r in kw_rows], GENRE_WEIGHT)
 
     history = fit(model.parameters(), len(entries), config.epochs, config.batch_size,
                   config.learning_rate, config.momentum,
@@ -280,7 +281,7 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
         truth = [truths[e.video_id] for e in batch]
         genre_logits, kw_logits = lstm.head_logits(pooled, len(batch))
         return multitask_loss(genre_logits, [g for g, _ in truth], kw_logits,
-                              [truth[row][1] for row in kw_rows], config.genre_weight)
+                              [truth[row][1] for row in kw_rows], GENRE_WEIGHT)
 
     history = fit(lstm.parameters(), len(entries), config.lstm_epochs, config.batch_size,
                   config.lstm_learning_rate, config.momentum,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from shotline import corpus, qa, tags, temporal
 from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
-from shotline.cli import _widths, build_parser, load_config, main
+from shotline.cli import (_numbers, _qa_config, _tag_config, _temporal_config, _world_config,
+                          build_parser, load_config, main)
 from shotline.features import FeatureStore, read_shtf, write_shtf
 from shotline.frames import FrameSequence, write_fseq
 from shotline.metrics import write_metrics
@@ -677,8 +679,13 @@ def test_gen_questions_rejects_a_negative_stride_or_radius(tmp_path, capsys, key
         f"error\tValueError\tgenerate_questions: {key} must not be negative, got {value}")
 
 
-@pytest.mark.parametrize("key, value", [("context_pooling", "mean"), ("scoring", "softmax"),
-                                        ("map_axis", "video"), ("recall_k", "5")])
+@pytest.mark.parametrize("key, value", [
+    ("context_pooling", "mean"), ("scoring", "softmax"), ("map_axis", "video"), ("recall_k", "5"),
+    ("frames_per_shot", "3"), ("seg_window", "24"), ("seg_threshold_scale", "4.0"),
+    ("seg_min_shot_len", "8"), ("seg_floor", "0.2"), ("genre_weight", "0.5"),
+    ("tag_lstm_learning_rate", "0.05"), ("qa_batch_size", "32"), ("qa_learning_rate", "0.05"),
+    ("qa_patience", "5"), ("prototype_max_cos", "0.3"), ("tag_threshold", "0.1"),
+    ("trailer_len_min", "15"), ("trailer_len_max", "40"), ("trailer_shuffle", "1")])
 def test_a_removed_config_key_is_unknown(tmp_path, capsys, key, value):
     config = tmp_path / "c.cfg"
     config.write_text(f"{key}={value}\n")
@@ -690,6 +697,53 @@ def test_a_removed_config_key_is_unknown(tmp_path, capsys, key, value):
         assert (capsys.readouterr().err.splitlines()[-1]
                 == f"error\tValueError\t{where}: unknown config key {key!r}")
     assert not (tmp_path / "world").exists() and not (tmp_path / "log.jsonl").exists()
+
+
+def test_the_cli_defaults_are_the_library_defaults():
+    config = load_config(None, [])
+    for built, default in ((_world_config(config), corpus.SyntheticWorldConfig()),
+                           (_tag_config(config), tags.TagTrainConfig()),
+                           (_temporal_config(config), temporal.TemporalTrainConfig()),
+                           (_qa_config(config), qa.QaTrainConfig())):
+        for field in dataclasses.fields(default):
+            assert (repr(getattr(built, field.name))
+                    == repr(getattr(default, field.name))), (type(default).__name__, field.name)
+
+
+@pytest.mark.parametrize("text, kind, parsed", [
+    ("", int, ()), ("64,16", int, (64, 16)), ("64,16,", int, (64, 16)), ("2, 5", int, (2, 5)),
+    ("0.6,0.2,0.2", float, (0.6, 0.2, 0.2))])
+def test_a_list_setting_parses_to_a_tuple(text, kind, parsed):
+    assert _numbers({"key": text}, "key", kind) == parsed
+
+
+def test_a_list_setting_that_does_not_parse_is_named(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=4)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 4]
+    assert run_cli(*base, "gen-questions", "--features", world / "features.shtf",
+                   "--split", world / "split.json", "--output", world / "q.tsv") == 0
+    split_args = ["--manifest", world / "manifest.jsonl", "--output", world / "s.json"]
+    temporal_args = ["--features", world / "features.shtf", "--questions", world / "q.tsv",
+                     "--output", world / "t.stln"]
+    for key, value, kind, command, args, output in [
+            ("split_ratios", "0.6,x,0.2", "float", "split", split_args, world / "s.json"),
+            ("trailer_subsets", "2,x", "int", "split", split_args, world / "s.json"),
+            ("scorer_widths", "64,x", "int", "train-temporal", temporal_args, world / "t.stln")]:
+        _assert_fails_writing_nothing(
+            capsys, [*base, "--set", f"{key}={value}"], command, args, [output],
+            f"error\tValueError\tcannot parse {key}={value!r} as a list of {kind}")
+
+
+@pytest.mark.parametrize("setting, error", [
+    ("movies=0", "n_movies must be at least 1, got 0"),
+    ("keyword_prob=1.5", "keyword_prob must be in [0, 1], got 1.5"),
+    ("movie_topic_count=-2", "movie_topic_count must not be negative, got -2")])
+def test_synth_rejects_an_out_of_range_world_setting(tmp_path, capsys, setting, error):
+    log = tmp_path / "log.jsonl"
+    log.write_text("")
+    _assert_fails_writing_nothing(
+        capsys, ["--run-log", log, "--config", TINY, "--seed", 1, "--set", setting], "synth",
+        ["--out-dir", tmp_path / "world"], [tmp_path / "world"], f"error\tValueError\t{error}")
 
 
 def test_wall_time_survives_a_clock_that_steps_back(tmp_path, monkeypatch):
@@ -905,11 +959,8 @@ def test_next_shot_commands_match_the_per_question_oracle_path(tmp_path):
         assert ((tmp_path / f"{subset}_q.tsv").read_bytes()
                 == (world / f"{subset}_q.tsv").read_bytes()), subset
         oracle[subset] = questions
-    t_config = temporal.TemporalTrainConfig(
-        epochs=config["temporal_epochs"], batch_size=config["temporal_batch_size"],
-        learning_rate=config["temporal_learning_rate"], momentum=config["momentum"],
-        hidden_dim=config["hidden_dim"], scorer_widths=_widths(config["scorer_widths"]))
-    model, _ = temporal.train_next_shot(oracle_set(store, oracle["train"]), t_config, seed)
+    model, _ = temporal.train_next_shot(oracle_set(store, oracle["train"]),
+                                        _temporal_config(config), seed)
     save_checkpoint(tmp_path / "temporal.stln", model.state())
     assert (tmp_path / "temporal.stln").read_bytes() == (world / "temporal.stln").read_bytes()
 

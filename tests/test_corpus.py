@@ -170,11 +170,16 @@ def test_generate_world_equals_the_stepwise_walk(monkeypatch, overrides):
     assert entries == ref_entries
 
 
-@pytest.mark.parametrize("field, value", [("noise_sigma", -0.5), ("movie_style_sigma", -0.1),
-                                          ("n_trailers", -4)])
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", -0.5), ("movie_style_sigma", -0.1), ("n_trailers", -4),
+    ("movie_topic_count", -2), ("n_movies", 0), ("n_movies", -2), ("keyword_prob", -1.0),
+    ("keyword_prob", 1.5)])
 def test_world_config_rejects_a_negative_sigma_or_trailer_count(field, value):
-    with pytest.raises(ValueError, match=rf"^{field} must not be negative, got {value}$"):
+    bound = {"n_movies": "be at least 1", "keyword_prob": "be in [0, 1]"}.get(
+        field, "not be negative")
+    with pytest.raises(ValueError) as caught:
         SyntheticWorldConfig(**{field: value})
+    assert str(caught.value) == f"{field} must {bound}, got {value}"
 
 
 def test_movie_sigma_zero_single_topic_equals_prototype():

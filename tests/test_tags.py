@@ -6,7 +6,7 @@ from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.corpus import SyntheticWorldConfig, TagVocabulary, VideoManifestEntry, generate_world
 from shotline.features import FeatureStore
 from shotline.metrics import write_metrics
-from shotline.tags import (TagLstm, TagModel, TagTrainConfig, infer_feature_lstm,
+from shotline.tags import (GENRE_WEIGHT, TagLstm, TagModel, TagTrainConfig, infer_feature_lstm,
                            infer_score_average, multitask_loss, sample_shots,
                            shot_tag_response, top_shots, train_tag_lstm, train_tags,
                            write_predictions)
@@ -427,7 +427,7 @@ def per_video_tag_lstm(entries, store, config, seed):
             loss = multitask_loss(
                 genre_logits, [{VOCAB.genre_index[g] for g in e.genres} for e in batch],
                 kw_logits, [{VOCAB.keyword_index[k] for k in e.keywords} for _, e in kw],
-                config.genre_weight)
+                GENRE_WEIGHT)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -559,7 +559,7 @@ def per_video_train_tags(entries, store, config, seed, proj_dim):
             loss = multitask_loss(
                 genre, [{VOCAB.genre_index[g] for g in e.genres} for e in batch], keyword,
                 [{VOCAB.keyword_index[k] for k in batch[r].keywords} for r in kw_rows],
-                config.genre_weight)
+                GENRE_WEIGHT)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
