@@ -231,12 +231,12 @@ def cmd_segment(args, config):
 
 def cmd_extract(args, config):
     from . import segment
-    from .encoder import HistogramEdgeExtractor, extract_features
+    from .encoder import extract_features
     from .features import write_shtf
     from .frames import read_fseq
     seq = read_fseq(args.input)
     shots = segment.read_shot_list(args.shots)
-    store = extract_features(seq, shots, HistogramEdgeExtractor())
+    store = extract_features(seq, shots)
     write_shtf(args.output, store)
     print(f"extract\t{len(store)} shot features\tdim {store.dim}", file=sys.stderr)
     return [args.input, args.shots], [args.output], {"shots": len(shots)}
@@ -407,16 +407,9 @@ def cmd_eval_temporal(args, config):
     from . import temporal
     from .features import read_shtf
     from .metrics import write_metrics
-    from .rng import derive_rng
     store = read_shtf(args.features)
-    if args.model:
-        model = _from_checkpoint(args.model, temporal.NextShotModel.from_state)
-        _check_width(args, model.feature_dim, store)
-    else:
-        model = temporal.NextShotModel(
-            store.dim, config["hidden_dim"], _numbers(config, "scorer_widths", int),
-            seed=derive_rng(config["seed"], "nextshot.init").integers(2**32),
-            input_scale=temporal._unit_rms_scale(store))
+    model = _from_checkpoint(args.model, temporal.NextShotModel.from_state)
+    _check_width(args, model.feature_dim, store)
     questions = _nonempty(temporal.read_questions(args.questions, store), args.questions,
                           "questions to evaluate")
     probs = temporal.predict_probabilities(model, questions)
@@ -436,8 +429,7 @@ def cmd_eval_temporal(args, config):
     write_metrics(args.metrics, metrics)
     for key in sorted(metrics):
         print(f"metric\t{key}\t{metrics[key]:.6f}", file=sys.stderr)
-    inputs = [args.features, args.questions] + ([args.model] if args.model else [])
-    return inputs, [args.results, args.metrics]
+    return [args.features, args.questions, args.model], [args.results, args.metrics]
 
 
 def cmd_train_qa(args, config):
@@ -582,9 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-temporal", help="accuracy per setting, model and baseline")
     p.add_argument("--features", required=True)
     p.add_argument("--questions", required=True)
-    p.add_argument("--model")
-    p.add_argument("--random-init", action="store_true",
-                   help="evaluate an untrained model instead of a checkpoint")
+    p.add_argument("--model", required=True)
     p.add_argument("--results", required=True)
     p.add_argument("--metrics", required=True)
     p.set_defaults(handler=cmd_eval_temporal)
@@ -625,10 +615,6 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, args.set)
         if args.seed is not None:
             config["seed"] = args.seed
-        if getattr(args, "model", None) and getattr(args, "random_init", False):
-            raise ValueError("pass either --model or --random-init, not both")
-        if args.command == "eval-temporal" and not args.model and not args.random_init:
-            raise ValueError("eval-temporal needs --model or --random-init")
         _echo_config(config)
         started = time.perf_counter()
         # a handler returns (inputs, outputs) and optionally a report for the manifest row

@@ -111,6 +111,7 @@ def load_manifest(path, vocabulary: TagVocabulary | None = None) -> list[VideoMa
 
 PROTOTYPE_MAX_COS = 0.3     # pairwise cosine bound between topic prototypes
 TAG_THRESHOLD = 0.10        # share of a video's shots a topic needs to tag it
+TRAILER_LEN = (15, 40)      # shots per trailer, drawn uniformly from this closed range
 
 
 @dataclass
@@ -123,7 +124,6 @@ class SyntheticWorldConfig:
     successor_mass: float = 0.3
     noise_sigma: float = 0.15
     movie_len: tuple[int, int] = (120, 300)
-    trailer_len: tuple[int, int] = (15, 40)
     movie_topic_count: int = 0          # 0 means every movie may visit all topics
     movie_style_sigma: float = 0.0      # per-movie additive style offset
     keyword_prob: float = 0.5
@@ -139,8 +139,8 @@ class SyntheticWorldConfig:
             raise ValueError("self_transition must be in (0, 1)")
         if self.successor_mass < 0 or self.self_transition + self.successor_mass > 1.0:
             raise ValueError("self_transition + successor_mass must not exceed 1")
-        if self.movie_len[0] > self.movie_len[1] or self.trailer_len[0] > self.trailer_len[1]:
-            raise ValueError("length ranges must be (low <= high)")
+        if self.movie_len[0] > self.movie_len[1]:
+            raise ValueError("movie_len must be (low <= high)")
         if not 0.0 < self.trailer_fraction <= 1.0:
             raise ValueError("trailer_fraction must be in (0, 1]")
         if not 0.0 <= self.keyword_prob <= 1.0:
@@ -148,6 +148,9 @@ class SyntheticWorldConfig:
         for name in ("n_trailers", "noise_sigma", "movie_style_sigma", "movie_topic_count"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.movie_topic_count > self.topics:
+            raise ValueError(f"movie_topic_count must not exceed topics ({self.topics}), "
+                             f"got {self.movie_topic_count}")
 
 
 def make_prototypes(count: int, dim: int, max_cos: float, rng: np.random.Generator) -> np.ndarray:
@@ -322,7 +325,7 @@ class SyntheticWorld:
         ordering while keeping the movie's tags.
         """
         cfg = self.config
-        length = int(rng.integers(cfg.trailer_len[0], cfg.trailer_len[1] + 1))
+        length = int(rng.integers(TRAILER_LEN[0], TRAILER_LEN[1] + 1))
         n = movie.features.shape[0]
         if n <= length:
             raise ValueError(f"movie {movie.video_id!r} too short to cut a {length}-shot trailer")
@@ -414,8 +417,10 @@ def make_splits(entries: list[VideoManifestEntry], ratios: tuple[float, float, f
     of one shuffled pool, so a larger subset strictly extends a smaller
     one.
     """
+    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"split_ratios must be three values in [0, 1], got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+        raise ValueError(f"split_ratios must sum to 1, got {ratios}")
     movie_ids = [e.video_id for e in entries if e.kind == "movie"]
     if not movie_ids:
         raise ValueError("make_splits: manifest has no movies")

@@ -8,15 +8,17 @@ import numpy as np
 
 from .features import FeatureStore
 from .frames import FrameSequence
-from .segment import SegmenterParams, Shot, frame_histogram
+from .segment import Shot, frame_histogram
+
+FRAMES_PER_SHOT = 3  # frames sampled and averaged per shot
 
 
-def sample_frames(shot: Shot, m: int) -> list[int]:
-    """Pick m frame indices from a shot: the center frame of each of m equal
-    segments. Shots shorter than m repeat indices by the same arithmetic."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return [shot.start + (2 * i + 1) * shot.length // (2 * m) for i in range(m)]
+def sample_frames(shot: Shot) -> list[int]:
+    """Pick FRAMES_PER_SHOT frame indices from a shot: the center frame of
+    each of that many equal segments. Shorter shots repeat indices by the
+    same arithmetic."""
+    return [shot.start + (2 * i + 1) * shot.length // (2 * FRAMES_PER_SHOT)
+            for i in range(FRAMES_PER_SHOT)]
 
 
 class HistogramEdgeExtractor:
@@ -28,11 +30,10 @@ class HistogramEdgeExtractor:
     """
 
     dim = 138
-    params = SegmenterParams()
 
     def describe(self, frame: np.ndarray) -> np.ndarray:
         """The 138-value descriptor of one RGB frame."""
-        hsv = frame_histogram(frame, self.params)
+        hsv = frame_histogram(frame)
         gray = np.asarray(frame, dtype=np.float64).mean(axis=2)
         gy, gx = np.gradient(gray)
         magnitude = np.hypot(gx, gy)
@@ -48,17 +49,18 @@ class HistogramEdgeExtractor:
         return np.concatenate([hsv, orient, moments]).astype(np.float32)
 
 
-def extract_features(seq: FrameSequence, shots: list[Shot], extractor, m: int = 3) -> FeatureStore:
+def extract_features(seq: FrameSequence, shots: list[Shot]) -> FeatureStore:
     """Deterministic (center-frame) shot descriptors for the cache.
 
     Every shot must lie inside the clip; one that does not raises.
     """
+    extractor = HistogramEdgeExtractor()
     store = FeatureStore(extractor.dim)
     for shot in shots:
         if shot.start < 0 or shot.end > seq.frame_count:
             raise ValueError(f"shot {shot.video_id}#{shot.ordinal} [{shot.start}, {shot.end}) "
                              f"lies outside the clip of {seq.frame_count} frames")
-        picks = sample_frames(shot, m)
+        picks = sample_frames(shot)
         raw = np.stack([extractor.describe(seq.frame(i)) for i in picks])
         store.add(shot.video_id, shot.ordinal, raw.mean(axis=0))
     return store

@@ -91,9 +91,6 @@ class FeatureStore:
             video_id, ordinal = exc.args[0]
             raise KeyError(f"no feature for shot {video_id}#{ordinal}") from None
 
-    def get(self, video_id: str, ordinal: int) -> np.ndarray:
-        return self._buffer[self.row_indices([(video_id, ordinal)])[0]]
-
     def shot_count(self, video_id: str) -> int:
         return len(self._video_rows.get(video_id, ()))
 
@@ -118,10 +115,6 @@ class FeatureStore:
     def keys(self) -> list[ShotId]:
         """(video_id, ordinal) of every row, in record order."""
         return list(self._keys)
-
-    def items(self):
-        for row, key in enumerate(self._keys):
-            yield key, self._buffer[row]
 
     def rows(self, keys) -> np.ndarray:
         return self._buffer[self.row_indices(keys)]

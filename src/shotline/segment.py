@@ -16,28 +16,12 @@ from .binio import read_tsv
 from .frames import FrameSequence
 
 CHI_SQUARE_EPS = 1e-10
+HUE_BINS, SAT_BINS, VAL_BINS = 8, 4, 4  # joint HSV histogram bins per channel
+TOTAL_BINS = HUE_BINS * SAT_BINS * VAL_BINS
+WINDOW = 24             # trailing boundary scores behind a cut's adaptive threshold
+THRESHOLD_SCALE = 4.0   # standard deviations above the window mean a cut must reach
 SCORE_FLOOR = 0.2       # a cut's boundary score must also exceed this absolute floor
-
-
-@dataclass(frozen=True)
-class SegmenterParams:
-    hue_bins: int = 8
-    sat_bins: int = 4
-    val_bins: int = 4
-    window: int = 24
-    threshold_scale: float = 4.0
-    min_shot_len: int = 8
-
-    def __post_init__(self):
-        for name in ("hue_bins", "sat_bins", "val_bins", "window", "min_shot_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.threshold_scale <= 0:
-            raise ValueError("threshold_scale must be positive")
-
-    @property
-    def total_bins(self) -> int:
-        return self.hue_bins * self.sat_bins * self.val_bins
+MIN_SHOT_LEN = 8        # shorter shots merge into a neighbour
 
 
 @dataclass(frozen=True, order=True)
@@ -68,9 +52,9 @@ HISTOGRAM_CHUNK = 16
 _HUE_OFFSETS = np.array([0.0, 6.0, 2.0, 4.0])
 
 
-@functools.lru_cache(maxsize=8)
-def _bin_tables(params: SegmenterParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables of the HSV kernel, built once per parameter set.
+@functools.cache
+def _bin_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of the HSV kernel, built once.
 
     ``unit[x]`` is ``x / 255.0``. Indexed by ``max << 8 | min`` of a
     pixel's uint8 channels, ``safe`` is the hue divisor (the chroma, or 1
@@ -83,15 +67,15 @@ def _bin_tables(params: SegmenterParams) -> tuple[np.ndarray, np.ndarray, np.nda
     delta = mx - unit[None, :]
     safe = np.where(delta == 0, 1.0, delta)
     sat = np.where(mx > 0, delta / np.where(mx == 0, 1.0, mx), 0.0)
-    sb = np.minimum((sat * params.sat_bins).astype(np.intp), params.sat_bins - 1)
-    vb = np.minimum((mx * params.val_bins).astype(np.intp), params.val_bins - 1)
-    tables = (unit, safe.reshape(-1), (sb * params.val_bins + vb).reshape(-1))
+    sb = np.minimum((sat * SAT_BINS).astype(np.intp), SAT_BINS - 1)
+    vb = np.minimum((mx * VAL_BINS).astype(np.intp), VAL_BINS - 1)
+    tables = (unit, safe.reshape(-1), (sb * VAL_BINS + vb).reshape(-1))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
+def _bin_indices(frames: np.ndarray) -> np.ndarray:
     """Joint HSV bin index of every pixel of uint8 frames, flattened.
 
     Max, min and the hue branch are taken on the uint8 channels: ``x/255``
@@ -100,7 +84,7 @@ def _bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
     plus the branch offset, and is scaled and truncated as in the float
     formulation ``hue = 60 * (branch numerator / chroma + offset)``.
     """
-    unit, safe, sat_val = _bin_tables(params)
+    unit, safe, sat_val = _bin_tables()
     r, g, b = np.moveaxis(frames.reshape(-1, 3), -1, 0).copy()
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
@@ -124,10 +108,10 @@ def _bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
     hue += _HUE_OFFSETS.take(branch)
     hue *= 60.0
     hue /= 360.0
-    hue *= params.hue_bins
+    hue *= HUE_BINS
     idx = hue.astype(np.intp)
-    np.minimum(idx, params.hue_bins - 1, out=idx)
-    idx *= params.sat_bins * params.val_bins
+    np.minimum(idx, HUE_BINS - 1, out=idx)
+    idx *= SAT_BINS * VAL_BINS
     idx += sat_val.take(key)
     return idx
 
@@ -140,35 +124,34 @@ def _check_frames(frames: np.ndarray, ndim: int, layout: str) -> None:
                          f"got {frames.shape}")
 
 
-def _histograms(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
+def _histograms(frames: np.ndarray) -> np.ndarray:
     """Histograms of a (count, h, w, 3) uint8 stack, HISTOGRAM_CHUNK frames
     per pass, each counted with one offset bincount."""
     count, height, width, _ = frames.shape
     pixels = height * width
-    bins = params.total_bins
-    out = np.empty((count, bins))
+    out = np.empty((count, TOTAL_BINS))
     for start in range(0, count, HISTOGRAM_CHUNK):
         chunk = frames[start:start + HISTOGRAM_CHUNK]
         n = chunk.shape[0]
-        idx = _bin_indices(chunk, params).reshape(n, pixels)
-        idx += np.arange(0, n * bins, bins)[:, None]
-        counts = np.bincount(idx.reshape(-1), minlength=n * bins).reshape(n, bins)
+        idx = _bin_indices(chunk).reshape(n, pixels)
+        idx += np.arange(0, n * TOTAL_BINS, TOTAL_BINS)[:, None]
+        counts = np.bincount(idx.reshape(-1), minlength=n * TOTAL_BINS).reshape(n, TOTAL_BINS)
         np.divide(counts, pixels, out=out[start:start + n])
     return out
 
 
-def frame_histogram(frame: np.ndarray, params: SegmenterParams | None = None) -> np.ndarray:
+def frame_histogram(frame: np.ndarray) -> np.ndarray:
     """L1-normalized joint HSV histogram of one uint8 RGB frame (h, w, 3)."""
     frame = np.asarray(frame)
     _check_frames(frame, 3, "(height, width, 3)")
-    return _histograms(frame[None], params or SegmenterParams())[0]
+    return _histograms(frame[None])[0]
 
 
-def sequence_histograms(seq: FrameSequence, params: SegmenterParams) -> np.ndarray:
-    """Per-frame histograms, shape (frame_count, total_bins); row t is
+def sequence_histograms(seq: FrameSequence) -> np.ndarray:
+    """Per-frame histograms, shape (frame_count, TOTAL_BINS); row t is
     frame_histogram of frame t."""
     _check_frames(seq.frames, 4, "(count, height, width, 3)")
-    return _histograms(seq.frames, params)
+    return _histograms(seq.frames)
 
 
 def boundary_scores(hists: np.ndarray) -> np.ndarray:
@@ -178,50 +161,47 @@ def boundary_scores(hists: np.ndarray) -> np.ndarray:
     return (diff * diff / (hists[1:] + hists[:-1] + CHI_SQUARE_EPS)).sum(axis=1)
 
 
-def cut_thresholds(scores: np.ndarray, params: SegmenterParams) -> np.ndarray:
-    """Adaptive threshold of every boundary score: mean + threshold_scale * std
-    of the trailing window of up to params.window scores before it (0 for
+def cut_thresholds(scores: np.ndarray) -> np.ndarray:
+    """Adaptive threshold of every boundary score: mean + THRESHOLD_SCALE * std
+    of the trailing window of up to WINDOW scores before it (0 for
     the first score). Full windows are reduced as rows of one strided view,
     with the floats of a per-window mean() and std()."""
     thresholds = np.zeros(scores.shape[0])
-    for i in range(1, min(params.window, scores.shape[0])):
-        thresholds[i] = scores[:i].mean() + params.threshold_scale * scores[:i].std()
-    if scores.shape[0] > params.window:
-        full = np.lib.stride_tricks.sliding_window_view(scores[:-1], params.window)
-        thresholds[params.window:] = (full.mean(axis=1)
-                                      + params.threshold_scale * full.std(axis=1))
+    for i in range(1, min(WINDOW, scores.shape[0])):
+        thresholds[i] = scores[:i].mean() + THRESHOLD_SCALE * scores[:i].std()
+    if scores.shape[0] > WINDOW:
+        full = np.lib.stride_tricks.sliding_window_view(scores[:-1], WINDOW)
+        thresholds[WINDOW:] = full.mean(axis=1) + THRESHOLD_SCALE * full.std(axis=1)
     return thresholds
 
 
-def detect_shots(seq: FrameSequence, params: SegmenterParams | None = None,
-                 video_id: str = "video") -> list[Shot]:
+def detect_shots(seq: FrameSequence, video_id: str = "video") -> list[Shot]:
     """Partition a frame sequence into shots tiling [0, frame_count).
 
     A cut lands before frame t when its boundary score exceeds both the
-    adaptive threshold (mean + threshold_scale * std over the trailing
-    window of scores) and the absolute floor. Shots shorter than
-    min_shot_len are merged into their predecessor (the first shot, which
+    adaptive threshold (mean + THRESHOLD_SCALE * std over the trailing
+    WINDOW scores) and the absolute floor. Shots shorter than
+    MIN_SHOT_LEN are merged into their predecessor (the first shot, which
     has none, merges forward).
     """
-    params = params or SegmenterParams()
     total = seq.frame_count
     if total == 0:
         raise ValueError("detect_shots: empty frame sequence")
 
-    scores = boundary_scores(sequence_histograms(seq, params))
+    scores = boundary_scores(sequence_histograms(seq))
 
-    cuts = (np.flatnonzero((scores > cut_thresholds(scores, params))
+    cuts = (np.flatnonzero((scores > cut_thresholds(scores))
                            & (scores > SCORE_FLOOR)) + 1).tolist()
     bounds = [0] + cuts + [total]
     spans = [[bounds[i], bounds[i + 1]] for i in range(len(bounds) - 1)]
 
     merged: list[list[int]] = []
     for span in spans:
-        if merged and span[1] - span[0] < params.min_shot_len:
+        if merged and span[1] - span[0] < MIN_SHOT_LEN:
             merged[-1][1] = span[1]
         else:
             merged.append(span)
-    if len(merged) > 1 and merged[0][1] - merged[0][0] < params.min_shot_len:
+    if len(merged) > 1 and merged[0][1] - merged[0][0] < MIN_SHOT_LEN:
         merged[1][0] = merged[0][0]
         merged.pop(0)
 

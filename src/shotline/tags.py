@@ -26,6 +26,7 @@ from .rng import derive_rng
 SCORINGS = ("sigmoid",)
 # Loss mix of multitask_loss: the genre term's weight; keywords get the rest.
 GENRE_WEIGHT = 0.5
+LSTM_LEARNING_RATE = 0.05   # SGD step of the tag sequence scorer
 
 
 @dataclass
@@ -44,7 +45,6 @@ class TagTrainConfig:
     shots_per_video: int = 8
     lstm_hidden: int = 64
     lstm_epochs: int = 6
-    lstm_learning_rate: float = 0.05
 
 
 class _TagHeads:
@@ -284,7 +284,7 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
                               [truth[row][1] for row in kw_rows], GENRE_WEIGHT)
 
     history = fit(lstm.parameters(), len(entries), config.lstm_epochs, config.batch_size,
-                  config.lstm_learning_rate, config.momentum,
+                  LSTM_LEARNING_RATE, config.momentum,
                   lambda e: derive_rng(seed, "taglstm.epoch", e).permutation(len(entries)),
                   batch_loss, "train_tag_lstm")
     return lstm, history

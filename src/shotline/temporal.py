@@ -452,14 +452,6 @@ def accuracy_by_setting(questions: QuestionSet, chosen) -> tuple[float, dict]:
     return int(hits.sum()) / len(questions), breakdown
 
 
-def evaluate_accuracy(scorer, questions: QuestionSet, batch_size: int = 256) -> tuple[float, dict]:
-    """Fraction answered correctly, plus a per-setting breakdown.
-
-    ``scorer`` is either a NextShotModel or the (Q,) array of chosen
-    indices, such as baseline_average_cosine(questions).
-    """
-    if not len(questions):
-        raise ValueError("evaluate_accuracy: empty question set")
-    chosen = (predict_probabilities(scorer, questions, batch_size).argmax(axis=1)
-              if isinstance(scorer, NextShotModel) else scorer)
-    return accuracy_by_setting(questions, chosen)
+def evaluate_accuracy(model: NextShotModel, questions: QuestionSet) -> tuple[float, dict]:
+    """Fraction the model answers correctly, plus a per-setting breakdown."""
+    return accuracy_by_setting(questions, predict_probabilities(model, questions).argmax(axis=1))

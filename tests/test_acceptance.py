@@ -260,7 +260,7 @@ def temporal_world():
     model, _ = temporal.train_next_shot(train_q, config, seed=7, val_questions=val_q)
     acc_in, _ = temporal.evaluate_accuracy(model, test_in)
     acc_cross, _ = temporal.evaluate_accuracy(model, test_cross)
-    base_in, _ = temporal.evaluate_accuracy(temporal.baseline_average_cosine(test_in), test_in)
+    base_in, _ = temporal.accuracy_by_setting(test_in, temporal.baseline_average_cosine(test_in))
     return {"acc_in": acc_in, "acc_cross": acc_cross, "base_in": base_in,
             "wall": time.time() - started}
 

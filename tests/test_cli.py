@@ -92,10 +92,22 @@ def synth_and_split(root, seed=0):
     return world
 
 
+def untrained_checkpoint(world, seed):
+    """Write world/untrained.stln, the next-shot model that train-temporal
+    starts from under configs/tiny.cfg at this seed, and return its path."""
+    store = read_shtf(world / "features.shtf")
+    config = _temporal_config(load_config(TINY, []))
+    model = temporal.NextShotModel(store.dim, config.hidden_dim, config.scorer_widths,
+                                   seed=derive_rng(seed, "nextshot.init").integers(2**32),
+                                   input_scale=temporal._unit_rms_scale(store))
+    save_checkpoint(world / "untrained.stln", model.state())
+    return world / "untrained.stln"
+
+
 def make_qa_fixture(world, store, n_items=60, seed=0):
     """Planted-answer items over the synthetic movies' shots."""
     rng = derive_rng(seed, "qa.fixture")
-    movie_ids = sorted({key[0] for key, _ in store.items() if key[0].startswith("m")})
+    movie_ids = sorted(v for v in store.video_ids() if v.startswith("m"))
     table = {}
     items = []
     mapping = rng.normal(0, 1, (store.dim, 16)) / np.sqrt(store.dim)
@@ -105,7 +117,7 @@ def make_qa_fixture(world, store, n_items=60, seed=0):
         count = store.shot_count(movie)
         first = int(rng.integers(0, count - 2))
         clip_ids = [(movie, first), (movie, first + 1)]
-        clip = np.stack([store.get(*sid) for sid in clip_ids]).mean(axis=0)
+        clip = store.rows(clip_ids).mean(axis=0)
         target = mapping.T @ clip
         target /= np.linalg.norm(target)
         table[f"ans{i:03d}"] = (target + rng.normal(0, 0.1, 16)).astype(np.float32)
@@ -205,8 +217,8 @@ def two_shot_clip(path):
 
 
 def test_evaluation_and_ingest_commands_are_deterministic(tmp_path):
-    """eval-tags, retrieve, train-qa, eval-qa, eval-temporal --random-init,
-    segment and extract write the same bytes when run twice at one seed."""
+    """eval-tags, retrieve, train-qa, eval-qa, eval-temporal of an untrained
+    model, segment and extract write the same bytes when run twice at one seed."""
     world = synth_and_split(tmp_path, seed=2)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 2]
     tagged = ["--vocab", world / "vocab.json", "--features", world / "features.shtf",
@@ -218,6 +230,7 @@ def test_evaluation_and_ingest_commands_are_deterministic(tmp_path):
                    "--split", world / "split.json", "--subset", "test",
                    "--output", world / "q.tsv") == 0
     make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=2)
+    untrained = untrained_checkpoint(world, seed=2)
     two_shot_clip(tmp_path / "clip.fseq")
     movie = json.loads((world / "split.json").read_text())["test_movies"][0]
     genre = corpus.TagVocabulary.load(world / "vocab.json").genres[0]
@@ -233,7 +246,7 @@ def test_evaluation_and_ingest_commands_are_deterministic(tmp_path):
                 ["train-qa", *qa_args, "--output", out / "qa.stln"],
                 ["eval-qa", *qa_args, "--model", out / "qa.stln", "--metrics", out / "qa.tsv"],
                 ["eval-temporal", "--features", world / "features.shtf", "--questions",
-                 world / "q.tsv", "--random-init", "--results", out / "results.tsv",
+                 world / "q.tsv", "--model", untrained, "--results", out / "results.tsv",
                  "--metrics", out / "temporal.tsv"],
                 ["segment", "--input", tmp_path / "clip.fseq", "--video-id", "clip",
                  "--output", out / "shots.tsv"],
@@ -257,7 +270,7 @@ def test_eval_temporal_random_init_near_chance(tmp_path):
                    "--setting", "in_movie",
                    "--output", world / "q.tsv") == 0
     assert run_cli(*base, "eval-temporal", "--features", world / "features.shtf",
-                   "--questions", world / "q.tsv", "--random-init",
+                   "--questions", world / "q.tsv", "--model", untrained_checkpoint(world, 1),
                    "--results", world / "r.tsv", "--metrics", world / "m.tsv") == 0
     metrics = dict(l.split("\t") for l in (world / "m.tsv").read_text().splitlines())
     acc = float(metrics["lstm.in_movie.accuracy"])
@@ -390,7 +403,7 @@ def test_non_finite_qa_loss_fails_the_command(tmp_path, capsys):
     # inf in two columns, so the scorer's first layer sums inf and -inf
     clip = qa.read_qa_items(world / "qa_items.tsv", store)[3].clip_shots
     poisoned = FeatureStore(store.dim)
-    for key, values in store.items():
+    for key, values in zip(store.keys(), store.matrix):
         poisoned.add(*key, np.where(np.arange(store.dim) < 2, np.float32(3e38), values)
                      if key in clip else values)
     write_shtf(world / "features.shtf", poisoned)
@@ -551,7 +564,7 @@ def _write_wide_copy(world) -> FeatureStore:
     each, and return the world's own store."""
     store = read_shtf(world / "features.shtf")
     wide = FeatureStore(store.dim + 3)
-    for key, values in store.items():
+    for key, values in zip(store.keys(), store.matrix):
         wide.add(*key, np.concatenate([values, np.ones(3, dtype=np.float32)]))
     write_shtf(world / "wide.shtf", wide)
     return store
@@ -737,13 +750,28 @@ def test_a_list_setting_that_does_not_parse_is_named(tmp_path, capsys):
 @pytest.mark.parametrize("setting, error", [
     ("movies=0", "n_movies must be at least 1, got 0"),
     ("keyword_prob=1.5", "keyword_prob must be in [0, 1], got 1.5"),
-    ("movie_topic_count=-2", "movie_topic_count must not be negative, got -2")])
+    ("movie_topic_count=-2", "movie_topic_count must not be negative, got -2"),
+    ("movie_topic_count=9", "movie_topic_count must not exceed topics (6), got 9")])
 def test_synth_rejects_an_out_of_range_world_setting(tmp_path, capsys, setting, error):
     log = tmp_path / "log.jsonl"
     log.write_text("")
     _assert_fails_writing_nothing(
         capsys, ["--run-log", log, "--config", TINY, "--seed", 1, "--set", setting], "synth",
         ["--out-dir", tmp_path / "world"], [tmp_path / "world"], f"error\tValueError\t{error}")
+
+
+@pytest.mark.parametrize("ratios, parsed", [
+    ("1", "(1.0,)"), ("0.5,0.2,0.2,0.1", "(0.5, 0.2, 0.2, 0.1)"),
+    ("1.2,-0.1,-0.1", "(1.2, -0.1, -0.1)"), ("0.5,nan,0.5", "(0.5, nan, 0.5)")])
+def test_split_rejects_ratios_that_are_not_three_in_the_unit_interval(tmp_path, capsys,
+                                                                      ratios, parsed):
+    world = synth_and_split(tmp_path, seed=1)
+    _assert_fails_writing_nothing(
+        capsys, ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1,
+                 "--set", f"split_ratios={ratios}"],
+        "split", ["--manifest", world / "manifest.jsonl", "--output", world / "s.json"],
+        [world / "s.json"],
+        f"error\tValueError\tsplit_ratios must be three values in [0, 1], got {parsed}")
 
 
 def test_wall_time_survives_a_clock_that_steps_back(tmp_path, monkeypatch):
@@ -886,7 +914,7 @@ def test_gen_questions_rejects_a_movie_with_an_ordinal_gap(tmp_path, capsys):
     split = json.loads((world / "split.json").read_text())
     gapped = split["train_movies"][0]
     store = FeatureStore(clean.dim)
-    for (vid, ordinal), values in clean.items():
+    for (vid, ordinal), values in zip(clean.keys(), clean.matrix):
         if (vid, ordinal) != (gapped, 10):
             store.add(vid, ordinal, values)
     write_shtf(world / "features.shtf", store)
@@ -909,7 +937,7 @@ def test_gen_questions_refuses_an_id_a_label_cannot_carry(tmp_path, capsys):
     renamed = split["train_movies"][0]
     clean = read_shtf(world / "features.shtf")
     store = FeatureStore(clean.dim)
-    for (vid, ordinal), values in clean.items():
+    for (vid, ordinal), values in zip(clean.keys(), clean.matrix):
         store.add(f"{vid},x" if vid == renamed else vid, ordinal, values)
     write_shtf(world / "features.shtf", store)
     split["train_movies"][0] = f"{renamed},x"
@@ -992,8 +1020,8 @@ def test_eval_temporal_names_an_empty_question_file(tmp_path, capsys):
     (world / "q.tsv").write_text("")
     capsys.readouterr()
     assert run_cli("--config", TINY, "eval-temporal", "--features", world / "features.shtf",
-                   "--questions", world / "q.tsv", "--random-init", "--results",
-                   world / "r.tsv", "--metrics", world / "m.tsv") == 1
+                   "--questions", world / "q.tsv", "--model", untrained_checkpoint(world, 6),
+                   "--results", world / "r.tsv", "--metrics", world / "m.tsv") == 1
     error = capsys.readouterr().err.splitlines()[-1]
     assert error == f"error\tValueError\t{world / 'q.tsv'}: no questions to evaluate"
 
@@ -1055,10 +1083,11 @@ def test_a_truncated_feature_store_is_named(tmp_path, capsys):
     path = world / "features.shtf"
     assert run_cli(*base, "gen-questions", "--features", path, "--split", world / "split.json",
                    "--output", world / "q.tsv") == 0
+    model = untrained_checkpoint(world, 6)
     path.write_bytes(path.read_bytes()[:300])
     capsys.readouterr()
     assert run_cli(*base, "eval-temporal", "--features", path, "--questions", world / "q.tsv",
-                   "--random-init", "--results", world / "r.tsv",
+                   "--model", model, "--results", world / "r.tsv",
                    "--metrics", world / "m.tsv") == 1
     error = capsys.readouterr().err.splitlines()[-1]
     assert error.startswith(f"error\tFormatError\t{path}: truncated file reading ")
@@ -1112,11 +1141,14 @@ def test_evaluation_builds_no_tape(tmp_path, monkeypatch):
     assert len(taped) == 0
 
 
-def test_eval_temporal_requires_model_choice(tmp_path, capsys):
-    rc = run_cli("eval-temporal", "--features", "x.shtf", "--questions", "q.tsv",
-                 "--results", "r.tsv", "--metrics", "m.tsv")
-    assert rc == 1
-    assert "error\t" in capsys.readouterr().err
+def test_eval_temporal_requires_model_choice(capsys):
+    # --model is required, and --random-init is gone, so both exit 2 naming --model
+    for extra in ([], ["--random-init"]):
+        with pytest.raises(SystemExit) as caught:
+            run_cli("eval-temporal", "--features", "x.shtf", "--questions", "q.tsv",
+                    "--results", "r.tsv", "--metrics", "m.tsv", *extra)
+        assert caught.value.code == 2
+        assert "required: --model" in capsys.readouterr().err
 
 
 def test_split_respects_paper_ratios(tmp_path):
@@ -1176,7 +1208,7 @@ def test_frame_backed_tag_training(tmp_path):
         part = read_shtf(path)
         if merged is None:
             merged = FeatureStore(part.dim)
-        for key, values in part.items():
+        for key, values in zip(part.keys(), part.matrix):
             merged.add(*key, values)
     write_shtf(tmp_path / "all.shtf", merged)
     (tmp_path / "manifest.jsonl").write_text(
@@ -1260,7 +1292,7 @@ def test_a_non_finite_feature_store_fails_eval_tags(tmp_path, capsys):
     # element 0 of shot 2 of every movie becomes NaN
     store = read_shtf(path)
     blob, at, poisoned = bytearray(path.read_bytes()), 20, []
-    for (video_id, ordinal), _ in store.items():
+    for video_id, ordinal in store.keys():
         at += 6 + len(video_id.encode("utf-8"))
         if ordinal == 2 and video_id.startswith("m"):
             blob[at:at + 4] = np.array(np.nan, "<f4").tobytes()
@@ -1363,8 +1395,8 @@ def test_retrieve_and_eval_temporal_skip_the_other_models(tmp_path):
     assert not retrieve & {"shotline.temporal", "shotline.qa", "shotline.encoder"}
     eval_temporal = loaded_modules(
         tmp_path, "--config", TINY, "eval-temporal", "--features", world / "features.shtf",
-        "--questions", world / "q.tsv", "--random-init", "--results", tmp_path / "r.tsv",
-        "--metrics", tmp_path / "m.tsv")
+        "--questions", world / "q.tsv", "--model", untrained_checkpoint(world, 2),
+        "--results", tmp_path / "r.tsv", "--metrics", tmp_path / "m.tsv")
     assert "shotline.temporal" in eval_temporal
     assert not eval_temporal & {"shotline.tags", "shotline.corpus"}
 

@@ -9,7 +9,7 @@ from scipy import stats
 
 from shotline import corpus
 from shotline.cli import _world_config, load_config
-from shotline.corpus import (CorpusSplit, SyntheticWorld, SyntheticWorldConfig,
+from shotline.corpus import (TRAILER_LEN, CorpusSplit, SyntheticWorld, SyntheticWorldConfig,
                              TagVocabulary, VideoManifestEntry, _restrict_transition,
                              generate_world, load_manifest, make_prototypes, make_splits,
                              make_transition, sample_topic_chain, save_manifest,
@@ -219,9 +219,10 @@ def test_restricted_movies_visit_only_active_topics():
 
 def test_trailer_rare_topic_ranks_distinctive():
     cfg = SyntheticWorldConfig(topics=2, feature_dim=16, noise_sigma=0.0,
-                               trailer_fraction=0.1, trailer_len=(5, 5), seed=4)
+                               trailer_fraction=0.1, seed=4)
     world = SyntheticWorld(cfg)
-    topics = np.array([0] * 90 + [1] * 10)
+    # as many rare-topic shots as the longest trailer takes
+    topics = np.array([0] * 360 + [1] * TRAILER_LEN[1])
     features = world.prototypes[topics].astype(np.float32)
     # every rare-topic shot sits farther from the movie mean than any common one
     mean = features.astype(np.float64).mean(axis=0)
@@ -249,20 +250,23 @@ def test_trailer_inherits_tags_and_is_reproducible():
 
 
 def test_trailer_shuffle_destroys_order_but_not_content():
-    cfg = SyntheticWorldConfig(seed=6, trailer_len=(30, 30), n_movies=1, n_trailers=1)
+    cfg = SyntheticWorldConfig(seed=6, n_movies=1, n_trailers=1)
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(6, "m"))
     trailer = world.synthesize_trailer("t0", movie, derive_rng(6, "t"))
     assert not np.array_equal(trailer.source_shots, np.sort(trailer.source_shots))
-    assert len(set(trailer.source_shots.tolist())) == 30
+    length = len(trailer.source_shots)
+    assert TRAILER_LEN[0] <= length <= TRAILER_LEN[1]
+    assert len(set(trailer.source_shots.tolist())) == length
 
 
 def test_trailer_requires_long_movie():
-    cfg = SyntheticWorldConfig(seed=7, trailer_len=(40, 40), movie_len=(120, 120))
+    cfg = SyntheticWorldConfig(seed=7, movie_len=(120, 120))
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(7, "m"))
-    movie.features = movie.features[:30]
-    movie.topics = movie.topics[:30]
+    # no longer than the shortest trailer
+    movie.features = movie.features[:TRAILER_LEN[0]]
+    movie.topics = movie.topics[:TRAILER_LEN[0]]
     with pytest.raises(ValueError, match="too short"):
         world.synthesize_trailer("t0", movie, derive_rng(7, "t"))
 
@@ -272,8 +276,8 @@ def test_generate_world_deterministic():
     _, videos_a, store_a, entries_a = generate_world(cfg)
     _, videos_b, store_b, entries_b = generate_world(cfg)
     assert [e.video_id for e in entries_a] == [e.video_id for e in entries_b]
-    for (ka, va), (kb, vb) in zip(store_a.items(), store_b.items()):
-        assert ka == kb and np.array_equal(va, vb)
+    assert store_a.keys() == store_b.keys()
+    assert np.array_equal(store_a.matrix, store_b.matrix)
 
 
 def test_ground_truth_round_trip(tmp_path):

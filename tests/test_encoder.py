@@ -5,7 +5,7 @@ from shotline import autodiff as ad
 from shotline.autodiff import Tensor
 from shotline.encoder import HistogramEdgeExtractor, extract_features, sample_frames
 from shotline.frames import FrameSequence
-from shotline.segment import Shot
+from shotline.segment import TOTAL_BINS, Shot
 from shotline.tags import sample_shots
 
 from _util import check_gradients
@@ -18,15 +18,15 @@ def make_seq(colors):
 # -- sampling -------------------------------------------------------------------
 
 def test_sample_frames_segment_centers():
-    assert sample_frames(Shot("v", 0, 0, 30), 3) == [5, 15, 25]
+    assert sample_frames(Shot("v", 0, 0, 30)) == [5, 15, 25]
 
 
 def test_sample_frames_degenerate_repeat():
-    assert sample_frames(Shot("v", 0, 0, 1), 3) == [0, 0, 0]
+    assert sample_frames(Shot("v", 0, 0, 1)) == [0, 0, 0]
 
 
 def test_sample_frames_center_formula():
-    assert sample_frames(Shot("v", 0, 10, 16), 3) == [11, 13, 15]
+    assert sample_frames(Shot("v", 0, 10, 16)) == [11, 13, 15]
 
 
 def test_sample_shots_with_replacement_when_short():
@@ -51,7 +51,7 @@ def test_sample_shots_empty_error():
 
 def test_descriptor_width_is_the_hsv_bins_plus_ten():
     # 8 gradient-orientation bins and 2 intensity moments follow the histogram
-    assert HistogramEdgeExtractor.dim == HistogramEdgeExtractor.params.total_bins + 10
+    assert HistogramEdgeExtractor.dim == TOTAL_BINS + 10
 
 
 def test_descriptor_shape_and_blocks():
@@ -75,17 +75,18 @@ def test_descriptor_deterministic():
 def test_extract_features_identical_frames():
     ext = HistogramEdgeExtractor()
     seq = make_seq([(200, 10, 10)] * 9)
-    store = extract_features(seq, [Shot("v", 0, 0, 9)], ext, m=3)
-    assert np.allclose(store.get("v", 0), ext.describe(seq.frame(0)), atol=1e-7)
+    store = extract_features(seq, [Shot("v", 0, 0, 9)])
+    assert np.allclose(store.rows([("v", 0)])[0], ext.describe(seq.frame(0)), atol=1e-7)
 
 
 def test_extract_features_two_frame_average():
     ext = HistogramEdgeExtractor()
     seq = make_seq([(255, 0, 0), (0, 0, 255)])
-    store = extract_features(seq, [Shot("v", 0, 0, 2)], ext, m=2)
+    store = extract_features(seq, [Shot("v", 0, 0, 2)])
     u = ext.describe(seq.frame(0))
     v = ext.describe(seq.frame(1))
-    assert np.array_equal(store.get("v", 0), np.stack([u, v]).mean(axis=0))
+    # the three segment centers of a two-frame shot are frames 0, 1 and 1
+    assert np.array_equal(store.rows([("v", 0)])[0], np.stack([u, v, v]).mean(axis=0))
 
 
 def test_extract_features_rejects_shot_outside_clip():
@@ -95,7 +96,7 @@ def test_extract_features_rejects_shot_outside_clip():
         shots = [Shot("v", 0, 0, 2), Shot("v", 1, start, end)]
         with pytest.raises(ValueError, match=rf"shot v#1 \[{start}, {end}\) lies outside "
                                              r"the clip of 4 frames"):
-            extract_features(seq, shots, HistogramEdgeExtractor(), m=3)
+            extract_features(seq, shots)
 
 
 def test_pooling_permutation_invariance():
@@ -130,8 +131,8 @@ def test_extract_features_center_sampling(tmp_path):
     seq = FrameSequence(frames)
     ext = HistogramEdgeExtractor()
     shots = [Shot("vid", 0, 0, 5), Shot("vid", 1, 5, 10)]
-    store = extract_features(seq, shots, ext, m=3)
+    store = extract_features(seq, shots)
     assert store.dim == 138
     assert len(store) == 2
-    expected = np.stack([ext.describe(seq.frame(i)) for i in sample_frames(shots[1], 3)]).mean(axis=0)
-    assert np.array_equal(store.get("vid", 1), expected)
+    expected = np.stack([ext.describe(seq.frame(i)) for i in sample_frames(shots[1])]).mean(axis=0)
+    assert np.array_equal(store.rows([("vid", 1)])[0], expected)

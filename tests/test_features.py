@@ -84,7 +84,7 @@ def test_add_rows_fails_like_add_and_adds_nothing():
 def test_store_missing_lookup():
     store = FeatureStore(2)
     with pytest.raises(KeyError):
-        store.get("nope", 0)
+        store.rows([("nope", 0)])
 
 
 def test_store_dimension_check():
@@ -106,7 +106,7 @@ def test_single_record_round_trips_bitwise(tmp_path):
     path = tmp_path / "f.shtf"
     write_shtf(path, store)
     loaded = read_shtf(path)
-    assert loaded.get("movie x", 3).tobytes() == store.get("movie x", 3).tobytes()
+    assert loaded.rows([("movie x", 3)]).tobytes() == store.rows([("movie x", 3)]).tobytes()
     write_shtf(tmp_path / "g.shtf", loaded)
     assert path.read_bytes() == (tmp_path / "g.shtf").read_bytes()
 
@@ -120,8 +120,7 @@ def test_10k_record_store_round_trips(tmp_path):
     write_shtf(path, store)
     loaded = read_shtf(path)
     assert len(loaded) == 10_000
-    for key, values in store.items():
-        assert loaded.get(*key).tobytes() == values.tobytes()
+    assert loaded.rows(store.keys()).tobytes() == store.matrix.tobytes()
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 30)),
@@ -136,9 +135,8 @@ def test_round_trip_random_stores(tmp_path_factory, keys, dim, seed):
     path = tmp_path_factory.mktemp("shtf") / "s.shtf"
     write_shtf(path, store)
     loaded = read_shtf(path)
-    assert [k for k, _ in loaded.items()] == [k for k, _ in store.items()]
-    for key, values in store.items():
-        assert loaded.get(*key).tobytes() == values.tobytes()
+    assert loaded.keys() == store.keys()
+    assert loaded.rows(store.keys()).tobytes() == store.matrix.tobytes()
 
 
 @pytest.mark.parametrize("budget", [0, 12, 30, 500])
@@ -223,7 +221,7 @@ def test_gapped_store_round_trips_bitwise(tmp_path):
     path = tmp_path / "f.shtf"
     write_shtf(path, store)
     loaded = read_shtf(path)
-    assert [k for k, _ in loaded.items()] == [k for k, _ in store.items()]
+    assert loaded.keys() == store.keys()
     assert loaded.matrix.tobytes() == store.matrix.tobytes()
     assert loaded.sequence("movie x").tobytes() == store.sequence("movie x").tobytes()
     write_shtf(tmp_path / "g.shtf", loaded)
@@ -334,8 +332,8 @@ def read_outcome(read, path):
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
     videos = store.video_ids()
-    return (store.dim, store.matrix.tobytes(), [k for k, _ in store.items()],
-            store.row_indices([k for k, _ in store.items()]).tolist(), videos,
+    return (store.dim, store.matrix.tobytes(), store.keys(),
+            store.row_indices(store.keys()).tolist(), videos,
             [store.sequence_rows(v).tolist() for v in videos])
 
 
@@ -388,7 +386,7 @@ def test_run_reader_fails_like_per_record_reader_on_corrupt_fields(tmp_path_fact
     if len(store) and data.draw(st.booleans()):
         # an id-length field of some record, or a copy of one record over another
         at, records = 20, []
-        for (video_id, _), _ in store.items():
+        for video_id, _ in store.keys():
             records.append(at)
             at += 6 + len(video_id.encode("utf-8")) + 4 * store.dim
         start = data.draw(st.sampled_from(records))
@@ -418,7 +416,7 @@ def per_record_write_shtf(path, store) -> None:
     payloads = store.matrix.astype("<f4", copy=False)
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<IIQ", VERSION, store.dim, len(store)))
-        for row, ((video_id, ordinal), _) in enumerate(store.items()):
+        for row, (video_id, ordinal) in enumerate(store.keys()):
             encoded = video_id.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)) + encoded + struct.pack("<I", ordinal)
                      + payloads[row].tobytes())
@@ -468,7 +466,7 @@ def test_reader_names_the_first_non_finite_record(tmp_path_factory, store, data)
     write_shtf(path, store)
     blob = bytearray(path.read_bytes())
     at, payloads = 20, []
-    for (video_id, ordinal), _ in store.items():
+    for video_id, ordinal in store.keys():
         at += 6 + len(video_id.encode("utf-8"))
         payloads.append((at, f"{video_id}#{ordinal}"))
         at += 4 * store.dim

@@ -112,9 +112,9 @@ def small_fixture(n=4, clip_dim=4, embed_dim=3, seed=0):
 def test_encode_clip_single_and_mean():
     _, store, _ = small_fixture()
     single = encode_clip([("c0", 1)], store)
-    assert np.array_equal(single, store.get("c0", 1))
+    assert np.array_equal(single, store.rows([("c0", 1)])[0])
     pair = encode_clip([("c0", 0), ("c0", 1)], store)
-    assert np.array_equal(pair, np.stack([store.get("c0", 0), store.get("c0", 1)]).mean(axis=0))
+    assert np.array_equal(pair, store.rows([("c0", 0), ("c0", 1)]).mean(axis=0))
 
 
 def test_encode_clip_loop_oracle():

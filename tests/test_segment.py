@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from shotline import segment
 from shotline.binio import FormatError
 from shotline.frames import FrameSequence, read_fseq, write_fseq
-from shotline.segment import (SegmenterParams, Shot, boundary_scores, detect_shots,
+from shotline.segment import (HUE_BINS, MIN_SHOT_LEN, SAT_BINS, THRESHOLD_SCALE, TOTAL_BINS,
+                              VAL_BINS, WINDOW, Shot, boundary_scores, detect_shots,
                               frame_histogram, read_shot_list, write_shot_list)
 
 from _util import fill_disk_after
@@ -34,7 +35,7 @@ def color_sequence(segments, h=16, w=16, noise_sigma=0.0, seed=0):
 # -- the float64 oracle -----------------------------------------------------------
 
 
-def oracle_bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarray:
+def oracle_bin_indices(frames: np.ndarray) -> np.ndarray:
     """Joint HSV bin index per pixel by the float64 formulas, one pass per
     step: the reference the table-driven kernel must match exactly."""
     rgb = frames.astype(np.float64) / 255.0
@@ -53,15 +54,15 @@ def oracle_bin_indices(frames: np.ndarray, params: SegmenterParams) -> np.ndarra
     hue *= 60.0
     sat = np.where(mx > 0, delta / np.where(mx == 0, 1.0, mx), 0.0)
     val = mx
-    hb = np.minimum((hue / 360.0 * params.hue_bins).astype(np.int64), params.hue_bins - 1)
-    sb = np.minimum((sat * params.sat_bins).astype(np.int64), params.sat_bins - 1)
-    vb = np.minimum((val * params.val_bins).astype(np.int64), params.val_bins - 1)
-    return (hb * params.sat_bins + sb) * params.val_bins + vb
+    hb = np.minimum((hue / 360.0 * HUE_BINS).astype(np.int64), HUE_BINS - 1)
+    sb = np.minimum((sat * SAT_BINS).astype(np.int64), SAT_BINS - 1)
+    vb = np.minimum((val * VAL_BINS).astype(np.int64), VAL_BINS - 1)
+    return (hb * SAT_BINS + sb) * VAL_BINS + vb
 
 
-def oracle_histogram(frame: np.ndarray, params: SegmenterParams) -> np.ndarray:
-    idx = oracle_bin_indices(frame, params)
-    return np.bincount(idx.reshape(-1), minlength=params.total_bins) / idx.size
+def oracle_histogram(frame: np.ndarray) -> np.ndarray:
+    idx = oracle_bin_indices(frame)
+    return np.bincount(idx.reshape(-1), minlength=TOTAL_BINS) / idx.size
 
 
 def rgb_triples(start: int, stop: int, step: int = 1) -> np.ndarray:
@@ -70,27 +71,15 @@ def rgb_triples(start: int, stop: int, step: int = 1) -> np.ndarray:
     return np.stack([codes >> 16, (codes >> 8) & 255, codes & 255], axis=-1).astype(np.uint8)
 
 
-def assert_kernel_matches_oracle(params, step):
+def test_kernel_bins_every_rgb_triple_like_the_oracle():
     block = 1 << 21
     for start in range(0, 1 << 24, block):
-        pixels = rgb_triples(start, start + block, step)
-        got = segment._bin_indices(pixels, params)
-        want = oracle_bin_indices(pixels, params)
+        pixels = rgb_triples(start, start + block)
+        got = segment._bin_indices(pixels)
+        want = oracle_bin_indices(pixels)
         bad = np.flatnonzero(got != want)
         assert bad.size == 0, (f"{bad.size} triples differ, first {pixels[bad[0]].tolist()}: "
                                f"bin {got[bad[0]]} vs {want[bad[0]]}")
-
-
-def test_kernel_bins_every_rgb_triple_like_the_oracle():
-    assert_kernel_matches_oracle(SegmenterParams(), step=1)
-
-
-@pytest.mark.parametrize("bins", [(6, 3, 5), (16, 8, 8), (1, 1, 1), (7, 2, 3), (12, 5, 9)])
-def test_kernel_matches_the_oracle_for_other_bin_counts(bins):
-    # a stride coprime to 256 walks every value of every channel
-    hue, sat, val = bins
-    assert_kernel_matches_oracle(SegmenterParams(hue_bins=hue, sat_bins=sat, val_bins=val),
-                                 step=97)
 
 
 @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
@@ -99,21 +88,20 @@ def test_sequence_histograms_match_the_oracle_across_chunk_edges(count):
     rng = np.random.default_rng(count)
     frames = rng.integers(0, 256, (count, 7, 9, 3), dtype=np.uint8)
     frames[count // 2] = frames[0]  # repeated frames must not share counts across rows
-    params = SegmenterParams()
-    hists = segment.sequence_histograms(FrameSequence(frames), params)
-    want = np.stack([oracle_histogram(frame, params) for frame in frames])
-    assert hists.shape == (count, params.total_bins)
+    hists = segment.sequence_histograms(FrameSequence(frames))
+    want = np.stack([oracle_histogram(frame) for frame in frames])
+    assert hists.shape == (count, TOTAL_BINS)
     assert np.array_equal(hists, want)
     for t in (0, count - 1):
-        assert np.array_equal(frame_histogram(frames[t], params), want[t])
+        assert np.array_equal(frame_histogram(frames[t]), want[t])
 
 
-def oracle_detect_shots(seq, params, video_id):
+def oracle_detect_shots(seq, video_id):
     """detect_shots with the oracle's per-frame histograms swapped in."""
     original = segment.sequence_histograms
-    segment.sequence_histograms = lambda s, p: np.stack([oracle_histogram(f, p) for f in s.frames])
+    segment.sequence_histograms = lambda s: np.stack([oracle_histogram(f) for f in s.frames])
     try:
-        return detect_shots(seq, params, video_id=video_id)
+        return detect_shots(seq, video_id=video_id)
     finally:
         segment.sequence_histograms = original
 
@@ -124,25 +112,24 @@ def oracle_detect_shots(seq, params, video_id):
 @settings(max_examples=30, deadline=None)
 def test_detect_shots_matches_an_oracle_histogram_detector(segments, noise_sigma, seed):
     seq = color_sequence(segments, h=6, w=8, noise_sigma=noise_sigma, seed=seed)
-    params = SegmenterParams()
-    assert detect_shots(seq, params, "v") == oracle_detect_shots(seq, params, "v")
+    assert detect_shots(seq, "v") == oracle_detect_shots(seq, "v")
 
 
-def loop_cut_thresholds(scores, params):
+def loop_cut_thresholds(scores):
     """The per-score loop cut_thresholds replaced: one window.mean() and
     window.std() over the trailing window of each score."""
     out = np.zeros(scores.shape[0])
     for i in range(scores.shape[0]):
-        window = scores[max(0, i - params.window):i]
+        window = scores[max(0, i - WINDOW):i]
         if window.size:
-            out[i] = window.mean() + params.threshold_scale * window.std()
+            out[i] = window.mean() + THRESHOLD_SCALE * window.std()
     return out
 
 
-@given(st.integers(0, 3000), st.integers(1, 40), st.floats(0.1, 8.0),
-       st.sampled_from(["uniform", "spiky", "steps"]), st.integers(0, 2**31 - 1))
+@given(st.integers(0, 3000), st.sampled_from(["uniform", "spiky", "steps"]),
+       st.integers(0, 2**31 - 1))
 @settings(max_examples=80, deadline=None)
-def test_cut_thresholds_equal_the_per_score_loop(count, window, scale, kind, seed):
+def test_cut_thresholds_equal_the_per_score_loop(count, kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         scores = rng.uniform(0, 2, count)
@@ -150,23 +137,21 @@ def test_cut_thresholds_equal_the_per_score_loop(count, window, scale, kind, see
         scores = rng.exponential(0.05, count) + (rng.random(count) < 0.05) * rng.uniform(1, 50, count)
     else:  # long runs of one value, where a rolling sum would drift
         scores = np.repeat(rng.uniform(0, 1, count // 7 + 1), 7)[:count]
-    params = SegmenterParams(window=window, threshold_scale=scale)
-    got = segment.cut_thresholds(scores, params)
-    assert got.dtype == np.float64 and got.tobytes() == loop_cut_thresholds(scores, params).tobytes()
+    got = segment.cut_thresholds(scores)
+    assert got.dtype == np.float64 and got.tobytes() == loop_cut_thresholds(scores).tobytes()
 
 
 @given(st.lists(st.tuples(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
                           st.integers(1, 40)), min_size=1, max_size=6),
-       st.floats(0.0, 40.0), st.integers(1, 30), st.integers(0, 2**31 - 1))
+       st.floats(0.0, 40.0), st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_detect_shots_matches_the_per_score_threshold_loop(segments, noise_sigma, window, seed):
+def test_detect_shots_matches_the_per_score_threshold_loop(segments, noise_sigma, seed):
     seq = color_sequence(segments, h=6, w=8, noise_sigma=noise_sigma, seed=seed)
-    params = SegmenterParams(window=window, min_shot_len=3)
-    got = detect_shots(seq, params, "v")
+    got = detect_shots(seq, "v")
     original = segment.cut_thresholds
     segment.cut_thresholds = loop_cut_thresholds
     try:
-        want = detect_shots(seq, params, "v")
+        want = detect_shots(seq, "v")
     finally:
         segment.cut_thresholds = original
     assert got == want
@@ -189,10 +174,9 @@ def test_sequence_histograms_rejects_frames_the_tables_cannot_index():
     seq = FrameSequence(np.zeros((2, 4, 4, 3), dtype=np.uint8))
     seq.frames = seq.frames.astype(np.float32)
     with pytest.raises(ValueError, match="uint8 pixels, got float32"):
-        segment.sequence_histograms(seq, SegmenterParams())
+        segment.sequence_histograms(seq)
     with pytest.raises(ValueError, match=r"at least one pixel, got \(2, 4, 0, 3\)"):
-        segment.sequence_histograms(FrameSequence(np.zeros((2, 4, 0, 3), np.uint8)),
-                                    SegmenterParams())
+        segment.sequence_histograms(FrameSequence(np.zeros((2, 4, 0, 3), np.uint8)))
 
 
 # -- histograms ---------------------------------------------------------------
@@ -286,7 +270,7 @@ def test_short_shots_merge_into_predecessor():
     seq = color_sequence([((255, 0, 0), 30), ((0, 255, 0), 3), ((0, 0, 255), 30)])
     shots = detect_shots(seq, video_id="v")
     assert sum(s.length for s in shots) == 63
-    assert all(s.length >= 8 for s in shots)
+    assert all(s.length >= MIN_SHOT_LEN for s in shots)
     assert [(s.start, s.end) for s in shots] == [(0, 33), (33, 63)]
 
 
@@ -329,14 +313,7 @@ def test_noisy_cut_benchmark_small():
     assert hits / total_pred >= 0.95
 
 
-# -- params and io -----------------------------------------------------------------
-
-def test_params_validated():
-    with pytest.raises(ValueError):
-        SegmenterParams(window=0)
-    with pytest.raises(ValueError):
-        SegmenterParams(threshold_scale=-1)
-
+# -- io -----------------------------------------------------------------------------
 
 def test_shot_validation():
     with pytest.raises(ValueError):

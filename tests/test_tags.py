@@ -6,8 +6,8 @@ from shotline.autodiff import SgdOptimizer, Tensor
 from shotline.corpus import SyntheticWorldConfig, TagVocabulary, VideoManifestEntry, generate_world
 from shotline.features import FeatureStore
 from shotline.metrics import write_metrics
-from shotline.tags import (GENRE_WEIGHT, TagLstm, TagModel, TagTrainConfig, infer_feature_lstm,
-                           infer_score_average, multitask_loss, sample_shots,
+from shotline.tags import (GENRE_WEIGHT, LSTM_LEARNING_RATE, TagLstm, TagModel, TagTrainConfig,
+                           infer_feature_lstm, infer_score_average, multitask_loss, sample_shots,
                            shot_tag_response, top_shots, train_tag_lstm, train_tags,
                            write_predictions)
 from shotline.checkpoint import load_checkpoint, save_checkpoint
@@ -413,7 +413,7 @@ def ragged_tag_corpus(dim=4, nan_video=None):
 def per_video_tag_lstm(entries, store, config, seed):
     """The trainer train_tag_lstm batches, run video by video with LstmCell.step."""
     lstm = TagLstm(VOCAB, store.dim, config.lstm_hidden, derive_rng(seed, "taglstm.init"))
-    optimizer = SgdOptimizer(lstm.parameters(), config.lstm_learning_rate, config.momentum)
+    optimizer = SgdOptimizer(lstm.parameters(), LSTM_LEARNING_RATE, config.momentum)
     for epoch in range(config.lstm_epochs):
         order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
         for start in range(0, len(order), config.batch_size):
@@ -436,7 +436,7 @@ def per_video_tag_lstm(entries, store, config, seed):
 
 def test_batched_tag_lstm_training_matches_per_video_trainer():
     entries, store = ragged_tag_corpus()
-    config = TagTrainConfig(batch_size=3, lstm_epochs=3, lstm_hidden=5, lstm_learning_rate=0.2)
+    config = TagTrainConfig(batch_size=3, lstm_epochs=3, lstm_hidden=5)
     trained, history = train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=4)
     reference = per_video_tag_lstm(entries, store, config, seed=4)
     assert len(history["loss"]) == len(history["epoch_s"]) == len(history["examples_per_s"]) == 3

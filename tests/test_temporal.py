@@ -12,10 +12,10 @@ from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import LstmCell
 from shotline.temporal import (CONTEXT_POOLINGS, CROSS_MOVIE, IN_MOVIE, NextShotModel,
-                               QuestionSet, TemporalTrainConfig, baseline_average_cosine,
-                               evaluate_accuracy, generate_questions, predict_probabilities,
-                               read_questions, train_next_shot, write_questions,
-                               write_results)
+                               QuestionSet, TemporalTrainConfig, accuracy_by_setting,
+                               baseline_average_cosine, evaluate_accuracy, generate_questions,
+                               predict_probabilities, read_questions, train_next_shot,
+                               write_questions, write_results)
 
 from _util import (OracleQuestion, assert_same_questions, check_gradients,
                    one_hot_context_batch, oracle_set, per_question_baseline, pool_generator,
@@ -550,9 +550,9 @@ def test_oracle_and_adversary_scorers():
     store = filled_store(n_movies=2, shots=30)
     questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
                                       n_candidates=8, seed=5)
-    oracle_acc, by_setting = evaluate_accuracy(questions.correct, questions)
+    oracle_acc, by_setting = accuracy_by_setting(questions, questions.correct)
     assert oracle_acc == 1.0 and by_setting == {IN_MOVIE: 1.0}
-    adversary_acc, _ = evaluate_accuracy((questions.correct + 1) % 8, questions)
+    adversary_acc, _ = accuracy_by_setting(questions, (questions.correct + 1) % 8)
     assert adversary_acc == 0.0
 
 
@@ -561,7 +561,7 @@ def test_random_scorer_matches_binomial_chance():
     questions, _ = generate_questions(store, [f"m{i}" for i in range(4)], IN_MOVIE,
                                       mctx=4, n_candidates=32, stride=1, seed=6)
     rng = np.random.default_rng(0)
-    acc, _ = evaluate_accuracy(rng.integers(32, size=len(questions)), questions)
+    acc, _ = accuracy_by_setting(questions, rng.integers(32, size=len(questions)))
     # ~300 questions at chance 1/32: 3 sigma is about 0.03
     assert abs(acc - 1 / 32) < 0.03
 
@@ -737,9 +737,8 @@ def test_baseline_matches_dot_norm_oracle():
     q = oracle_set(store, [OracleQuestion("q", "m", IN_MOVIE, [("m", 0), ("m", 1)],
                                           [("m", i) for i in (2, 3, 4, 5)], 0)])
     mean = store.rows([("m", 0), ("m", 1)]).astype(np.float64).mean(axis=0)
-    sims = [float(np.dot(store.get("m", i), mean) /
-                  (np.linalg.norm(store.get("m", i)) * np.linalg.norm(mean)))
-            for i in (2, 3, 4, 5)]
+    sims = [float(np.dot(row, mean) / (np.linalg.norm(row) * np.linalg.norm(mean)))
+            for row in store.rows([("m", i) for i in (2, 3, 4, 5)])]
     assert baseline_average_cosine(q).tolist() == [int(np.argmax(sims))]
 
 
