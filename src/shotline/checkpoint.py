@@ -12,7 +12,7 @@ from .binio import (FormatError, expect_magic, expect_version, read_exact, read_
                     replace_on_success)
 
 MAGIC = b"STLN"
-VERSION = 1
+VERSION = 2  # version 1 states also held the scoring and pooling codes
 
 
 def save_checkpoint(path, params: dict) -> None:

@@ -279,6 +279,8 @@ def cmd_train_tags(args, config):
     from . import corpus, tags
     from .checkpoint import save_checkpoint
     from .features import read_shtf
+    if config["proj_dim"] < 0:  # 0 means no projection
+        raise ValueError(f"proj_dim must not be negative, got {config['proj_dim']}")
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
     store = read_shtf(args.features)
@@ -293,7 +295,7 @@ def cmd_train_tags(args, config):
         train_ids = [e.video_id for e in entries if e.kind == "trailer"]
     train_entries = [by_id[i] for i in train_ids]
     tag_config = _tag_config(config)
-    proj_dim = config["proj_dim"] if config["proj_dim"] > 0 else None
+    proj_dim = config["proj_dim"] or None
     model, history = tags.train_tags(train_entries, store, vocabulary, tag_config,
                                      config["seed"], proj_dim=proj_dim)
     lstm, lstm_history = tags.train_tag_lstm(model, train_entries, store, vocabulary,
@@ -315,7 +317,8 @@ def cmd_eval_tags(args, config):
     entries = corpus.load_manifest(args.manifest, vocabulary)
     store = read_shtf(args.features)
     model, lstm = _from_checkpoint(args.model, lambda state: (
-        tags.TagModel.from_state(state, vocabulary), tags.TagLstm.from_state(state, vocabulary)))
+        model := tags.TagModel.from_state(state, vocabulary),
+        tags.TagLstm.from_state(state, model)))
     _check_width(args, model.input_dim, store)
     by_id = {e.video_id: e for e in entries}
     if args.split:

@@ -137,7 +137,7 @@ class SyntheticWorldConfig:
             raise ValueError(f"n_movies must be at least 1, got {self.n_movies}")
         if not 0.0 < self.self_transition < 1.0:
             raise ValueError("self_transition must be in (0, 1)")
-        if self.successor_mass < 0 or self.self_transition + self.successor_mass > 1.0:
+        if self.self_transition + self.successor_mass > 1.0:
             raise ValueError("self_transition + successor_mass must not exceed 1")
         if self.movie_len[0] > self.movie_len[1]:
             raise ValueError("movie_len must be (low <= high)")
@@ -145,8 +145,9 @@ class SyntheticWorldConfig:
             raise ValueError("trailer_fraction must be in (0, 1]")
         if not 0.0 <= self.keyword_prob <= 1.0:
             raise ValueError(f"keyword_prob must be in [0, 1], got {self.keyword_prob}")
-        for name in ("n_trailers", "noise_sigma", "movie_style_sigma", "movie_topic_count"):
-            if getattr(self, name) < 0:
+        for name in ("n_trailers", "successor_mass", "noise_sigma", "movie_style_sigma",
+                     "movie_topic_count"):
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.movie_topic_count > self.topics:
             raise ValueError(f"movie_topic_count must not exceed topics ({self.topics}), "

@@ -19,8 +19,8 @@ class LstmCell:
     """Single-layer LSTM with fused gate weights.
 
     Gate order in the fused matrices is input, forget, output, candidate.
-    The forget-gate bias starts at 1 so early training does not wash out
-    the cell state.
+    A fresh cell's forget-gate bias starts at 1 so early training does not
+    wash out the cell state.
 
     ``fold`` runs whole sequences through the fused ``lstm_sequence`` op;
     every model uses it, and a reader takes the last step or pools the
@@ -28,16 +28,30 @@ class LstmCell:
     kept only as the reference the op is tested against.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        self.hidden_dim = bias.shape[0] // 4
+        self.input_dim = weights.shape[0] - self.hidden_dim
+        self.weights = Tensor(weights, requires_grad=True)
+        self.bias = Tensor(bias, requires_grad=True)
+
+    @classmethod
+    def fresh(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LstmCell":
         if input_dim < 1 or hidden_dim < 1:
             raise ValueError("input_dim and hidden_dim must be positive")
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.weights = Tensor(uniform_init(rng, (input_dim + hidden_dim, 4 * hidden_dim)),
-                              requires_grad=True)
         bias = np.zeros(4 * hidden_dim, dtype=np.float32)
         bias[hidden_dim:2 * hidden_dim] = 1.0
-        self.bias = Tensor(bias, requires_grad=True)
+        return cls(uniform_init(rng, (input_dim + hidden_dim, 4 * hidden_dim)), bias)
+
+    @classmethod
+    def from_state(cls, state: dict, prefix: str) -> "LstmCell":
+        """The cell stored as prefix + lstm.weights and lstm.bias."""
+        name = f"{prefix}lstm.weights"
+        weights = read_weights(state, name, (None, None))
+        hidden, rest = divmod(weights.shape[1], 4)
+        if rest or weights.shape[0] <= hidden:
+            raise ValueError(f"{name!r} has shape {weights.shape}, "
+                             f"not (input + hidden, 4 * hidden)")
+        return cls(weights, read_weights(state, f"{prefix}lstm.bias", (4 * hidden,)))
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         """One update: rows of x are batch items; h, c are matching states."""
@@ -88,16 +102,33 @@ class RowMlp:
     weights to every row is what makes candidate scoring order-equivariant.
     """
 
-    def __init__(self, input_dim: int, hidden_widths: tuple[int, ...],
-                 rng: np.random.Generator):
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
+        """A scorer of the given (weights, bias) layers, the last one 1 wide."""
+        self.layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+                       for w, b in layers]
+
+    @classmethod
+    def fresh(cls, input_dim: int, hidden_widths: tuple[int, ...],
+              rng: np.random.Generator) -> "RowMlp":
         if min(hidden_widths, default=1) < 1:
             raise ValueError(f"scorer_widths must each be at least 1, got {tuple(hidden_widths)}")
         widths = [input_dim, *hidden_widths, 1]
-        self.layers: list[tuple[Tensor, Tensor]] = []
-        for i in range(len(widths) - 1):
-            w = Tensor(uniform_init(rng, (widths[i], widths[i + 1])), requires_grad=True)
-            b = Tensor(np.zeros(widths[i + 1], dtype=np.float32), requires_grad=True)
-            self.layers.append((w, b))
+        return cls([(uniform_init(rng, (widths[i], widths[i + 1])),
+                     np.zeros(widths[i + 1], dtype=np.float32)) for i in range(len(widths) - 1)])
+
+    @classmethod
+    def from_state(cls, state: dict, prefix: str, input_dim: int | None) -> "RowMlp":
+        """The scorer stored as prefix + mlp.0.*, mlp.1.*, ... up to the first
+        missing layer. Each layer takes the previous one's width (the first
+        takes input_dim; None: any), and the last gives one score."""
+        layers, rows = [], input_dim
+        while not layers or f"{prefix}mlp.{len(layers)}.weights" in state:
+            name = f"{prefix}mlp.{len(layers)}."
+            last = f"{prefix}mlp.{len(layers) + 1}.weights" not in state
+            weights = read_weights(state, name + "weights", (rows, 1 if last else None))
+            rows = weights.shape[1]
+            layers.append((weights, read_weights(state, name + "bias", (rows,))))
+        return cls(layers)
 
     def scores(self, context: Tensor, candidates: Tensor) -> Tensor:
         """Score (q * n, d) candidate rows, n per context row in order, against
@@ -110,11 +141,8 @@ class RowMlp:
         return ad.pair_mlp(context, candidates, self.layers)
 
     def parameters(self) -> dict:
-        params = {}
-        for i, (w, b) in enumerate(self.layers):
-            params[f"mlp.{i}.weights"] = w
-            params[f"mlp.{i}.bias"] = b
-        return params
+        return {f"mlp.{i}.{kind}": tensor for i, layer in enumerate(self.layers)
+                for kind, tensor in zip(("weights", "bias"), layer)}
 
 
 # -- training ----------------------------------------------------------------
@@ -171,62 +199,31 @@ def fit(params: dict, count: int, epochs: int, batch_size: int, learning_rate: f
         if validate is not None and patience is not None and stale >= patience:
             break
     if best_state is not None:
-        assign_parameters(params, best_state)
+        for name, p in params.items():
+            p.data[...] = best_state[name]
     return history
 
 
 # -- model states ------------------------------------------------------------
 #
-# A model's state() is a name -> float32 array snapshot of its weights plus
-# its other hyperparameters as 0-d entries; its from_state classmethod
-# rebuilds the model from those shapes and scalars with the helpers below.
+# A model's state() is a name -> float32 snapshot of its weights; from_state
+# builds each layer from its own entries without a random draw (only fresh() draws).
 
 
-def state_entry(state: dict, name: str):
-    """state[name]; a missing entry raises KeyError naming it."""
+def read_weights(state: dict, name: str, shape: tuple) -> np.ndarray:
+    """A float32 copy of state[name], which must have the given shape; a None
+    dimension takes any size from 1 up. A missing entry raises KeyError, and
+    another shape or a NaN or infinite value ValueError, each naming it."""
     if name not in state:
         raise KeyError(f"model state has no {name!r}")
-    return state[name]
-
-
-def assign_parameters(params: dict, state: dict) -> None:
-    """Copy every named parameter's value out of a state dict, checking shapes.
-
-    Each value is cast to its parameter's own dtype. A NaN or infinite
-    value raises ValueError naming the entry, so a corrupt state cannot
-    load and score silently.
-    """
-    for name, tensor in params.items():
-        value = np.asarray(state_entry(state, name), dtype=tensor.data.dtype)
-        if value.shape != tensor.data.shape:
-            raise ValueError(f"{name!r} has shape {value.shape}, "
-                             f"the model expects {tensor.data.shape}")
-        bad = ~np.isfinite(value)
-        if bad.any():
-            first = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(f"{name!r} holds {int(bad.sum())} non-finite value(s), "
-                             f"the first at index {first}")
-        tensor.data[...] = value
-
-
-def read_choice(state: dict, key: str, choices: tuple[str, ...]) -> str:
-    """Decode a setting stored as its index in choices. A missing entry
-    raises KeyError and an unknown code ValueError."""
-    code = float(np.asarray(state_entry(state, key)))
-    if code not in range(len(choices)):
-        raise ValueError(f"unknown {key} code {code}")
-    return choices[int(code)]
-
-
-def lstm_dims(state: dict, name: str) -> tuple[int, int]:
-    """(input_dim, hidden_dim) of the fused LSTM weights stored under name."""
-    rows, cols = state_entry(state, name).shape
-    return rows - cols // 4, cols // 4
-
-
-def mlp_dims(state: dict, prefix: str) -> tuple[int, tuple[int, ...]]:
-    """Input width and hidden widths of the RowMlp stored under prefix."""
-    shapes = [state_entry(state, f"{prefix}mlp.0.weights").shape]
-    while f"{prefix}mlp.{len(shapes)}.weights" in state:
-        shapes.append(state[f"{prefix}mlp.{len(shapes)}.weights"].shape)
-    return shapes[0][0], tuple(cols for _, cols in shapes[:-1])
+    value = np.array(state[name], dtype=np.float32)
+    if value.ndim != len(shape) or any(got < 1 if want is None else got != want
+                                       for got, want in zip(value.shape, shape)):
+        expected = ", ".join("any" if want is None else str(want) for want in shape)
+        raise ValueError(f"{name!r} has shape {value.shape}, the model expects ({expected})")
+    bad = ~np.isfinite(value)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{name!r} holds {int(bad.sum())} non-finite value(s), "
+                         f"the first at index {first}")
+    return value

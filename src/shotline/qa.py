@@ -16,10 +16,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .binio import read_tsv
 from .features import FeatureStore, ShotId, check_label_ids, label_rows, shot_labels
-from .nn import RowMlp, assign_parameters, fit, mlp_dims
+from .nn import RowMlp, fit
 from .rng import derive_rng
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+TRAIN_BATCH = 32  # items per SGD step of train_qa
+EVAL_BATCH = 256  # items per scoring batch of evaluate_qa
 
 
 def tokenize(text: str) -> list[str]:
@@ -150,15 +152,17 @@ def encode_clip(shot_ids: list[ShotId], store: FeatureStore) -> np.ndarray:
 
 
 class QaModel:
-    """Weight-shared scorer over [clip | question | answer] rows.
+    """Weight-shared scorer over [clip | question | answer] rows; from_state
+    takes the row width from the scorer's weights."""
 
-    Only the row width matters to the scorer, so the state needs no
-    hyperparameter entries: from_state reads the width off the weights.
-    """
+    def __init__(self, scorer: RowMlp):
+        self.scorer = scorer
 
-    def __init__(self, clip_dim: int, embed_dim: int,
-                 scorer_widths: tuple[int, ...] = (256, 64), seed: int = 0):
-        self.scorer = RowMlp(clip_dim + 2 * embed_dim, scorer_widths, derive_rng(seed, "qa.scorer"))
+    @classmethod
+    def fresh(cls, clip_dim: int, embed_dim: int, scorer_widths: tuple[int, ...] = (256, 64),
+              seed: int = 0) -> "QaModel":
+        return cls(RowMlp.fresh(clip_dim + 2 * embed_dim, scorer_widths,
+                                derive_rng(seed, "qa.scorer")))
 
     def probabilities_batch(self, clips: np.ndarray, question_vecs: np.ndarray,
                             answer_vecs: np.ndarray) -> Tensor:
@@ -177,10 +181,7 @@ class QaModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "QaModel":
-        width, widths = mlp_dims(state, "qa.")
-        model = cls(width, 0, widths)
-        assign_parameters(model.parameters(), state)
-        return model
+        return cls(RowMlp.from_state(state, "qa.", None))
 
 
 def _item_arrays(items: list[QaItem], provider, store: FeatureStore):
@@ -198,7 +199,6 @@ def _item_arrays(items: list[QaItem], provider, store: FeatureStore):
 @dataclass
 class QaTrainConfig:
     epochs: int = 40
-    batch_size: int = 32
     learning_rate: float = 0.05
     momentum: float = 0.9
     scorer_widths: tuple[int, ...] = (256, 64)
@@ -215,8 +215,8 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
     """
     if not train_items:
         raise ValueError("train_qa: empty training set")
-    model = QaModel(store.dim, provider.dim, config.scorer_widths,
-                    seed=derive_rng(seed, "qa.init").integers(2**32))
+    model = QaModel.fresh(store.dim, provider.dim, config.scorer_widths,
+                          seed=derive_rng(seed, "qa.init").integers(2**32))
     clips, questions, answers, targets = _item_arrays(train_items, provider, store)
 
     def batch_loss(epoch: int, idx: np.ndarray) -> Tensor:
@@ -225,7 +225,7 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
 
     validate = (None if val_items is None
                 else lambda: evaluate_qa(model, val_items, provider, store))
-    history = fit(model.parameters(), len(train_items), config.epochs, config.batch_size,
+    history = fit(model.parameters(), len(train_items), config.epochs, TRAIN_BATCH,
                   config.learning_rate, config.momentum,
                   lambda e: derive_rng(seed, "qa.epoch", e).permutation(len(train_items)),
                   batch_loss, "train_qa", validate, config.patience)
@@ -233,8 +233,7 @@ def train_qa(train_items: list[QaItem], provider, store: FeatureStore,
 
 
 @ad.no_grad()
-def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureStore,
-                batch_size: int = 256) -> float:
+def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureStore) -> float:
     """Share of items whose most probable answer is the correct one. An
     answer distribution that is not finite raises FloatingPointError naming
     the first such item of its batch."""
@@ -250,8 +249,8 @@ def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureSto
         by_n.setdefault(len(item.answers), []).append(item)
     correct = 0
     for group in by_n.values():
-        for start in range(0, len(group), batch_size):
-            batch = group[start:start + batch_size]
+        for start in range(0, len(group), EVAL_BATCH):
+            batch = group[start:start + EVAL_BATCH]
             clips, questions, answers, targets = _item_arrays(batch, provider, store)
             probs = ad.finite_rows(model.probabilities_batch(clips, questions, answers).data,
                                    [item.qid for item in batch], "answer distribution")

@@ -17,13 +17,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import TagVocabulary, VideoManifestEntry
 from .features import FeatureStore
-from .nn import (LstmCell, assign_parameters, fit, lstm_dims, pooling_matrix, read_choice,
-                 state_entry, uniform_init)
+from .nn import LstmCell, fit, pooling_matrix, read_weights, uniform_init
 from .rng import derive_rng
 
-# Checkpoint code of the scoring mode, stored as tags.scoring: tag scores are
-# always per-label sigmoids, so only code 0 loads.
-SCORINGS = ("sigmoid",)
 # Loss mix of multitask_loss: the genre term's weight; keywords get the rest.
 GENRE_WEIGHT = 0.5
 LSTM_LEARNING_RATE = 0.05   # SGD step of the tag sequence scorer
@@ -48,15 +44,32 @@ class TagTrainConfig:
 
 
 class _TagHeads:
-    """Genre and keyword affine heads, shared by the tag model and its TagLstm."""
+    """Genre and keyword affine heads, shared by the tag model and its TagLstm: the
+    ``heads`` arrays, in HEADS order. No keywords still gives one keyword column."""
 
-    def _init_heads(self, vocabulary: TagVocabulary, width: int, rng: np.random.Generator):
+    HEADS = ("genre.weights", "genre.bias", "keyword.weights", "keyword.bias")
+
+    def __init__(self, vocabulary: TagVocabulary, heads):
         self.vocabulary = vocabulary
+        self.genre_w, self.genre_b, self.keyword_w, self.keyword_b = (
+            Tensor(h, requires_grad=True) for h in heads)
+
+    @staticmethod
+    def _head_shapes(vocabulary: TagVocabulary, width: int | None) -> list[tuple]:
         genres, keywords = len(vocabulary.genres), max(1, len(vocabulary.keywords))
-        self.genre_w = Tensor(uniform_init(rng, (width, genres)), requires_grad=True)
-        self.genre_b = Tensor(np.zeros(genres, dtype=np.float32), requires_grad=True)
-        self.keyword_w = Tensor(uniform_init(rng, (width, keywords)), requires_grad=True)
-        self.keyword_b = Tensor(np.zeros(keywords, dtype=np.float32), requires_grad=True)
+        return [(width, genres), (genres,), (width, keywords), (keywords,)]
+
+    @classmethod
+    def _fresh_heads(cls, vocabulary: TagVocabulary, width: int, rng: np.random.Generator):
+        return [uniform_init(rng, shape) if len(shape) == 2 else np.zeros(shape, np.float32)
+                for shape in cls._head_shapes(vocabulary, width)]
+
+    @classmethod
+    def _read_heads(cls, state: dict, prefix: str, vocabulary: TagVocabulary,
+                    width: int | None):
+        """The heads stored under prefix, over width-value inputs (None: any)."""
+        return [read_weights(state, f"{prefix}head.{name}", shape)
+                for name, shape in zip(cls.HEADS, cls._head_shapes(vocabulary, width))]
 
     def genre_logits(self, feats: Tensor) -> Tensor:
         return ad.add(ad.matmul(feats, self.genre_w), self.genre_b)
@@ -71,22 +84,29 @@ class _TagHeads:
         return genre, keyword
 
     def _head_parameters(self, prefix: str) -> dict:
-        return {f"{prefix}head.genre.weights": self.genre_w,
-                f"{prefix}head.genre.bias": self.genre_b,
-                f"{prefix}head.keyword.weights": self.keyword_w,
-                f"{prefix}head.keyword.bias": self.keyword_b}
+        return dict(zip((f"{prefix}head.{name}" for name in self.HEADS),
+                        (self.genre_w, self.genre_b, self.keyword_w, self.keyword_b)))
+
+    def state(self) -> dict:
+        return {k: v.data.copy() for k, v in self.parameters().items()}
 
 
 class TagModel(_TagHeads):
-    """Projection plus per-branch affine heads over pooled video features."""
+    """Projection (if any) plus per-branch affine heads over pooled video features."""
 
-    def __init__(self, vocabulary: TagVocabulary, input_dim: int,
-                 proj_dim: int | None, rng: np.random.Generator):
-        self.input_dim = input_dim
-        self.proj_dim = proj_dim
-        self.projection = (Tensor(uniform_init(rng, (input_dim, proj_dim)), requires_grad=True)
-                           if proj_dim else None)
-        self._init_heads(vocabulary, proj_dim if proj_dim else input_dim, rng)
+    def __init__(self, vocabulary: TagVocabulary, projection: np.ndarray | None, heads):
+        super().__init__(vocabulary, heads)
+        self.projection = None if projection is None else Tensor(projection, requires_grad=True)
+        self.output_dim = self.genre_w.data.shape[0]
+        self.input_dim = self.output_dim if projection is None else projection.shape[0]
+
+    @classmethod
+    def fresh(cls, vocabulary: TagVocabulary, input_dim: int, proj_dim: int | None,
+              rng: np.random.Generator) -> "TagModel":
+        """A new model; a proj_dim of None or 0 means no projection."""
+        projection = uniform_init(rng, (input_dim, proj_dim)) if proj_dim else None
+        return cls(vocabulary, projection,
+                   cls._fresh_heads(vocabulary, proj_dim or input_dim, rng))
 
     def project(self, rows: Tensor) -> Tensor:
         return ad.matmul(rows, self.projection) if self.projection is not None else rows
@@ -107,24 +127,13 @@ class TagModel(_TagHeads):
         params = {"projection": self.projection} if self.projection is not None else {}
         return {**params, **self._head_parameters("")}
 
-    def state(self) -> dict:
-        """Weight copies plus tags.scoring (the index into SCORINGS)."""
-        state = {k: v.data.copy() for k, v in self.parameters().items()}
-        state["tags.scoring"] = np.float32(0)
-        return state
-
     @classmethod
     def from_state(cls, state: dict, vocabulary: TagVocabulary) -> "TagModel":
-        """Rebuild a model from state(); a missing tags.scoring raises KeyError,
-        and one other than 0 ValueError."""
-        if "projection" in state:
-            input_dim, proj_dim = state["projection"].shape
-        else:
-            input_dim, proj_dim = state_entry(state, "head.genre.weights").shape[0], None
-        read_choice(state, "tags.scoring", SCORINGS)
-        model = cls(vocabulary, input_dim, proj_dim, derive_rng(0, "tags.init"))
-        assign_parameters(model.parameters(), state)
-        return model
+        """The model of a state(), whose heads must fit the vocabulary."""
+        projection = (read_weights(state, "projection", (None, None)) if "projection" in state
+                      else None)
+        width = None if projection is None else projection.shape[1]
+        return cls(vocabulary, projection, cls._read_heads(state, "", vocabulary, width))
 
 
 def _hot(index_sets: list[set], width: int) -> np.ndarray:
@@ -185,7 +194,7 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
     for e in entries:
         if not e.genres:
             raise ValueError(f"training video {e.video_id!r} has no genres")
-    model = TagModel(vocabulary, store.dim, proj_dim, derive_rng(seed, "tags.init"))
+    model = TagModel.fresh(vocabulary, store.dim, proj_dim, derive_rng(seed, "tags.init"))
     sequence_rows = [store.sequence_rows(e.video_id) for e in entries]
     truths = [_truth_indices(e, vocabulary) for e in entries]
     matrix, shots = store.matrix, config.shots_per_video
@@ -215,10 +224,15 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
 class TagLstm(_TagHeads):
     """Recurrent tag scorer: per-step hidden states feed their own heads."""
 
-    def __init__(self, vocabulary: TagVocabulary, feat_dim: int, hidden_dim: int,
-                 rng: np.random.Generator):
-        self.cell = LstmCell(feat_dim, hidden_dim, rng)
-        self._init_heads(vocabulary, hidden_dim, rng)
+    def __init__(self, vocabulary: TagVocabulary, cell: LstmCell, heads):
+        super().__init__(vocabulary, heads)
+        self.cell = cell
+
+    @classmethod
+    def fresh(cls, vocabulary: TagVocabulary, feat_dim: int, hidden_dim: int,
+              rng: np.random.Generator) -> "TagLstm":
+        cell = LstmCell.fresh(feat_dim, hidden_dim, rng)
+        return cls(vocabulary, cell, cls._fresh_heads(vocabulary, hidden_dim, rng))
 
     def step_outputs(self, feats: Tensor) -> Tensor:
         """Hidden state per step for a (steps, feat_dim) sequence."""
@@ -230,21 +244,16 @@ class TagLstm(_TagHeads):
         params = {f"taglstm.{k}": v for k, v in self.cell.parameters().items()}
         return {**params, **self._head_parameters("taglstm.")}
 
-    def state(self) -> dict:
-        return {k: v.data.copy() for k, v in self.parameters().items()}
-
     @classmethod
-    def from_state(cls, state: dict, vocabulary: TagVocabulary) -> "TagLstm":
-        """Rebuild the scorer; an input width not the tag model's raises ValueError."""
-        feat_dim, hidden_dim = lstm_dims(state, "taglstm.lstm.weights")
-        projected = (state["projection"].shape[1] if "projection" in state
-                     else state_entry(state, "head.genre.weights").shape[0])
-        if feat_dim != projected:
-            raise ValueError(f"'taglstm.lstm.weights' takes {feat_dim}-value inputs, "
-                             f"but the tag model gives {projected}")
-        lstm = cls(vocabulary, feat_dim, hidden_dim, derive_rng(0, "taglstm.init"))
-        assign_parameters(lstm.parameters(), state)
-        return lstm
+    def from_state(cls, state: dict, model: TagModel) -> "TagLstm":
+        """The scorer of a state() over the given tag model's outputs; an input
+        width other than the model's output width raises ValueError."""
+        cell = LstmCell.from_state(state, "taglstm.")
+        if cell.input_dim != model.output_dim:
+            raise ValueError(f"'taglstm.lstm.weights' takes {cell.input_dim}-value inputs, "
+                             f"but the tag model gives {model.output_dim}")
+        return cls(model.vocabulary, cell,
+                   cls._read_heads(state, "taglstm.", model.vocabulary, cell.hidden_dim))
 
 
 def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: FeatureStore,
@@ -259,8 +268,9 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
     """
     if not entries:
         raise ValueError("train_tag_lstm: empty corpus")
-    feat_dim = model.proj_dim if model.proj_dim else model.input_dim
-    lstm = TagLstm(vocabulary, feat_dim, config.lstm_hidden, derive_rng(seed, "taglstm.init"))
+    feat_dim = model.output_dim
+    lstm = TagLstm.fresh(vocabulary, feat_dim, config.lstm_hidden,
+                         derive_rng(seed, "taglstm.init"))
     with ad.no_grad():  # the inputs are the frozen projection of each video's shots
         inputs = {e.video_id: model.project(Tensor(store.sequence(e.video_id))).data
                   for e in entries}

@@ -16,16 +16,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .binio import read_tsv
 from .features import FeatureStore, check_label_ids, label_rows, shot_labels
-from .nn import (LstmCell, RowMlp, assign_parameters, fit, lstm_dims, mlp_dims, read_choice,
-                 state_entry)
+from .nn import LstmCell, RowMlp, fit, read_weights
 from .rng import derive_rng
 
 IN_MOVIE = "in_movie"
 CROSS_MOVIE = "cross_movie"
-
-# Checkpoint code of the context pooling, stored as nextshot.context_pooling: the
-# context is always the LSTM's final state, so only code 0 loads.
-CONTEXT_POOLINGS = ("final",)
+PREDICT_BATCH = 256  # context windows, then questions, per predict_probabilities batch
 
 
 class QuestionSet:
@@ -273,15 +269,18 @@ class NextShotModel:
     than the candidate block and SGD stalls on the initial plateau.
     """
 
-    def __init__(self, feature_dim: int, hidden_dim: int = 256,
-                 scorer_widths: tuple[int, ...] = (256, 64),
-                 seed: int = 0, input_scale: float = 1.0):
-        self.feature_dim = feature_dim
-        self.hidden_dim = hidden_dim
+    def __init__(self, cell: LstmCell, scorer: RowMlp, input_scale: float):
+        self.cell, self.scorer = cell, scorer
+        self.feature_dim, self.hidden_dim = cell.input_dim, cell.hidden_dim
         self.input_scale = float(input_scale)
-        self.cell = LstmCell(feature_dim, hidden_dim, derive_rng(seed, "nextshot.lstm"))
-        self.scorer = RowMlp(hidden_dim + feature_dim, scorer_widths,
-                             derive_rng(seed, "nextshot.scorer"))
+
+    @classmethod
+    def fresh(cls, feature_dim: int, hidden_dim: int = 256,
+              scorer_widths: tuple[int, ...] = (256, 64), seed: int = 0,
+              input_scale: float = 1.0) -> "NextShotModel":
+        return cls(LstmCell.fresh(feature_dim, hidden_dim, derive_rng(seed, "nextshot.lstm")),
+                   RowMlp.fresh(hidden_dim + feature_dim, scorer_widths,
+                                derive_rng(seed, "nextshot.scorer")), input_scale)
 
     def encode_context_batch(self, contexts: np.ndarray) -> Tensor:
         """Encode (batch, steps, feature_dim) contexts into their last step's
@@ -314,26 +313,17 @@ class NextShotModel:
         return params
 
     def state(self) -> dict:
-        """Weight copies plus nextshot.input_scale and nextshot.context_pooling
-        (the index into CONTEXT_POOLINGS)."""
+        """Weight copies plus nextshot.input_scale."""
         state = {k: v.data.copy() for k, v in self.parameters().items()}
         state["nextshot.input_scale"] = np.float32(self.input_scale)
-        state["nextshot.context_pooling"] = np.float32(0)
         return state
 
     @classmethod
     def from_state(cls, state: dict) -> "NextShotModel":
-        """Rebuild a model from state(); a missing scalar raises KeyError, and a
-        nextshot.context_pooling other than 0 ValueError."""
-        feature_dim, hidden_dim = lstm_dims(state, "nextshot.lstm.weights")
-        _, widths = mlp_dims(state, "nextshot.")
-        input_scale = float(np.asarray(state_entry(state, "nextshot.input_scale")))
-        if not np.isfinite(input_scale):
-            raise ValueError(f"'nextshot.input_scale' is {input_scale}")
-        read_choice(state, "nextshot.context_pooling", CONTEXT_POOLINGS)
-        model = cls(feature_dim, hidden_dim, widths, input_scale=input_scale)
-        assign_parameters(model.parameters(), state)
-        return model
+        """The model of a state(); its scorer must take the context and a candidate."""
+        cell = LstmCell.from_state(state, "nextshot.")
+        scorer = RowMlp.from_state(state, "nextshot.", cell.hidden_dim + cell.input_dim)
+        return cls(cell, scorer, read_weights(state, "nextshot.input_scale", ()))
 
 
 def _unit_rms_scale(store: FeatureStore) -> float:
@@ -371,9 +361,9 @@ def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: i
     if not len(questions):
         raise ValueError("train_next_shot: empty question set")
     store = questions.store
-    model = NextShotModel(store.dim, config.hidden_dim, config.scorer_widths,
-                          seed=derive_rng(seed, "nextshot.init").integers(2**32),
-                          input_scale=_unit_rms_scale(store))
+    model = NextShotModel.fresh(store.dim, config.hidden_dim, config.scorer_widths,
+                                seed=derive_rng(seed, "nextshot.init").integers(2**32),
+                                input_scale=_unit_rms_scale(store))
     matrix = store.matrix
 
     def batch_loss(epoch: int, batch: np.ndarray) -> Tensor:
@@ -413,12 +403,11 @@ def baseline_average_cosine(questions: QuestionSet) -> np.ndarray:
 
 
 @ad.no_grad()
-def predict_probabilities(model: NextShotModel, questions: QuestionSet,
-                          batch_size: int = 256) -> np.ndarray:
+def predict_probabilities(model: NextShotModel, questions: QuestionSet) -> np.ndarray:
     """Candidate distribution of every question, (Q, n), in question order.
 
     Each distinct context window is encoded once, in batches of
-    ``batch_size`` windows; each batch of ``batch_size`` questions is then
+    PREDICT_BATCH windows; each batch of PREDICT_BATCH questions is then
     scored with its windows' encodings. A distribution that is not finite
     raises FloatingPointError naming the first such question.
     """
@@ -427,12 +416,12 @@ def predict_probabilities(model: NextShotModel, questions: QuestionSet,
     matrix = questions.store.matrix
     windows, window_of = np.unique(questions.context, axis=0, return_inverse=True)
     window_of = window_of.reshape(-1)  # numpy 2.0.0 gives it the context's rank
-    encoded = np.concatenate([
-        model.encode_context_batch(matrix[windows[start:start + batch_size]]).data
-        for start in range(0, len(windows), batch_size)])
-    parts = [model.score_batch(Tensor(encoded[window_of[start:start + batch_size]]),
-                               matrix[questions.candidates[start:start + batch_size]]).data
-             for start in range(0, len(questions), batch_size)]
+    step = PREDICT_BATCH
+    encoded = np.concatenate([model.encode_context_batch(matrix[windows[start:start + step]]).data
+                              for start in range(0, len(windows), step)])
+    parts = [model.score_batch(Tensor(encoded[window_of[start:start + step]]),
+                               matrix[questions.candidates[start:start + step]]).data
+             for start in range(0, len(questions), step)]
     return ad.finite_rows(np.concatenate(parts), questions.qids, "candidate distribution")
 
 

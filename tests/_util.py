@@ -1,16 +1,36 @@
 """Shared numerical check helpers and per-id reference implementations."""
 import json
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from shotline import autodiff as ad
 from shotline import temporal
+from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.rng import derive_rng
 from shotline.tags import TagModel, TagPrediction
 
 GRAD_H = 1e-3
 GRAD_TOL = 1e-3
+
+
+def reload(model, *context):
+    """The model rebuilt from its own checkpoint: its state() is saved, loaded
+    back and passed to from_state with ``context`` (a TagModel's vocabulary,
+    a TagLstm's tag model)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(Path(tmp) / "model.stln", model.state())
+        return type(model).from_state(load_checkpoint(Path(tmp) / "model.stln"), *context)
+
+
+def forbid_random_draws(monkeypatch):
+    """Make every new numpy random generator raise, so a load that draws fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was created")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
 
 
 def rel_err(a, b) -> float:

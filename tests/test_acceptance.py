@@ -92,10 +92,10 @@ def _op_cases(rng):
 
 
 def _next_shot_case(rng):
-    cell = LstmCell(4, 6, rng)
+    cell = LstmCell.fresh(4, 6, rng)
     cell.weights = Tensor(rng.normal(0, 0.4, (10, 24)), requires_grad=True)
     cell.bias = Tensor(rng.normal(0, 0.2, (24,)), requires_grad=True)
-    mlp = RowMlp(10, (8, 4), rng)
+    mlp = RowMlp.fresh(10, (8, 4), rng)
     params = [cell.weights, cell.bias]
     for i, (w, b) in enumerate(mlp.layers):
         w64 = Tensor(rng.normal(0, 0.5, w.data.shape), requires_grad=True)
@@ -116,7 +116,7 @@ def _next_shot_case(rng):
 
 
 def _qa_case(rng):
-    mlp = RowMlp(4 + 2 * 6, (8, 4), rng)
+    mlp = RowMlp.fresh(4 + 2 * 6, (8, 4), rng)
     params = []
     for i, (w, b) in enumerate(mlp.layers):
         w64 = Tensor(rng.normal(0, 0.5, w.data.shape), requires_grad=True)
@@ -205,7 +205,8 @@ def test_criterion_03_chance_calibration():
                                                mctx=8, n_candidates=32, stride=1, seed=13)
     assert len(questions) >= 10_000
     questions = questions[:10_000]
-    model = temporal.NextShotModel(store.dim, 64, (128, 32), seed=99, input_scale=np.sqrt(32))
+    model = temporal.NextShotModel.fresh(store.dim, 64, (128, 32), seed=99,
+                                         input_scale=np.sqrt(32))
     acc, _ = temporal.evaluate_accuracy(model, questions)
 
     rng = np.random.default_rng(4)
@@ -223,7 +224,7 @@ def test_criterion_03_chance_calibration():
         pos = int(rng.integers(5))
         answers.insert(pos, f"a{i}")
         items.append(qa.QaItem(f"i{i}", "", answers, [(f"c{i}", 0)], pos))
-    qa_model = qa.QaModel(16, 16, (128, 32), seed=1)
+    qa_model = qa.QaModel.fresh(16, 16, (128, 32), seed=1)
     qa_acc = qa.evaluate_qa(qa_model, items, qa.TableEmbeddingProvider(table, dim=16), qa_store)
 
     ok = abs(acc - 0.03125) <= 0.005 and abs(qa_acc - 0.2) <= 0.02
@@ -402,7 +403,7 @@ def test_criterion_08_qa_planted_answers():
         answers.insert(pos, f"ans{i:05d}")
         items.append(qa.QaItem(f"q{i:05d}", f"q{i:05d}", answers, [(f"c{i:05d}", 0)], pos))
     provider = qa.TableEmbeddingProvider(table)
-    config = qa.QaTrainConfig(epochs=60, batch_size=32, learning_rate=0.3, momentum=0.9,
+    config = qa.QaTrainConfig(epochs=60, learning_rate=0.3, momentum=0.9,
                               scorer_widths=(128, 32), patience=10)
     model, _ = qa.train_qa(items[:700], provider, store, config, seed=3,
                            val_items=items[700:900])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shotline.autodiff import Tensor
 from shotline.binio import FormatError
-from shotline.checkpoint import load_checkpoint, save_checkpoint
+from shotline.checkpoint import VERSION, load_checkpoint, save_checkpoint
 
 from _util import fill_disk_after
 
@@ -100,7 +100,7 @@ def stln_entry(name: bytes, dims, payload: bytes = b"") -> bytes:
 
 def test_huge_declared_shape_fails_before_reading(tmp_path):
     path = tmp_path / "huge.stln"
-    path.write_bytes(b"STLN" + struct.pack("<II", 1, 1)
+    path.write_bytes(b"STLN" + struct.pack("<II", VERSION, 1)
                      + stln_entry(b"w", (0xFFFFFFFF, 0xFFFFFFFF), bytes(16)))
     with pytest.raises(FormatError, match=r"^.*huge\.stln: truncated file reading values of "
                                           r"'w' at byte 24: shape \(4294967295, 4294967295\) "
@@ -127,13 +127,15 @@ def test_truncation_names_the_file_field_and_byte(tmp_path):
 
 def test_header_errors_name_the_file(tmp_path):
     path = tmp_path / "model.stln"
-    path.write_bytes(b"STLN" + struct.pack("<II", 2, 0))
-    with pytest.raises(FormatError, match=r"model\.stln: unsupported format version 2"):
-        load_checkpoint(path)
-    path.write_bytes(b"STLN" + struct.pack("<II", 1, 1) + stln_entry(b"\xff", ()) + bytes(4))
+    for version in (1, 3):  # version 1 states also held the scoring and pooling codes
+        path.write_bytes(b"STLN" + struct.pack("<II", version, 0))
+        with pytest.raises(FormatError, match=rf"model\.stln: unsupported format version "
+                                              rf"{version} \(expected 2\)$"):
+            load_checkpoint(path)
+    path.write_bytes(b"STLN" + struct.pack("<II", VERSION, 1) + stln_entry(b"\xff", ()) + bytes(4))
     with pytest.raises(FormatError, match=r"model\.stln: parameter name at byte 14 is not UTF-8"):
         load_checkpoint(path)
-    path.write_bytes(b"STLN" + struct.pack("<II", 1, 2)
+    path.write_bytes(b"STLN" + struct.pack("<II", VERSION, 2)
                      + 2 * stln_entry(b"w", (1,), bytes(4)))
     with pytest.raises(FormatError, match=r"model\.stln: duplicate parameter name 'w'"):
         load_checkpoint(path)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -97,9 +98,9 @@ def untrained_checkpoint(world, seed):
     starts from under configs/tiny.cfg at this seed, and return its path."""
     store = read_shtf(world / "features.shtf")
     config = _temporal_config(load_config(TINY, []))
-    model = temporal.NextShotModel(store.dim, config.hidden_dim, config.scorer_widths,
-                                   seed=derive_rng(seed, "nextshot.init").integers(2**32),
-                                   input_scale=temporal._unit_rms_scale(store))
+    model = temporal.NextShotModel.fresh(store.dim, config.hidden_dim, config.scorer_widths,
+                                         seed=derive_rng(seed, "nextshot.init").integers(2**32),
+                                         input_scale=temporal._unit_rms_scale(store))
     save_checkpoint(world / "untrained.stln", model.state())
     return world / "untrained.stln"
 
@@ -278,17 +279,8 @@ def test_eval_temporal_random_init_near_chance(tmp_path):
     assert abs(acc - 0.125) < 0.07
 
 
-def _copy_weights(model, path):
-    """Fill a model built by hand with a checkpoint's weights."""
-    state = load_checkpoint(path)
-    for name, tensor in model.parameters().items():
-        tensor.data[...] = state[name]
-    return model
-
-
-@pytest.mark.parametrize("pooling, val", [
-    pytest.param("final", False, id="final"), pytest.param("final", True, id="final-val")])
-def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooling, val):
+@pytest.mark.parametrize("val", [pytest.param(False, id="no-val"), pytest.param(True, id="val")])
+def test_temporal_checkpoint_round_trips_through_eval_temporal(tmp_path, capsys, val):
     world = synth_and_split(tmp_path, seed=7)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 7]
     for subset in ("train", "val", "test"):
@@ -319,12 +311,12 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooli
     assert run_cli(*base, "eval-temporal", "--features", world / "features.shtf",
                    "--questions", world / "test_q.tsv", "--model", world / "t.stln",
                    "--results", world / "r.tsv", "--metrics", world / "m.tsv") == 0
-    assert (load_checkpoint(world / "t.stln")["nextshot.context_pooling"]
-            == temporal.CONTEXT_POOLINGS.index(pooling))
     store = read_shtf(world / "features.shtf")
-    model = _copy_weights(temporal.NextShotModel(store.dim, 32, (64, 16),
-                                                 input_scale=temporal._unit_rms_scale(store)),
-                          world / "t.stln")
+    model = temporal.NextShotModel.from_state(load_checkpoint(world / "t.stln"))
+    # tiny.cfg's widths and the rms scale of the world's features
+    assert model.hidden_dim == 32
+    assert [w.data.shape[1] for w, _ in model.scorer.layers] == [64, 16, 1]
+    assert model.input_scale == np.float32(temporal._unit_rms_scale(store))
     questions = temporal.read_questions(world / "test_q.tsv", store)
     targets = questions.correct
     probs = model.probabilities_batch(store.matrix[questions.context],
@@ -338,9 +330,8 @@ def test_temporal_checkpoint_round_trips_context_pooling(tmp_path, capsys, pooli
         assert metrics[f"lstm.{setting}.accuracy"] == f"{np.mean(hits):.6f}"
 
 
-@pytest.mark.parametrize("scoring", ["sigmoid"])
 @pytest.mark.parametrize("proj_dim", [0, 16])
-def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
+def test_tag_checkpoint_round_trips_through_eval_tags_and_retrieve(tmp_path, proj_dim):
     world = synth_and_split(tmp_path, seed=9)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 9]
     tagged = ["--vocab", world / "vocab.json", "--features", world / "features.shtf"]
@@ -356,7 +347,6 @@ def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
             == len(row["lstm_examples_per_s"]) == 3)
     assert min(row["lstm_epoch_s"]) > 0 and min(row["lstm_examples_per_s"]) > 0
     assert "lstm_epoch_val_accuracy" not in row
-    assert load_checkpoint(world / "tags.stln")["tags.scoring"] == tags.SCORINGS.index(scoring)
     # evaluated under the default config: the projection comes from the checkpoint
     assert run_cli(*base, "eval-tags", "--manifest", world / "manifest.jsonl", *tagged,
                    "--model", world / "tags.stln", "--split", world / "split.json",
@@ -369,8 +359,8 @@ def test_tag_checkpoint_round_trips_scoring(tmp_path, scoring, proj_dim):
                    "--video-id", movie, "--tag", genre, "--output", world / "series.tsv",
                    "--ranked-output", world / "ranked.tsv") == 0
     store = read_shtf(world / "features.shtf")
-    model = _copy_weights(tags.TagModel(vocabulary, store.dim, proj_dim or None,
-                                        np.random.default_rng(0)), world / "tags.stln")
+    model = tags.TagModel.from_state(load_checkpoint(world / "tags.stln"), vocabulary)
+    assert (model.projection is None) == (proj_dim == 0)
     predictions = [tags.infer_score_average(model, vid, store.sequence(vid))
                    for vid in split["test_movies"]]
     tags.write_predictions(world / "expected.tsv", predictions, vocabulary)
@@ -435,9 +425,9 @@ def test_a_non_finite_value_anywhere_in_a_state_is_named(tmp_path_factory, kind,
     root = tmp_path_factory.mktemp("poisoned")
     vocab = corpus.TagVocabulary(["g0", "g1"], ["k0", "k1", "k2"])
     if kind == "nextshot":
-        model = temporal.NextShotModel(feature_dim, hidden, tuple(widths), seed=1)
+        model = temporal.NextShotModel.fresh(feature_dim, hidden, tuple(widths), seed=1)
     else:
-        model = tags.TagModel(vocab, feature_dim, proj_dim or None, derive_rng(1, "t"))
+        model = tags.TagModel.fresh(vocab, feature_dim, proj_dim or None, derive_rng(1, "t"))
     state = model.state()
     names = list(model.parameters())
     entry = data.draw(st.sampled_from(names))
@@ -585,7 +575,7 @@ def test_a_tag_sequence_scorer_of_another_width_fails_eval_tags(tmp_path, capsys
     world, base = _trained_checkpoints(tmp_path)
     state = load_checkpoint(world / "tags.stln")
     vocabulary = corpus.TagVocabulary.load(world / "vocab.json")
-    state.update(tags.TagLstm(vocabulary, 17, 16, derive_rng(0, "other")).state())
+    state.update(tags.TagLstm.fresh(vocabulary, 17, 16, derive_rng(0, "other")).state())
     save_checkpoint(world / "tags.stln", state)
     args, checkpoint, outputs = _checkpoint_runs(world, world / "features.shtf")["eval-tags"]
     _assert_fails_writing_nothing(
@@ -594,9 +584,7 @@ def test_a_tag_sequence_scorer_of_another_width_fails_eval_tags(tmp_path, capsys
         f"but the tag model gives 16")
 
 
-@pytest.mark.parametrize("command, scalar", [
-    ("eval-tags", "tags.scoring"), ("retrieve", "tags.scoring"),
-    ("eval-temporal", "nextshot.input_scale"), ("eval-temporal", "nextshot.context_pooling")])
+@pytest.mark.parametrize("command, scalar", [("eval-temporal", "nextshot.input_scale")])
 def test_a_checkpoint_without_a_scalar_fails_naming_it(tmp_path, capsys, command, scalar):
     world, base = _trained_checkpoints(tmp_path)
     args, checkpoint, outputs = _checkpoint_runs(world, world / "features.shtf")[command]
@@ -607,17 +595,33 @@ def test_a_checkpoint_without_a_scalar_fails_naming_it(tmp_path, capsys, command
                                   f"error\tValueError\t{checkpoint}: model state has no '{scalar}'")
 
 
-def test_a_softmax_or_mean_pooled_checkpoint_fails_naming_the_entry(tmp_path, capsys):
-    # code 1 marks a checkpoint written with softmax tag scoring or mean context pooling
+def test_a_version_1_checkpoint_fails_naming_the_file(tmp_path, capsys):
+    # version 1 states also held tags.scoring and nextshot.context_pooling, where
+    # code 1 meant the removed softmax scoring or mean pooling: none may load
     world, base = _trained_checkpoints(tmp_path)
-    for command, scalar in (("eval-tags", "tags.scoring"), ("retrieve", "tags.scoring"),
-                            ("eval-temporal", "nextshot.context_pooling")):
-        args, checkpoint, outputs = _checkpoint_runs(world, world / "features.shtf")[command]
-        state = load_checkpoint(checkpoint)
-        state[scalar] = np.float32(1)
-        save_checkpoint(checkpoint, state)
-        _assert_fails_writing_nothing(capsys, base, command, args, outputs,
-                                      f"error\tValueError\t{checkpoint}: unknown {scalar} code 1.0")
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=5)
+    save_checkpoint(world / "qa.stln", qa.QaModel.fresh(16, 16, (64, 16)).state())
+    runs = _checkpoint_runs(world, world / "features.shtf")
+    runs["eval-qa"] = (["--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                        "--embeddings", world / "embeddings.txt", "--model", world / "qa.stln",
+                        "--metrics", world / "qa_m.tsv"], world / "qa.stln", [world / "qa_m.tsv"])
+    for path, code in ((world / "tags.stln", "tags.scoring"),
+                       (world / "t.stln", "nextshot.context_pooling"), (world / "qa.stln", None)):
+        state = load_checkpoint(path)
+        if code == "tags.scoring":  # written after the tag model's weights, as version 1 did
+            names = list(state)
+            split = names.index("taglstm.lstm.weights")
+            state = {**{k: state[k] for k in names[:split]}, code: np.float32(1),
+                     **{k: state[k] for k in names[split:]}}
+        elif code:
+            state[code] = np.float32(1)
+        save_checkpoint(path, state)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+    for command, (args, checkpoint, outputs) in runs.items():
+        _assert_fails_writing_nothing(
+            capsys, base, command, args, outputs,
+            f"error\tFormatError\t{checkpoint}: unsupported format version 1 (expected 2)")
 
 
 def test_eval_qa_on_features_of_another_width_names_both_files(tmp_path, capsys):
@@ -643,7 +647,7 @@ def test_retrieve_names_an_unknown_video_or_tag_with_its_flag(tmp_path, capsys):
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 4]
     vocabulary = corpus.TagVocabulary.load(world / "vocab.json")
     save_checkpoint(world / "tags.stln",
-                    tags.TagModel(vocabulary, 16, 16, derive_rng(4, "tags.init")).state())
+                    tags.TagModel.fresh(vocabulary, 16, 16, derive_rng(4, "tags.init")).state())
     movie = json.loads((world / "split.json").read_text())["test_movies"][0]
     outputs = [world / "s.tsv", world / "r.tsv"]
     for video, tag, error in (
@@ -667,7 +671,7 @@ def test_retrieve_rejects_top_shots_below_one(tmp_path, capsys, value):
             "--set", f"top_shots={value}"]
     vocabulary = corpus.TagVocabulary.load(world / "vocab.json")
     save_checkpoint(world / "tags.stln",
-                    tags.TagModel(vocabulary, 16, 16, derive_rng(1, "tags.init")).state())
+                    tags.TagModel.fresh(vocabulary, 16, 16, derive_rng(1, "tags.init")).state())
     movie = json.loads((world / "split.json").read_text())["test_movies"][0]
     outputs = [world / "s.tsv", world / "r.tsv"]
     _assert_fails_writing_nothing(
@@ -751,13 +755,28 @@ def test_a_list_setting_that_does_not_parse_is_named(tmp_path, capsys):
     ("movies=0", "n_movies must be at least 1, got 0"),
     ("keyword_prob=1.5", "keyword_prob must be in [0, 1], got 1.5"),
     ("movie_topic_count=-2", "movie_topic_count must not be negative, got -2"),
-    ("movie_topic_count=9", "movie_topic_count must not exceed topics (6), got 9")])
+    ("movie_topic_count=9", "movie_topic_count must not exceed topics (6), got 9"),
+    # NaN fails every comparison, so a plain "< 0" test would let it through
+    ("noise_sigma=nan", "noise_sigma must not be negative, got nan"),
+    ("movie_style_sigma=nan", "movie_style_sigma must not be negative, got nan"),
+    ("successor_mass=nan", "successor_mass must not be negative, got nan")])
 def test_synth_rejects_an_out_of_range_world_setting(tmp_path, capsys, setting, error):
     log = tmp_path / "log.jsonl"
     log.write_text("")
     _assert_fails_writing_nothing(
         capsys, ["--run-log", log, "--config", TINY, "--seed", 1, "--set", setting], "synth",
         ["--out-dir", tmp_path / "world"], [tmp_path / "world"], f"error\tValueError\t{error}")
+
+
+def test_train_tags_rejects_a_negative_proj_dim(tmp_path, capsys):
+    # 0 means no projection; a negative width is an error, not another way to say 0
+    world = synth_and_split(tmp_path, seed=1)
+    _assert_fails_writing_nothing(
+        capsys, ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1,
+                 "--set", "proj_dim=-1"],
+        "train-tags", ["--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+                       "--features", world / "features.shtf", "--output", world / "tags.stln"],
+        [world / "tags.stln"], "error\tValueError\tproj_dim must not be negative, got -1")
 
 
 @pytest.mark.parametrize("ratios, parsed", [
@@ -897,7 +916,7 @@ def test_eval_qa_names_the_table_when_embed_dim_does_not_fit_it(tmp_path, capsys
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 6]
     table = world / "embeddings.txt"
     # a checkpoint for embed_dim=8 passes the width check; the 16-value table does not fit
-    save_checkpoint(world / "qa.stln", qa.QaModel(16, 8, (64, 16)).state())
+    save_checkpoint(world / "qa.stln", qa.QaModel.fresh(16, 8, (64, 16)).state())
     capsys.readouterr()
     assert run_cli(*base, "--set", "embed_dim=8", "eval-qa", "--embeddings", table,
                    "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
@@ -1044,7 +1063,7 @@ def test_an_empty_question_or_item_file_fails_naming_it(tmp_path, capsys, comman
         make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=3)
     out = ["--metrics", world / "m.tsv"] if command == "eval-qa" else ["--output", world / "o.stln"]
     if command == "eval-qa":  # a checkpoint that fits, so the item file is what fails
-        save_checkpoint(world / "qa.stln", qa.QaModel(16, 16, (64, 16)).state())
+        save_checkpoint(world / "qa.stln", qa.QaModel.fresh(16, 16, (64, 16)).state())
     capsys.readouterr()
     argv = [a for flag, name in files.items() for a in (flag, world / name)]
     assert run_cli(*base, command, "--features", world / "features.shtf", *argv, *out) == 1
@@ -1249,7 +1268,7 @@ def test_qa_hashing_fallback(tmp_path):
     assert epochs == len(row["epoch_val_accuracy"]) == len(row["epoch_s"]) == 2
     assert len(row["examples_per_s"]) == epochs and min(row["examples_per_s"]) > 0
     metrics = dict(l.split("\t") for l in (world / "qa_metrics.tsv").read_text().splitlines())
-    model = _copy_weights(qa.QaModel(store.dim, 16, (64, 16)), world / "qa.stln")
+    model = qa.QaModel.from_state(load_checkpoint(world / "qa.stln"))
     items = qa.read_qa_items(world / "qa_items.tsv", store)
     accuracy = qa.evaluate_qa(model, items, qa.HashingEmbeddingProvider(16), store)
     assert metrics["qa.accuracy"] == f"{accuracy:.6f}"

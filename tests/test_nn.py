@@ -5,14 +5,14 @@ import pytest
 
 from shotline import autodiff as ad
 from shotline.autodiff import Tensor
-from shotline.nn import RowMlp, assign_parameters, fit
+from shotline.nn import LstmCell, RowMlp, fit
 
 from _util import check_gradients, multi_node_scores
 
 
 def float64_scorer(rng, input_dim, widths):
     """A RowMlp whose weights and biases are random float64 leaves."""
-    mlp = RowMlp(input_dim, widths, rng)
+    mlp = RowMlp.fresh(input_dim, widths, rng)
     for i, (w, b) in enumerate(mlp.layers):
         mlp.layers[i] = (Tensor(rng.normal(0, 0.5, w.data.shape), requires_grad=True),
                          Tensor(rng.normal(0, 0.2, b.data.shape), requires_grad=True))
@@ -90,7 +90,7 @@ def test_pair_mlp_is_bit_identical_to_the_multi_node_form(dtype, widths, candida
     # the next-shot shape in small: odd widths, several candidates per context
     rng = np.random.default_rng(len(widths) + 3 * candidate_grad)
     q, n, c, d = 6, 5, 19, 11
-    mlp = RowMlp(c + d, widths, rng)
+    mlp = RowMlp.fresh(c + d, widths, rng)
     for i, (w, b) in enumerate(mlp.layers):
         mlp.layers[i] = (Tensor(rng.normal(0, 0.4, w.data.shape).astype(dtype), requires_grad=True),
                          Tensor(rng.normal(0, 0.4, b.data.shape).astype(dtype), requires_grad=True))
@@ -110,7 +110,7 @@ def test_pair_mlp_is_bit_identical_to_the_multi_node_form(dtype, widths, candida
 
 def test_pair_mlp_under_no_grad_builds_no_tape():
     rng = np.random.default_rng(5)
-    mlp = RowMlp(5, (4,), rng)
+    mlp = RowMlp.fresh(5, (4,), rng)
     context = Tensor(rng.normal(0, 1, (2, 3)).astype(np.float32), requires_grad=True)
     candidates = Tensor(rng.normal(0, 1, (6, 2)).astype(np.float32))
     taped = mlp.scores(context, candidates)
@@ -124,7 +124,7 @@ def test_pair_mlp_under_no_grad_builds_no_tape():
 
 def test_pair_mlp_second_backward_raises():
     rng = np.random.default_rng(6)
-    mlp = RowMlp(5, (4, 3), rng)
+    mlp = RowMlp.fresh(5, (4, 3), rng)
     context = Tensor(rng.normal(0, 1, (2, 3)).astype(np.float32), requires_grad=True)
     loss = ad.sum_all(mlp.scores(context, Tensor(rng.normal(0, 1, (6, 2)).astype(np.float32))))
     loss.backward()
@@ -135,7 +135,7 @@ def test_pair_mlp_second_backward_raises():
 
 
 def test_scores_reject_inputs_that_do_not_fit():
-    mlp = RowMlp(6, (4,), np.random.default_rng(0))
+    mlp = RowMlp.fresh(6, (4,), np.random.default_rng(0))
     context = Tensor(np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="5 candidate rows do not split evenly over 2"):
         mlp.scores(context, Tensor(np.zeros((5, 2), dtype=np.float32)))
@@ -153,20 +153,53 @@ def test_scores_reject_inputs_that_do_not_fit():
 def test_scorer_rejects_a_hidden_width_below_one(widths):
     with pytest.raises(ValueError, match=rf"^scorer_widths must each be at least 1, "
                                          rf"got {re.escape(str(widths))}$"):
-        RowMlp(6, widths, np.random.default_rng(0))
+        RowMlp.fresh(6, widths, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_assign_parameters_rejects_a_non_finite_value(bad):
-    mlp = RowMlp(3, (2,), np.random.default_rng(0))
+def test_a_non_finite_weight_is_named(bad):
+    mlp = RowMlp.fresh(3, (2,), np.random.default_rng(0))
     state = {k: v.data.copy() for k, v in mlp.parameters().items()}
     state["mlp.1.weights"][1, 0] = bad
     with pytest.raises(ValueError, match=r"^'mlp.1.weights' holds 1 non-finite value\(s\), "
                                          r"the first at index \(1, 0\)$"):
-        assign_parameters(mlp.parameters(), state)
+        RowMlp.from_state(state, "", None)
     state["mlp.1.weights"][1, 0] = 0.5
-    assign_parameters(mlp.parameters(), state)
-    assert mlp.layers[1][0].data[1, 0] == np.float32(0.5)
+    assert RowMlp.from_state(state, "", None).layers[1][0].data[1, 0] == np.float32(0.5)
+
+
+@pytest.mark.parametrize("entry, shape, expected", [
+    ("mlp.0.weights", (4, 2), "(3, any)"), ("mlp.0.bias", (3,), "(2)"),
+    ("mlp.1.weights", (2, 2), "(2, 1)"), ("mlp.1.weights", (2, 1, 1), "(2, 1)")])
+def test_a_scorer_layer_that_does_not_fit_is_named(entry, shape, expected):
+    # each layer takes the previous layer's width, and the last gives one score
+    state = RowMlp.fresh(3, (2,), np.random.default_rng(0)).parameters()
+    state = {k: v.data for k, v in state.items()} | {entry: np.zeros(shape, np.float32)}
+    with pytest.raises(ValueError, match=rf"^'{entry}' has shape {re.escape(str(shape))}, "
+                                         rf"the model expects {re.escape(expected)}$"):
+        RowMlp.from_state(state, "", 3)
+
+
+def test_a_missing_scorer_layer_is_named():
+    with pytest.raises(KeyError, match="model state has no 'qa.mlp.0.weights'"):
+        RowMlp.from_state({"qa.mlp.1.weights": np.zeros((2, 1), np.float32)}, "qa.", None)
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (2, 8), (3, 0)])
+def test_lstm_weights_of_no_lstm_are_named(shape):
+    # (input + hidden, 4 * hidden) with both at least 1
+    state = {"lstm.weights": np.zeros(shape, np.float32), "lstm.bias": np.zeros(8, np.float32)}
+    with pytest.raises(ValueError, match=rf"^'lstm.weights' has shape "
+                                         rf"{re.escape(str(shape))}"):
+        LstmCell.from_state(state, "")
+
+
+def test_an_lstm_bias_that_does_not_fit_the_weights_is_named():
+    state = LstmCell.fresh(3, 2, np.random.default_rng(0)).parameters()
+    state = {"lstm.weights": state["lstm.weights"].data, "lstm.bias": np.zeros(12, np.float32)}
+    with pytest.raises(ValueError, match=r"^'lstm.bias' has shape \(12,\), "
+                                         r"the model expects \(8\)$"):
+        LstmCell.from_state(state, "")
 
 
 # -- fit -------------------------------------------------------------------------

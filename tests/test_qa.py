@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shotline import autodiff as ad
+from shotline import qa
 from shotline.autodiff import Tensor
-from shotline.checkpoint import load_checkpoint, save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import RowMlp
 from shotline.qa import (HashingEmbeddingProvider, QaItem, QaModel, QaTrainConfig,
@@ -15,7 +15,7 @@ from shotline.qa import (HashingEmbeddingProvider, QaItem, QaModel, QaTrainConfi
                          read_embedding_table, read_qa_items, tokenize, train_qa,
                          write_qa_items)
 
-from _util import check_gradients, write_embedding_table
+from _util import check_gradients, forbid_random_draws, reload, write_embedding_table
 
 
 def test_tokenize_lowercases_and_splits():
@@ -138,7 +138,7 @@ def test_encode_clip_missing_lookup():
 def test_qa_forward_identical_answers_uniform():
     items, store, provider = small_fixture()
     item = QaItem("t", "q0", ["ans00", "ans00", "ans00", "ans00"], [("c0", 0)], 0)
-    model = QaModel(4, 3, (8, 4), seed=1)
+    model = QaModel.fresh(4, 3, (8, 4), seed=1)
     clips, questions, answers, _ = _item_arrays([item], provider, store)
     probs = model.probabilities_batch(clips, questions, answers).data
     assert np.allclose(probs, 0.25, atol=1e-6)
@@ -146,7 +146,7 @@ def test_qa_forward_identical_answers_uniform():
 
 def test_qa_forward_distribution_and_permutation():
     items, store, provider = small_fixture()
-    model = QaModel(4, 3, (8, 4), seed=2)
+    model = QaModel.fresh(4, 3, (8, 4), seed=2)
     flipped = QaItem("t", items[0].question, items[0].answers[::-1],
                      items[0].clip_shots, 0)
     clips, questions, answers, _ = _item_arrays([items[0], flipped], provider, store)
@@ -159,7 +159,7 @@ def test_qa_forward_distribution_and_permutation():
 def test_qa_end_to_end_gradient_tiny_instance():
     # clip dim 4, embedding dim 6, 3 answers
     rng = np.random.default_rng(7)
-    mlp = RowMlp(4 + 2 * 6, (8, 4), rng)
+    mlp = RowMlp.fresh(4 + 2 * 6, (8, 4), rng)
     params = []
     for i, (w, b) in enumerate(mlp.layers):
         w64 = Tensor(rng.normal(0, 0.5, w.data.shape), requires_grad=True)
@@ -178,7 +178,7 @@ def test_qa_end_to_end_gradient_tiny_instance():
 
 def test_single_item_overfit():
     items, store, provider = small_fixture()
-    config = QaTrainConfig(epochs=200, batch_size=1, learning_rate=0.1, momentum=0.9,
+    config = QaTrainConfig(epochs=200, learning_rate=0.1, momentum=0.9,
                            scorer_widths=(16, 8))
     model, history = train_qa(items[:1], provider, store, config, seed=0)
     assert evaluate_qa(model, items[:1], provider, store) == 1.0
@@ -202,7 +202,7 @@ def test_untrained_accuracy_near_chance():
         answers.insert(pos, f"a{i}")
         items.append(QaItem(f"i{i}", "", answers, [(f"c{i}", 0)], pos))
     provider = TableEmbeddingProvider(table, dim=3)
-    model = QaModel(4, 3, (16, 8), seed=3)
+    model = QaModel.fresh(4, 3, (16, 8), seed=3)
     acc = evaluate_qa(model, items, provider, store)
     assert abs(acc - 0.2) < 0.06
 
@@ -215,35 +215,37 @@ def test_train_qa_rejects_empty():
 
 def test_train_qa_early_stops_on_patience():
     items, store, provider = small_fixture(n=4)
-    config = QaTrainConfig(epochs=100, batch_size=2, learning_rate=0.01, patience=3)
+    config = QaTrainConfig(epochs=100, learning_rate=0.01, patience=3)
     model, history = train_qa(items[:2], provider, store, config, seed=1,
                               val_items=items[2:])
     assert len(history["loss"]) < 100
 
 
-def test_qa_training_deterministic():
+def test_qa_training_deterministic(monkeypatch):
+    monkeypatch.setattr(qa, "TRAIN_BATCH", 2)
     items, store, provider = small_fixture(n=4)
-    config = QaTrainConfig(epochs=5, batch_size=2, learning_rate=0.05)
+    config = QaTrainConfig(epochs=5, learning_rate=0.05)
     model_a, _ = train_qa(items, provider, store, config, seed=2)
     model_b, _ = train_qa(items, provider, store, config, seed=2)
     for name, p in model_a.parameters().items():
         assert np.array_equal(p.data, model_b.parameters()[name].data)
 
 
-def test_qa_model_state_round_trip(tmp_path):
+def test_qa_model_state_round_trip(monkeypatch):
     items, store, provider = small_fixture(n=4)
-    model = QaModel(4, 3, (8, 5), seed=3)
-    save_checkpoint(tmp_path / "qa.stln", model.state())
-    restored = QaModel.from_state(load_checkpoint(tmp_path / "qa.stln"))
+    model = QaModel.fresh(4, 3, (8, 5), seed=3)
+    forbid_random_draws(monkeypatch)
+    restored = reload(model)
     assert [w.data.shape for w, _ in restored.scorer.layers] == [(10, 8), (8, 5), (5, 1)]
     clips, questions, answers, _ = _item_arrays(items, provider, store)
     assert np.array_equal(model.probabilities_batch(clips, questions, answers).data,
                           restored.probabilities_batch(clips, questions, answers).data)
 
 
-def test_train_qa_restores_best_validation_model():
+def test_train_qa_restores_best_validation_model(monkeypatch):
+    monkeypatch.setattr(qa, "TRAIN_BATCH", 2)
     items, store, provider = small_fixture(n=6)
-    config = QaTrainConfig(epochs=6, batch_size=2, learning_rate=0.05, patience=10)
+    config = QaTrainConfig(epochs=6, learning_rate=0.05, patience=10)
     model, history = train_qa(items[:4], provider, store, config, seed=4, val_items=items[4:])
     assert evaluate_qa(model, items[4:], provider, store) == max(history["val_accuracy"])
 
@@ -253,7 +255,7 @@ def test_train_qa_stops_on_non_finite_loss():
     provider.table["q1"][0] = np.nan
     with pytest.raises(FloatingPointError,
                        match=r"train_qa: epoch 0, batch start \d+: non-finite loss nan"):
-        train_qa(items, provider, store, QaTrainConfig(epochs=2, batch_size=2), seed=0)
+        train_qa(items, provider, store, QaTrainConfig(epochs=2), seed=0)
 
 
 def test_qa_item_validation():

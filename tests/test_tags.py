@@ -10,18 +10,19 @@ from shotline.tags import (GENRE_WEIGHT, LSTM_LEARNING_RATE, TagLstm, TagModel, 
                            infer_feature_lstm, infer_score_average, multitask_loss, sample_shots,
                            shot_tag_response, top_shots, train_tag_lstm, train_tags,
                            write_predictions)
-from shotline.checkpoint import load_checkpoint, save_checkpoint
+from shotline.checkpoint import save_checkpoint
 from shotline.nn import pooling_matrix
 from shotline.rng import derive_rng
 
-from _util import check_gradients, final_step_rows, forward_video, zero_state
+from _util import (check_gradients, final_step_rows, forbid_random_draws, forward_video,
+                   reload, zero_state)
 
 
 VOCAB = TagVocabulary(["g0", "g1", "g2"], ["k0", "k1"])
 
 
 def zero_model(input_dim=4):
-    model = TagModel(VOCAB, input_dim, None, np.random.default_rng(0))
+    model = TagModel.fresh(VOCAB, input_dim, None, np.random.default_rng(0))
     for p in model.parameters().values():
         p.data[...] = 0.0
     return model
@@ -53,7 +54,7 @@ def test_forward_confident_logit():
 
 def test_forward_matches_affine_sigmoid_oracle():
     rng = np.random.default_rng(1)
-    model = TagModel(VOCAB, 4, None, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
     feat = rng.normal(0, 1, 4).astype(np.float32)
     pred = forward_video(model, "v", feat)
     logits = feat @ model.genre_w.data + model.genre_b.data
@@ -164,48 +165,33 @@ def test_train_tags_deterministic_checkpoints(tmp_path):
     assert (tmp_path / "a.stln").read_bytes() == (tmp_path / "b.stln").read_bytes()
 
 
-def test_model_state_round_trip(tmp_path):
+def test_model_state_round_trip(monkeypatch):
     rng = np.random.default_rng(5)
     for proj_dim in (3, None):
-        model = TagModel(VOCAB, 4, proj_dim, rng)
-        lstm = TagLstm(VOCAB, proj_dim or 4, 5, rng)
-        save_checkpoint(tmp_path / "m.stln", {**model.state(), **lstm.state()})
-        state = load_checkpoint(tmp_path / "m.stln")
-        restored = TagModel.from_state(state, VOCAB)
-        restored_lstm = TagLstm.from_state(state, VOCAB)
-        assert (restored.input_dim, restored.proj_dim) == (4, proj_dim)
-        assert state["tags.scoring"] == 0
+        model = TagModel.fresh(VOCAB, 4, proj_dim, rng)
+        lstm = TagLstm.fresh(VOCAB, proj_dim or 4, 5, rng)
+        with monkeypatch.context() as patched:
+            forbid_random_draws(patched)
+            restored = reload(model, VOCAB)
+            restored_lstm = reload(lstm, restored)
+        assert (restored.input_dim, restored.output_dim) == (4, proj_dim or 4)
+        assert (restored.projection is None) == (proj_dim is None)
         assert restored_lstm.cell.hidden_dim == 5
         for old, new in ((model, restored), (lstm, restored_lstm)):
+            assert list(old.parameters()) == list(new.parameters())
             for name, tensor in old.parameters().items():
                 assert np.array_equal(tensor.data, new.parameters()[name].data)
         seq = rng.normal(0, 1, (6, 4)).astype(np.float32)
+        for want, got in zip(model.shot_scores(seq), restored.shot_scores(seq)):
+            assert np.array_equal(want, got)
         want = infer_feature_lstm(model, lstm, "v", seq)
         got = infer_feature_lstm(restored, restored_lstm, "v", seq)
         assert np.array_equal(want.genre_scores, got.genre_scores)
         assert np.array_equal(want.keyword_scores, got.keyword_scores)
 
 
-def test_a_state_without_scoring_is_named():
-    model = TagModel(VOCAB, 4, None, np.random.default_rng(5))
-    state = {k: v.data for k, v in model.parameters().items()}
-    with pytest.raises(KeyError, match="model state has no 'tags.scoring'"):
-        TagModel.from_state(state, VOCAB)
-    state["tags.scoring"] = np.float32(2)
-    with pytest.raises(ValueError, match="tags.scoring code"):
-        TagModel.from_state(state, VOCAB)
-
-
-def test_a_softmax_state_does_not_load():
-    # a checkpoint written with softmax scoring holds code 1: it must not score as sigmoid
-    state = TagModel(VOCAB, 4, None, np.random.default_rng(5)).state()
-    state["tags.scoring"] = np.float32(1)
-    with pytest.raises(ValueError, match="unknown tags.scoring code 1.0"):
-        TagModel.from_state(state, VOCAB)
-
-
 def test_from_state_rejects_a_different_vocabulary():
-    model = TagModel(VOCAB, 4, None, np.random.default_rng(5))
+    model = TagModel.fresh(VOCAB, 4, None, np.random.default_rng(5))
     other = TagVocabulary(["g0", "g1"], ["k0", "k1"])
     with pytest.raises(ValueError, match="head.genre.weights"):
         TagModel.from_state(model.state(), other)
@@ -215,7 +201,7 @@ def test_from_state_rejects_a_different_vocabulary():
 
 def test_score_average_single_shot_equals_forward():
     rng = np.random.default_rng(6)
-    model = TagModel(VOCAB, 4, None, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
     shot = rng.normal(0, 1, (1, 4)).astype(np.float32)
     pred = infer_score_average(model, "v", shot)
     direct = forward_video(model, "v", shot[0])
@@ -224,7 +210,7 @@ def test_score_average_single_shot_equals_forward():
 
 def test_score_average_two_shots_mean():
     rng = np.random.default_rng(7)
-    model = TagModel(VOCAB, 4, None, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
     shots = rng.normal(0, 1, (2, 4)).astype(np.float32)
     pred = infer_score_average(model, "v", shots)
     s1 = forward_video(model, "v", shots[0]).genre_scores
@@ -234,7 +220,7 @@ def test_score_average_two_shots_mean():
 
 def test_score_average_five_shot_loop_oracle_and_permutation_invariance():
     rng = np.random.default_rng(8)
-    model = TagModel(VOCAB, 4, 3, rng)
+    model = TagModel.fresh(VOCAB, 4, 3, rng)
     shots = rng.normal(0, 1, (5, 4)).astype(np.float32)
     pred = infer_score_average(model, "v", shots)
     loop = np.mean([forward_video(model, "v", (s[None] @ model.projection.data)[0]).genre_scores
@@ -247,17 +233,17 @@ def test_score_average_five_shot_loop_oracle_and_permutation_invariance():
 @pytest.mark.parametrize("proj_dim", [3, None])
 def test_a_sequence_scorer_of_another_input_width_is_named(proj_dim):
     rng = np.random.default_rng(8)
-    model = TagModel(VOCAB, 4, proj_dim, rng)
-    state = {**model.state(), **TagLstm(VOCAB, 5, 6, rng).state()}
+    model = TagModel.fresh(VOCAB, 4, proj_dim, rng)
+    state = {**model.state(), **TagLstm.fresh(VOCAB, 5, 6, rng).state()}
     with pytest.raises(ValueError, match=f"^'taglstm.lstm.weights' takes 5-value inputs, "
                                          f"but the tag model gives {proj_dim or 4}$"):
-        TagLstm.from_state(state, VOCAB)
+        TagLstm.from_state(state, model)
 
 
 def test_feature_lstm_single_step_equals_one_step():
     rng = np.random.default_rng(9)
-    model = TagModel(VOCAB, 4, None, rng)
-    lstm = TagLstm(VOCAB, 4, 6, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
+    lstm = TagLstm.fresh(VOCAB, 4, 6, rng)
     seq = rng.normal(0, 1, (1, 4)).astype(np.float32)
     pred = infer_feature_lstm(model, lstm, "v", seq)
     hidden = lstm.step_outputs(Tensor(seq)).data
@@ -267,8 +253,8 @@ def test_feature_lstm_single_step_equals_one_step():
 
 def test_feature_lstm_constant_input_zero_recurrence():
     rng = np.random.default_rng(10)
-    model = TagModel(VOCAB, 4, None, rng)
-    lstm = TagLstm(VOCAB, 4, 6, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
+    lstm = TagLstm.fresh(VOCAB, 4, 6, rng)
     # zero recurrent block and a saturated-closed forget gate: every step
     # then computes the same gates and the same cell state, so per-step
     # outputs are equal and their mean equals any single step
@@ -285,8 +271,8 @@ def test_feature_lstm_constant_input_zero_recurrence():
 
 def test_feature_lstm_matches_step_oracle():
     rng = np.random.default_rng(11)
-    model = TagModel(VOCAB, 4, None, rng)
-    lstm = TagLstm(VOCAB, 4, 5, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
+    lstm = TagLstm.fresh(VOCAB, 4, 5, rng)
     seq = rng.normal(0, 1, (4, 4)).astype(np.float32)
     pred = infer_feature_lstm(model, lstm, "v", seq)
     h, c = zero_state(lstm.cell)
@@ -301,7 +287,7 @@ def test_feature_lstm_matches_step_oracle():
 
 def test_feature_lstm_order_sensitive():
     rng = np.random.default_rng(12)
-    model = TagModel(VOCAB, 4, None, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
     entries = [VideoManifestEntry("v0", "trailer", "", ["g0"], [])]
     store = FeatureStore(4)
     for o in range(6):
@@ -356,7 +342,7 @@ def padded_batch(seqs):
 
 def test_padded_batch_matches_per_video_step_loops():
     rng = np.random.default_rng(30)
-    lstm = TagLstm(VOCAB, 4, 6, rng)
+    lstm = TagLstm.fresh(VOCAB, 4, 6, rng)
     seqs = [rng.normal(0, 1, (n, 4)).astype(np.float32) for n in (7, 3, 5, 1)]
     padded, lengths = padded_batch(seqs)
     coef = Tensor(rng.normal(0, 1, (4, 6)).astype(np.float32))
@@ -380,7 +366,7 @@ def test_padded_batch_matches_per_video_step_loops():
 @pytest.mark.parametrize("mode", ["final", "mean"])
 def test_pooled_video_independent_of_batch_mates(mode):
     rng = np.random.default_rng(31)
-    lstm = TagLstm(VOCAB, 4, 6, rng)
+    lstm = TagLstm.fresh(VOCAB, 4, 6, rng)
     video = rng.normal(0, 1, (4, 4)).astype(np.float32)
     others = [rng.normal(0, 1, (n, 4)).astype(np.float32) for n in (9, 2, 6)]
     pooled = []
@@ -412,7 +398,7 @@ def ragged_tag_corpus(dim=4, nan_video=None):
 
 def per_video_tag_lstm(entries, store, config, seed):
     """The trainer train_tag_lstm batches, run video by video with LstmCell.step."""
-    lstm = TagLstm(VOCAB, store.dim, config.lstm_hidden, derive_rng(seed, "taglstm.init"))
+    lstm = TagLstm.fresh(VOCAB, store.dim, config.lstm_hidden, derive_rng(seed, "taglstm.init"))
     optimizer = SgdOptimizer(lstm.parameters(), LSTM_LEARNING_RATE, config.momentum)
     for epoch in range(config.lstm_epochs):
         order = derive_rng(seed, "taglstm.epoch", epoch).permutation(len(entries))
@@ -443,7 +429,7 @@ def test_batched_tag_lstm_training_matches_per_video_trainer():
     assert min(history["loss"]) > 0 and min(history["epoch_s"]) > 0
     for seconds, rate in zip(history["epoch_s"], history["examples_per_s"]):
         assert rate * seconds == pytest.approx(len(entries))
-    start = TagLstm(VOCAB, 4, 5, derive_rng(4, "taglstm.init"))
+    start = TagLstm.fresh(VOCAB, 4, 5, derive_rng(4, "taglstm.init"))
     for name, tensor in trained.parameters().items():
         want = reference.parameters()[name].data
         assert not np.array_equal(want, start.parameters()[name].data), name
@@ -471,7 +457,7 @@ def project_then_mean_logits(model, shots, kw_rows):
 def test_pool_then_project_matches_project_then_mean_in_float64(kw_rows):
     rng = np.random.default_rng(40)
     shots = 4
-    model = TagModel(VOCAB, 5, 3, rng)
+    model = TagModel.fresh(VOCAB, 5, 3, rng)
     for tensor in model.parameters().values():
         tensor.data = rng.normal(0, 0.5, tensor.data.shape)
     # video 1 has two shots, fewer than shots_per_video: its picks repeat
@@ -543,7 +529,7 @@ def test_train_tags_samples_the_shots_of_each_video_stream(monkeypatch):
 def per_video_train_tags(entries, store, config, seed, proj_dim):
     """The trainer train_tags batches: each video's sampled shots projected,
     then averaged, one video at a time."""
-    model = TagModel(VOCAB, store.dim, proj_dim, derive_rng(seed, "tags.init"))
+    model = TagModel.fresh(VOCAB, store.dim, proj_dim, derive_rng(seed, "tags.init"))
     optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)
     for epoch in range(config.epochs):
         order = derive_rng(seed, "tags.epoch", epoch).permutation(len(entries))
@@ -572,7 +558,7 @@ def test_train_tags_matches_per_video_trainer(proj_dim):
     config = TagTrainConfig(epochs=4, batch_size=3, shots_per_video=4, learning_rate=0.2)
     trained, history = train_tags(entries, store, VOCAB, config, seed=5, proj_dim=proj_dim)
     reference = per_video_train_tags(entries, store, config, 5, proj_dim)
-    start = TagModel(VOCAB, 4, proj_dim, derive_rng(5, "tags.init"))
+    start = TagModel.fresh(VOCAB, 4, proj_dim, derive_rng(5, "tags.init"))
     for name, tensor in trained.parameters().items():
         want = reference.parameters()[name].data
         assert not np.array_equal(want, start.parameters()[name].data), name
@@ -597,7 +583,7 @@ def test_shot_tag_response_unknown_tag():
 
 def test_shot_tag_response_length_and_topk():
     rng = np.random.default_rng(13)
-    model = TagModel(VOCAB, 4, None, rng)
+    model = TagModel.fresh(VOCAB, 4, None, rng)
     seq = rng.normal(0, 1, (9, 4)).astype(np.float32)
     series = shot_tag_response(model, "v", seq, "k1")
     assert [o for o, _ in series] == list(range(9))

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from shotline import autodiff as ad
 from shotline import temporal
 from shotline.autodiff import Tensor
-from shotline.checkpoint import load_checkpoint, save_checkpoint
+from shotline.checkpoint import save_checkpoint
 from shotline.features import FeatureStore
 from shotline.nn import LstmCell
-from shotline.temporal import (CONTEXT_POOLINGS, CROSS_MOVIE, IN_MOVIE, NextShotModel,
-                               QuestionSet, TemporalTrainConfig, accuracy_by_setting,
+from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel, QuestionSet,
+                               TemporalTrainConfig, accuracy_by_setting,
                                baseline_average_cosine, evaluate_accuracy, generate_questions,
                                predict_probabilities, read_questions, train_next_shot,
                                write_questions, write_results)
 
-from _util import (OracleQuestion, assert_same_questions, check_gradients,
+from _util import (OracleQuestion, assert_same_questions, check_gradients, forbid_random_draws,
                    one_hot_context_batch, oracle_set, per_question_baseline, pool_generator,
-                   shot_ids, use_reference_engine, write_oracle_questions, zero_state)
+                   reload, shot_ids, use_reference_engine, write_oracle_questions, zero_state)
 
 
 def filled_store(n_movies=3, shots=50, dim=6, seed=0):
@@ -34,7 +34,7 @@ def filled_store(n_movies=3, shots=50, dim=6, seed=0):
 # -- lstm cell -----------------------------------------------------------------
 
 def test_lstm_zero_weights_zero_state_gives_zero():
-    cell = LstmCell(3, 4, np.random.default_rng(0))
+    cell = LstmCell.fresh(3, 4, np.random.default_rng(0))
     cell.weights.data[...] = 0.0
     cell.bias.data[...] = 0.0
     h, c = zero_state(cell)
@@ -43,7 +43,7 @@ def test_lstm_zero_weights_zero_state_gives_zero():
 
 
 def test_lstm_saturated_gates_carry_state():
-    cell = LstmCell(3, 4, np.random.default_rng(1))
+    cell = LstmCell.fresh(3, 4, np.random.default_rng(1))
     cell.weights.data[...] = 0.0
     cell.bias.data[...] = 0.0
     cell.bias.data[4:8] = 20.0    # forget gate wide open
@@ -55,7 +55,7 @@ def test_lstm_saturated_gates_carry_state():
 
 
 def test_lstm_forget_bias_initialized_to_one():
-    cell = LstmCell(3, 4, np.random.default_rng(2))
+    cell = LstmCell.fresh(3, 4, np.random.default_rng(2))
     assert np.allclose(cell.bias.data[4:8], 1.0)
     assert np.allclose(cell.bias.data[:4], 0.0)
 
@@ -63,7 +63,7 @@ def test_lstm_forget_bias_initialized_to_one():
 @pytest.mark.parametrize("seed", range(10))
 def test_lstm_step_gradients(seed):
     rng = np.random.default_rng(6000 + seed)
-    cell = LstmCell(3, 4, rng)
+    cell = LstmCell.fresh(3, 4, rng)
     cell.weights = Tensor(rng.normal(0, 0.4, (7, 16)), requires_grad=True)
     cell.bias = Tensor(rng.normal(0, 0.2, 16), requires_grad=True)
     x = Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
@@ -82,7 +82,7 @@ def test_lstm_step_gradients(seed):
 # A single (steps, feature_dim) context is encoded as a batch of one.
 
 def test_encode_context_single_step_equals_one_lstm_step():
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=3)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=3)
     features = np.random.default_rng(0).normal(0, 1, (1, 4)).astype(np.float32)
     u = model.encode_context_batch(features[None]).data[0]
     h, c = zero_state(model.cell)
@@ -91,7 +91,7 @@ def test_encode_context_single_step_equals_one_lstm_step():
 
 
 def test_encode_context_order_sensitive():
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=4)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=4)
     rng = np.random.default_rng(1)
     features = rng.normal(0, 1, (6, 4)).astype(np.float32)
     forward = model.encode_context_batch(features[None]).data[0]
@@ -100,7 +100,7 @@ def test_encode_context_order_sensitive():
 
 
 def test_encode_context_matches_unrolled_oracle():
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=5)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=5)
     rng = np.random.default_rng(2)
     features = rng.normal(0, 1, (3, 4)).astype(np.float32)
     u = model.encode_context_batch(features[None]).data[0]
@@ -112,14 +112,14 @@ def test_encode_context_matches_unrolled_oracle():
 
 
 def test_encode_context_empty_rejected():
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=6)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=6)
     with pytest.raises(ValueError, match="lstm_sequence: empty input sequence"):
         model.encode_context_batch(np.zeros((1, 0, 4), dtype=np.float32))
 
 
 def test_encode_context_is_gate_bounded():
     # h = output_gate * tanh(cell): every entry stays inside (-1, 1)
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=13, input_scale=4.0)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=13, input_scale=4.0)
     rng = np.random.default_rng(14)
     for _ in range(5):
         u = model.encode_context_batch(rng.normal(0, 3, (1, 10, 4)).astype(np.float32))
@@ -137,11 +137,9 @@ def step_loop_contexts(model, contexts):
     return states
 
 
-@pytest.mark.parametrize("pooling", ["final"])
-def test_encode_context_batch_matches_step_loop(pooling):
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(8,), seed=21, input_scale=1.7)
-    # the context is the last step's hidden state, and the checkpoint says so
-    assert model.state()["nextshot.context_pooling"] == CONTEXT_POOLINGS.index(pooling)
+def test_encode_context_batch_matches_step_loop():
+    # the context is the last step's hidden state
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(8,), seed=21, input_scale=1.7)
     rng = np.random.default_rng(22)
     contexts = rng.normal(0, 1, (5, 7, 6)).astype(np.float32)
     coef = Tensor(rng.normal(0, 1, (5, 8)).astype(np.float32))
@@ -164,8 +162,8 @@ def test_encode_context_batch_matches_step_loop(pooling):
     pytest.param(np.float64, 5, 7, 6, 8, id="float64")])
 def test_last_step_readout_is_bit_identical_to_one_hot_pooling(dtype, batch, steps,
                                                                 feature_dim, hidden):
-    model = NextShotModel(feature_dim, hidden_dim=hidden, scorer_widths=(8,), seed=23,
-                          input_scale=1.3)
+    model = NextShotModel.fresh(feature_dim, hidden_dim=hidden, scorer_widths=(8,), seed=23,
+                                input_scale=1.3)
     cell = model.cell
     cell.weights = Tensor(cell.weights.data.astype(dtype), requires_grad=True)
     cell.bias = Tensor(cell.bias.data.astype(dtype), requires_grad=True)
@@ -188,14 +186,14 @@ def test_last_step_readout_is_bit_identical_to_one_hot_pooling(dtype, batch, ste
 # One question's candidates are scored as a batch of one.
 
 def test_score_candidates_singleton_is_one():
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=7)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=7)
     context = np.random.default_rng(2).normal(0, 1, (1, 3, 4)).astype(np.float32)
     probs = model.probabilities_batch(context, np.ones((1, 1, 4), dtype=np.float32))
     assert np.array_equal(probs.data, np.array([[1.0]], dtype=np.float32))
 
 
 def test_score_candidates_duplicates_get_equal_probability():
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8,), seed=8)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=8)
     rng = np.random.default_rng(3)
     context = rng.normal(0, 1, (1, 3, 4)).astype(np.float32)
     row = rng.normal(0, 1, 4).astype(np.float32)
@@ -205,7 +203,7 @@ def test_score_candidates_duplicates_get_equal_probability():
 
 
 def test_score_candidates_distribution_and_permutation_equivariance():
-    model = NextShotModel(4, hidden_dim=5, scorer_widths=(8, 4), seed=9)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8, 4), seed=9)
     rng = np.random.default_rng(4)
     context = rng.normal(0, 1, (1, 3, 4)).astype(np.float32)
     cands = rng.normal(0, 1, (6, 4)).astype(np.float32)
@@ -218,7 +216,7 @@ def test_score_candidates_distribution_and_permutation_equivariance():
 
 def test_answer_matches_argmax_and_tie_breaks_low():
     store = filled_store()
-    model = NextShotModel(6, hidden_dim=5, scorer_widths=(8,), seed=10)
+    model = NextShotModel.fresh(6, hidden_dim=5, scorer_widths=(8,), seed=10)
     q = oracle_set(store, [OracleQuestion("q", "m0", IN_MOVIE,
                                           [("m0", i) for i in range(4)],
                                           [("m0", 9), ("m0", 20), ("m0", 4), ("m0", 30)], 2)])
@@ -243,11 +241,11 @@ def test_scores_shift_invariant_at_argmax():
 def test_end_to_end_gradient_tiny_instance():
     # feature dim 4, hidden 6, 3 candidates, context length 2
     rng = np.random.default_rng(11)
-    cell = LstmCell(4, 6, rng)
+    cell = LstmCell.fresh(4, 6, rng)
     cell.weights = Tensor(rng.normal(0, 0.4, (10, 24)), requires_grad=True)
     cell.bias = Tensor(rng.normal(0, 0.2, 24), requires_grad=True)
     from shotline.nn import RowMlp
-    mlp = RowMlp(10, (8, 4), rng)
+    mlp = RowMlp.fresh(10, (8, 4), rng)
     mlp_params = []
     for i, (w, b) in enumerate(mlp.layers):
         w64 = Tensor(rng.normal(0, 0.5, w.data.shape), requires_grad=True)
@@ -289,14 +287,16 @@ def repeated_window_sets(draw):
        seed=st.integers(0, 99))
 @settings(max_examples=120, deadline=None)
 def test_predict_probabilities_equals_the_per_batch_path(questions, batch_size, seed):
-    model = NextShotModel(questions.store.dim, hidden_dim=6, scorer_widths=(7, 4), seed=seed,
-                          input_scale=1.3)
+    model = NextShotModel.fresh(questions.store.dim, hidden_dim=6, scorer_widths=(7, 4), seed=seed,
+                                input_scale=1.3)
     matrix = questions.store.matrix
     want = np.concatenate([
         model.probabilities_batch(matrix[questions.context[start:start + batch_size]],
                                   matrix[questions.candidates[start:start + batch_size]]).data
         for start in range(0, len(questions), batch_size)])
-    got = predict_probabilities(model, questions, batch_size)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(temporal, "PREDICT_BATCH", batch_size)
+        got = predict_probabilities(model, questions)
     windows = len(np.unique(questions.context, axis=0))
     # A one-row LSTM batch takes BLAS's matrix-vector path, which rounds
     # differently.
@@ -540,7 +540,7 @@ def test_untrained_model_near_chance():
     store = filled_store(n_movies=4, shots=60, seed=9)
     questions, _ = generate_questions(store, [f"m{i}" for i in range(4)], IN_MOVIE,
                                       mctx=4, n_candidates=16, stride=1, seed=4)
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=11)
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=11)
     acc, _ = evaluate_accuracy(model, questions)
     # 200 questions, chance 1/16
     assert abs(acc - 1 / 16) < 0.05
@@ -627,56 +627,43 @@ def test_train_next_shot_draws_each_epoch_order_from_temporal_derive_rng(monkeyp
     assert calls == [(3, 0), (3, 1), (3, 2)]
 
 
-def test_model_state_round_trip(tmp_path):
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5)
-    save_checkpoint(tmp_path / "m.stln", model.state())
-    restored = NextShotModel.from_state(load_checkpoint(tmp_path / "m.stln"))
+def test_model_state_round_trip(monkeypatch):
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5)
+    rng = np.random.default_rng(1)
+    contexts = rng.normal(0, 1, (3, 4, 6)).astype(np.float32)
+    candidates = rng.normal(0, 1, (3, 5, 6)).astype(np.float32)
+    forbid_random_draws(monkeypatch)
+    restored = reload(model)
     assert restored.input_scale == 2.5
     assert (restored.feature_dim, restored.hidden_dim) == (6, 8)
     assert [w.data.shape for w, _ in restored.scorer.layers] == [(14, 16), (16, 8), (8, 1)]
-    q_feats = np.random.default_rng(1).normal(0, 1, (4, 6)).astype(np.float32)
-    assert np.array_equal(model.encode_context_batch(q_feats[None]).data,
-                          restored.encode_context_batch(q_feats[None]).data)
+    assert np.array_equal(model.probabilities_batch(contexts, candidates).data,
+                          restored.probabilities_batch(contexts, candidates).data)
 
 
 def test_state_is_a_snapshot():
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
     state = model.state()
     model.cell.weights.data += 1.0
     assert not np.array_equal(state["nextshot.lstm.weights"], model.cell.weights.data)
 
 
-@pytest.mark.parametrize("scalar", ["nextshot.input_scale", "nextshot.context_pooling"])
+@pytest.mark.parametrize("scalar", ["nextshot.input_scale"])
 def test_a_state_without_a_scalar_is_named(scalar):
     # weights and one scalar only: the model must not load with a stand-in
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5)
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=2.5)
     state = model.state()
     del state[scalar]
     with pytest.raises(KeyError, match=f"model state has no '{scalar}'"):
         NextShotModel.from_state(state)
 
 
-def test_an_unknown_pooling_code_is_an_error():
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
-    state = model.state()
-    state["nextshot.context_pooling"] = np.float32(7)
-    with pytest.raises(ValueError, match="context_pooling code"):
-        NextShotModel.from_state(state)
-
-
-def test_a_mean_pooled_state_does_not_load():
-    # a checkpoint written with mean pooling holds code 1: it must not load as final-state
-    state = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12).state()
-    state["nextshot.context_pooling"] = np.float32(1)
-    with pytest.raises(ValueError, match="unknown nextshot.context_pooling code 1.0"):
-        NextShotModel.from_state(state)
-
-
 def test_from_state_rejects_a_non_finite_input_scale():
-    model = NextShotModel(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
     state = model.state()
     state["nextshot.input_scale"] = np.float32(np.nan)
-    with pytest.raises(ValueError, match="^'nextshot.input_scale' is nan$"):
+    with pytest.raises(ValueError, match=r"^'nextshot.input_scale' holds 1 non-finite "
+                                         r"value\(s\), the first at index \(\)$"):
         NextShotModel.from_state(state)
 
 
