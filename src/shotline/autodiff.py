@@ -475,9 +475,9 @@ def pair_mlp(context: Tensor, candidates: Tensor, layers) -> Tensor:
 class SgdOptimizer:
     """SGD with momentum velocity buffers; momentum 0 is plain SGD."""
 
-    def __init__(self, params, learning_rate: float = 0.01, momentum: float = 0.0):
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    def __init__(self, params, learning_rate: float, momentum: float):
+        if not 0 < learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.params = list(params.values()) if isinstance(params, dict) else list(params)

@@ -116,19 +116,19 @@ TRAILER_LEN = (15, 40)      # shots per trailer, drawn uniformly from this close
 
 @dataclass
 class SyntheticWorldConfig:
-    topics: int = 8
-    feature_dim: int = 32
-    n_movies: int = 50
-    n_trailers: int = 100
-    self_transition: float = 0.6
-    successor_mass: float = 0.3
-    noise_sigma: float = 0.15
-    movie_len: tuple[int, int] = (120, 300)
-    movie_topic_count: int = 0          # 0 means every movie may visit all topics
-    movie_style_sigma: float = 0.0      # per-movie additive style offset
-    keyword_prob: float = 0.5
-    trailer_fraction: float = 0.5       # share of most-distinctive shots eligible
-    seed: int = 0
+    topics: int
+    feature_dim: int
+    n_movies: int
+    n_trailers: int
+    self_transition: float
+    successor_mass: float
+    noise_sigma: float
+    movie_len: tuple[int, int]
+    movie_topic_count: int              # 0 means every movie may visit all topics
+    movie_style_sigma: float            # per-movie additive style offset
+    keyword_prob: float
+    trailer_fraction: float             # share of most-distinctive shots eligible
+    seed: int
 
     def __post_init__(self):
         if self.topics < 1 or self.feature_dim < 1:
@@ -149,6 +149,8 @@ class SyntheticWorldConfig:
                      "movie_topic_count"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.movie_topic_count > self.topics:
             raise ValueError(f"movie_topic_count must not exceed topics ({self.topics}), "
                              f"got {self.movie_topic_count}")
@@ -410,7 +412,7 @@ class CorpusSplit:
 
 
 def make_splits(entries: list[VideoManifestEntry], ratios: tuple[float, float, float],
-                seed: int, subset_sizes: tuple[int, ...] = ()) -> CorpusSplit:
+                seed: int, subset_sizes: tuple[int, ...]) -> CorpusSplit:
     """Shuffle movies into train/val/test and build leak-free trailer pools.
 
     A trailer whose movie landed in val or test is excluded from every

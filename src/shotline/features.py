@@ -109,9 +109,6 @@ class FeatureStore:
         """All shot features of a video in ordinal order, shape (n, dim)."""
         return self._buffer[self.sequence_rows(video_id)]
 
-    def video_ids(self) -> list[str]:
-        return list(self._video_rows)
-
     def keys(self) -> list[ShotId]:
         """(video_id, ordinal) of every row, in record order."""
         return list(self._keys)

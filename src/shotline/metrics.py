@@ -22,7 +22,7 @@ def _check_scores(scores: np.ndarray, truths: list[set], metric: str) -> None:
         raise ValueError(f"{metric}: non-finite score for video {int(np.argmin(finite))}")
 
 
-def recall_at_k(scores: np.ndarray, truths: list[set], k: int = 3) -> float:
+def recall_at_k(scores: np.ndarray, truths: list[set], k: int) -> float:
     """Mean over videos of |top-k predictions ∩ truth| / min(k, |truth|).
 
     Videos with empty truth sets are skipped. A NaN or infinite score

@@ -154,19 +154,23 @@ def fit(params: dict, count: int, epochs: int, batch_size: int, learning_rate: f
     """Minibatch SGD with momentum, the one epoch loop of every trainer.
 
     Each epoch walks ``order(epoch)``, a permutation of range(count), in
-    batches; ``batch_loss(epoch, batch)`` builds a batch's scalar loss, and
-    a non-finite one raises FloatingPointError naming ``where``, the epoch
-    and the batch start. The history holds each epoch's mean ``loss``, its
-    ``epoch_s`` and the ``examples_per_s`` of its SGD pass. With
+    batches; ``batch_loss(epoch, batch)`` builds a batch's scalar loss, and a
+    non-finite one raises FloatingPointError naming ``where``, the epoch and
+    the batch start. A learning rate or momentum SgdOptimizer rejects raises
+    ValueError naming ``where`` first. The history holds each epoch's mean
+    ``loss``, its ``epoch_s`` and the ``examples_per_s`` of its SGD pass. With
     ``validate`` (the model's validation accuracy), each epoch's seconds
     include it and it is recorded as ``val_accuracy``; training stops after
-    ``patience`` epochs in a row without a better one (None: never), and
-    the parameters of the best epoch are restored in place.
+    ``patience`` epochs in a row without a better one (None: never), and the
+    parameters of the best epoch are restored in place.
     """
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{where}: {name} must be at least 1, got {value}")
-    optimizer = ad.SgdOptimizer(params, learning_rate, momentum)
+    try:
+        optimizer = ad.SgdOptimizer(params, learning_rate, momentum)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     history = {"loss": [], "epoch_s": [], "examples_per_s": [],
                **({} if validate is None else {"val_accuracy": []})}
     best_val, best_state, stale = -1.0, None, 0

@@ -31,11 +31,9 @@ def tokenize(text: str) -> list[str]:
 class TableEmbeddingProvider:
     """Mean of per-token vectors from a lookup table; unknown tokens are zero."""
 
-    def __init__(self, table: dict, dim: int | None = None):
-        if not table and dim is None:
-            raise ValueError("need an explicit dim for an empty table")
+    def __init__(self, table: dict, dim: int):
         self.table = {k: np.asarray(v, dtype=np.float32) for k, v in table.items()}
-        self.dim = dim if dim is not None else next(iter(self.table.values())).shape[0]
+        self.dim = dim
         for token, vec in self.table.items():
             if vec.shape != (self.dim,):
                 raise ValueError(f"vector for {token!r} has shape {vec.shape}, expected ({self.dim},)")
@@ -55,7 +53,7 @@ class TableEmbeddingProvider:
 class HashingEmbeddingProvider:
     """Feature hashing fallback: signed token buckets, L2-normalized."""
 
-    def __init__(self, dim: int = 300):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
@@ -159,8 +157,8 @@ class QaModel:
         self.scorer = scorer
 
     @classmethod
-    def fresh(cls, clip_dim: int, embed_dim: int, scorer_widths: tuple[int, ...] = (256, 64),
-              seed: int = 0) -> "QaModel":
+    def fresh(cls, clip_dim: int, embed_dim: int, scorer_widths: tuple[int, ...],
+              seed: int) -> "QaModel":
         return cls(RowMlp.fresh(clip_dim + 2 * embed_dim, scorer_widths,
                                 derive_rng(seed, "qa.scorer")))
 
@@ -198,10 +196,10 @@ def _item_arrays(items: list[QaItem], provider, store: FeatureStore):
 
 @dataclass
 class QaTrainConfig:
-    epochs: int = 40
+    epochs: int
+    momentum: float
+    scorer_widths: tuple[int, ...]
     learning_rate: float = 0.05
-    momentum: float = 0.9
-    scorer_widths: tuple[int, ...] = (256, 64)
     patience: int = 5
 
 

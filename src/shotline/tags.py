@@ -34,13 +34,13 @@ class TagPrediction:
 
 @dataclass
 class TagTrainConfig:
-    epochs: int = 12
-    batch_size: int = 16
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    shots_per_video: int = 8
-    lstm_hidden: int = 64
-    lstm_epochs: int = 6
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    momentum: float
+    shots_per_video: int
+    lstm_hidden: int
+    lstm_epochs: int
 
 
 class _TagHeads:
@@ -187,7 +187,7 @@ def sample_shots(shot_count: int, n: int, rng: np.random.Generator) -> list[int]
 
 def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
                vocabulary: TagVocabulary, config: TagTrainConfig, seed: int,
-               proj_dim: int | None = None) -> tuple[TagModel, dict]:
+               proj_dim: int | None) -> tuple[TagModel, dict]:
     """Minibatch SGD over videos; every step re-samples shots per video."""
     if not entries:
         raise ValueError("train_tags: empty corpus")
@@ -331,7 +331,7 @@ def shot_tag_response(model: TagModel, video_id: str, seq: np.ndarray,
     return [(i, float(s)) for i, s in enumerate(scores)]
 
 
-def top_shots(series: list[tuple[int, float]], k: int = 5) -> list[int]:
+def top_shots(series: list[tuple[int, float]], k: int) -> list[int]:
     """The ordinals of the k highest-scoring shots, ties to the lower ordinal."""
     if k < 1:
         raise ValueError(f"top_shots must be at least 1, got {k}")

@@ -174,8 +174,8 @@ def _movie_rows(store: FeatureStore, keys: list, movie_id: str) -> np.ndarray:
 
 
 def generate_questions(store: FeatureStore, movie_ids: list[str], setting: str,
-                       mctx: int = 8, n_candidates: int = 32, stride: int | None = None,
-                       seed: int = 0, exclusion_radius: int = 0,
+                       mctx: int, n_candidates: int, seed: int, stride: int | None = None,
+                       exclusion_radius: int = 0,
                        pool_movie_ids: list[str] | None = None) -> tuple[QuestionSet, int]:
     """Slide a context window over each movie and draw distractor shots.
 
@@ -275,9 +275,8 @@ class NextShotModel:
         self.input_scale = float(input_scale)
 
     @classmethod
-    def fresh(cls, feature_dim: int, hidden_dim: int = 256,
-              scorer_widths: tuple[int, ...] = (256, 64), seed: int = 0,
-              input_scale: float = 1.0) -> "NextShotModel":
+    def fresh(cls, feature_dim: int, hidden_dim: int, scorer_widths: tuple[int, ...], seed: int,
+              input_scale: float) -> "NextShotModel":
         return cls(LstmCell.fresh(feature_dim, hidden_dim, derive_rng(seed, "nextshot.lstm")),
                    RowMlp.fresh(hidden_dim + feature_dim, scorer_widths,
                                 derive_rng(seed, "nextshot.scorer")), input_scale)
@@ -342,12 +341,12 @@ def _unit_rms_scale(store: FeatureStore) -> float:
 
 @dataclass
 class TemporalTrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 0.3
-    momentum: float = 0.9
-    hidden_dim: int = 256
-    scorer_widths: tuple[int, ...] = (256, 64)
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    momentum: float
+    hidden_dim: int
+    scorer_widths: tuple[int, ...]
 
 
 def train_next_shot(questions: QuestionSet, config: TemporalTrainConfig, seed: int,

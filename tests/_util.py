@@ -1,7 +1,7 @@
 """Shared numerical check helpers and per-id reference implementations."""
 import json
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +9,19 @@ import numpy as np
 from shotline import autodiff as ad
 from shotline import temporal
 from shotline.checkpoint import load_checkpoint, save_checkpoint
+from shotline.cli import load_config
 from shotline.rng import derive_rng
 from shotline.tags import TagModel, TagPrediction
 
 GRAD_H = 1e-3
 GRAD_TOL = 1e-3
+
+
+def default_config(build, **changes):
+    """The config that the CLI's ``build`` (``cli._world_config``,
+    ``_tag_config``, ``_temporal_config`` or ``_qa_config``) makes of the
+    default settings, with ``changes`` in place of those fields."""
+    return replace(build(load_config(None, [])), **changes)
 
 
 def reload(model, *context):
@@ -189,7 +197,7 @@ class OracleQuestion:
     correct_index: int
 
 
-def pool_generator(store, movie_ids, setting, mctx=8, n_candidates=32, stride=None, seed=0,
+def pool_generator(store, movie_ids, setting, mctx, n_candidates, seed, stride=None,
                    exclusion_radius=0, pool_movie_ids=None):
     """Reference generator: copies every question's distractor pool into a list.
 

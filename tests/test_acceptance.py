@@ -16,15 +16,15 @@ from shotline import autodiff as ad
 from shotline import qa, tags, temporal
 from shotline.autodiff import Tensor
 from shotline.checkpoint import load_checkpoint, save_checkpoint
-from shotline.cli import main as cli_main
-from shotline.corpus import SyntheticWorldConfig, generate_world, make_splits
+from shotline.cli import _tag_config, _world_config, main as cli_main
+from shotline.corpus import generate_world, make_splits
 from shotline.features import FeatureStore, read_shtf, write_shtf
 from shotline.frames import FrameSequence
 from shotline.metrics import mean_average_precision, recall_at_k
 from shotline.nn import LstmCell, RowMlp
 from shotline.segment import detect_shots
 
-from _util import finite_difference_gradient, rel_err
+from _util import default_config, finite_difference_gradient, rel_err
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -197,8 +197,8 @@ def test_criterion_02_metric_oracles():
 
 
 def test_criterion_03_chance_calibration():
-    cfg = SyntheticWorldConfig(topics=8, feature_dim=32, n_movies=55, n_trailers=0,
-                               noise_sigma=0.15, seed=13)
+    cfg = default_config(_world_config, topics=8, feature_dim=32, n_movies=55, n_trailers=0,
+                         noise_sigma=0.15, seed=13)
     _, _, store, entries = generate_world(cfg)
     movies = [e.video_id for e in entries if e.kind == "movie"]
     questions, _ = temporal.generate_questions(store, movies, temporal.IN_MOVIE,
@@ -238,11 +238,11 @@ def test_criterion_03_chance_calibration():
 @pytest.fixture(scope="module")
 def temporal_world():
     started = time.time()
-    cfg = SyntheticWorldConfig(topics=8, feature_dim=32, n_movies=50, n_trailers=0,
-                               noise_sigma=0.15, movie_style_sigma=0.12,
-                               self_transition=0.6, successor_mass=0.3, seed=7)
+    cfg = default_config(_world_config, topics=8, feature_dim=32, n_movies=50, n_trailers=0,
+                         noise_sigma=0.15, movie_style_sigma=0.12,
+                         self_transition=0.6, successor_mass=0.3, seed=7)
     _, _, store, entries = generate_world(cfg)
-    split = make_splits(entries, (0.7, 0.1, 0.2), seed=7)
+    split = make_splits(entries, (0.7, 0.1, 0.2), seed=7, subset_sizes=())
     train_q, val_q = [], []
     for setting in (temporal.IN_MOVIE, temporal.CROSS_MOVIE):
         qs, _ = temporal.generate_questions(store, split.train_movies, setting,
@@ -286,15 +286,15 @@ def test_criterion_05_cross_movie_easier(temporal_world):
 @pytest.fixture(scope="module")
 def tag_world():
     started = time.time()
-    cfg = SyntheticWorldConfig(topics=8, feature_dim=32, n_movies=60, n_trailers=400,
-                               noise_sigma=0.15, movie_style_sigma=0.0,
-                               movie_topic_count=3, seed=5)
+    cfg = default_config(_world_config, topics=8, feature_dim=32, n_movies=60, n_trailers=400,
+                         noise_sigma=0.15, movie_style_sigma=0.0,
+                         movie_topic_count=3, seed=5)
     world, videos, store, entries = generate_world(cfg)
-    split = make_splits(entries, (0.7, 0.1, 0.2), seed=5)
+    split = make_splits(entries, (0.7, 0.1, 0.2), seed=5, subset_sizes=())
     by_id = {e.video_id: e for e in entries}
     train_trailers = [by_id[t] for t in split.trailer_pool]
     test_movies = [by_id[m] for m in split.test_movies]
-    config = tags.TagTrainConfig(epochs=40, batch_size=16, learning_rate=0.3, momentum=0.9)
+    config = default_config(_tag_config, epochs=40, batch_size=16, learning_rate=0.3, momentum=0.9)
     model, _ = tags.train_tags(train_trailers, store, world.vocabulary, config,
                                seed=5, proj_dim=32)
     return {"world": world, "videos": videos, "store": store, "split": split,
@@ -349,9 +349,9 @@ def test_criterion_07_trailer_count_monotonicity():
     monotone = 0
     rows = []
     for seed in (1, 2, 3, 4, 5):
-        cfg = SyntheticWorldConfig(topics=8, feature_dim=32, n_movies=60, n_trailers=600,
-                                   noise_sigma=0.15, movie_style_sigma=0.0,
-                                   movie_topic_count=3, seed=seed)
+        cfg = default_config(_world_config, topics=8, feature_dim=32, n_movies=60, n_trailers=600,
+                             noise_sigma=0.15, movie_style_sigma=0.0,
+                             movie_topic_count=3, seed=seed)
         world, _, store, entries = generate_world(cfg)
         split = make_splits(entries, (0.7, 0.1, 0.2), seed=seed, subset_sizes=(25, 100, 400))
         by_id = {e.video_id: e for e in entries}
@@ -360,8 +360,8 @@ def test_criterion_07_trailer_count_monotonicity():
         recalls = []
         for size in (25, 100, 400):
             subset = [by_id[t] for t in split.trailer_subsets[size]]
-            config = tags.TagTrainConfig(epochs=40, batch_size=16, learning_rate=0.3,
-                                         momentum=0.9)
+            config = default_config(_tag_config, epochs=40, batch_size=16, learning_rate=0.3,
+                                    momentum=0.9)
             model, _ = tags.train_tags(subset, store, vocab, config, seed=seed, proj_dim=32)
             scores, truths = [], []
             for e in test_movies:
@@ -402,7 +402,7 @@ def test_criterion_08_qa_planted_answers():
         pos = int(rng.integers(5))
         answers.insert(pos, f"ans{i:05d}")
         items.append(qa.QaItem(f"q{i:05d}", f"q{i:05d}", answers, [(f"c{i:05d}", 0)], pos))
-    provider = qa.TableEmbeddingProvider(table)
+    provider = qa.TableEmbeddingProvider(table, embed_dim)
     config = qa.QaTrainConfig(epochs=60, learning_rate=0.3, momentum=0.9,
                               scorer_widths=(128, 32), patience=10)
     model, _ = qa.train_qa(items[:700], provider, store, config, seed=3,

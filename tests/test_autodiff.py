@@ -452,10 +452,11 @@ def test_sgd_descends_convex_quadratic():
 
 def test_sgd_validates_hyperparameters():
     p = Tensor(np.zeros(1), requires_grad=True)
+    for learning_rate in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            SgdOptimizer([p], learning_rate=learning_rate, momentum=0.0)
     with pytest.raises(ValueError):
-        SgdOptimizer([p], learning_rate=-1.0)
-    with pytest.raises(ValueError):
-        SgdOptimizer([p], momentum=1.0)
+        SgdOptimizer([p], learning_rate=0.01, momentum=1.0)
 
 
 # -- determinism ----------------------------------------------------------------

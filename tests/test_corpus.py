@@ -9,14 +9,13 @@ from scipy import stats
 
 from shotline import corpus
 from shotline.cli import _world_config, load_config
-from shotline.corpus import (TRAILER_LEN, CorpusSplit, SyntheticWorld, SyntheticWorldConfig,
-                             TagVocabulary, VideoManifestEntry, _restrict_transition,
-                             generate_world, load_manifest, make_prototypes, make_splits,
-                             make_transition, sample_topic_chain, save_manifest,
-                             write_ground_truth)
+from shotline.corpus import (TRAILER_LEN, CorpusSplit, SyntheticWorld, TagVocabulary,
+                             VideoManifestEntry, _restrict_transition, generate_world,
+                             load_manifest, make_prototypes, make_splits, make_transition,
+                             sample_topic_chain, save_manifest, write_ground_truth)
 from shotline.rng import derive_rng
 
-from _util import read_ground_truth, stepwise_topic_chain
+from _util import default_config, read_ground_truth, stepwise_topic_chain
 
 TINY = str(Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg")
 
@@ -178,13 +177,13 @@ def test_world_config_rejects_a_negative_sigma_or_trailer_count(field, value):
     bound = {"n_movies": "be at least 1", "keyword_prob": "be in [0, 1]"}.get(
         field, "not be negative")
     with pytest.raises(ValueError) as caught:
-        SyntheticWorldConfig(**{field: value})
+        default_config(_world_config, **{field: value})
     assert str(caught.value) == f"{field} must {bound}, got {value}"
 
 
 def test_movie_sigma_zero_single_topic_equals_prototype():
-    cfg = SyntheticWorldConfig(topics=1, feature_dim=16, noise_sigma=0.0,
-                               movie_len=(30, 30), seed=0)
+    cfg = default_config(_world_config, topics=1, feature_dim=16, noise_sigma=0.0,
+                         movie_len=(30, 30), seed=0)
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(0, "t"))
     proto = world.prototypes[0].astype(np.float32)
@@ -193,7 +192,7 @@ def test_movie_sigma_zero_single_topic_equals_prototype():
 
 
 def test_single_topic_movie_tags_exact():
-    cfg = SyntheticWorldConfig(topics=4, feature_dim=8, keyword_prob=1.0, seed=1)
+    cfg = default_config(_world_config, topics=4, feature_dim=8, keyword_prob=1.0, seed=1)
     world = SyntheticWorld(cfg)
     chain = np.zeros(100, dtype=np.int64)
     genres, keywords = world._tags_for_chain(chain)
@@ -202,14 +201,14 @@ def test_single_topic_movie_tags_exact():
 
 
 def test_movie_features_unit_norm():
-    cfg = SyntheticWorldConfig(seed=2, n_movies=1, n_trailers=0)
+    cfg = default_config(_world_config, seed=2, n_movies=1, n_trailers=0)
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(2, "m"))
     assert np.allclose(np.linalg.norm(movie.features, axis=1), 1.0, atol=1e-5)
 
 
 def test_restricted_movies_visit_only_active_topics():
-    cfg = SyntheticWorldConfig(movie_topic_count=3, seed=3, n_movies=1, n_trailers=0)
+    cfg = default_config(_world_config, movie_topic_count=3, seed=3, n_movies=1, n_trailers=0)
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(3, "m"))
     assert len(set(movie.topics.tolist())) <= 3
@@ -218,8 +217,8 @@ def test_restricted_movies_visit_only_active_topics():
 # -- trailers ----------------------------------------------------------------------
 
 def test_trailer_rare_topic_ranks_distinctive():
-    cfg = SyntheticWorldConfig(topics=2, feature_dim=16, noise_sigma=0.0,
-                               trailer_fraction=0.1, seed=4)
+    cfg = default_config(_world_config, topics=2, feature_dim=16, noise_sigma=0.0,
+                         trailer_fraction=0.1, seed=4)
     world = SyntheticWorld(cfg)
     # as many rare-topic shots as the longest trailer takes
     topics = np.array([0] * 360 + [1] * TRAILER_LEN[1])
@@ -239,7 +238,7 @@ def test_trailer_rare_topic_ranks_distinctive():
 
 
 def test_trailer_inherits_tags_and_is_reproducible():
-    cfg = SyntheticWorldConfig(seed=5, n_movies=2, n_trailers=2)
+    cfg = default_config(_world_config, seed=5, n_movies=2, n_trailers=2)
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(5, "m", 0))
     t1 = world.synthesize_trailer("t0", movie, derive_rng(5, "t", 0))
@@ -250,7 +249,7 @@ def test_trailer_inherits_tags_and_is_reproducible():
 
 
 def test_trailer_shuffle_destroys_order_but_not_content():
-    cfg = SyntheticWorldConfig(seed=6, n_movies=1, n_trailers=1)
+    cfg = default_config(_world_config, seed=6, n_movies=1, n_trailers=1)
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(6, "m"))
     trailer = world.synthesize_trailer("t0", movie, derive_rng(6, "t"))
@@ -261,7 +260,7 @@ def test_trailer_shuffle_destroys_order_but_not_content():
 
 
 def test_trailer_requires_long_movie():
-    cfg = SyntheticWorldConfig(seed=7, movie_len=(120, 120))
+    cfg = default_config(_world_config, seed=7, movie_len=(120, 120))
     world = SyntheticWorld(cfg)
     movie = world.synthesize_movie("m0", derive_rng(7, "m"))
     # no longer than the shortest trailer
@@ -272,7 +271,7 @@ def test_trailer_requires_long_movie():
 
 
 def test_generate_world_deterministic():
-    cfg = SyntheticWorldConfig(n_movies=3, n_trailers=4, movie_len=(60, 80), seed=8)
+    cfg = default_config(_world_config, n_movies=3, n_trailers=4, movie_len=(60, 80), seed=8)
     _, videos_a, store_a, entries_a = generate_world(cfg)
     _, videos_b, store_b, entries_b = generate_world(cfg)
     assert [e.video_id for e in entries_a] == [e.video_id for e in entries_b]
@@ -281,7 +280,7 @@ def test_generate_world_deterministic():
 
 
 def test_ground_truth_round_trip(tmp_path):
-    cfg = SyntheticWorldConfig(n_movies=2, n_trailers=1, movie_len=(50, 60), seed=9)
+    cfg = default_config(_world_config, n_movies=2, n_trailers=1, movie_len=(50, 60), seed=9)
     _, videos, _, _ = generate_world(cfg)
     path = tmp_path / "truth.jsonl"
     write_ground_truth(path, videos)
@@ -300,14 +299,14 @@ def make_entries(n_movies, n_trailers):
 
 
 def test_split_all_train():
-    split = make_splits(make_entries(10, 5), (1.0, 0.0, 0.0), seed=0)
+    split = make_splits(make_entries(10, 5), (1.0, 0.0, 0.0), seed=0, subset_sizes=())
     assert len(split.train_movies) == 10
     assert split.val_movies == [] and split.test_movies == []
     assert len(split.trailer_pool) == 5
 
 
 def test_split_no_trailer_leak():
-    split = make_splits(make_entries(20, 60), (0.5, 0.2, 0.3), seed=1)
+    split = make_splits(make_entries(20, 60), (0.5, 0.2, 0.3), seed=1, subset_sizes=())
     held_out = set(split.val_movies) | set(split.test_movies)
     linked = {f"t{j:03d}": f"m{j % 20:03d}" for j in range(60)}
     for tid in split.trailer_pool:
@@ -316,13 +315,14 @@ def test_split_no_trailer_leak():
 
 def test_split_paper_ratio_sizes():
     entries = make_entries(508, 0)
-    split = make_splits(entries, (361 / 508, 41 / 508, 106 / 508), seed=2)
+    split = make_splits(entries, (361 / 508, 41 / 508, 106 / 508), seed=2,
+                        subset_sizes=())
     assert (len(split.train_movies), len(split.val_movies), len(split.test_movies)) == (361, 41, 106)
 
 
 def test_split_ratios_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
-        make_splits(make_entries(10, 0), (0.5, 0.2, 0.2), seed=0)
+        make_splits(make_entries(10, 0), (0.5, 0.2, 0.2), seed=0, subset_sizes=())
 
 
 def test_split_subsets_are_nested_prefixes():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from shotline.metrics import average_precision, mean_average_precision, recall_at_k
 
 
-def brute_force_recall_at_k(scores, truths, k=3):
+def brute_force_recall_at_k(scores, truths, k):
     per_video = []
     for row, truth in zip(scores, truths):
         if not truth:
@@ -54,7 +54,8 @@ def test_recall_three_video_hand_case():
     ])
     truths = [{0, 2}, {3}, {3}]
     # video 0: top-3 {0,2,3} covers both truths; video 1: {1,2,3} hits 3; video 2: tie-broken {0,1,2} misses
-    assert recall_at_k(scores, truths, k=3) == pytest.approx(brute_force_recall_at_k(scores, truths))
+    assert recall_at_k(scores, truths, k=3) == pytest.approx(
+        brute_force_recall_at_k(scores, truths, 3))
     assert recall_at_k(scores, truths, k=3) == pytest.approx((1.0 + 1.0 + 0.0) / 3)
 
 
@@ -111,7 +112,7 @@ def test_metrics_invariant_under_monotone_transform(seed, power):
     if not any(truths):
         truths[0] = {1}
     transformed = np.exp(power * scores)  # strictly increasing
-    assert recall_at_k(scores, truths) == recall_at_k(transformed, truths)
+    assert recall_at_k(scores, truths, 3) == recall_at_k(transformed, truths, 3)
     assert mean_average_precision(scores, truths) == pytest.approx(
         mean_average_precision(transformed, truths), abs=1e-12)
 
@@ -128,7 +129,7 @@ def test_metrics_reject_a_non_finite_score_naming_its_video(data):
         scores[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     first = min(i for i, _ in poisoned)
     with pytest.raises(ValueError, match=f"^recall_at_k: non-finite score for video {first}$"):
-        recall_at_k(scores, truths)
+        recall_at_k(scores, truths, 3)
     with pytest.raises(ValueError, match=f"^mean_average_precision: non-finite score for "
                                          f"video {first}$"):
         mean_average_precision(scores.astype(np.float32), truths)

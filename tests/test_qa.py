@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shotline import autodiff as ad
 from shotline import qa
 from shotline.autodiff import Tensor
+from shotline.cli import _qa_config
 from shotline.features import FeatureStore
 from shotline.nn import RowMlp
 from shotline.qa import (HashingEmbeddingProvider, QaItem, QaModel, QaTrainConfig,
@@ -15,7 +16,8 @@ from shotline.qa import (HashingEmbeddingProvider, QaItem, QaModel, QaTrainConfi
                          read_embedding_table, read_qa_items, tokenize, train_qa,
                          write_qa_items)
 
-from _util import check_gradients, forbid_random_draws, reload, write_embedding_table
+from _util import (check_gradients, default_config, forbid_random_draws, reload,
+                   write_embedding_table)
 
 
 def test_tokenize_lowercases_and_splits():
@@ -25,20 +27,20 @@ def test_tokenize_lowercases_and_splits():
 
 
 def test_table_provider_empty_string_is_zero():
-    provider = TableEmbeddingProvider({"a": np.ones(4)})
+    provider = TableEmbeddingProvider({"a": np.ones(4)}, 4)
     assert np.array_equal(provider.embed(""), np.zeros(4, dtype=np.float32))
 
 
 def test_table_provider_known_token_exact():
     vec = np.array([1.0, -2.0, 0.5], dtype=np.float32)
-    provider = TableEmbeddingProvider({"wolf": vec})
+    provider = TableEmbeddingProvider({"wolf": vec}, 3)
     assert np.array_equal(provider.embed("Wolf"), vec)
 
 
 def test_table_provider_mean_with_unknowns():
     u = np.array([2.0, 0.0], dtype=np.float32)
     v = np.array([0.0, 4.0], dtype=np.float32)
-    provider = TableEmbeddingProvider({"a": u, "b": v})
+    provider = TableEmbeddingProvider({"a": u, "b": v}, 2)
     assert np.array_equal(provider.embed("a b"), (u + v) / 2)
     # unknown token contributes a zero vector but still counts in the mean
     assert np.array_equal(provider.embed("a b zzz"), (u + v) / 3)
@@ -106,7 +108,7 @@ def small_fixture(n=4, clip_dim=4, embed_dim=3, seed=0):
         table[f"q{i}"] = rng.normal(0, 1, embed_dim).astype(np.float32)
         items.append(QaItem(f"item{i}", f"q{i}", [f"ans{i}0", f"ans{i}1", f"ans{i}2"],
                             [(f"c{i}", 0), (f"c{i}", 1)], i % 3))
-    return items, store, TableEmbeddingProvider(table)
+    return items, store, TableEmbeddingProvider(table, embed_dim)
 
 
 def test_encode_clip_single_and_mean():
@@ -210,12 +212,12 @@ def test_untrained_accuracy_near_chance():
 def test_train_qa_rejects_empty():
     items, store, provider = small_fixture()
     with pytest.raises(ValueError, match="empty"):
-        train_qa([], provider, store, QaTrainConfig(), seed=0)
+        train_qa([], provider, store, default_config(_qa_config), seed=0)
 
 
 def test_train_qa_early_stops_on_patience():
     items, store, provider = small_fixture(n=4)
-    config = QaTrainConfig(epochs=100, learning_rate=0.01, patience=3)
+    config = default_config(_qa_config, epochs=100, learning_rate=0.01, patience=3)
     model, history = train_qa(items[:2], provider, store, config, seed=1,
                               val_items=items[2:])
     assert len(history["loss"]) < 100
@@ -224,7 +226,7 @@ def test_train_qa_early_stops_on_patience():
 def test_qa_training_deterministic(monkeypatch):
     monkeypatch.setattr(qa, "TRAIN_BATCH", 2)
     items, store, provider = small_fixture(n=4)
-    config = QaTrainConfig(epochs=5, learning_rate=0.05)
+    config = default_config(_qa_config, epochs=5, learning_rate=0.05)
     model_a, _ = train_qa(items, provider, store, config, seed=2)
     model_b, _ = train_qa(items, provider, store, config, seed=2)
     for name, p in model_a.parameters().items():
@@ -245,7 +247,7 @@ def test_qa_model_state_round_trip(monkeypatch):
 def test_train_qa_restores_best_validation_model(monkeypatch):
     monkeypatch.setattr(qa, "TRAIN_BATCH", 2)
     items, store, provider = small_fixture(n=6)
-    config = QaTrainConfig(epochs=6, learning_rate=0.05, patience=10)
+    config = default_config(_qa_config, epochs=6, learning_rate=0.05, patience=10)
     model, history = train_qa(items[:4], provider, store, config, seed=4, val_items=items[4:])
     assert evaluate_qa(model, items[4:], provider, store) == max(history["val_accuracy"])
 
@@ -255,7 +257,7 @@ def test_train_qa_stops_on_non_finite_loss():
     provider.table["q1"][0] = np.nan
     with pytest.raises(FloatingPointError,
                        match=r"train_qa: epoch 0, batch start \d+: non-finite loss nan"):
-        train_qa(items, provider, store, QaTrainConfig(epochs=2), seed=0)
+        train_qa(items, provider, store, default_config(_qa_config, epochs=2), seed=0)
 
 
 def test_qa_item_validation():

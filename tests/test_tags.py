@@ -3,10 +3,11 @@ import pytest
 
 from shotline import autodiff as ad
 from shotline.autodiff import SgdOptimizer, Tensor
-from shotline.corpus import SyntheticWorldConfig, TagVocabulary, VideoManifestEntry, generate_world
+from shotline.cli import _tag_config, _world_config
+from shotline.corpus import TagVocabulary, VideoManifestEntry, generate_world
 from shotline.features import FeatureStore
 from shotline.metrics import write_metrics
-from shotline.tags import (GENRE_WEIGHT, LSTM_LEARNING_RATE, TagLstm, TagModel, TagTrainConfig,
+from shotline.tags import (GENRE_WEIGHT, LSTM_LEARNING_RATE, TagLstm, TagModel,
                            infer_feature_lstm, infer_score_average, multitask_loss, sample_shots,
                            shot_tag_response, top_shots, train_tag_lstm, train_tags,
                            write_predictions)
@@ -14,8 +15,8 @@ from shotline.checkpoint import save_checkpoint
 from shotline.nn import pooling_matrix
 from shotline.rng import derive_rng
 
-from _util import (check_gradients, final_step_rows, forbid_random_draws, forward_video,
-                   reload, zero_state)
+from _util import (check_gradients, default_config, final_step_rows, forbid_random_draws,
+                   forward_video, reload, zero_state)
 
 
 VOCAB = TagVocabulary(["g0", "g1", "g2"], ["k0", "k1"])
@@ -139,7 +140,7 @@ def overfit_corpus(shots=10):
 def test_train_tags_loss_decreases_monotonically_on_one_video():
     # video length equals the sample size, so every step sees the same shots
     entries, store = overfit_corpus(shots=4)
-    config = TagTrainConfig(epochs=10, batch_size=1, learning_rate=0.05, momentum=0.0,
+    config = default_config(_tag_config, epochs=10, batch_size=1, learning_rate=0.05, momentum=0.0,
                             shots_per_video=4)
     model, history = train_tags(entries, store, VOCAB, config, seed=0, proj_dim=None)
     losses = history["loss"]
@@ -149,15 +150,15 @@ def test_train_tags_loss_decreases_monotonically_on_one_video():
 def test_train_tags_rejects_empty_and_missing_genres():
     _, store = overfit_corpus()
     with pytest.raises(ValueError, match="empty"):
-        train_tags([], store, VOCAB, TagTrainConfig(), seed=0)
+        train_tags([], store, VOCAB, default_config(_tag_config), seed=0, proj_dim=None)
     bad = [VideoManifestEntry("v0", "trailer", "", [], [])]
     with pytest.raises(ValueError, match="no genres"):
-        train_tags(bad, store, VOCAB, TagTrainConfig(), seed=0)
+        train_tags(bad, store, VOCAB, default_config(_tag_config), seed=0, proj_dim=None)
 
 
 def test_train_tags_deterministic_checkpoints(tmp_path):
     entries, store = overfit_corpus()
-    config = TagTrainConfig(epochs=3, batch_size=1, learning_rate=0.05)
+    config = default_config(_tag_config, epochs=3, batch_size=1, learning_rate=0.05)
     model_a, _ = train_tags(entries, store, VOCAB, config, seed=9, proj_dim=3)
     model_b, _ = train_tags(entries, store, VOCAB, config, seed=9, proj_dim=3)
     save_checkpoint(tmp_path / "a.stln", model_a.state())
@@ -293,7 +294,7 @@ def test_feature_lstm_order_sensitive():
     for o in range(6):
         store.add("v0", o, rng.normal(0, 1, 4).astype(np.float32))
     lstm, _ = train_tag_lstm(model, entries, store, VOCAB,
-                             TagTrainConfig(lstm_epochs=2, lstm_hidden=5), seed=1)
+                             default_config(_tag_config, lstm_epochs=2, lstm_hidden=5), seed=1)
     seq = store.sequence("v0")
     fwd = infer_feature_lstm(model, lstm, "v0", seq)
     rev = infer_feature_lstm(model, lstm, "v0", seq[::-1].copy())
@@ -422,7 +423,7 @@ def per_video_tag_lstm(entries, store, config, seed):
 
 def test_batched_tag_lstm_training_matches_per_video_trainer():
     entries, store = ragged_tag_corpus()
-    config = TagTrainConfig(batch_size=3, lstm_epochs=3, lstm_hidden=5)
+    config = default_config(_tag_config, batch_size=3, lstm_epochs=3, lstm_hidden=5)
     trained, history = train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=4)
     reference = per_video_tag_lstm(entries, store, config, seed=4)
     assert len(history["loss"]) == len(history["epoch_s"]) == len(history["examples_per_s"]) == 3
@@ -438,9 +439,9 @@ def test_batched_tag_lstm_training_matches_per_video_trainer():
 
 def test_tag_training_stops_on_non_finite_loss():
     entries, store = ragged_tag_corpus(nan_video=1)
-    config = TagTrainConfig(epochs=1, batch_size=3, lstm_epochs=1, lstm_hidden=5)
+    config = default_config(_tag_config, epochs=1, batch_size=3, lstm_epochs=1, lstm_hidden=5)
     with pytest.raises(FloatingPointError, match=r"train_tags: epoch 0, batch start \d+"):
-        train_tags(entries, store, VOCAB, config, seed=0)
+        train_tags(entries, store, VOCAB, config, seed=0, proj_dim=None)
     with pytest.raises(FloatingPointError, match=r"train_tag_lstm: epoch 0, batch start \d+"):
         train_tag_lstm(zero_model(), entries, store, VOCAB, config, seed=0)
 
@@ -503,7 +504,7 @@ def one_hot_corpus(seed=0):
 
 def test_train_tags_samples_the_shots_of_each_video_stream(monkeypatch):
     entries, store = one_hot_corpus()
-    config = TagTrainConfig(epochs=3, batch_size=4, shots_per_video=4)
+    config = default_config(_tag_config, epochs=3, batch_size=4, shots_per_video=4)
     seen = []
     batch_logits = TagModel.batch_logits
     monkeypatch.setattr(TagModel, "batch_logits",
@@ -555,7 +556,8 @@ def per_video_train_tags(entries, store, config, seed, proj_dim):
 @pytest.mark.parametrize("proj_dim", [3, None])
 def test_train_tags_matches_per_video_trainer(proj_dim):
     entries, store = ragged_tag_corpus()
-    config = TagTrainConfig(epochs=4, batch_size=3, shots_per_video=4, learning_rate=0.2)
+    config = default_config(_tag_config, epochs=4, batch_size=3, shots_per_video=4,
+                            learning_rate=0.2)
     trained, history = train_tags(entries, store, VOCAB, config, seed=5, proj_dim=proj_dim)
     reference = per_video_train_tags(entries, store, config, 5, proj_dim)
     start = TagModel.fresh(VOCAB, 4, proj_dim, derive_rng(5, "tags.init"))
@@ -593,12 +595,12 @@ def test_shot_tag_response_length_and_topk():
 
 
 def test_retrieval_on_synthetic_movie():
-    cfg = SyntheticWorldConfig(topics=4, feature_dim=16, n_movies=8, n_trailers=24,
-                               movie_topic_count=2, movie_len=(60, 90),
-                               noise_sigma=0.15, seed=21)
+    cfg = default_config(_world_config, topics=4, feature_dim=16, n_movies=8, n_trailers=24,
+                         movie_topic_count=2, movie_len=(60, 90),
+                         noise_sigma=0.15, seed=21)
     world, videos, store, entries = generate_world(cfg)
     trailers = [e for e in entries if e.kind == "trailer"]
-    config = TagTrainConfig(epochs=30, batch_size=8, learning_rate=0.3)
+    config = default_config(_tag_config, epochs=30, batch_size=8, learning_rate=0.3)
     model, _ = train_tags(trailers, store, world.vocabulary, config, seed=21, proj_dim=None)
     movie = next(v for v in videos if v.kind == "movie")
     hits = []

@@ -9,6 +9,7 @@ from shotline import autodiff as ad
 from shotline import temporal
 from shotline.autodiff import Tensor
 from shotline.checkpoint import save_checkpoint
+from shotline.cli import _temporal_config
 from shotline.features import FeatureStore
 from shotline.nn import LstmCell
 from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel, QuestionSet,
@@ -17,9 +18,10 @@ from shotline.temporal import (CROSS_MOVIE, IN_MOVIE, NextShotModel, QuestionSet
                                predict_probabilities, read_questions, train_next_shot,
                                write_questions, write_results)
 
-from _util import (OracleQuestion, assert_same_questions, check_gradients, forbid_random_draws,
-                   one_hot_context_batch, oracle_set, per_question_baseline, pool_generator,
-                   reload, shot_ids, use_reference_engine, write_oracle_questions, zero_state)
+from _util import (OracleQuestion, assert_same_questions, check_gradients, default_config,
+                   forbid_random_draws, one_hot_context_batch, oracle_set, per_question_baseline,
+                   pool_generator, reload, shot_ids, use_reference_engine, write_oracle_questions,
+                   zero_state)
 
 
 def filled_store(n_movies=3, shots=50, dim=6, seed=0):
@@ -82,7 +84,7 @@ def test_lstm_step_gradients(seed):
 # A single (steps, feature_dim) context is encoded as a batch of one.
 
 def test_encode_context_single_step_equals_one_lstm_step():
-    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=3)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=3, input_scale=1.0)
     features = np.random.default_rng(0).normal(0, 1, (1, 4)).astype(np.float32)
     u = model.encode_context_batch(features[None]).data[0]
     h, c = zero_state(model.cell)
@@ -91,7 +93,7 @@ def test_encode_context_single_step_equals_one_lstm_step():
 
 
 def test_encode_context_order_sensitive():
-    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=4)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=4, input_scale=1.0)
     rng = np.random.default_rng(1)
     features = rng.normal(0, 1, (6, 4)).astype(np.float32)
     forward = model.encode_context_batch(features[None]).data[0]
@@ -100,7 +102,7 @@ def test_encode_context_order_sensitive():
 
 
 def test_encode_context_matches_unrolled_oracle():
-    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=5)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=5, input_scale=1.0)
     rng = np.random.default_rng(2)
     features = rng.normal(0, 1, (3, 4)).astype(np.float32)
     u = model.encode_context_batch(features[None]).data[0]
@@ -112,7 +114,7 @@ def test_encode_context_matches_unrolled_oracle():
 
 
 def test_encode_context_empty_rejected():
-    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=6)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=6, input_scale=1.0)
     with pytest.raises(ValueError, match="lstm_sequence: empty input sequence"):
         model.encode_context_batch(np.zeros((1, 0, 4), dtype=np.float32))
 
@@ -186,14 +188,14 @@ def test_last_step_readout_is_bit_identical_to_one_hot_pooling(dtype, batch, ste
 # One question's candidates are scored as a batch of one.
 
 def test_score_candidates_singleton_is_one():
-    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=7)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=7, input_scale=1.0)
     context = np.random.default_rng(2).normal(0, 1, (1, 3, 4)).astype(np.float32)
     probs = model.probabilities_batch(context, np.ones((1, 1, 4), dtype=np.float32))
     assert np.array_equal(probs.data, np.array([[1.0]], dtype=np.float32))
 
 
 def test_score_candidates_duplicates_get_equal_probability():
-    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=8)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8,), seed=8, input_scale=1.0)
     rng = np.random.default_rng(3)
     context = rng.normal(0, 1, (1, 3, 4)).astype(np.float32)
     row = rng.normal(0, 1, 4).astype(np.float32)
@@ -203,7 +205,7 @@ def test_score_candidates_duplicates_get_equal_probability():
 
 
 def test_score_candidates_distribution_and_permutation_equivariance():
-    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8, 4), seed=9)
+    model = NextShotModel.fresh(4, hidden_dim=5, scorer_widths=(8, 4), seed=9, input_scale=1.0)
     rng = np.random.default_rng(4)
     context = rng.normal(0, 1, (1, 3, 4)).astype(np.float32)
     cands = rng.normal(0, 1, (6, 4)).astype(np.float32)
@@ -216,7 +218,7 @@ def test_score_candidates_distribution_and_permutation_equivariance():
 
 def test_answer_matches_argmax_and_tie_breaks_low():
     store = filled_store()
-    model = NextShotModel.fresh(6, hidden_dim=5, scorer_widths=(8,), seed=10)
+    model = NextShotModel.fresh(6, hidden_dim=5, scorer_widths=(8,), seed=10, input_scale=1.0)
     q = oracle_set(store, [OracleQuestion("q", "m0", IN_MOVIE,
                                           [("m0", i) for i in range(4)],
                                           [("m0", 9), ("m0", 20), ("m0", 4), ("m0", 30)], 2)])
@@ -425,7 +427,8 @@ def test_question_file_round_trips_the_rows(tmp_path_factory, lengths, mctx, n_c
 
 def test_a_list_of_question_rows_is_written_as_its_set(tmp_path):
     store = filled_store(n_movies=2, shots=20)
-    questions, _ = generate_questions(store, ["m0", "m1"], CROSS_MOVIE, mctx=4, n_candidates=6)
+    questions, _ = generate_questions(store, ["m0", "m1"], CROSS_MOVIE, mctx=4, n_candidates=6,
+                                      seed=0)
     write_questions(tmp_path / "set.tsv", questions)
     rows = list(questions)
     assert [len(row) for row in rows] == [1] * len(questions)
@@ -433,7 +436,7 @@ def test_a_list_of_question_rows_is_written_as_its_set(tmp_path):
     assert (tmp_path / "rows.tsv").read_bytes() == (tmp_path / "set.tsv").read_bytes()
     assert_same_questions(QuestionSet.concat(rows), questions)
     other, _ = generate_questions(filled_store(n_movies=2, shots=20), ["m0"], IN_MOVIE,
-                                  mctx=4, n_candidates=6)
+                                  mctx=4, n_candidates=6, seed=0)
     with pytest.raises(ValueError, match="one feature store"):
         write_questions(tmp_path / "mixed.tsv", [rows[0], other[:1]])
     assert not (tmp_path / "mixed.tsv").exists()
@@ -478,7 +481,8 @@ def test_question_writer_refuses_an_id_a_label_cannot_carry(tmp_path_factory, he
     for movie in ("ok", video_id):
         for o in range(8):
             store.add(movie, o, np.zeros(2, dtype=np.float32))
-    questions, _ = generate_questions(store, ["ok", video_id], setting, mctx=2, n_candidates=3)
+    questions, _ = generate_questions(store, ["ok", video_id], setting, mctx=2, n_candidates=3,
+                                      seed=0)
     path = tmp_path_factory.mktemp("questions") / "q.tsv"
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: video id "
                                          f"{re.escape(repr(video_id))} holds a comma"):
@@ -495,14 +499,14 @@ def test_generate_questions_rejects_an_ordinal_gap(where):
     setting = IN_MOVIE if where == "questioned" else CROSS_MOVIE
     with pytest.raises(ValueError, match="movie 'gap': .*first missing ordinal 10"):
         generate_questions(store, questioned, setting, mctx=4, n_candidates=4,
-                           pool_movie_ids=pool)
+                           seed=0, pool_movie_ids=pool)
 
 
 def test_generate_questions_rejects_a_repeated_pool_movie():
     store = filled_store(n_movies=2, shots=12)
     with pytest.raises(ValueError, match="more than once"):
         generate_questions(store, ["m0"], CROSS_MOVIE, mctx=4, n_candidates=4,
-                           pool_movie_ids=["m0", "m1", "m0"])
+                           seed=0, pool_movie_ids=["m0", "m1", "m0"])
 
 
 def test_exclusion_radius_blocks_neighbors():
@@ -531,16 +535,16 @@ def test_single_question_overfit():
 
 def test_train_rejects_empty():
     store = filled_store()
-    questions, _ = generate_questions(store, ["m0"], IN_MOVIE, mctx=4, n_candidates=4)
+    questions, _ = generate_questions(store, ["m0"], IN_MOVIE, mctx=4, n_candidates=4, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        train_next_shot(questions[:0], TemporalTrainConfig(), seed=0)
+        train_next_shot(questions[:0], default_config(_temporal_config), seed=0)
 
 
 def test_untrained_model_near_chance():
     store = filled_store(n_movies=4, shots=60, seed=9)
     questions, _ = generate_questions(store, [f"m{i}" for i in range(4)], IN_MOVIE,
                                       mctx=4, n_candidates=16, stride=1, seed=4)
-    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=11)
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=11, input_scale=1.0)
     acc, _ = evaluate_accuracy(model, questions)
     # 200 questions, chance 1/16
     assert abs(acc - 1 / 16) < 0.05
@@ -570,8 +574,8 @@ def test_training_is_deterministic(tmp_path):
     store = filled_store(n_movies=2, shots=40)
     questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
                                       n_candidates=8, seed=7)
-    config = TemporalTrainConfig(epochs=2, batch_size=8, learning_rate=0.1,
-                                 hidden_dim=8, scorer_widths=(16, 8))
+    config = default_config(_temporal_config, epochs=2, batch_size=8, learning_rate=0.1,
+                            hidden_dim=8, scorer_widths=(16, 8))
     model_a, _ = train_next_shot(questions, config, seed=3)
     model_b, _ = train_next_shot(questions, config, seed=3)
     save_checkpoint(tmp_path / "a.stln", model_a.state())
@@ -584,8 +588,8 @@ def test_gradient_buffer_ownership_leaves_the_checkpoint_bytes_unchanged(tmp_pat
     store = filled_store(n_movies=2, shots=40)
     questions, _ = generate_questions(store, ["m0", "m1"], CROSS_MOVIE, mctx=4,
                                       n_candidates=8, seed=7)
-    config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
-                                 hidden_dim=8, scorer_widths=(16, 8))
+    config = default_config(_temporal_config, epochs=3, batch_size=8, learning_rate=0.1,
+                            hidden_dim=8, scorer_widths=(16, 8))
     model, _ = train_next_shot(questions, config, seed=3)
     save_checkpoint(tmp_path / "owned.stln", model.state())
     use_reference_engine(monkeypatch)
@@ -598,8 +602,8 @@ def test_training_history_times_every_epoch():
     store = filled_store(n_movies=2, shots=40)
     questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
                                       n_candidates=8, seed=7)
-    config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
-                                 hidden_dim=8, scorer_widths=(16, 8))
+    config = default_config(_temporal_config, epochs=3, batch_size=8, learning_rate=0.1,
+                            hidden_dim=8, scorer_widths=(16, 8))
     _, history = train_next_shot(questions, config, seed=3, val_questions=questions)
     assert len(history["epoch_s"]) == len(history["examples_per_s"]) == 3
     for seconds, rate in zip(history["epoch_s"], history["examples_per_s"]):
@@ -613,8 +617,8 @@ def test_train_next_shot_draws_each_epoch_order_from_temporal_derive_rng(monkeyp
     store = filled_store(n_movies=2, shots=40)
     questions, _ = generate_questions(store, ["m0", "m1"], IN_MOVIE, mctx=4,
                                       n_candidates=8, seed=7)
-    config = TemporalTrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
-                                 hidden_dim=8, scorer_widths=(16, 8))
+    config = default_config(_temporal_config, epochs=3, batch_size=8, learning_rate=0.1,
+                            hidden_dim=8, scorer_widths=(16, 8))
     real, calls = temporal.derive_rng, []
 
     def spy(root_seed, purpose, *rest):
@@ -642,7 +646,7 @@ def test_model_state_round_trip(monkeypatch):
 
 
 def test_state_is_a_snapshot():
-    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=1.0)
     state = model.state()
     model.cell.weights.data += 1.0
     assert not np.array_equal(state["nextshot.lstm.weights"], model.cell.weights.data)
@@ -659,7 +663,7 @@ def test_a_state_without_a_scalar_is_named(scalar):
 
 
 def test_from_state_rejects_a_non_finite_input_scale():
-    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12)
+    model = NextShotModel.fresh(6, hidden_dim=8, scorer_widths=(16, 8), seed=12, input_scale=1.0)
     state = model.state()
     state["nextshot.input_scale"] = np.float32(np.nan)
     with pytest.raises(ValueError, match=r"^'nextshot.input_scale' holds 1 non-finite "
@@ -677,7 +681,8 @@ def test_training_stops_on_non_finite_loss():
         store.add("m0", o, values)
     questions, _ = generate_questions(store, ["m0"], IN_MOVIE, mctx=4, n_candidates=4,
                                       stride=1, seed=2)
-    config = TemporalTrainConfig(epochs=1, batch_size=4, hidden_dim=4, scorer_widths=(4,))
+    config = default_config(_temporal_config, epochs=1, batch_size=4, hidden_dim=4,
+                            scorer_widths=(4,))
     with pytest.raises(FloatingPointError,
                        match=r"train_next_shot: epoch 0, batch start \d+: non-finite loss"):
         train_next_shot(questions, config, seed=0)
