@@ -7,7 +7,6 @@ import struct
 
 import numpy as np
 
-from .autodiff import Tensor
 from .binio import (FormatError, expect_magic, expect_version, read_exact, read_struct,
                     replace_on_success)
 
@@ -16,7 +15,7 @@ VERSION = 2  # version 1 states also held the scoring and pooling codes
 
 
 def save_checkpoint(path, params: dict) -> None:
-    """Write named parameters in declaration order; values stored as f32.
+    """Write named arrays in declaration order; values stored as f32.
 
     Every name and value is checked before anything is written, and the
     bytes replace path only once all are written, so a rejected state or a
@@ -24,8 +23,7 @@ def save_checkpoint(path, params: dict) -> None:
     """
     records = []
     for name, value in params.items():
-        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-        arr = np.asarray(arr, dtype="<f4", order="C")  # ascontiguousarray would promote 0-d
+        arr = np.asarray(value, dtype="<f4", order="C")  # ascontiguousarray would promote 0-d
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"parameter name too long: {name!r}")

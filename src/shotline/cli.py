@@ -3,8 +3,10 @@
 Every subcommand is a pure function of (inputs, config, seed): it echoes
 its effective configuration, derives all randomness from the one seed,
 and appends a run-manifest record with content digests of everything it
-read and wrote. Each handler imports the modules it runs, so a process
-loads (and, without a bytecode cache, compiles) only what its
+read and wrote. The parser declares each file flag once, as read or
+written, and those declarations are the record's file lists; a handler
+returns only its extra entries. Each handler imports the modules it runs,
+so a process loads (and, without a bytecode cache, compiles) only what its
 subcommand needs.
 """
 from __future__ import annotations
@@ -108,19 +110,30 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _record_run(run_log: str, command: str, config: dict, inputs: list, outputs: list,
-                started: float, report: dict | None = None) -> None:
+def _declared_paths(args, role: str) -> list:
+    """The paths of the file flags that args' command declares with role
+    ("reads" or "writes") and that were given; a directory flag stands for
+    the files declared under it."""
+    paths = []
+    for flag_role, dest, names in args.files:
+        value = getattr(args, dest)
+        if flag_role == role and value is not None:
+            paths += [Path(value) / name for name in names] if names else [value]
+    return paths
+
+
+def _record_run(args, config: dict, started: float, report: dict | None) -> None:
     """Append one manifest row; ``report`` holds extra per-command entries."""
     row = {
-        "command": command,
+        "command": args.command,
         "config": {k: config[k] for k in sorted(config)},
         "seed": config["seed"],
-        "input_digests": {str(p): _sha256(p) for p in inputs},
-        "output_digests": {str(p): _sha256(p) for p in outputs},
+        "input_digests": {str(p): _sha256(p) for p in _declared_paths(args, "reads")},
+        "output_digests": {str(p): _sha256(p) for p in _declared_paths(args, "writes")},
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
         **(report or {}),
     }
-    with open(run_log, "a", encoding="utf-8") as fh:
+    with open(args.run_log, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
@@ -204,6 +217,14 @@ def _check_width(args, width: int, store) -> None:
                          f"holds {store.dim}-value ones")
 
 
+def _write_metrics(path, metrics: dict) -> None:
+    """Write the metrics file and echo each figure to stderr, sorted by name."""
+    from .metrics import write_metrics
+    write_metrics(path, metrics)
+    for key in sorted(metrics):
+        print(f"metric\t{key}\t{metrics[key]:.6f}", file=sys.stderr)
+
+
 def _provider(args, config):
     from . import qa
     if not args.embeddings:
@@ -226,7 +247,7 @@ def cmd_segment(args, config):
     shots = segment.detect_shots(seq, video_id=args.video_id)
     segment.write_shot_list(args.output, shots)
     print(f"segment\t{args.video_id}\t{len(shots)} shots", file=sys.stderr)
-    return [args.input], [args.output], {"frames": seq.frame_count, "shots": len(shots)}
+    return {"frames": seq.frame_count, "shots": len(shots)}
 
 
 def cmd_extract(args, config):
@@ -239,7 +260,7 @@ def cmd_extract(args, config):
     store = extract_features(seq, shots)
     write_shtf(args.output, store)
     print(f"extract\t{len(store)} shot features\tdim {store.dim}", file=sys.stderr)
-    return [args.input, args.shots], [args.output], {"shots": len(shots)}
+    return {"shots": len(shots)}
 
 
 def cmd_synth(args, config):
@@ -258,7 +279,6 @@ def cmd_synth(args, config):
     corpus.write_ground_truth(out / "truth.jsonl", videos)
     print(f"synth\t{config['movies']} movies\t{config['trailers']} trailers\t"
           f"{len(store)} shot features", file=sys.stderr)
-    return [], [features_path, out / "vocab.json", out / "manifest.jsonl", out / "truth.jsonl"]
 
 
 def cmd_split(args, config):
@@ -271,8 +291,6 @@ def cmd_split(args, config):
     print(f"split\t{len(split.train_movies)}/{len(split.val_movies)}/"
           f"{len(split.test_movies)} movies\t{len(split.trailer_pool)} trailers eligible",
           file=sys.stderr)
-    inputs = [args.manifest] + ([args.vocab] if args.vocab else [])
-    return inputs, [args.output]
 
 
 def cmd_train_tags(args, config):
@@ -283,16 +301,22 @@ def cmd_train_tags(args, config):
         raise ValueError(f"proj_dim must not be negative, got {config['proj_dim']}")
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
-    store = read_shtf(args.features)
     split = corpus.CorpusSplit.load(args.split) if args.split else None
-    by_id = {e.video_id: e for e in entries}
-    if split is not None:
-        if args.subset_size:
-            train_ids = split.trailer_subsets[args.subset_size]
-        else:
-            train_ids = split.trailer_pool
-    else:
+    if args.subset_size and split is None:
+        raise ValueError(f"--subset-size {args.subset_size}: trailer subsets come from a "
+                         f"split file, and no --split was given")
+    if args.subset_size and args.subset_size not in split.trailer_subsets:
+        sizes = ", ".join(map(str, sorted(split.trailer_subsets))) or "none"
+        raise ValueError(f"--subset-size {args.subset_size}: {args.split} holds no trailer "
+                         f"subset of that size (its sizes: {sizes})")
+    if split is None:
         train_ids = [e.video_id for e in entries if e.kind == "trailer"]
+    elif args.subset_size:
+        train_ids = split.trailer_subsets[args.subset_size]
+    else:
+        train_ids = split.trailer_pool
+    store = read_shtf(args.features)
+    by_id = {e.video_id: e for e in entries}
     train_entries = [by_id[i] for i in train_ids]
     tag_config = _tag_config(config)
     proj_dim = config["proj_dim"] or None
@@ -303,16 +327,15 @@ def cmd_train_tags(args, config):
     save_checkpoint(args.output, {**model.state(), **lstm.state()})
     print(f"train-tags\t{len(train_entries)} videos\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
-    inputs = [args.manifest, args.vocab, args.features] + ([args.split] if args.split else [])
     curves = _curves(history)
     curves.update({f"lstm_{k}": v for k, v in _curves(lstm_history).items()})
-    return inputs, [args.output], curves
+    return curves
 
 
 def cmd_eval_tags(args, config):
     from . import corpus, tags
     from .features import read_shtf
-    from .metrics import mean_average_precision, recall_at_k, write_metrics
+    from .metrics import mean_average_precision, recall_at_k
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
     store = read_shtf(args.features)
@@ -352,13 +375,8 @@ def cmd_eval_tags(args, config):
             scores = np.stack([getter(p) for p in preds])
             metrics[f"{mode}.{branch}.recall_at_3"] = recall_at_k(scores, truth, 3)
             metrics[f"{mode}.{branch}.map"] = mean_average_precision(scores, truth)
-    write_metrics(out / "metrics.tsv", metrics)
+    _write_metrics(out / "metrics.tsv", metrics)
     tags.write_predictions(out / "predictions.tsv", predictions["score_average"], vocabulary)
-    for key in sorted(metrics):
-        print(f"metric\t{key}\t{metrics[key]:.6f}", file=sys.stderr)
-    inputs = [args.manifest, args.vocab, args.features, args.model] + (
-        [args.split] if args.split else [])
-    return inputs, [out / "metrics.tsv", out / "predictions.tsv"]
 
 
 def cmd_gen_questions(args, config):
@@ -383,7 +401,6 @@ def cmd_gen_questions(args, config):
     questions = temporal.QuestionSet.concat(parts)
     temporal.write_questions(args.output, questions)
     print(f"gen-questions\t{len(questions)} questions\t{skipped} skipped", file=sys.stderr)
-    return [args.features, args.split], [args.output]
 
 
 def cmd_train_temporal(args, config):
@@ -401,15 +418,12 @@ def cmd_train_temporal(args, config):
     val = f"\tval {history['val_accuracy'][-1]:.4f}" if val_questions is not None else ""
     print(f"train-temporal\t{len(questions)} questions\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}{val}", file=sys.stderr)
-    inputs = [args.features, args.questions] + (
-        [args.val_questions] if args.val_questions else [])
-    return inputs, [args.output], _curves(history)
+    return _curves(history)
 
 
 def cmd_eval_temporal(args, config):
     from . import temporal
     from .features import read_shtf
-    from .metrics import write_metrics
     store = read_shtf(args.features)
     model = _from_checkpoint(args.model, temporal.NextShotModel.from_state)
     _check_width(args, model.feature_dim, store)
@@ -429,10 +443,7 @@ def cmd_eval_temporal(args, config):
                     probs[np.arange(len(chosen)), chosen].tolist()))
     rows.sort(key=lambda r: r[0])
     temporal.write_results(args.results, rows)
-    write_metrics(args.metrics, metrics)
-    for key in sorted(metrics):
-        print(f"metric\t{key}\t{metrics[key]:.6f}", file=sys.stderr)
-    return [args.features, args.questions, args.model], [args.results, args.metrics]
+    _write_metrics(args.metrics, metrics)
 
 
 def cmd_train_qa(args, config):
@@ -449,15 +460,12 @@ def cmd_train_qa(args, config):
     save_checkpoint(args.output, model.state())
     print(f"train-qa\t{len(items)} items\tloss "
           f"{history['loss'][0]:.4f}->{history['loss'][-1]:.4f}", file=sys.stderr)
-    inputs = [args.features, args.items] + ([args.val_items] if args.val_items else []) + (
-        [args.embeddings] if args.embeddings else [])
-    return inputs, [args.output], _curves(history)
+    return _curves(history)
 
 
 def cmd_eval_qa(args, config):
     from . import qa
     from .features import read_shtf
-    from .metrics import write_metrics
     store = read_shtf(args.features)
     model = _from_checkpoint(args.model, qa.QaModel.from_state)
     width, rows = model.scorer.layers[0][0].data.shape[0], store.dim + 2 * config["embed_dim"]
@@ -467,12 +475,7 @@ def cmd_eval_qa(args, config):
                          f"{config['embed_dim']} give {rows}-value ones")
     items = _nonempty(qa.read_qa_items(args.items, store), args.items, "items")
     provider = _provider(args, config)
-    accuracy = qa.evaluate_qa(model, items, provider, store)
-    write_metrics(args.metrics, {"qa.accuracy": accuracy})
-    print(f"metric\tqa.accuracy\t{accuracy:.6f}", file=sys.stderr)
-    inputs = [args.features, args.items, args.model] + (
-        [args.embeddings] if args.embeddings else [])
-    return inputs, [args.metrics]
+    _write_metrics(args.metrics, {"qa.accuracy": qa.evaluate_qa(model, items, provider, store)})
 
 
 def cmd_retrieve(args, config):
@@ -498,10 +501,30 @@ def cmd_retrieve(args, config):
         for ordinal in ranked:
             fh.write(f"{ordinal}\t{by_ordinal[ordinal]:.6f}\n")
     print(f"retrieve\t{args.video_id}\t{args.tag}\ttop {ranked}", file=sys.stderr)
-    return [args.vocab, args.features, args.model], [args.output, args.ranked_output]
 
 
 # -- argument plumbing ---------------------------------------------------------
+
+
+def _command(sub, name: str, handler, summary: str, reads=(), optional=(), writes=(),
+             out_dir=(), helps: dict | None = None) -> argparse.ArgumentParser:
+    """The subcommand parser of handler, with each file flag declared once:
+    the command reads the ``reads`` flags and, when given, the ``optional``
+    ones, and writes the ``writes`` flags, or the ``out_dir`` files under
+    --out-dir. The manifest row digests exactly the declared paths that were
+    given. ``helps`` maps a flag to its help text."""
+    p = sub.add_parser(name, help=summary)
+    files = []
+    for role, flags, required in (("reads", reads, True), ("reads", optional, False),
+                                  ("writes", writes, True)):
+        for flag in flags:
+            dest = p.add_argument(flag, required=required, help=(helps or {}).get(flag)).dest
+            files.append((role, dest, ()))
+    if out_dir:
+        p.add_argument("--out-dir", required=True)
+        files.append(("writes", "out_dir", out_dir))
+    p.set_defaults(handler=handler, files=files)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,99 +538,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run-log", default="run_manifest.jsonl",
                         help="run manifest path (JSON lines, appended)")
     sub = parser.add_subparsers(dest="command", required=True)
+    subsets = ("train", "val", "test")
 
-    p = sub.add_parser("segment", help="FSEQ frames to a shot list")
-    p.add_argument("--input", required=True)
+    p = _command(sub, "segment", cmd_segment, "FSEQ frames to a shot list",
+                 reads=["--input"], writes=["--output"])
     p.add_argument("--video-id", default="video")
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_segment)
-
-    p = sub.add_parser("extract", help="FSEQ frames + shots to an SHTF feature cache")
-    p.add_argument("--input", required=True)
-    p.add_argument("--shots", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_extract)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(handler=cmd_synth)
-
-    p = sub.add_parser("split", help="train/val/test movie split with trailer pools")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_split)
-
-    p = sub.add_parser("train-tags", help="train the tag model (and its sequence scorer)")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--split")
+    _command(sub, "extract", cmd_extract, "FSEQ frames + shots to an SHTF feature cache",
+             reads=["--input", "--shots"], writes=["--output"])
+    _command(sub, "synth", cmd_synth, "generate a synthetic corpus with ground truth",
+             out_dir=["features.shtf", "vocab.json", "manifest.jsonl", "truth.jsonl"])
+    _command(sub, "split", cmd_split, "train/val/test movie split with trailer pools",
+             reads=["--manifest"], optional=["--vocab"], writes=["--output"])
+    p = _command(sub, "train-tags", cmd_train_tags, "train the tag model (and its sequence scorer)",
+                 reads=["--manifest", "--vocab", "--features"], optional=["--split"],
+                 writes=["--output"])
     p.add_argument("--subset-size", type=int, default=0,
                    help="train on this trailer subset from the split file")
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_train_tags)
-
-    p = sub.add_parser("eval-tags", help="recall@3 and label-centric MAP in both inference modes")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--split")
-    p.add_argument("--subset", default="test", choices=("train", "val", "test"))
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(handler=cmd_eval_tags)
-
-    p = sub.add_parser("gen-questions", help="next-shot questions from a split")
-    p.add_argument("--features", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--subset", default="train", choices=("train", "val", "test"))
+    p = _command(sub, "eval-tags", cmd_eval_tags,
+                 "recall@3 and label-centric MAP in both inference modes",
+                 reads=["--manifest", "--vocab", "--features", "--model"], optional=["--split"],
+                 out_dir=["metrics.tsv", "predictions.tsv"])
+    p.add_argument("--subset", default="test", choices=subsets)
+    p = _command(sub, "gen-questions", cmd_gen_questions, "next-shot questions from a split",
+                 reads=["--features", "--split"], writes=["--output"])
+    p.add_argument("--subset", default="train", choices=subsets)
     p.add_argument("--setting", default="both",
                    choices=("in_movie", "cross_movie", "both"))  # temporal's settings
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_gen_questions)
-
-    p = sub.add_parser("train-temporal", help="train the next-shot model")
-    p.add_argument("--features", required=True)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--val-questions")
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_train_temporal)
-
-    p = sub.add_parser("eval-temporal", help="accuracy per setting, model and baseline")
-    p.add_argument("--features", required=True)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--results", required=True)
-    p.add_argument("--metrics", required=True)
-    p.set_defaults(handler=cmd_eval_temporal)
-
-    p = sub.add_parser("train-qa", help="train the multi-choice QA scorer")
-    p.add_argument("--features", required=True)
-    p.add_argument("--items", required=True)
-    p.add_argument("--val-items")
-    p.add_argument("--embeddings", help="token embedding table (hashing fallback if absent)")
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_train_qa)
-
-    p = sub.add_parser("eval-qa", help="QA accuracy on an item file")
-    p.add_argument("--features", required=True)
-    p.add_argument("--items", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings")
-    p.add_argument("--metrics", required=True)
-    p.set_defaults(handler=cmd_eval_qa)
-
-    p = sub.add_parser("retrieve", help="per-shot response series for one tag")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    _command(sub, "train-temporal", cmd_train_temporal, "train the next-shot model",
+             reads=["--features", "--questions"], optional=["--val-questions"],
+             writes=["--output"])
+    _command(sub, "eval-temporal", cmd_eval_temporal, "accuracy per setting, model and baseline",
+             reads=["--features", "--questions", "--model"], writes=["--results", "--metrics"])
+    _command(sub, "train-qa", cmd_train_qa, "train the multi-choice QA scorer",
+             reads=["--features", "--items"], optional=["--val-items", "--embeddings"],
+             writes=["--output"],
+             helps={"--embeddings": "token embedding table (hashing fallback if absent)"})
+    _command(sub, "eval-qa", cmd_eval_qa, "QA accuracy on an item file",
+             reads=["--features", "--items", "--model"], optional=["--embeddings"],
+             writes=["--metrics"])
+    p = _command(sub, "retrieve", cmd_retrieve, "per-shot response series for one tag",
+                 reads=["--vocab", "--features", "--model"], writes=["--output", "--ranked-output"])
     p.add_argument("--video-id", required=True)
     p.add_argument("--tag", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--ranked-output", required=True)
-    p.set_defaults(handler=cmd_retrieve)
-
     return parser
 
 
@@ -620,9 +592,8 @@ def main(argv: list[str] | None = None) -> int:
             config["seed"] = args.seed
         _echo_config(config)
         started = time.perf_counter()
-        # a handler returns (inputs, outputs) and optionally a report for the manifest row
-        inputs, outputs, *report = args.handler(args, config)
-        _record_run(args.run_log, args.command, config, inputs, outputs, started, *report)
+        report = args.handler(args, config)  # None or extra entries for the manifest row
+        _record_run(args, config, started, report)
     except Exception as exc:  # surfaced as a machine-readable line, nonzero exit
         print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)
         return 1

@@ -134,12 +134,22 @@ def write_qa_items(path, items: list[QaItem]) -> None:
 
 def read_qa_items(path, store: FeatureStore) -> list[QaItem]:
     """The items of a file written by write_qa_items. Clip labels resolve
-    through the label -> row table of ``store``, so a malformed line or a
-    label of no stored shot raises ValueError naming the file and the line."""
+    through the label -> row table of ``store``. A malformed line, a label of
+    no stored shot, or a line whose answer count differs from the first
+    line's raises ValueError naming the file and the line."""
     keys, clip_rows = store.keys(), label_rows(store)
-    return read_tsv(path, 5, lambda p: QaItem(
-        qid=p[0], question=p[1], answers=p[2].split("|"),
-        clip_shots=[keys[row] for row in clip_rows(p[3])], correct_index=int(p[4])))
+    counts: list[int] = []
+
+    def parse(p: list[str]) -> QaItem:
+        item = QaItem(qid=p[0], question=p[1], answers=p[2].split("|"),
+                      clip_shots=[keys[row] for row in clip_rows(p[3])], correct_index=int(p[4]))
+        if not counts:
+            counts.append(len(item.answers))
+        elif len(item.answers) != counts[0]:
+            raise ValueError(f"{len(item.answers)} answers, where the first item has {counts[0]}")
+        return item
+
+    return read_tsv(path, 5, parse)
 
 
 def encode_clip(shot_ids: list[ShotId], store: FeatureStore) -> np.ndarray:
@@ -242,15 +252,11 @@ def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureSto
         raise ValueError(f"evaluate_qa: the model scores rows of width {width}, but "
                          f"{store.dim}-dim clip features and embed_dim {provider.dim} "
                          f"give {store.dim + 2 * provider.dim}")
-    by_n: dict[int, list[QaItem]] = {}
-    for item in items:
-        by_n.setdefault(len(item.answers), []).append(item)
     correct = 0
-    for group in by_n.values():
-        for start in range(0, len(group), EVAL_BATCH):
-            batch = group[start:start + EVAL_BATCH]
-            clips, questions, answers, targets = _item_arrays(batch, provider, store)
-            probs = ad.finite_rows(model.probabilities_batch(clips, questions, answers).data,
-                                   [item.qid for item in batch], "answer distribution")
-            correct += int((np.argmax(probs, axis=1) == targets).sum())
+    for start in range(0, len(items), EVAL_BATCH):
+        batch = items[start:start + EVAL_BATCH]
+        clips, questions, answers, targets = _item_arrays(batch, provider, store)
+        probs = ad.finite_rows(model.probabilities_batch(clips, questions, answers).data,
+                               [item.qid for item in batch], "answer distribution")
+        correct += int((np.argmax(probs, axis=1) == targets).sum())
     return correct / len(items)

@@ -41,6 +41,8 @@ GOOD_SHOT = "v\t0\t0\t8"
                  "invalid literal for int() with base 10: 'x'", id="qa-index"),
     pytest.param(read_stored_items, GOOD_ITEM, "i1\twho?\ta\tm0#0\t0",
                  "item i1: need at least 2 answers", id="qa-answers"),
+    pytest.param(read_stored_items, GOOD_ITEM, "i1\twho?\ta|b|c\tm0#0\t2",
+                 "3 answers, where the first item has 2", id="qa-answer-count"),
     pytest.param(read_stored_items, GOOD_ITEM, "i1\twho?\ta|b\tm0#1,m0#9\t0",
                  "no feature for shot m0#9", id="qa-shot-id"),
     pytest.param(read_shot_list, GOOD_SHOT, "v\t1\t8\tz",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shotline.autodiff import Tensor
 from shotline.binio import FormatError
 from shotline.checkpoint import VERSION, load_checkpoint, save_checkpoint
 
@@ -15,14 +14,14 @@ from _util import fill_disk_after
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     params = {
-        "layer.weights": Tensor(rng.normal(0, 1, (5, 3)).astype(np.float32), requires_grad=True),
+        "layer.weights": rng.normal(0, 1, (5, 3)).astype(np.float32),
         "layer.bias": rng.normal(0, 1, 3).astype(np.float32),
     }
     path = tmp_path / "model.stln"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
     assert list(loaded) == ["layer.weights", "layer.bias"]
-    assert np.array_equal(loaded["layer.weights"], params["layer.weights"].data)
+    assert np.array_equal(loaded["layer.weights"], params["layer.weights"])
     assert np.array_equal(loaded["layer.bias"], params["layer.bias"])
 
 

@@ -1203,6 +1203,45 @@ def test_train_tags_on_trailer_subset(tmp_path):
     assert (world / "tags3.stln").exists()
 
 
+def test_train_tags_rejects_a_subset_size_it_cannot_honour(tmp_path, capsys):
+    """With no --split, or a split without a subset of that size, --subset-size
+    exits 1 before any features are read: the features file does not exist."""
+    world = tmp_path / "world"
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 4]
+    assert run_cli(*base, "synth", "--out-dir", world) == 0
+    assert run_cli(*base, "--set", "trailer_subsets=3,4", "split",
+                   "--manifest", world / "manifest.jsonl", "--output", world / "split.json") == 0
+    args = ["--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+            "--features", tmp_path / "missing.shtf", "--output", world / "tags.stln"]
+    _assert_fails_writing_nothing(
+        capsys, base, "train-tags", [*args, "--subset-size", 3], [world / "tags.stln"],
+        "error\tValueError\t--subset-size 3: trailer subsets come from a split file, and no "
+        "--split was given")
+    _assert_fails_writing_nothing(
+        capsys, base, "train-tags", [*args, "--split", world / "split.json", "--subset-size", 5],
+        [world / "tags.stln"],
+        f"error\tValueError\t--subset-size 5: {world / 'split.json'} holds no trailer subset "
+        f"of that size (its sizes: 3, 4)")
+
+
+def test_an_item_file_with_two_answer_counts_fails_train_and_eval_qa(tmp_path, capsys):
+    world = synth_and_split(tmp_path, seed=1)
+    make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
+    assert run_cli(*base, "--set", "qa_epochs=1", "train-qa",
+                   "--features", world / "features.shtf", "--items", world / "qa_items.tsv",
+                   "--output", world / "qa.stln") == 0
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text("i0\twho?\ta|b\tm0000#0\t0\ni1\twhat?\ta|b|c\tm0000#1\t2\n")
+    error = f"error\tValueError\t{mixed}: line 2: 3 answers, where the first item has 2"
+    runs = {"train-qa": ["--output", tmp_path / "qa.stln"],
+            "eval-qa": ["--model", world / "qa.stln", "--metrics", tmp_path / "m.tsv"]}
+    for command, args in runs.items():
+        _assert_fails_writing_nothing(
+            capsys, base, command, ["--features", world / "features.shtf", "--items", mixed,
+                                    *args], [args[-1]], error)
+
+
 def test_frame_backed_tag_training(tmp_path):
     # pixels all the way to a trained model: FSEQ -> shots -> descriptor
     # cache -> projection + heads
