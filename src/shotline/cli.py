@@ -47,7 +47,6 @@ DEFAULTS = {
     "embed_dim": 300,
     # splits
     "split_ratios": "0.7,0.1,0.2",
-    "trailer_subsets": "",
     # synthetic world
     "topics": 8,
     "feature_dim": 32,
@@ -217,6 +216,21 @@ def _check_width(args, width: int, store) -> None:
                          f"holds {store.dim}-value ones")
 
 
+def _split_videos(args, ids, store, entries) -> list:
+    """ids, read from --split (or, with none, from --manifest), as manifest
+    entries, or as they are when entries is None. A video that the manifest
+    (unless None) or the features file lacks raises ValueError naming the
+    split, the video and that file."""
+    manifest = {e.video_id: e for e in entries or ()}
+    for video_id in ids:
+        lacking = (args.manifest if entries is not None and video_id not in manifest
+                   else None if store.shot_count(video_id) else args.features)
+        if lacking:
+            raise ValueError(f"{args.split or args.manifest} names video {video_id!r}, but "
+                             f"{lacking} lacks it")
+    return ids if entries is None else [manifest[i] for i in ids]
+
+
 def _write_metrics(path, metrics: dict) -> None:
     """Write the metrics file and echo each figure to stderr, sorted by name."""
     from .metrics import write_metrics
@@ -285,8 +299,7 @@ def cmd_split(args, config):
     from . import corpus
     vocabulary = corpus.TagVocabulary.load(args.vocab) if args.vocab else None
     entries = corpus.load_manifest(args.manifest, vocabulary)
-    split = corpus.make_splits(entries, _numbers(config, "split_ratios", float), config["seed"],
-                               subset_sizes=_numbers(config, "trailer_subsets", int))
+    split = corpus.make_splits(entries, _numbers(config, "split_ratios", float), config["seed"])
     split.save(args.output)
     print(f"split\t{len(split.train_movies)}/{len(split.val_movies)}/"
           f"{len(split.test_movies)} movies\t{len(split.trailer_pool)} trailers eligible",
@@ -301,23 +314,19 @@ def cmd_train_tags(args, config):
         raise ValueError(f"proj_dim must not be negative, got {config['proj_dim']}")
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
-    split = corpus.CorpusSplit.load(args.split) if args.split else None
-    if args.subset_size and split is None:
+    if args.split:
+        pool = corpus.CorpusSplit.load(args.split).trailer_pool
+        if not 0 <= args.subset_size <= len(pool):
+            raise ValueError(f"--subset-size {args.subset_size} is outside 0..{len(pool)}: "
+                             f"{args.split} holds a pool of {len(pool)} trailers")
+        train_ids = pool[:args.subset_size or None]  # 0 means the whole pool
+    elif args.subset_size:
         raise ValueError(f"--subset-size {args.subset_size}: trailer subsets come from a "
                          f"split file, and no --split was given")
-    if args.subset_size and args.subset_size not in split.trailer_subsets:
-        sizes = ", ".join(map(str, sorted(split.trailer_subsets))) or "none"
-        raise ValueError(f"--subset-size {args.subset_size}: {args.split} holds no trailer "
-                         f"subset of that size (its sizes: {sizes})")
-    if split is None:
-        train_ids = [e.video_id for e in entries if e.kind == "trailer"]
-    elif args.subset_size:
-        train_ids = split.trailer_subsets[args.subset_size]
     else:
-        train_ids = split.trailer_pool
+        train_ids = [e.video_id for e in entries if e.kind == "trailer"]
     store = read_shtf(args.features)
-    by_id = {e.video_id: e for e in entries}
-    train_entries = [by_id[i] for i in train_ids]
+    train_entries = _split_videos(args, train_ids, store, entries)
     tag_config = _tag_config(config)
     proj_dim = config["proj_dim"] or None
     model, history = tags.train_tags(train_entries, store, vocabulary, tag_config,
@@ -343,25 +352,19 @@ def cmd_eval_tags(args, config):
         model := tags.TagModel.from_state(state, vocabulary),
         tags.TagLstm.from_state(state, model)))
     _check_width(args, model.input_dim, store)
-    by_id = {e.video_id: e for e in entries}
-    if args.split:
-        split = corpus.CorpusSplit.load(args.split)
-        eval_ids = {"train": split.train_movies, "val": split.val_movies,
-                    "test": split.test_movies}[args.subset]
-    else:
-        eval_ids = [e.video_id for e in entries if e.kind == "movie"]
-    eval_entries = [by_id[i] for i in eval_ids]
+    eval_ids = (corpus.CorpusSplit.load(args.split).movies(args.subset) if args.split
+                else [e.video_id for e in entries if e.kind == "movie"])
+    eval_entries = _split_videos(args, eval_ids, store, entries)
     if not eval_entries:
         raise ValueError("eval-tags: empty evaluation set")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics: dict[str, float] = {}
-    truths = {"genres": [], "keywords": []}
+    truths = dict(zip(("genres", "keywords"),
+                      zip(*(tags.truth_indices(e, vocabulary) for e in eval_entries))))
     predictions = {"score_average": [], "feature_lstm": []}
     for entry in eval_entries:
-        truths["genres"].append({vocabulary.genre_index[g] for g in entry.genres})
-        truths["keywords"].append({vocabulary.keyword_index[kw] for kw in entry.keywords})
         seq = store.sequence(entry.video_id)
         predictions["score_average"].append(tags.infer_score_average(model, entry.video_id, seq))
         predictions["feature_lstm"].append(tags.infer_feature_lstm(
@@ -384,16 +387,15 @@ def cmd_gen_questions(args, config):
     from .features import read_shtf
     store = read_shtf(args.features)
     split = corpus.CorpusSplit.load(args.split)
-    movie_ids = {"train": split.train_movies, "val": split.val_movies,
-                 "test": split.test_movies}[args.subset]
+    corpus_movies = _split_videos(args, split.train_movies + split.val_movies + split.test_movies,
+                                  store, None)
     settings = ([temporal.IN_MOVIE, temporal.CROSS_MOVIE] if args.setting == "both"
                 else [args.setting])
-    corpus_movies = split.train_movies + split.val_movies + split.test_movies
     parts = []
     skipped = 0
     for setting in settings:
         qs, sk = temporal.generate_questions(
-            store, movie_ids, setting, mctx=config["mctx"],
+            store, split.movies(args.subset), setting, mctx=config["mctx"],
             n_candidates=config["candidates"], stride=config["stride"], seed=config["seed"],
             exclusion_radius=config["exclusion_radius"], pool_movie_ids=corpus_movies)
         parts.append(qs)
@@ -490,8 +492,7 @@ def cmd_retrieve(args, config):
                          f"of that video")
     if args.tag not in vocabulary.genre_index and args.tag not in vocabulary.keyword_index:
         raise ValueError(f"--tag {args.tag!r}: {args.vocab} has no genre or keyword of that name")
-    series = tags.shot_tag_response(model, args.video_id, store.sequence(args.video_id),
-                                    args.tag)
+    series = tags.shot_tag_response(model, store.sequence(args.video_id), args.tag)
     ranked = tags.top_shots(series, config["top_shots"])
     with open(args.output, "w", encoding="utf-8") as fh:
         for ordinal, score in series:
@@ -553,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                  reads=["--manifest", "--vocab", "--features"], optional=["--split"],
                  writes=["--output"])
     p.add_argument("--subset-size", type=int, default=0,
-                   help="train on this trailer subset from the split file")
+                   help="train on the first N trailers of the split's pool (0: all)")
     p = _command(sub, "eval-tags", cmd_eval_tags,
                  "recall@3 and label-centric MAP in both inference modes",
                  reads=["--manifest", "--vocab", "--features", "--model"], optional=["--split"],

@@ -391,34 +391,32 @@ class CorpusSplit:
     val_movies: list[str]
     test_movies: list[str]
     trailer_pool: list[str]
-    trailer_subsets: dict[int, list[str]] = field(default_factory=dict)
+
+    def movies(self, subset: str) -> list[str]:
+        """The movies of one subset: "train", "val" or "test"."""
+        return {"train": self.train_movies, "val": self.val_movies,
+                "test": self.test_movies}[subset]
 
     def save(self, path) -> None:
-        blob = asdict(self)
-        blob["trailer_subsets"] = {str(k): v for k, v in self.trailer_subsets.items()}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, indent=0, sort_keys=True)
+            json.dump(asdict(self), fh, indent=0, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "CorpusSplit":
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
-        return cls(
-            train_movies=blob["train_movies"], val_movies=blob["val_movies"],
-            test_movies=blob["test_movies"], trailer_pool=blob["trailer_pool"],
-            trailer_subsets={int(k): v for k, v in blob["trailer_subsets"].items()},
-        )
+        return cls(train_movies=blob["train_movies"], val_movies=blob["val_movies"],
+                   test_movies=blob["test_movies"], trailer_pool=blob["trailer_pool"])
 
 
 def make_splits(entries: list[VideoManifestEntry], ratios: tuple[float, float, float],
-                seed: int, subset_sizes: tuple[int, ...]) -> CorpusSplit:
-    """Shuffle movies into train/val/test and build leak-free trailer pools.
+                seed: int) -> CorpusSplit:
+    """Shuffle movies into train/val/test and build a leak-free trailer pool.
 
-    A trailer whose movie landed in val or test is excluded from every
-    training subset. Subsets of the requested sizes are nested prefixes
-    of one shuffled pool, so a larger subset strictly extends a smaller
-    one.
+    A trailer whose movie landed in val or test is left out of the pool.
+    The pool is shuffled, so its first N trailers are a training subset of
+    N, and a larger subset strictly extends a smaller one.
     """
     if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios):
         raise ValueError(f"split_ratios must be three values in [0, 1], got {ratios}")
@@ -444,10 +442,4 @@ def make_splits(entries: list[VideoManifestEntry], ratios: tuple[float, float, f
                 and (e.linked_movie_id is None or e.linked_movie_id not in held_out)]
     pool_rng = derive_rng(seed, "split.trailers")
     pool = [eligible[i] for i in pool_rng.permutation(len(eligible))]
-
-    subsets = {}
-    for size in subset_sizes:
-        if size > len(pool):
-            raise ValueError(f"requested trailer subset of {size} but only {len(pool)} eligible")
-        subsets[size] = pool[:size]
-    return CorpusSplit(train, val, test, pool, subsets)
+    return CorpusSplit(train, val, test, pool)

@@ -165,7 +165,8 @@ def multitask_loss(genre_logits: Tensor, genre_truth: list[set],
     return loss
 
 
-def _truth_indices(entry: VideoManifestEntry, vocabulary: TagVocabulary) -> tuple[set, set]:
+def truth_indices(entry: VideoManifestEntry, vocabulary: TagVocabulary) -> tuple[set, set]:
+    """The vocabulary indices of the entry's genres and of its keywords."""
     genres = {vocabulary.genre_index[g] for g in entry.genres}
     keywords = {vocabulary.keyword_index[k] for k in entry.keywords}
     return genres, keywords
@@ -196,7 +197,7 @@ def train_tags(entries: list[VideoManifestEntry], store: FeatureStore,
             raise ValueError(f"training video {e.video_id!r} has no genres")
     model = TagModel.fresh(vocabulary, store.dim, proj_dim, derive_rng(seed, "tags.init"))
     sequence_rows = [store.sequence_rows(e.video_id) for e in entries]
-    truths = [_truth_indices(e, vocabulary) for e in entries]
+    truths = [truth_indices(e, vocabulary) for e in entries]
     matrix, shots = store.matrix, config.shots_per_video
 
     def batch_loss(epoch: int, batch: np.ndarray) -> Tensor:
@@ -274,7 +275,7 @@ def train_tag_lstm(model: TagModel, entries: list[VideoManifestEntry], store: Fe
     with ad.no_grad():  # the inputs are the frozen projection of each video's shots
         inputs = {e.video_id: model.project(Tensor(store.sequence(e.video_id))).data
                   for e in entries}
-    truths = {e.video_id: _truth_indices(e, vocabulary) for e in entries}
+    truths = {e.video_id: truth_indices(e, vocabulary) for e in entries}
 
     def batch_loss(epoch: int, picks: np.ndarray) -> Tensor:
         batch = [entries[i] for i in picks]
@@ -318,8 +319,7 @@ def infer_feature_lstm(model: TagModel, lstm: TagLstm, video_id: str,
     return TagPrediction(video_id, genre.mean(axis=0), keyword.mean(axis=0))
 
 
-def shot_tag_response(model: TagModel, video_id: str, seq: np.ndarray,
-                      tag: str) -> list[tuple[int, float]]:
+def shot_tag_response(model: TagModel, seq: np.ndarray, tag: str) -> list[tuple[int, float]]:
     """Per-shot response series for one tag, in shot order."""
     if tag in model.vocabulary.genre_index:
         branch, column = 0, model.vocabulary.genre_index[tag]

@@ -11,6 +11,8 @@ made relative to the run's directory and the timing entries dropped.
 
     python tests/golden.py --write   # rewrite tests/golden_tiny.json
 
+The rewrite prints one line per file or manifest row whose digest moved.
+
 tests/test_golden.py runs the same commands and compares the digests.
 """
 from __future__ import annotations
@@ -117,6 +119,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("nothing to do without --write")
     with tempfile.TemporaryDirectory() as tmp:
         seeds = {str(seed): digests(Path(tmp) / f"seed{seed}", seed) for seed in SEEDS}
+    stored = json.loads(GOLDEN.read_text())["seeds"] if GOLDEN.exists() else {}
+    for seed in SEEDS:
+        for line in differences(seed, stored.get(str(seed), {"files": {}, "rows": []}),
+                                seeds[str(seed)]):
+            print(line)
     GOLDEN.write_text(json.dumps({**environment(), "seeds": seeds}, indent=1, sort_keys=True)
                       + "\n")
     print(f"wrote {GOLDEN}")

@@ -242,7 +242,7 @@ def temporal_world():
                          noise_sigma=0.15, movie_style_sigma=0.12,
                          self_transition=0.6, successor_mass=0.3, seed=7)
     _, _, store, entries = generate_world(cfg)
-    split = make_splits(entries, (0.7, 0.1, 0.2), seed=7, subset_sizes=())
+    split = make_splits(entries, (0.7, 0.1, 0.2), seed=7)
     train_q, val_q = [], []
     for setting in (temporal.IN_MOVIE, temporal.CROSS_MOVIE):
         qs, _ = temporal.generate_questions(store, split.train_movies, setting,
@@ -290,7 +290,7 @@ def tag_world():
                          noise_sigma=0.15, movie_style_sigma=0.0,
                          movie_topic_count=3, seed=5)
     world, videos, store, entries = generate_world(cfg)
-    split = make_splits(entries, (0.7, 0.1, 0.2), seed=5, subset_sizes=())
+    split = make_splits(entries, (0.7, 0.1, 0.2), seed=5)
     by_id = {e.video_id: e for e in entries}
     train_trailers = [by_id[t] for t in split.trailer_pool]
     test_movies = [by_id[m] for m in split.test_movies]
@@ -331,8 +331,7 @@ def test_criterion_11_retrieval_sanity(tag_world):
     precisions = {}
     for genre in sorted(movie.genres):
         topic = vocab.genre_index[genre]
-        series = tags.shot_tag_response(t["model"], movie.video_id,
-                                        t["store"].sequence(movie.video_id), genre)
+        series = tags.shot_tag_response(t["model"], t["store"].sequence(movie.video_id), genre)
         top5 = tags.top_shots(series, 5)
         precisions[genre] = float(np.mean([topics_by_id[movie.video_id][o] == topic
                                            for o in top5]))
@@ -353,13 +352,13 @@ def test_criterion_07_trailer_count_monotonicity():
                              noise_sigma=0.15, movie_style_sigma=0.0,
                              movie_topic_count=3, seed=seed)
         world, _, store, entries = generate_world(cfg)
-        split = make_splits(entries, (0.7, 0.1, 0.2), seed=seed, subset_sizes=(25, 100, 400))
+        split = make_splits(entries, (0.7, 0.1, 0.2), seed=seed)
         by_id = {e.video_id: e for e in entries}
         test_movies = [by_id[m] for m in split.test_movies]
         vocab = world.vocabulary
         recalls = []
         for size in (25, 100, 400):
-            subset = [by_id[t] for t in split.trailer_subsets[size]]
+            subset = [by_id[t] for t in split.trailer_pool[:size]]
             config = default_config(_tag_config, epochs=40, batch_size=16, learning_rate=0.3,
                                     momentum=0.9)
             model, _ = tags.train_tags(subset, store, vocab, config, seed=seed, proj_dim=32)

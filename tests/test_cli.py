@@ -363,7 +363,7 @@ def test_tag_checkpoint_round_trips_through_eval_tags_and_retrieve(tmp_path, pro
                    for vid in split["test_movies"]]
     tags.write_predictions(world / "expected.tsv", predictions, vocabulary)
     assert (world / "eval/predictions.tsv").read_text() == (world / "expected.tsv").read_text()
-    series = tags.shot_tag_response(model, movie, store.sequence(movie), genre)
+    series = tags.shot_tag_response(model, store.sequence(movie), genre)
     assert (world / "series.tsv").read_text() == "".join(f"{o}\t{v:.6f}\n" for o, v in series)
 
 
@@ -701,7 +701,8 @@ def test_gen_questions_rejects_a_negative_stride_or_radius(tmp_path, capsys, key
     ("seg_min_shot_len", "8"), ("seg_floor", "0.2"), ("genre_weight", "0.5"),
     ("tag_lstm_learning_rate", "0.05"), ("qa_batch_size", "32"), ("qa_learning_rate", "0.05"),
     ("qa_patience", "5"), ("prototype_max_cos", "0.3"), ("tag_threshold", "0.1"),
-    ("trailer_len_min", "15"), ("trailer_len_max", "40"), ("trailer_shuffle", "1")])
+    ("trailer_len_min", "15"), ("trailer_len_max", "40"), ("trailer_shuffle", "1"),
+    ("trailer_subsets", "3")])
 def test_a_removed_config_key_is_unknown(tmp_path, capsys, key, value):
     config = tmp_path / "c.cfg"
     config.write_text(f"{key}={value}\n")
@@ -732,7 +733,6 @@ def test_a_list_setting_that_does_not_parse_is_named(tmp_path, capsys):
                      "--output", world / "t.stln"]
     for key, value, kind, command, args, output in [
             ("split_ratios", "0.6,x,0.2", "float", "split", split_args, world / "s.json"),
-            ("trailer_subsets", "2,x", "int", "split", split_args, world / "s.json"),
             ("scorer_widths", "64,x", "int", "train-temporal", temporal_args, world / "t.stln")]:
         _assert_fails_writing_nothing(
             capsys, [*base, "--set", f"{key}={value}"], command, args, [output],
@@ -1188,40 +1188,103 @@ def test_split_respects_paper_ratios(tmp_path):
 
 
 def test_train_tags_on_trailer_subset(tmp_path):
-    world = tmp_path / "world"
+    """--subset-size N trains on the first N trailers of the split's pool, and
+    N = len(pool) on the whole pool, as no --subset-size does. A split file
+    that still stores trailer subsets loads, and its stored lists go unused."""
+    world = synth_and_split(tmp_path, seed=4)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 4]
-    assert run_cli(*base, "synth", "--out-dir", world) == 0
-    assert run_cli(*base, "--set", "trailer_subsets=3",
-                   "split", "--manifest", world / "manifest.jsonl",
-                   "--vocab", world / "vocab.json", "--output", world / "split.json") == 0
     split = json.loads((world / "split.json").read_text())
-    assert len(split["trailer_subsets"]["3"]) == 3
-    assert run_cli(*base, "train-tags", "--manifest", world / "manifest.jsonl",
-                   "--vocab", world / "vocab.json", "--features", world / "features.shtf",
-                   "--split", world / "split.json", "--subset-size", 3,
-                   "--output", world / "tags3.stln") == 0
-    assert (world / "tags3.stln").exists()
+    pool = split["trailer_pool"]
+    (world / "first3.json").write_text(json.dumps({**split, "trailer_pool": pool[:3]}))
+    # the subsets an older split file stored, here made not to be prefixes of the pool
+    (world / "old.json").write_text(json.dumps(
+        {**split, "trailer_subsets": {"3": pool[-3:], str(len(pool)): pool[::-1]}}))
+    args = ["--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+            "--features", world / "features.shtf"]
+    runs = {"all": ["split.json"], "all_n": ["split.json", len(pool)],
+            "old_all_n": ["old.json", len(pool)], "first3": ["first3.json"],
+            "new3": ["split.json", 3], "old3": ["old.json", 3]}
+    for name, (split_file, *size) in runs.items():
+        assert run_cli(*base, "train-tags", *args, "--split", world / split_file,
+                       *(["--subset-size", *size] if size else []),
+                       "--output", world / f"{name}.stln") == 0, name
+    checkpoint = {name: (world / f"{name}.stln").read_bytes() for name in runs}
+    assert checkpoint["all"] == checkpoint["all_n"] == checkpoint["old_all_n"]
+    assert checkpoint["first3"] == checkpoint["new3"] == checkpoint["old3"] != checkpoint["all"]
 
 
 def test_train_tags_rejects_a_subset_size_it_cannot_honour(tmp_path, capsys):
-    """With no --split, or a split without a subset of that size, --subset-size
-    exits 1 before any features are read: the features file does not exist."""
-    world = tmp_path / "world"
+    """With no --split, or a size outside 0..len(pool), --subset-size exits 1
+    before any features are read: the features file does not exist."""
+    world = synth_and_split(tmp_path, seed=4)
     base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 4]
-    assert run_cli(*base, "synth", "--out-dir", world) == 0
-    assert run_cli(*base, "--set", "trailer_subsets=3,4", "split",
-                   "--manifest", world / "manifest.jsonl", "--output", world / "split.json") == 0
+    size = len(json.loads((world / "split.json").read_text())["trailer_pool"])
     args = ["--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
             "--features", tmp_path / "missing.shtf", "--output", world / "tags.stln"]
     _assert_fails_writing_nothing(
         capsys, base, "train-tags", [*args, "--subset-size", 3], [world / "tags.stln"],
         "error\tValueError\t--subset-size 3: trailer subsets come from a split file, and no "
         "--split was given")
-    _assert_fails_writing_nothing(
-        capsys, base, "train-tags", [*args, "--split", world / "split.json", "--subset-size", 5],
-        [world / "tags.stln"],
-        f"error\tValueError\t--subset-size 5: {world / 'split.json'} holds no trailer subset "
-        f"of that size (its sizes: 3, 4)")
+    for value in (-1, size + 1):
+        _assert_fails_writing_nothing(
+            capsys, base, "train-tags",
+            [*args, "--split", world / "split.json", "--subset-size", value],
+            [world / "tags.stln"],
+            f"error\tValueError\t--subset-size {value} is outside 0..{size}: "
+            f"{world / 'split.json'} holds a pool of {size} trailers")
+
+
+def _mismatched_worlds(tmp_path):
+    """configs/tiny.cfg at seed 1: world a (5 movies, 10 trailers) with its
+    split, world b (--set movies=4 --set trailers=4), which lacks a's m0004
+    and t00005, and an untrained tag checkpoint that fits both."""
+    a = synth_and_split(tmp_path, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
+    b = tmp_path / "b"
+    assert run_cli(*base, "--set", "movies=4", "--set", "trailers=4", "synth",
+                   "--out-dir", b) == 0
+    split = json.loads((a / "split.json").read_text())
+    assert split["test_movies"] == ["m0004"] and split["trailer_pool"][:2] == ["t00000", "t00005"]
+    vocabulary = corpus.TagVocabulary.load(a / "vocab.json")
+    rng = derive_rng(1, "tags.init")
+    save_checkpoint(a / "tags.stln", {**tags.TagModel.fresh(vocabulary, 16, 16, rng).state(),
+                                      **tags.TagLstm.fresh(vocabulary, 16, 16, rng).state()})
+    return a, b, base
+
+
+def test_a_split_naming_a_video_the_manifest_or_features_lack_is_named(tmp_path, capsys):
+    """train-tags and eval-tags look each video of the split up in the manifest,
+    then in the features file; the error names the split, the video and the
+    file that lacks it, and nothing is written."""
+    a, b, base = _mismatched_worlds(tmp_path)
+    split = a / "split.json"
+    for manifest, features, lacking in ((b / "manifest.jsonl", b / "features.shtf", "manifest"),
+                                        (a / "manifest.jsonl", b / "features.shtf", "features")):
+        files = ["--manifest", manifest, "--vocab", a / "vocab.json", "--features", features,
+                 "--split", split]
+        file = manifest if lacking == "manifest" else features
+        for command, args, output, video in (
+                ("train-tags", ["--output", a / "t.stln"], a / "t.stln", "t00005"),
+                ("eval-tags", ["--model", a / "tags.stln", "--subset", "test",
+                               "--out-dir", a / "eval"], a / "eval", "m0004")):
+            _assert_fails_writing_nothing(
+                capsys, base, command, [*files, *args], [output],
+                f"error\tValueError\t{split} names video {video!r}, but {file} lacks it")
+
+
+def test_gen_questions_names_a_split_movie_the_features_lack(tmp_path, capsys):
+    """Every movie of the split is in the cross-movie pool, so each must be in
+    the features file, whatever the subset: the command exits 1 and writes
+    no question file, where generate_questions counts an absent movie as
+    skipped."""
+    a, b, base = _mismatched_worlds(tmp_path)
+    for subset in ("test", "train"):
+        _assert_fails_writing_nothing(
+            capsys, base, "gen-questions",
+            ["--features", b / "features.shtf", "--split", a / "split.json", "--subset", subset,
+             "--output", a / "q.tsv"], [a / "q.tsv"],
+            f"error\tValueError\t{a / 'split.json'} names video 'm0004', but "
+            f"{b / 'features.shtf'} lacks it")
 
 
 def test_an_item_file_with_two_answer_counts_fails_train_and_eval_qa(tmp_path, capsys):

@@ -299,14 +299,14 @@ def make_entries(n_movies, n_trailers):
 
 
 def test_split_all_train():
-    split = make_splits(make_entries(10, 5), (1.0, 0.0, 0.0), seed=0, subset_sizes=())
+    split = make_splits(make_entries(10, 5), (1.0, 0.0, 0.0), seed=0)
     assert len(split.train_movies) == 10
     assert split.val_movies == [] and split.test_movies == []
     assert len(split.trailer_pool) == 5
 
 
 def test_split_no_trailer_leak():
-    split = make_splits(make_entries(20, 60), (0.5, 0.2, 0.3), seed=1, subset_sizes=())
+    split = make_splits(make_entries(20, 60), (0.5, 0.2, 0.3), seed=1)
     held_out = set(split.val_movies) | set(split.test_movies)
     linked = {f"t{j:03d}": f"m{j % 20:03d}" for j in range(60)}
     for tid in split.trailer_pool:
@@ -315,24 +315,31 @@ def test_split_no_trailer_leak():
 
 def test_split_paper_ratio_sizes():
     entries = make_entries(508, 0)
-    split = make_splits(entries, (361 / 508, 41 / 508, 106 / 508), seed=2,
-                        subset_sizes=())
+    split = make_splits(entries, (361 / 508, 41 / 508, 106 / 508), seed=2)
     assert (len(split.train_movies), len(split.val_movies), len(split.test_movies)) == (361, 41, 106)
 
 
 def test_split_ratios_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
-        make_splits(make_entries(10, 0), (0.5, 0.2, 0.2), seed=0, subset_sizes=())
+        make_splits(make_entries(10, 0), (0.5, 0.2, 0.2), seed=0)
 
 
-def test_split_subsets_are_nested_prefixes():
-    split = make_splits(make_entries(10, 50), (0.8, 0.1, 0.1), seed=3, subset_sizes=(5, 20))
-    assert split.trailer_subsets[5] == split.trailer_subsets[20][:5]
-    assert len(split.trailer_subsets[20]) == 20
+def test_a_split_file_holds_four_lists_and_an_older_one_still_loads(tmp_path):
+    """A training subset is a prefix of trailer_pool, so the file stores no
+    subsets; a file written when it did still loads, its subsets ignored."""
+    split = make_splits(make_entries(10, 50), (0.8, 0.1, 0.1), seed=3)
+    path = tmp_path / "split.json"
+    split.save(path)
+    blob = json.loads(path.read_text())
+    assert sorted(blob) == ["test_movies", "trailer_pool", "train_movies", "val_movies"]
+    path.write_text(json.dumps({**blob, "trailer_subsets": {"5": split.trailer_pool[:5]}}))
+    assert CorpusSplit.load(path) == split
+    assert [split.movies(s) for s in ("train", "val", "test")] == [
+        split.train_movies, split.val_movies, split.test_movies]
 
 
 def test_split_round_trip(tmp_path):
-    split = make_splits(make_entries(12, 30), (0.5, 0.25, 0.25), seed=4, subset_sizes=(4,))
+    split = make_splits(make_entries(12, 30), (0.5, 0.25, 0.25), seed=4)
     path = tmp_path / "split.json"
     split.save(path)
     loaded = CorpusSplit.load(path)

@@ -573,21 +573,21 @@ def test_train_tags_matches_per_video_trainer(proj_dim):
 
 def test_shot_tag_response_uniform_head_constant():
     model = zero_model()
-    series = shot_tag_response(model, "v", np.random.default_rng(0).normal(0, 1, (7, 4)).astype(np.float32), "g1")
+    series = shot_tag_response(model, np.random.default_rng(0).normal(0, 1, (7, 4)).astype(np.float32), "g1")
     assert len(series) == 7
     assert len({round(s, 7) for _, s in series}) == 1
 
 
 def test_shot_tag_response_unknown_tag():
     with pytest.raises(KeyError, match="not in vocabulary"):
-        shot_tag_response(zero_model(), "v", np.zeros((2, 4), dtype=np.float32), "noir")
+        shot_tag_response(zero_model(), np.zeros((2, 4), dtype=np.float32), "noir")
 
 
 def test_shot_tag_response_length_and_topk():
     rng = np.random.default_rng(13)
     model = TagModel.fresh(VOCAB, 4, None, rng)
     seq = rng.normal(0, 1, (9, 4)).astype(np.float32)
-    series = shot_tag_response(model, "v", seq, "k1")
+    series = shot_tag_response(model, seq, "k1")
     assert [o for o, _ in series] == list(range(9))
     ranked = top_shots(series, 3)
     scores = [s for _, s in series]
@@ -606,7 +606,7 @@ def test_retrieval_on_synthetic_movie():
     hits = []
     for genre in sorted(movie.genres):
         topic = world.vocabulary.genre_index[genre]
-        series = shot_tag_response(model, movie.video_id, store.sequence(movie.video_id), genre)
+        series = shot_tag_response(model, store.sequence(movie.video_id), genre)
         top5 = top_shots(series, 5)
         hits.append(np.mean([movie.topics[o] == topic for o in top5]))
     assert np.mean(hits) >= 0.8
