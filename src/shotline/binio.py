@@ -1,6 +1,7 @@
-"""Shared helpers for the fixed binary container formats and the text tables."""
+"""Shared helpers for the fixed binary container formats and the text files."""
 from __future__ import annotations
 
+import json
 import os
 import struct
 from contextlib import contextmanager
@@ -52,22 +53,47 @@ def expect_version(fh: BinaryIO, version: int) -> None:
         raise FormatError(f"unsupported format version {got} (expected {version})")
 
 
-def read_tsv(path, fields: int, parse: Callable[[list[str]], object]) -> list:
-    """parse() of every non-blank tab-separated line, which must have ``fields``
-    fields. A wrong field count, or a ValueError or KeyError from parse,
-    raises ValueError naming the file and line."""
+def write_lines(path, lines) -> None:
+    """Each of ``lines`` plus "\n" as the UTF-8 text of ``path``, through replace_on_success."""
+    with replace_on_success(path) as fh:
+        for line in lines:
+            fh.write(f"{line}\n".encode("utf-8"))
+
+
+def read_lines(path, parse: Callable[[str], object]) -> list:
+    """parse() of each line of ``path`` (UTF-8, line break stripped), Nones left out; a bad
+    byte or parse's ValueError, TypeError or KeyError (a missing key) names the file and line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != fields:
-                raise ValueError(f"{path}: line {line_no}: expected {fields} fields, "
-                                 f"got {len(parts)}")
             try:
-                rows.append(parse(parts))
-            except (ValueError, KeyError) as exc:
+                row = parse(line.decode("utf-8").rstrip("\r\n"))
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {line_no}: missing key {exc}") from exc
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            if row is not None:
+                rows.append(row)
     return rows
+
+
+def read_tsv(path, fields: int, parse: Callable[[list[str]], object]) -> list:
+    """read_lines of every non-blank line, split into its ``fields`` tab-separated fields."""
+    def parse_line(line: str):
+        parts = line.split("\t")
+        if line and len(parts) != fields:
+            raise ValueError(f"expected {fields} fields, got {len(parts)}")
+        return parse(parts) if line else None
+
+    return read_lines(path, parse_line)
+
+
+def read_json(path, build: Callable[[dict], object]):
+    """build() of the JSON document at ``path``; errors name the file as read_lines' do."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -17,26 +17,21 @@ VERSION = 2  # version 1 states also held the scoring and pooling codes
 def save_checkpoint(path, params: dict) -> None:
     """Write named arrays in declaration order; values stored as f32.
 
-    Every name and value is checked before anything is written, and the
-    bytes replace path only once all are written, so a rejected state or a
-    failed write leaves whatever was at path untouched.
+    The bytes replace path only once all are written, so a rejected name or
+    value, or a failed write, leaves whatever was at path untouched.
     """
-    records = []
-    for name, value in params.items():
-        arr = np.asarray(value, dtype="<f4", order="C")  # ascontiguousarray would promote 0-d
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"parameter name too long: {name!r}")
-        if arr.ndim > 0xFF:
-            raise ValueError(f"parameter rank too large: {arr.ndim}")
-        header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
-                             arr.ndim, *arr.shape)
-        records.append((header, arr))
     with replace_on_success(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
-        for header, arr in records:
-            fh.write(header)
+        for name, value in params.items():
+            arr = np.asarray(value, dtype="<f4", order="C")  # ascontiguousarray would promote 0-d
+            encoded = name.encode("utf-8")
+            if len(encoded) > 0xFFFF:
+                raise ValueError(f"parameter name too long: {name!r}")
+            if arr.ndim > 0xFF:
+                raise ValueError(f"parameter rank too large: {arr.ndim}")
+            fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                                 arr.ndim, *arr.shape))
             fh.write(arr.tobytes())
 
 

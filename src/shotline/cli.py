@@ -66,33 +66,36 @@ DEFAULTS = {
 }
 
 
+def _setting(item: str) -> tuple[str, object]:
+    """(key, value) of one key=value item; a bad item raises ValueError."""
+    if "=" not in item:
+        raise ValueError("expected key=value")
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in DEFAULTS:
+        raise ValueError(f"unknown config key {key!r}")
+    kind = type(DEFAULTS[key])
+    try:
+        return key, kind(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse {key}={raw!r} as {kind.__name__}") from None
+
+
 def load_config(config_path: str | None, overrides: list[str]) -> dict:
-    """Defaults, then key=value file lines, then --set overrides."""
+    """Defaults, then key=value file lines ('#' starts a comment), then --set overrides."""
+    from .binio import read_lines
+
+    def file_setting(line: str):
+        text = line.split("#", 1)[0].strip()
+        return _setting(text) if text else None
+
     config = dict(DEFAULTS)
-
-    def apply(key: str, raw: str, where: str):
-        if key not in config:
-            raise ValueError(f"{where}: unknown config key {key!r}")
-        kind = type(DEFAULTS[key])
-        try:
-            config[key] = kind(raw)
-        except ValueError:
-            raise ValueError(f"{where}: cannot parse {key}={raw!r} as {kind.__name__}") from None
-
     if config_path:
-        for line_no, line in enumerate(Path(config_path).read_text().splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{config_path}: line {line_no}: expected key=value")
-            key, raw = line.split("=", 1)
-            apply(key.strip(), raw.strip(), f"{config_path}: line {line_no}")
+        config.update(read_lines(config_path, file_setting))
     for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"--set {item!r}: expected key=value")
-        key, raw = item.split("=", 1)
-        apply(key.strip(), raw.strip(), f"--set {item}")
+        try:
+            config.update([_setting(item)])
+        except ValueError as exc:
+            raise ValueError(f"--set {item}: {exc}") from None
     return config
 
 
@@ -315,7 +318,8 @@ def cmd_train_tags(args, config):
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     entries = corpus.load_manifest(args.manifest, vocabulary)
     if args.split:
-        pool = corpus.CorpusSplit.load(args.split).trailer_pool
+        split = corpus.CorpusSplit.load(args.split)
+        pool = split.trailer_pool
         if not 0 <= args.subset_size <= len(pool):
             raise ValueError(f"--subset-size {args.subset_size} is outside 0..{len(pool)}: "
                              f"{args.split} holds a pool of {len(pool)} trailers")
@@ -327,6 +331,11 @@ def cmd_train_tags(args, config):
         train_ids = [e.video_id for e in entries if e.kind == "trailer"]
     store = read_shtf(args.features)
     train_entries = _split_videos(args, train_ids, store, entries)
+    held_out = {*split.val_movies, *split.test_movies} if args.split else set()
+    for entry in train_entries:
+        if entry.linked_movie_id in held_out:
+            raise ValueError(f"{args.split} pools trailer {entry.video_id!r}, which "
+                             f"{args.manifest} links to held-out movie {entry.linked_movie_id!r}")
     tag_config = _tag_config(config)
     proj_dim = config["proj_dim"] or None
     model, history = tags.train_tags(train_entries, store, vocabulary, tag_config,
@@ -482,6 +491,7 @@ def cmd_eval_qa(args, config):
 
 def cmd_retrieve(args, config):
     from . import corpus, tags
+    from .binio import write_lines
     from .features import read_shtf
     vocabulary = corpus.TagVocabulary.load(args.vocab)
     store = read_shtf(args.features)
@@ -494,13 +504,9 @@ def cmd_retrieve(args, config):
         raise ValueError(f"--tag {args.tag!r}: {args.vocab} has no genre or keyword of that name")
     series = tags.shot_tag_response(model, store.sequence(args.video_id), args.tag)
     ranked = tags.top_shots(series, config["top_shots"])
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for ordinal, score in series:
-            fh.write(f"{ordinal}\t{score:.6f}\n")
-    with open(args.ranked_output, "w", encoding="utf-8") as fh:
-        by_ordinal = dict(series)
-        for ordinal in ranked:
-            fh.write(f"{ordinal}\t{by_ordinal[ordinal]:.6f}\n")
+    by_ordinal = dict(series)
+    write_lines(args.output, (f"{ordinal}\t{score:.6f}" for ordinal, score in series))
+    write_lines(args.ranked_output, (f"{o}\t{by_ordinal[o]:.6f}" for o in ranked))
     print(f"retrieve\t{args.video_id}\t{args.tag}\ttop {ranked}", file=sys.stderr)
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
+from .binio import read_json, read_lines, write_lines
 from .features import FeatureStore
 from .rng import derive_rng
 
@@ -37,15 +38,12 @@ class TagVocabulary:
         self.keyword_index = {name: i for i, name in enumerate(self.keywords)}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"genres": self.genres, "keywords": self.keywords}, fh, indent=0)
-            fh.write("\n")
+        write_lines(path, [json.dumps({"genres": self.genres, "keywords": self.keywords},
+                                      indent=0)])
 
     @classmethod
     def load(cls, path) -> "TagVocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-        return cls(blob["genres"], blob["keywords"])
+        return read_json(path, lambda blob: cls(blob["genres"], blob["keywords"]))
 
 
 @dataclass
@@ -63,48 +61,37 @@ class VideoManifestEntry:
 
 
 def save_manifest(path, entries: list[VideoManifestEntry]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            row = {
-                "id": e.video_id,
-                "kind": e.kind,
-                "path": e.path,
-                "genres": sorted(e.genres),
-                "keywords": sorted(e.keywords),
-                "linked_movie_id": e.linked_movie_id,
-            }
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    write_lines(path, (json.dumps({"id": e.video_id, "kind": e.kind, "path": e.path,
+                                   "genres": sorted(e.genres), "keywords": sorted(e.keywords),
+                                   "linked_movie_id": e.linked_movie_id}, separators=(",", ":"))
+                       for e in entries))
 
 
 def load_manifest(path, vocabulary: TagVocabulary | None = None) -> list[VideoManifestEntry]:
-    entries: list[VideoManifestEntry] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-            entry = VideoManifestEntry(
-                video_id=row["id"], kind=row["kind"], path=row.get("path", ""),
-                genres=list(row.get("genres", [])), keywords=list(row.get("keywords", [])),
-                linked_movie_id=row.get("linked_movie_id"),
-            )
-            if entry.video_id in seen:
-                raise ValueError(f"{path}: line {line_no}: duplicate video id {entry.video_id!r}")
-            seen.add(entry.video_id)
-            if vocabulary is not None:
-                for name in entry.genres:
-                    if name not in vocabulary.genre_index:
-                        raise ValueError(f"{path}: line {line_no}: unknown genre {name!r}")
-                for name in entry.keywords:
-                    if name not in vocabulary.keyword_index:
-                        raise ValueError(f"{path}: line {line_no}: unknown keyword {name!r}")
-            entries.append(entry)
-    return entries
+
+    def parse(line: str) -> VideoManifestEntry | None:
+        if not line.strip():
+            return None
+        row = json.loads(line)
+        entry = VideoManifestEntry(
+            video_id=row["id"], kind=row["kind"], path=row.get("path", ""),
+            genres=list(row.get("genres", [])), keywords=list(row.get("keywords", [])),
+            linked_movie_id=row.get("linked_movie_id"),
+        )
+        if entry.video_id in seen:
+            raise ValueError(f"duplicate video id {entry.video_id!r}")
+        seen.add(entry.video_id)
+        if vocabulary is not None:
+            for name in entry.genres:
+                if name not in vocabulary.genre_index:
+                    raise ValueError(f"unknown genre {name!r}")
+            for name in entry.keywords:
+                if name not in vocabulary.keyword_index:
+                    raise ValueError(f"unknown keyword {name!r}")
+        return entry
+
+    return read_lines(path, parse)
 
 
 # -- synthetic world -------------------------------------------------------
@@ -374,12 +361,10 @@ def generate_world(config: SyntheticWorldConfig):
 
 def write_ground_truth(path, videos: list[SyntheticVideo]) -> None:
     """Generator-side shot topics, for evaluation only; models never read this."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in videos:
-            row = {"id": v.video_id, "kind": v.kind, "topics": v.topics.tolist()}
-            if v.source_shots is not None:
-                row["source_shots"] = v.source_shots.tolist()
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    write_lines(path, (json.dumps({"id": v.video_id, "kind": v.kind, "topics": v.topics.tolist(),
+                                   **({} if v.source_shots is None
+                                      else {"source_shots": v.source_shots.tolist()})},
+                                  separators=(",", ":")) for v in videos))
 
 
 # -- splits ----------------------------------------------------------------
@@ -398,16 +383,11 @@ class CorpusSplit:
                 "test": self.test_movies}[subset]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=0, sort_keys=True)
-            fh.write("\n")
+        write_lines(path, [json.dumps(asdict(self), indent=0, sort_keys=True)])
 
     @classmethod
     def load(cls, path) -> "CorpusSplit":
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-        return cls(train_movies=blob["train_movies"], val_movies=blob["val_movies"],
-                   test_movies=blob["test_movies"], trailer_pool=blob["trailer_pool"])
+        return read_json(path, lambda blob: cls(*(blob[f.name] for f in fields(cls))))
 
 
 def make_splits(entries: list[VideoManifestEntry], ratios: tuple[float, float, float],

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .binio import write_lines
+
 
 def _ranking(scores: np.ndarray) -> np.ndarray:
     # lexsort is stable: sort by -score, then by index for ties
@@ -72,6 +74,4 @@ def mean_average_precision(scores: np.ndarray, truths: list[set]) -> float:
 
 def write_metrics(path, values: dict) -> None:
     """One ``metric<TAB>value`` line per entry, sorted by name, 6 decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(values):
-            fh.write(f"{key}\t{values[key]:.6f}\n")
+    write_lines(path, (f"{key}\t{values[key]:.6f}" for key in sorted(values)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .binio import read_tsv
+from .binio import read_lines, read_tsv, write_lines
 from .features import FeatureStore, ShotId, check_label_ids, label_rows, shot_labels
 from .nn import RowMlp, fit
 from .rng import derive_rng
@@ -76,25 +76,20 @@ class HashingEmbeddingProvider:
 def read_embedding_table(path) -> dict:
     """Token -> float32 vector. A malformed line, or a value that is not
     finite in float32, raises ValueError naming the file and line."""
-    table = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}: line {line_no}: token without values")
-            try:
-                with np.errstate(over="ignore"):  # a float32 overflow is rejected below
-                    values = np.array([float(v) for v in parts[1:]], dtype=np.float32)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            finite = np.isfinite(values)
-            if not finite.all():
-                raise ValueError(f"{path}: line {line_no}: non-finite value "
-                                 f"{parts[1 + int(np.argmin(finite))]!r}")
-            table[parts[0]] = values
-    return table
+    def parse(line: str) -> tuple[str, np.ndarray] | None:
+        parts = line.split()
+        if not parts:
+            return None
+        if len(parts) < 2:
+            raise ValueError("token without values")
+        with np.errstate(over="ignore"):  # a float32 overflow is rejected below
+            values = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"non-finite value {parts[1 + int(np.argmin(finite))]!r}")
+        return parts[0], values
+
+    return dict(read_lines(path, parse))
 
 
 @dataclass
@@ -125,11 +120,9 @@ def write_qa_items(path, items: list[QaItem]) -> None:
                                  f"LF are not allowed in texts")
     check_label_ids(path, dict.fromkeys(video_id for item in items
                                         for video_id, _ in item.clip_shots))
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            clip = ",".join(shot_labels(item.clip_shots))
-            fh.write(f"{item.qid}\t{item.question}\t{'|'.join(item.answers)}\t{clip}\t"
-                     f"{item.correct_index}\n")
+    write_lines(path, (f"{item.qid}\t{item.question}\t{'|'.join(item.answers)}\t"
+                       f"{','.join(shot_labels(item.clip_shots))}\t{item.correct_index}"
+                       for item in items))
 
 
 def read_qa_items(path, store: FeatureStore) -> list[QaItem]:
@@ -247,11 +240,6 @@ def evaluate_qa(model: QaModel, items: list[QaItem], provider, store: FeatureSto
     the first such item of its batch."""
     if not items:
         raise ValueError("evaluate_qa: empty item set")
-    width = model.scorer.layers[0][0].data.shape[0]
-    if store.dim + 2 * provider.dim != width:
-        raise ValueError(f"evaluate_qa: the model scores rows of width {width}, but "
-                         f"{store.dim}-dim clip features and embed_dim {provider.dim} "
-                         f"give {store.dim + 2 * provider.dim}")
     correct = 0
     for start in range(0, len(items), EVAL_BATCH):
         batch = items[start:start + EVAL_BATCH]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import read_tsv
+from .binio import read_tsv, write_lines
 from .frames import FrameSequence
 
 CHI_SQUARE_EPS = 1e-10
@@ -209,9 +209,7 @@ def detect_shots(seq: FrameSequence, video_id: str = "video") -> list[Shot]:
 
 
 def write_shot_list(path, shots: list[Shot]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for shot in shots:
-            fh.write(f"{shot.video_id}\t{shot.ordinal}\t{shot.start}\t{shot.end}\n")
+    write_lines(path, (f"{s.video_id}\t{s.ordinal}\t{s.start}\t{s.end}" for s in shots))
 
 
 def read_shot_list(path) -> list[Shot]:

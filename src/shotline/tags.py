@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .binio import write_lines
 from .corpus import TagVocabulary, VideoManifestEntry
 from .features import FeatureStore
 from .nn import LstmCell, fit, pooling_matrix, read_weights, uniform_init
@@ -343,9 +344,8 @@ def top_shots(series: list[tuple[int, float]], k: int) -> list[int]:
 
 
 def write_predictions(path, predictions: list[TagPrediction], vocabulary: TagVocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pred in predictions:
-            for name, score in zip(vocabulary.genres, pred.genre_scores):
-                fh.write(f"{pred.video_id}\tgenre\t{name}\t{score:.6f}\n")
-            for name, score in zip(vocabulary.keywords, pred.keyword_scores):
-                fh.write(f"{pred.video_id}\tkeyword\t{name}\t{score:.6f}\n")
+    write_lines(path, (f"{pred.video_id}\t{kind}\t{name}\t{score:.6f}" for pred in predictions
+                       for kind, names, scores in (("genre", vocabulary.genres, pred.genre_scores),
+                                                   ("keyword", vocabulary.keywords,
+                                                    pred.keyword_scores))
+                       for name, score in zip(names, scores)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .binio import read_tsv
+from .binio import read_tsv, write_lines
 from .features import FeatureStore, check_label_ids, label_rows, shot_labels
 from .nn import LstmCell, RowMlp, fit, read_weights
 from .rng import derive_rng
@@ -109,11 +109,10 @@ def write_questions(path, questions: QuestionSet) -> None:
     labels[rows] = shot_labels(named)
     contexts = labels[questions.context].tolist()
     candidates = labels[questions.candidates].tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{qid}\t{movie}\t{setting}\t{','.join(ctx)}\t{','.join(cands)}\t{c}\n"
-                      for qid, movie, setting, ctx, cands, c in zip(
-                          questions.qids, questions.movie_ids, questions.settings, contexts,
-                          candidates, questions.correct.tolist()))
+    write_lines(path, (f"{qid}\t{movie}\t{setting}\t{','.join(ctx)}\t{','.join(cands)}\t{c}"
+                       for qid, movie, setting, ctx, cands, c in zip(
+                           questions.qids, questions.movie_ids, questions.settings, contexts,
+                           candidates, questions.correct.tolist())))
 
 
 def read_questions(path, store: FeatureStore) -> QuestionSet:
@@ -149,9 +148,7 @@ def read_questions(path, store: FeatureStore) -> QuestionSet:
 
 
 def write_results(path, rows: list[tuple[str, int, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, chosen, prob in rows:
-            fh.write(f"{qid}\t{chosen}\t{prob:.6f}\n")
+    write_lines(path, (f"{qid}\t{chosen}\t{prob:.6f}" for qid, chosen, prob in rows))
 
 
 # -- question generation ----------------------------------------------------

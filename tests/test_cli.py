@@ -1287,6 +1287,52 @@ def test_gen_questions_names_a_split_movie_the_features_lack(tmp_path, capsys):
             f"{b / 'features.shtf'} lacks it")
 
 
+def test_train_tags_rejects_a_pool_trailer_of_a_held_out_movie(tmp_path, capsys):
+    """A split of another world can pool a trailer that this world's manifest
+    links to a movie the split holds out: at seed 1, the --set movies=4
+    world's t00006 belongs to m0002, the val movie of the 5-movie split."""
+    a = synth_and_split(tmp_path, seed=1)
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
+    b = tmp_path / "b"
+    assert run_cli(*base, "--set", "movies=4", "synth", "--out-dir", b) == 0
+    _assert_fails_writing_nothing(
+        capsys, base, "train-tags",
+        ["--manifest", b / "manifest.jsonl", "--vocab", a / "vocab.json",
+         "--features", b / "features.shtf", "--split", a / "split.json",
+         "--output", a / "t.stln"], [a / "t.stln"],
+        f"error\tValueError\t{a / 'split.json'} pools trailer 't00006', which "
+        f"{b / 'manifest.jsonl'} links to held-out movie 'm0002'")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    pytest.param("split.json", '{"train_movies": [', "Expecting value: line 2 column 1 (char 19)",
+                 id="truncated-split"),
+    pytest.param("vocab.json", '{"genres": ["genre00"]}', "missing key 'keywords'",
+                 id="vocab-without-keywords"),
+    pytest.param("manifest.jsonl", '{"kind": "movie"}', "line 2: missing key 'id'",
+                 id="manifest-without-id"),
+    pytest.param("manifest.jsonl", '{"id": "m0", "kind": "film"}',
+                 "line 2: unknown video kind 'film' for 'm0'", id="manifest-kind"),
+    pytest.param("manifest.jsonl", '{"id": "m0", "kind": "movie", "genres": 3}',
+                 "line 2: 'int' object is not iterable", id="manifest-genres"),
+])
+def test_a_malformed_input_file_is_named(tmp_path, capsys, name, text, message):
+    """A manifest line follows the world's first line; the other files are
+    the whole text."""
+    world = synth_and_split(tmp_path, seed=1)
+    bad = world / name
+    if name == "manifest.jsonl":
+        text = bad.read_text().splitlines()[0] + "\n" + text
+    bad.write_text(text + "\n")
+    base = ["--run-log", tmp_path / "log.jsonl", "--config", TINY, "--seed", 1]
+    _assert_fails_writing_nothing(
+        capsys, base, "train-tags",
+        ["--manifest", world / "manifest.jsonl", "--vocab", world / "vocab.json",
+         "--features", world / "features.shtf", "--split", world / "split.json",
+         "--output", world / "t.stln"], [world / "t.stln"],
+        f"error\tValueError\t{bad}: {message}")
+
+
 def test_an_item_file_with_two_answer_counts_fails_train_and_eval_qa(tmp_path, capsys):
     world = synth_and_split(tmp_path, seed=1)
     make_qa_fixture(world, read_shtf(world / "features.shtf"), n_items=20, seed=1)

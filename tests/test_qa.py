@@ -209,6 +209,14 @@ def test_untrained_accuracy_near_chance():
     assert abs(acc - 0.2) < 0.06
 
 
+def test_evaluate_qa_rejects_a_provider_of_another_width():
+    items, store, _ = small_fixture()
+    model = QaModel.fresh(4, 3, (8, 4), seed=1)  # 4 + 2 * 3 = 10-value rows
+    with pytest.raises(ValueError, match=r"^context width 9 plus candidate width 5 is not "
+                                         r"the scorer's input width 10$"):
+        evaluate_qa(model, items, HashingEmbeddingProvider(dim=5), store)
+
+
 def test_train_qa_rejects_empty():
     items, store, provider = small_fixture()
     with pytest.raises(ValueError, match="empty"):
